@@ -65,10 +65,6 @@ class NoFeasibleUpperBound(RegretSynthError):
     """Doubling search never found a feasible synthesis level."""
 
 
-class InfeasibleLevel(RegretSynthError):
-    """The requested regret level is not achievable."""
-
-
 class DKDidNotConverge(RegretSynthError):
     """DK-iteration stalled before certifying the robust level.
 

@@ -188,11 +188,6 @@ def write_pareto_csv(path, front):
                 for gd, lo, hi, h, o in front.csv_rows()])
 
 
-def write_rp_test_csv(path, report):
-    _write_csv(path, ["theta", "d_opt", "sigma_scaled"],
-               [(float(t), float(d), float(v)) for t, d, v in report.pointwise])
-
-
 def write_dk_trace_csv(path, trace):
     rows = []
     for t in trace:

@@ -6,6 +6,14 @@ linearly spaced angles and is seeded with the angles of the system
 poles, which is where lightly damped peaks live; each local maximum is
 then sharpened by golden-section search until the peak value is
 resolved to a relative tolerance.
+
+All evaluation is stacked over angles: :meth:`StateSpace.freqresp`
+solves the resolvent for a block of angles at once (blocks of about
+1 MB, see ``statespace.FREQRESP_BLOCK``, with a per-angle fallback for
+a pole exactly on the circle) and the singular values of all angles come
+from one stacked SVD.  The golden sections of the (at most 12) peaks run
+in lock step, one ``freqresp`` call per step for every bracket still
+open, each bracket with its own update, best-so-far and stop rule.
 """
 
 from __future__ import annotations
@@ -78,31 +86,44 @@ def norm_grid(sys: StateSpace, n: int = 512) -> np.ndarray:
 
 
 def sigma_max_on_grid(sys: StateSpace, thetas) -> np.ndarray:
-    resp = sys.freqresp(thetas)
-    return np.array([np.linalg.svd(resp[k], compute_uv=False)[0] for k in range(resp.shape[0])])
+    return np.linalg.svd(sys.freqresp(thetas), compute_uv=False)[:, 0]
 
 
-def _golden_max(f, lo: float, hi: float, rel_tol: float, max_iter: int = 80):
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    a, b = lo, hi
+def _golden_max_lockstep(f, lo, hi, rel_tol: float):
+    """Golden-section maximization on k brackets [lo, hi] in lock step.
+
+    ``f`` maps an array of points to their values.  Each step evaluates
+    one new point per bracket that has not yet met its stop rule; every
+    bracket follows the scalar golden-section update on its own and
+    keeps its best point seen.  Returns the best points and values.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    k = a.size
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(max_iter):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        x, fx = (c, fc) if fc >= fd else (d, fd)
-        if fx > best_f:
-            best_x, best_f = x, fx
-        if (b - a) <= rel_tol * max(abs(a), abs(b), 1e-12):
+    fcd = f(np.concatenate([c, d]))
+    fc, fd = fcd[:k], fcd[k:]
+    first = fc >= fd
+    best_x, best_f = np.where(first, c, d), np.where(first, fc, fd)
+    live = np.arange(k)
+    for _ in range(80):
+        if not live.size:
             break
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - _GOLDEN * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
+        f_new = f(np.where(left, c[live], d[live]))
+        fc[lt], fd[rt] = f_new[left], f_new[~left]
+        at_c = fc[live] >= fd[live]
+        x = np.where(at_c, c[live], d[live])
+        fx = np.where(at_c, fc[live], fd[live])
+        up = fx > best_f[live]
+        best_x[live[up]], best_f[live[up]] = x[up], fx[up]
+        width = np.maximum(np.maximum(np.abs(a[live]), np.abs(b[live])), 1e-12)
+        live = live[~(b[live] - a[live] <= rel_tol * width)]
     return best_x, best_f
 
 
@@ -124,9 +145,6 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6, return_theta: bool = False):
     thetas = norm_grid(sys)
     vals = sigma_max_on_grid(sys, thetas)
 
-    def f(th):
-        return sigma_max_on_grid(sys, [th])[0]
-
     # refine every local maximum of the gridded response
     peaks = []
     for i in range(thetas.size):
@@ -138,14 +156,16 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6, return_theta: bool = False):
     peaks.sort(key=lambda i: -vals[i])
     best_val = float(np.max(vals))
     best_theta = float(thetas[int(np.argmax(vals))])
-    for i in peaks[:12]:
-        lo = thetas[i - 1] if i > 0 else thetas[0]
-        hi = thetas[i + 1] if i < thetas.size - 1 else thetas[-1]
-        if hi <= lo:
-            continue
-        x, fx = _golden_max(f, lo, hi, rel_tol=tol * 1e-2)
-        if fx > best_val:
-            best_val, best_theta = float(fx), float(x)
+    brackets = [(thetas[max(i - 1, 0)], thetas[min(i + 1, thetas.size - 1)])
+                for i in peaks[:12]]
+    brackets = [(lo, hi) for lo, hi in brackets if hi > lo]
+    if brackets:
+        lo, hi = zip(*brackets)
+        xs, fxs = _golden_max_lockstep(lambda th: sigma_max_on_grid(sys, th),
+                                       lo, hi, rel_tol=tol * 1e-2)
+        for x, fx in zip(xs, fxs):
+            if fx > best_val:
+                best_val, best_theta = float(fx), float(x)
     if return_theta:
         return best_val, best_theta
     return best_val
@@ -157,7 +177,7 @@ def l2_gain_curve(sys: StateSpace, thetas) -> np.ndarray:
     resp = sys.freqresp(thetas)
     if sys.n_u == 1:
         return np.linalg.norm(resp[:, :, 0], axis=1)
-    return np.array([np.linalg.svd(resp[k], compute_uv=False)[0] for k in range(resp.shape[0])])
+    return np.linalg.svd(resp, compute_uv=False)[:, 0]
 
 
 @dataclass(frozen=True)

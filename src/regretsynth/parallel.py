@@ -6,11 +6,21 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def thread_count() -> int:
+    """REGRET_SYNTH_THREADS clamped to [1, usable CPUs]; 1 if unset or
+    not an integer."""
     try:
-        return max(1, int(os.environ.get("REGRET_SYNTH_THREADS", "1")))
+        n = int(os.environ.get("REGRET_SYNTH_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(n, _usable_cpus()))
 
 
 def parallel_map(fn, items):

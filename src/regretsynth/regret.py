@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleLevel, NoFeasibleUpperBound
+from .errors import NoFeasibleUpperBound
 from .hinf import SynthesisResult, hinf_optimize, synth_hinf
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm

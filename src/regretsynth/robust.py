@@ -71,53 +71,78 @@ def build_M(P: UncertainPlant, K: StateSpace, F: SpectralFactor) -> AugmentedOpe
                                          "gamma_J": F.gamma_J})
 
 
-def _scaled_sigma(M0: np.ndarray, n_v: int, n_w: int, d: float) -> float:
-    if M0.size == 0:
-        return 0.0
-    r = np.ones(M0.shape[0])
-    c = np.ones(M0.shape[1])
-    r[:n_v] = d
-    c[:n_w] = 1.0 / d
-    return float(np.linalg.svd(M0 * np.outer(r, c), compute_uv=False)[0])
+def _scaled_sigma(M0: np.ndarray, n_v: int, n_w: int, d) -> np.ndarray:
+    """sigma_max(diag(d I_nv, I) M0 diag(I_nw / d, I)) for each matrix of
+    a stack M0 of shape (..., m, n), with one scaling d per matrix."""
+    M0 = np.asarray(M0)
+    d = np.broadcast_to(np.asarray(d, dtype=float), M0.shape[:-2])
+    if M0.shape[-2] == 0 or M0.shape[-1] == 0:
+        return np.zeros(M0.shape[:-2])
+    r = np.ones(M0.shape[:-1])
+    c = np.ones(M0.shape[:-2] + M0.shape[-1:])
+    r[..., :n_v] = d[..., None]
+    c[..., :n_w] = 1.0 / d[..., None]
+    S = M0 * (r[..., :, None] * c[..., None, :])
+    return np.linalg.svd(S, compute_uv=False)[..., 0]
 
 
 def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int,
                    log_span: float = 12.0, tol: float = 1e-7):
     """Minimize the scaled maximum singular value over scalar D > 0.
 
-    Returns (passed, d_opt, value); the map is unimodal in log D, so a
-    golden-section search on an adaptively expanded bracket suffices.
+    ``M0`` is one matrix (m, n) or a stack (k, m, n).  Returns
+    (passed, d_opt, value): scalars for one matrix, arrays of length k
+    for a stack.  The map is unimodal in log D, so a golden-section
+    search on a fixed bracket suffices.  The k searches of a stack run
+    in lock step, one stacked SVD per step over the matrices still
+    searching, each with its own bracket and stop rule; a matrix whose
+    off-diagonal blocks vanish takes D = 1 without a search.
     """
-    M0 = np.atleast_2d(M0)
-    if M0[:n_v, n_w:].size == 0 or not np.any(M0[:n_v, n_w:]):
-        if M0[n_v:, :n_w].size == 0 or not np.any(M0[n_v:, :n_w]):
-            val = _scaled_sigma(M0, n_v, n_w, 1.0)
-            return val < 1.0, 1.0, val
+    M = np.atleast_2d(M0)
+    single = M.ndim == 2
+    if single:
+        M = M[None]
+    k = M.shape[0]
+    coupled = (np.any(M[:, :n_v, n_w:], axis=(1, 2))
+               | np.any(M[:, n_v:, :n_w], axis=(1, 2)))
+    d_opt = np.ones(k)
+    val = np.empty(k)
+    val[~coupled] = _scaled_sigma(M[~coupled], n_v, n_w, 1.0)
+    lanes = np.flatnonzero(coupled)
 
-    def f(x):
-        val = _scaled_sigma(M0, n_v, n_w, 10.0 ** x)
-        return val if np.isfinite(val) else 1e300
+    def f(which, x):
+        # the scalar power: numpy's vectorized power differs from it in
+        # the last bit on some inputs
+        d = np.array([10.0 ** float(xi) for xi in x])
+        v = _scaled_sigma(M[lanes[which]], n_v, n_w, d)
+        return np.where(np.isfinite(v), v, 1e300)
 
     # beyond ~10^12 the off-diagonal contribution is below the answer
     # tolerance, so a fixed bracket is enough
-    a, b = -log_span, log_span
+    a = np.full(lanes.size, -log_span, dtype=float)
+    b = np.full(lanes.size, log_span, dtype=float)
     c = b - _PHI * (b - a)
     e = a + _PHI * (b - a)
-    fc, fe = f(c), f(e)
+    live = np.arange(lanes.size)
+    fc, fe = f(live, c), f(live, e)
     for _ in range(200):
-        if fc <= fe:
-            b, e, fe = e, c, fc
-            c = b - _PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _PHI * (b - a)
-            fe = f(e)
-        if b - a < tol:
+        if not live.size:
             break
-    x = c if fc <= fe else e
-    val = min(fc, fe)
-    return val < 1.0, float(10.0 ** x), float(val)
+        left = fc[live] <= fe[live]
+        lt, rt = live[left], live[~left]
+        b[lt], e[lt], fe[lt] = e[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - _PHI * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], e[rt], fe[rt]
+        e[rt] = a[rt] + _PHI * (b[rt] - a[rt])
+        f_new = f(live, np.where(left, c[live], e[live]))
+        fc[lt], fe[rt] = f_new[left], f_new[~left]
+        live = live[~(b[live] - a[live] < tol)]
+    x = np.where(fc <= fe, c, e)
+    d_opt[lanes] = [10.0 ** float(xi) for xi in x]
+    val[lanes] = np.minimum(fc, fe)
+    if single:
+        return bool(val[0] < 1.0), float(d_opt[0]), float(val[0])
+    return val < 1.0, d_opt, val
 
 
 @dataclass(frozen=True)
@@ -143,12 +168,9 @@ def robust_perf_test(M: AugmentedOpenLoop, grid: FrequencyGrid | None = None,
     m11_norm = hinf_norm(m11) if M.n_w and M.n_v else 0.0
 
     def run(thetas):
-        resp = M.M.freqresp(thetas)
-        out = []
-        for k, th in enumerate(thetas):
-            _, d_opt, val = matrix_rp_test(resp[k], M.n_v, M.n_w)
-            out.append((float(th), d_opt, val))
-        return out
+        _, d_opt, val = matrix_rp_test(M.M.freqresp(thetas), M.n_v, M.n_w)
+        return [(float(th), float(d), float(v))
+                for th, d, v in zip(thetas, d_opt, val)]
 
     pts = run(grid.thetas)
     worst = sorted(pts, key=lambda t: -t[2])[:n_refine]
@@ -454,7 +476,8 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
 
     Poles are uniform in radius on [0, 0.95] with random angles (complex
     pairs), input/output maps Gaussian; the system is normalized by its
-    computed norm and shrunk by a uniform factor.
+    computed norm and shrunk by a uniform factor, so its norm is that
+    factor times the computed one.
     """
     rng = np.random.default_rng(seed)
     if order == 0:
@@ -486,7 +509,7 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
     nrm = hinf_norm(raw)
     factor = rng.uniform(*scale_range) / max(nrm, 1e-12)
     Delta = StateSpace(A, B, factor * C, factor * D, sample_time)
-    return UncertaintySample(Delta, seed, hinf_norm(Delta))
+    return UncertaintySample(Delta, seed, float(factor * nrm))
 
 
 def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:

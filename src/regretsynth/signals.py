@@ -79,10 +79,6 @@ class Signal:
         s[0, channel] = 1.0
         return cls(t0, s)
 
-    @classmethod
-    def from_samples(cls, samples, t0: int = 0) -> "Signal":
-        return cls(t0, np.asarray(samples, dtype=float))
-
 
 def inner(a: Signal, b: Signal) -> float:
     if a.dim != b.dim:

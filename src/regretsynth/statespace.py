@@ -25,6 +25,10 @@ from .errors import DimensionError, SampleTimeError
 # Schur margin: stable means spectral radius < 1 - TOL_STAB.
 TOL_STAB = 1e-9
 
+# complex entries of the stacked matrices e^{j theta} I - A that one
+# block of StateSpace.freqresp solves at once (16 bytes each: 1 MB)
+FREQRESP_BLOCK = 65536
+
 UNIT = "unit"
 
 
@@ -107,7 +111,16 @@ class StateSpace:
     def freqresp(self, thetas) -> np.ndarray:
         """Frequency response G(e^{j theta}) on an array of angles.
 
-        Returns a complex array of shape (len(thetas), n_y, n_u).
+        Returns a complex array of shape (len(thetas), n_y, n_u).  The
+        angles are taken in blocks of ``max(1, FREQRESP_BLOCK // n_x**2)``,
+        so that the stacked matrices ``e^{j theta} I - A`` of a block
+        hold about 1 MB; each block is one stacked solve
+        ``(e^{j theta} I - A) X = B`` followed by ``C X + D``.  Every
+        angle gets the same arithmetic as :meth:`at_z`, so the result
+        does not depend on the blocking.  A block whose stacked solve
+        raises (a pole exactly on the circle at one of its angles) is
+        evaluated angle by angle through :meth:`at_z`, which moves only
+        the singular angles just outside the unit circle.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         out = np.empty((thetas.size, self.n_y, self.n_u), dtype=complex)
@@ -115,14 +128,22 @@ class StateSpace:
             out[:] = self.D
             return out
         eye = np.eye(self.n_x)
-        for k, th in enumerate(thetas):
-            z = np.exp(1j * th)
+        block = max(1, FREQRESP_BLOCK // self.n_x**2)
+        for lo in range(0, thetas.size, block):
+            z = np.exp(1j * thetas[lo : lo + block])
+            # built in place: a second block-sized temporary took about as
+            # long as the solve itself
+            resolvent = z[:, None, None] * eye
+            resolvent -= self.A
             try:
-                X = np.linalg.solve(z * eye - self.A, self.B)
+                # B[None]: numpy 1.x reads a 2-D B next to a 3-D stack as
+                # a stack of vectors, not as one matrix for every angle
+                X = np.linalg.solve(resolvent, self.B[None])
             except np.linalg.LinAlgError:
-                # pole on the circle: evaluate just outside it
-                X = np.linalg.solve(z * (1 + 1e-9) * eye - self.A, self.B)
-            out[k] = self.C @ X + self.D
+                for k, zk in enumerate(z, start=lo):
+                    out[k] = self.at_z(zk)
+                continue
+            out[lo : lo + z.size] = self.C @ X + self.D
         return out
 
     def at_z(self, z: complex) -> np.ndarray:
@@ -204,20 +225,6 @@ def append(g1: StateSpace, g2: StateSpace) -> StateSpace:
     C = scipy.linalg.block_diag(g1.C, g2.C)
     D = scipy.linalg.block_diag(g1.D, g2.D)
     return StateSpace(A, B, C, D, ts)
-
-
-def gain_scale(g: StateSpace, pre=None, post=None) -> StateSpace:
-    """post @ G @ pre with constant matrices (no extra states)."""
-    B, D, C = g.B, g.D, g.C
-    if pre is not None:
-        pre = _as_matrix(pre)
-        B = B @ pre
-        D = D @ pre
-    if post is not None:
-        post = _as_matrix(post)
-        C = post @ C
-        D = post @ D
-    return StateSpace(g.A, B, C, D, g.sample_time)
 
 
 def invert(g: StateSpace) -> StateSpace:

@@ -67,7 +67,7 @@ class ExampleStore:
         def build():
             return rs.optimize_special(self.nominal(name), kind, tol_abs,
                                        tol_rel, K0=self.k0(name))
-        return self._get(("special", name, kind), build)
+        return self._get(("special", name, kind, tol_abs, tol_rel), build)
 
     def robust_special(self, name, kind, tol_abs=1e-3, tol_rel=1e-3):
         def build():
@@ -76,7 +76,7 @@ class ExampleStore:
             return rs.optimize_special(self.nominal(name), kind, tol_abs,
                                        tol_rel, K0=self.k0(name),
                                        feasibility=oracle)
-        return self._get(("robust", name, kind), build)
+        return self._get(("robust", name, kind, tol_abs, tol_rel), build)
 
 
 @pytest.fixture(scope="session")

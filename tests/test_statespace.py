@@ -114,3 +114,35 @@ def test_balanced_tf1():
     Ac, Bc, Cc, Dc = rs.tf1_to_ss(1000.0, 804.0, 1.0, 8040.0)
     assert abs(abs(Bc[0, 0]) - abs(Cc[0, 0])) < 1e-9
     assert Dc[0, 0] == 1000.0
+
+
+def _at_z_loop(g, thetas):
+    return np.array([g.at_z(np.exp(1j * th)) for th in thetas])
+
+
+def test_freqresp_blocks_match_at_z_bitwise():
+    rng = np.random.default_rng(4)
+    # (4, 4, 2): a square B, which must still be read as one matrix per angle
+    for n, n_u, n_y in ((40, 2, 3), (70, 1, 1), (3, 2, 2), (4, 4, 2)):
+        g = random_stable_ss(rng, n, n_u, n_y, rho=0.95)
+        thetas = np.sort(rng.uniform(0.0, np.pi, 150))
+        if n >= 40:  # several stacked blocks
+            assert rs.statespace.FREQRESP_BLOCK // n**2 < thetas.size
+        assert np.array_equal(g.freqresp(thetas), _at_z_loop(g, thetas))
+        assert np.array_equal(g.freqresp(thetas[:1]), _at_z_loop(g, thetas[:1]))
+
+
+def test_freqresp_pole_on_circle_falls_back_per_angle():
+    # pole at z = 1: the block holding theta = 0 is singular
+    g = rs.StateSpace([[1.0, 0.2], [0.0, 0.5]], [[1.0], [1.0]],
+                      [[1.0, 1.0]], [[0.0]], 1.0)
+    thetas = np.array([0.3, 0.0, 1.2, 2.9])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(2) - g.A, g.B)
+    resp = g.freqresp(thetas)
+    assert np.array_equal(resp, _at_z_loop(g, thetas))
+    # evaluated just outside the circle, where the response is large
+    assert np.isfinite(resp[1]).all() and abs(resp[1, 0, 0]) > 1e8
+    # the regular angles of that block stay on the stacked route
+    regular = [0, 2, 3]
+    assert np.array_equal(resp[regular], g.freqresp(thetas[regular]))
