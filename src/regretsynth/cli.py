@@ -20,14 +20,14 @@ from .errors import RegretSynthError
 from .examples import (EXAMPLE_NAMES, build_example, example_components,
                        quartercar_response_plant, road_pulse)
 from .noncausal import build_noncausal
-from .norms import FrequencyGrid, hinf_norm, loop_margins, norm_grid
+from .norms import FrequencyGrid, hinf_norm, loop_margins
 from .parallel import thread_count
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import RegretLevel, optimize_special, pareto_front, synth_regret, verify_regret
-from .robust import (DKOptions, dk_feasibility_oracle, dk_iteration,
-                     robust_pareto_front, sample_uncertainty, verify_robust_regret)
-from .signals import Signal, simulate
-from .statespace import UNIT, series
+from .robust import (DKOptions, dk_feasibility_oracle, robust_pareto_front,
+                     sample_uncertainty, verify_robust_regret)
+from .signals import simulate
+from .statespace import series
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2

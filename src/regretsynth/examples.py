@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import UnknownExample
 from .plants import UncertainPlant
-from .statespace import UNIT, StateSpace, static_gain, tf1_to_ss, zoh_discretize
+from .statespace import UNIT, StateSpace, tf1_to_ss, zoh_discretize
 
 EXAMPLE_NAMES = ("siso", "boeing747", "quartercar")
 

@@ -16,19 +16,25 @@ simulated by a backward pass for v followed by a forward pass for x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import RegretSynthError
 from .plants import GeneralizedPlant
 from .riccati import DareProblem, DareSolution, solve_dare
-from .signals import Signal, TRUNC_TOL, decay_extension, stein
-from .statespace import StateSpace
+from .signals import Signal, TRUNC_TOL, decay_extension
+from .statespace import StateSpace, stein
 
 
 @dataclass(frozen=True)
 class NoncausalController:
-    """Benchmark controller gains and Riccati provenance."""
+    """Benchmark controller gains and Riccati provenance.
+
+    The matrices that depend on the controller alone (A11^{-T} and the
+    Stein solutions behind the closed-form tails of
+    :func:`eval_noncausal_cost`) are computed once per instance.
+    """
 
     K_x: np.ndarray
     K_v: np.ndarray
@@ -39,8 +45,37 @@ class NoncausalController:
     plant: GeneralizedPlant
     dare: DareSolution
 
+    def __post_init__(self):
+        # read-only copies, so the cached properties cannot go stale
+        for name in ("K_x", "K_v", "K_d", "X", "H", "A11"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     def decay_rate(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A11))))
+
+    @cached_property
+    def A11_invT(self) -> np.ndarray:
+        return np.linalg.inv(self.A11).T
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """x[t] = M v[t] before the disturbance arrives: M = A11 M A11' - B_u K_v."""
+        return stein(self.A11, -self.plant.B_u @ self.K_v)
+
+    @cached_property
+    def G_pre(self) -> np.ndarray:
+        """Cost before the disturbance arrives: v[t0]' G_pre v[t0]."""
+        P = self.plant
+        C_w = (P.C_e - P.D_eu @ self.K_x) @ self.M - P.D_eu @ self.K_v @ self.A11_invT
+        return stein(self.A11, self.A11 @ C_w.T @ C_w @ self.A11.T)
+
+    @cached_property
+    def G_cf(self) -> np.ndarray:
+        """Pre-tail of the completion-of-squares sum, where only
+        -(K_v v)' H (K_v v) survives: -v[t0]' G_cf v[t0]."""
+        return stein(self.A11, self.K_v.T @ self.H @ self.K_v)
 
 
 def build_noncausal(P: GeneralizedPlant) -> NoncausalController:
@@ -61,14 +96,14 @@ def _padded_window(K0: NoncausalController, d: Signal, tol: float = TRUNC_TOL):
 
 def _backward_v(K0: NoncausalController, d: Signal, t0: int, t1: int) -> np.ndarray:
     """v[t] for t in [t0, t1 + 1]; v[t1 + 1] = 0.  Returns (T+1, n_x)."""
-    n = K0.A11.shape[0]
     T = t1 - t0 + 1
-    XBd = K0.X @ K0.plant.B_d
-    din = d.on_window(t0, t1)
-    v = np.zeros((T + 1, n))
+    # stacked matrix-vector products: see signals.response_energy
+    drive = np.matmul(K0.X @ K0.plant.B_d, d.on_window(t0, t1)[:, :, None])[:, :, 0]
+    v = np.zeros((T + 1, K0.A11.shape[0]))
     A11T = K0.A11.T
+    vk = v[T]
     for k in range(T - 1, -1, -1):
-        v[k] = A11T @ (v[k + 1] + XBd @ din[k])
+        vk = v[k] = A11T @ (vk + drive[k])
     return v
 
 
@@ -110,41 +145,31 @@ def eval_noncausal_cost(K0: NoncausalController, d: Signal,
     if d.norm_sq() == 0.0:
         return 0.0
     P = K0.plant
-    t0, t1 = d.t0, d.t1
-    v = _backward_v(K0, d, t0, t1)
-    T = t1 - t0 + 1
-    din = d.on_window(t0, t1)
-    A11 = K0.A11
-    A11_invT = np.linalg.inv(A11).T
-    C_cl = P.C_e - P.D_eu @ K0.K_x
-    DKv = P.D_eu @ K0.K_v
+    din = d.samples
+    v = _backward_v(K0, d, d.t0, d.t1)
+    v0, v_next = v[0], v[1:]
+    # u[t] = -K_x x[t] - w[t]: the part of the input fixed by d and v
+    w = din @ K0.K_d.T + v_next @ K0.K_v.T
+    Bd_d = din @ P.B_d.T
+    drive = Bd_d - w @ P.B_u.T
     # pre-window: x rides the backward variable, x[t] = M v[t]
-    M = stein(A11, -P.B_u @ K0.K_v)
-    C_w = C_cl @ M - DKv @ A11_invT
-    G_pre = stein(A11, A11 @ C_w.T @ C_w @ A11.T)
-    v0 = v[0]
-    j_pre = float(v0 @ G_pre @ v0)
+    j_pre = float(v0 @ K0.G_pre @ v0)
     # main window with the exact incoming state
-    x = M @ v0
-    j_mid = 0.0
-    for k in range(T):
-        u = -K0.K_x @ x - K0.K_v @ v[k + 1] - K0.K_d @ din[k]
-        e = P.C_e @ x + P.D_eu @ u
-        j_mid += float(e @ e)
-        x = P.A @ x + P.B_d @ din[k] + P.B_u @ u
+    A11 = K0.A11
+    xs = np.empty((len(d) + 1, A11.shape[0]))
+    x = xs[0] = K0.M @ v0
+    for k in range(len(d)):
+        x = xs[k + 1] = A11 @ x + drive[k]
+    u = -(xs[:-1] @ K0.K_x.T) - w
+    e = xs[:-1] @ P.C_e.T + u @ P.D_eu.T
+    j_mid = float(np.vdot(e, e))
     # settle tail: v = 0 past the support, optimal cost-to-go is x' X x
     j_post = float(x @ K0.X @ x)
     j_sim = j_pre + j_mid + j_post
     # completion-of-squares sum (window terms plus its own pre-tail)
     BdX = P.B_d.T @ K0.X @ P.B_d
-    j_cf = 0.0
-    for k in range(T):
-        w = K0.K_d @ din[k] + K0.K_v @ v[k + 1]
-        j_cf += float(din[k] @ BdX @ din[k]) + 2.0 * float(v[k + 1] @ (P.B_d @ din[k]))
-        j_cf -= float(w @ K0.H @ w)
-    # its pre-tail: only -(K_v v)' H (K_v v) survives where d = 0
-    G_cf = stein(A11, K0.K_v.T @ K0.H @ K0.K_v)
-    j_cf -= float(v0 @ G_cf @ v0)
+    j_cf = (float(np.vdot(din @ BdX, din)) + 2.0 * float(np.vdot(v_next, Bd_d))
+            - float(np.vdot(w @ K0.H, w)) - float(v0 @ K0.G_cf @ v0))
     scale = 1.0 + abs(j_sim)
     if abs(j_sim - j_cf) > cross_check_rel * scale:
         raise RegretSynthError(
@@ -210,7 +235,7 @@ def build_phat(K0: NoncausalController, gammas) -> NoncausalClosedLoop:
     P = K0.plant
     n = P.n_x
     A11 = K0.A11
-    A11_invT = np.linalg.inv(A11).T
+    A11_invT = K0.A11_invT
     B_u, B_d = P.B_u, P.B_d
     A_hat = np.block([
         [A11, -B_u @ K0.K_v @ A11_invT],

@@ -24,8 +24,8 @@ from .hinf import SynthesisResult, hinf_optimize, synth_hinf
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
 from .plants import GeneralizedPlant, lft_lower, weight_disturbance
-from .signals import Signal, random_signal, response_energy, sinusoid_signal
-from .spectral import SpectralFactor, effective_gamma_d, spectral_factor_regret
+from .signals import random_signal, response_energy, sinusoid_signal
+from .spectral import effective_gamma_d, spectral_factor_regret
 from .statespace import StateSpace
 
 KIND_HINF = "hinf"

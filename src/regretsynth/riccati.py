@@ -14,14 +14,13 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import AssumptionViolated, DimensionError, NoStabilizingSolution
-from .signals import stein
-from .statespace import TOL_STAB
+from .statespace import TOL_STAB, stein
 
 _SYM_TOL = 1e-12
 

@@ -32,7 +32,7 @@ from .norms import FrequencyGrid, hinf_norm
 from .parallel import parallel_map
 from .plants import (GeneralizedPlant, UncertainPlant, lft_lower,
                      lft_upper, matrix_lft_upper, weight_disturbance)
-from .regret import ParetoFront, ParetoPoint, RegretLevel, _bisect_gamma_j, pareto_front
+from .regret import ParetoFront, RegretLevel, _bisect_gamma_j
 from .signals import Signal, response_energy
 from .spectral import SpectralFactor, effective_gamma_d, spectral_factor_regret
 from .statespace import StateSpace, append, invert, series, static_gain

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NonDecaying
 from .statespace import StateSpace
@@ -22,6 +21,10 @@ TRUNC_TOL = 1e-12
 # Share of the response energy that response_energy leaves to the
 # Gramian form once the free response has been simulated further.
 TAIL_FRACTION = 1e-3
+
+# free-response steps that response_energy simulates between two
+# evaluations of the tail form
+TAIL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -170,37 +173,6 @@ def simulate(G: StateSpace, d: Signal, direction: str = "forward",
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _schur_stein(A: np.ndarray, Q: np.ndarray):
-    """Solve X = A' X A + Q in the complex Schur coordinates of A.
-
-    With A = Z T Z^H (Z unitary, T upper triangular) the solution is
-    X = Z Xs Z^H where Xs = T^H Xs T + Z^H Q Z.  Column j of Xs then
-    needs only columns l < j, through one lower-triangular solve, so
-    the recursion keeps the accuracy of triangular substitution even
-    when A is far from normal.  Returns (Z, Xs).
-    """
-    n = A.shape[0]
-    T, Z = scipy.linalg.schur(A.astype(complex), output="complex")
-    Qs = Z.conj().T @ Q @ Z
-    TH = T.conj().T
-    eye = np.eye(n)
-    Xs = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        rhs = Qs[:, j] + TH @ (Xs[:, :j] @ T[:j, j])
-        Xs[:, j] = scipy.linalg.solve_triangular(eye - T[j, j] * TH, rhs,
-                                                 lower=True)
-    return Z, Xs
-
-
-def stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve M = A M A' + Q (A Schur stable) by a triangular recursion in
-    the Schur coordinates of A'."""
-    if A.shape[0] == 0:
-        return np.zeros((0, 0))
-    Z, Ms = _schur_stein(A.T, Q)
-    return np.real(Z @ Ms @ Z.conj().T)
-
-
 def response_energy(G: StateSpace, d: Signal) -> float:
     """||G d||_2^2 with the post-support tail summed exactly.
 
@@ -215,6 +187,10 @@ def response_energy(G: StateSpace, d: Signal) -> float:
     the tail when ||A|| far exceeds the spectral radius, so the free
     response is simulated further, for at most len(d) steps, until the
     form carries under TAIL_FRACTION of the energy.
+
+    The Gramian is solved once per system (``G.schur_gramian``); a call
+    costs one matrix-vector product per simulated step, and outputs and
+    tail forms are evaluated as whole arrays.
     """
     if d.dim != G.n_u:
         raise DimensionError(f"input has dim {d.dim}, system takes {G.n_u}")
@@ -222,25 +198,38 @@ def response_energy(G: StateSpace, d: Signal) -> float:
         return float(np.sum((d.samples @ G.D.T) ** 2))
     if not G.is_schur():
         raise NonDecaying("response_energy requires a stable system")
-    x = np.zeros(G.n_x)
-    total = 0.0
-    for k in range(len(d)):
-        y = G.C @ x + G.D @ d.samples[k]
-        total += float(y @ y)
-        x = G.A @ x + G.B @ d.samples[k]
-    Z, Go_s = _schur_stein(G.A, G.C.T @ G.C)
-
-    def tail(x):
-        x_s = Z.conj().T @ x
-        return float(np.real(x_s.conj() @ Go_s @ x_s))
-
-    for _ in range(len(d)):
-        if tail(x) <= TAIL_FRACTION * total:
-            break
-        y = G.C @ x
-        total += float(y @ y)
-        x = G.A @ x
-    return total + tail(x)
+    A, n_d = G.A, len(d)
+    # B d[k] for every k as one stack of matrix-vector products, which
+    # round like the product taken step by step: in far-from-normal
+    # coordinates the recursion amplifies a one-ulp change of its input
+    drive = np.matmul(G.B, d.samples[:, :, None])[:, :, 0]
+    xs = np.zeros((n_d + 1, G.n_x))
+    x = xs[0]
+    for k in range(n_d):
+        x = xs[k + 1] = A @ x + drive[k]
+    y = xs[:-1] @ G.C.T + d.samples @ G.D.T
+    total = float(np.vdot(y, y))
+    Z, Go_s = G.schur_gramian
+    # free-response steps i = 0..n_d, TAIL_CHUNK at a time: stop at the
+    # first i whose tail form is at most TAIL_FRACTION of the energy
+    # before it, or at i = n_d
+    start = 0
+    while True:
+        free = np.empty((min(TAIL_CHUNK, n_d + 1 - start), G.n_x))
+        for j in range(free.shape[0]):
+            free[j] = x
+            x = A @ x
+        free_s = free @ Z.conj()  # rows x' conj(Z) = (Z^H x)'
+        tails = np.real(np.sum(free_s.conj() * (free_s @ Go_s.T), axis=1))
+        y = free @ G.C.T
+        steps = np.sum(y * y, axis=1)
+        before = total + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+        stop = np.flatnonzero(tails <= TAIL_FRACTION * before)
+        start += free.shape[0]
+        if stop.size or start > n_d:
+            i = stop[0] if stop.size else -1
+            return float(before[i] + tails[i])
+        total = float(before[-1] + steps[-1])
 
 
 def random_signal(rng, dim: int, length: int, t0: int = 0, kind: str = "white") -> Signal:

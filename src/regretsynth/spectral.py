@@ -85,60 +85,6 @@ class SpectralFactor:
     diagnostics: dict = field(default_factory=dict)
 
 
-def para_hermitian_apply(system, ebar: Signal, tol: float = 1e-12) -> Signal:
-    """Apply the adjoint P~ in the time domain: <P d, e> = <d, P~ e>.
-
-    For a causal stable StateSpace the adjoint recursion
-    ``A' xb[t+1] = xb[t] - C' eb[t]`` runs backward from zero terminal
-    state.  For a benchmark closed loop the transposed state matrix is
-    block lower-triangular with a stable and an anti-stable block, so
-    the first block runs backward and the second forward.
-    """
-    if isinstance(system, NoncausalClosedLoop):
-        A, B, C, D = system.A_hat, system.B_hat, system.C_hat, system.D_hat
-        n = system.n_x
-        K0 = system.K0
-        from .signals import decay_extension
-
-        n_pad = decay_extension(K0.decay_rate(), tol, n)
-        t0, t1 = ebar.t0 - n_pad, ebar.t1 + n_pad
-        T = t1 - t0 + 1
-        ein = ebar.on_window(t0, t1)
-        rhs = ein @ C  # rows are C' eb[t]
-        A11, A12 = A[:n, :n], A[:n, n:]
-        A22 = A[n:, n:]
-        # xb1[t] = A11' xb1[t+1] + rhs1[t]  (stable: backward)
-        x1 = np.zeros((T + 1, n))
-        for k in range(T - 1, -1, -1):
-            x1[k] = A11.T @ x1[k + 1] + rhs[k, :n]
-        # xb2[t] = A12' xb1[t+1] + A22' xb2[t+1] + rhs2[t]
-        # A22 = A11^{-T} is anti-stable, so solve forward:
-        # xb2[t+1] = A22^{-T-ish}: A22' xb2[t+1] = xb2[t] - A12' xb1[t+1] - rhs2[t]
-        A22T_inv = np.linalg.inv(A22.T)
-        x2 = np.zeros((T + 1, n))
-        for k in range(0, T):
-            x2[k + 1] = A22T_inv @ (x2[k] - A12.T @ x1[k + 1] - rhs[k, n:])
-        xb = np.hstack([x1, x2])
-        dbar = xb[1:] @ B + ein @ D
-        return Signal(t0, dbar)
-    G: StateSpace = system
-    if G.n_x == 0:
-        return Signal(ebar.t0, ebar.samples @ G.D)
-    if not G.is_schur():
-        raise AssumptionViolated("para_hermitian_apply needs a stable causal system")
-    from .signals import decay_extension
-
-    n_pad = decay_extension(G.spectral_radius(), tol, G.n_x)
-    t0, t1 = ebar.t0 - n_pad, ebar.t1
-    T = t1 - t0 + 1
-    ein = ebar.on_window(t0, t1)
-    xb = np.zeros((T + 1, G.n_x))
-    for k in range(T - 1, -1, -1):
-        xb[k] = G.A.T @ xb[k + 1] + G.C.T @ ein[k]
-    dbar = xb[1:] @ G.B + ein @ G.D
-    return Signal(t0, dbar)
-
-
 def _factor_from_dares(prob: DareProblem, sample_time):
     """Two-DARE spectral factor of the Popov function of ``prob``.
 

@@ -15,7 +15,8 @@ with transfer function ``G(z) = C (zI - A)^{-1} B + D``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -39,9 +40,45 @@ def _as_matrix(value, rows=None, cols=None) -> np.ndarray:
     return arr
 
 
+def _schur_stein(A: np.ndarray, Q: np.ndarray):
+    """Solve X = A' X A + Q in the complex Schur coordinates of A.
+
+    With A = Z T Z^H (Z unitary, T upper triangular) the solution is
+    X = Z Xs Z^H where Xs = T^H Xs T + Z^H Q Z.  Column j of Xs then
+    needs only columns l < j, through one lower-triangular solve, so
+    the recursion keeps the accuracy of triangular substitution even
+    when A is far from normal.  Returns (Z, Xs).
+    """
+    n = A.shape[0]
+    T, Z = scipy.linalg.schur(A.astype(complex), output="complex")
+    Qs = Z.conj().T @ Q @ Z
+    TH = T.conj().T
+    eye = np.eye(n)
+    Xs = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        rhs = Qs[:, j] + TH @ (Xs[:, :j] @ T[:j, j])
+        Xs[:, j] = scipy.linalg.solve_triangular(eye - T[j, j] * TH, rhs,
+                                                 lower=True)
+    return Z, Xs
+
+
+def stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve M = A M A' + Q (A Schur stable) by a triangular recursion in
+    the Schur coordinates of A'."""
+    if A.shape[0] == 0:
+        return np.zeros((0, 0))
+    Z, Ms = _schur_stein(A.T, Q)
+    return np.real(Z @ Ms @ Z.conj().T)
+
+
 @dataclass(frozen=True)
 class StateSpace:
-    """Immutable discrete-time LTI system (A, B, C, D, sample_time)."""
+    """Immutable discrete-time LTI system (A, B, C, D, sample_time).
+
+    The matrices are read-only, so quantities derived from them alone
+    (the poles, the observability Gramian) are computed once per
+    instance and kept.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -76,7 +113,9 @@ class StateSpace:
                 raise SampleTimeError(f"sample_time must be positive, got {ts}")
             object.__setattr__(self, "sample_time", ts)
         for name, arr in (("A", A), ("B", B), ("C", C), ("D", D)):
-            arr = np.ascontiguousarray(arr)
+            # a private copy: no caller's array can alias the matrices
+            # that the cached properties are derived from
+            arr = np.array(arr, order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -94,10 +133,16 @@ class StateSpace:
         return self.C.shape[0]
 
     # -- stability ------------------------------------------------------
+    @cached_property
+    def _poles(self) -> np.ndarray:
+        poles = (np.linalg.eigvals(self.A) if self.n_x
+                 else np.zeros(0, dtype=complex))
+        poles.flags.writeable = False
+        return poles
+
     def poles(self) -> np.ndarray:
-        if self.n_x == 0:
-            return np.zeros(0, dtype=complex)
-        return np.linalg.eigvals(self.A)
+        """Eigenvalues of A (read-only)."""
+        return self._poles
 
     def spectral_radius(self) -> float:
         if self.n_x == 0:
@@ -106,6 +151,15 @@ class StateSpace:
 
     def is_schur(self, tol: float = TOL_STAB) -> bool:
         return self.spectral_radius() < 1.0 - tol
+
+    @cached_property
+    def schur_gramian(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, Go_s): the observability Gramian Go = A' Go A + C' C of a
+        stable system as Go = Z Go_s Z^H, with Z the unitary complex-Schur
+        basis of A (see :func:`_schur_stein`).  Both are read-only."""
+        Z, Go_s = _schur_stein(self.A, self.C.T @ self.C)
+        Z.flags.writeable = Go_s.flags.writeable = False
+        return Z, Go_s
 
     # -- evaluation ------------------------------------------------------
     def freqresp(self, thetas) -> np.ndarray:

@@ -79,6 +79,20 @@ class ExampleStore:
         return self._get(("robust", name, kind, tol_abs, tol_rel), build)
 
 
+@pytest.fixture
+def schur_stein_calls(monkeypatch):
+    """Sizes of the Schur-coordinate Stein equations solved during a test."""
+    calls = []
+    solve = rs.statespace._schur_stein
+
+    def counted(A, Q):
+        calls.append(A.shape[0])
+        return solve(A, Q)
+
+    monkeypatch.setattr(rs.statespace, "_schur_stein", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def store():
     return ExampleStore()

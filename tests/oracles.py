@@ -180,3 +180,108 @@ def competitive_ratio_oracle(P, tol_abs: float = 1e-4,
     """
     P_w = rs.weight_disturbance(P, benchmark_weight_inverse(P, rs.EPS_CR))
     return rs.hinf_optimize(P_w, tol_abs, tol_rel)[0]
+
+
+def para_hermitian_apply(system, ebar, tol: float = 1e-12):
+    """Apply the adjoint P~ in the time domain: <P d, e> = <d, P~ e>.
+
+    For a causal stable StateSpace the adjoint recursion
+    ``A' xb[t+1] = xb[t] - C' eb[t]`` runs backward from zero terminal
+    state.  For a benchmark closed loop the transposed state matrix is
+    block lower-triangular with a stable and an anti-stable block, so
+    the first block runs backward and the second forward.
+    """
+    if isinstance(system, rs.NoncausalClosedLoop):
+        A, B, C, D = system.A_hat, system.B_hat, system.C_hat, system.D_hat
+        n = system.n_x
+        K0 = system.K0
+        n_pad = rs.signals.decay_extension(K0.decay_rate(), tol, n)
+        t0, t1 = ebar.t0 - n_pad, ebar.t1 + n_pad
+        T = t1 - t0 + 1
+        ein = ebar.on_window(t0, t1)
+        rhs = ein @ C  # rows are C' eb[t]
+        A11, A12 = A[:n, :n], A[:n, n:]
+        A22 = A[n:, n:]
+        # xb1[t] = A11' xb1[t+1] + rhs1[t]  (stable: backward)
+        x1 = np.zeros((T + 1, n))
+        for k in range(T - 1, -1, -1):
+            x1[k] = A11.T @ x1[k + 1] + rhs[k, :n]
+        # xb2[t] = A12' xb1[t+1] + A22' xb2[t+1] + rhs2[t]
+        # A22 = A11^{-T} is anti-stable, so solve forward:
+        # xb2[t+1] = A22^{-T-ish}: A22' xb2[t+1] = xb2[t] - A12' xb1[t+1] - rhs2[t]
+        A22T_inv = np.linalg.inv(A22.T)
+        x2 = np.zeros((T + 1, n))
+        for k in range(0, T):
+            x2[k + 1] = A22T_inv @ (x2[k] - A12.T @ x1[k + 1] - rhs[k, n:])
+        xb = np.hstack([x1, x2])
+        dbar = xb[1:] @ B + ein @ D
+        return rs.Signal(t0, dbar)
+    G = system
+    if G.n_x == 0:
+        return rs.Signal(ebar.t0, ebar.samples @ G.D)
+    if not G.is_schur():
+        raise rs.errors.AssumptionViolated(
+            "para_hermitian_apply needs a stable causal system")
+    n_pad = rs.signals.decay_extension(G.spectral_radius(), tol, G.n_x)
+    t0, t1 = ebar.t0 - n_pad, ebar.t1
+    T = t1 - t0 + 1
+    ein = ebar.on_window(t0, t1)
+    xb = np.zeros((T + 1, G.n_x))
+    for k in range(T - 1, -1, -1):
+        xb[k] = G.A.T @ xb[k + 1] + G.C.T @ ein[k]
+    dbar = xb[1:] @ G.B + ein @ G.D
+    return rs.Signal(t0, dbar)
+
+
+def response_energy_loop(G, d) -> float:
+    """Per-step reference for ``signals.response_energy``: the same
+    stopping rule, one sample at a time, with the Gramian solved anew."""
+    if G.n_x == 0:
+        return float(np.sum((d.samples @ G.D.T) ** 2))
+    x = np.zeros(G.n_x)
+    total = 0.0
+    for k in range(len(d)):
+        y = G.C @ x + G.D @ d.samples[k]
+        total += float(y @ y)
+        x = G.A @ x + G.B @ d.samples[k]
+    Z, Go_s = rs.statespace._schur_stein(G.A, G.C.T @ G.C)
+
+    def tail(x):
+        x_s = Z.conj().T @ x
+        return float(np.real(x_s.conj() @ Go_s @ x_s))
+
+    for _ in range(len(d)):
+        if tail(x) <= rs.signals.TAIL_FRACTION * total:
+            break
+        y = G.C @ x
+        total += float(y @ y)
+        x = G.A @ x
+    return total + tail(x)
+
+
+def noncausal_cost_loop(K0, d) -> float:
+    """Per-step reference for ``noncausal.eval_noncausal_cost``: the
+    simulated cost one sample at a time, with every Stein equation
+    solved anew."""
+    stein = rs.statespace.stein
+    P = K0.plant
+    T = len(d)
+    din = d.samples
+    XBd = K0.X @ P.B_d
+    v = np.zeros((T + 1, K0.A11.shape[0]))
+    for k in range(T - 1, -1, -1):
+        v[k] = K0.A11.T @ (v[k + 1] + XBd @ din[k])
+    A11_invT = np.linalg.inv(K0.A11).T
+    C_cl = P.C_e - P.D_eu @ K0.K_x
+    M = stein(K0.A11, -P.B_u @ K0.K_v)
+    C_w = C_cl @ M - P.D_eu @ K0.K_v @ A11_invT
+    G_pre = stein(K0.A11, K0.A11 @ C_w.T @ C_w @ K0.A11.T)
+    v0 = v[0]
+    j_sim = float(v0 @ G_pre @ v0)
+    x = M @ v0
+    for k in range(T):
+        u = -K0.K_x @ x - K0.K_v @ v[k + 1] - K0.K_d @ din[k]
+        e = P.C_e @ x + P.D_eu @ u
+        j_sim += float(e @ e)
+        x = P.A @ x + P.B_d @ din[k] + P.B_u @ u
+    return j_sim + float(x @ K0.X @ x)

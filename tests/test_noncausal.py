@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import regretsynth as rs
+from regretsynth.errors import RegretSynthError
 from regretsynth.noncausal import noncausal_response
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
+from oracles import noncausal_cost_loop
 
 
 def qp_oracle(P, d, pad=80):
@@ -195,3 +199,31 @@ def test_backward_recursion_contracts():
     norms = np.linalg.norm(pre, axis=1)
     nz = norms[norms > 1e-300]
     assert nz[0] <= 1e-10 * (1 + np.max(np.linalg.norm(v, axis=1)))
+
+
+def test_cost_matches_per_step_reference():
+    plants = [scalar_plant()] + [random_generalized_plant(seed, n=n, rho=rho)
+                                 for seed, n, rho in ((31, 2, 0.5), (32, 4, 0.9),
+                                                      (33, 6, 0.7))]
+    rng = np.random.default_rng(30)
+    for P in plants:
+        K0 = rs.build_noncausal(P)
+        for length in (1, 6, 40, 120):
+            d = rs.Signal(0, rng.standard_normal((length, P.n_d)))
+            ref = noncausal_cost_loop(K0, d)
+            assert abs(rs.eval_noncausal_cost(K0, d) - ref) <= 1e-12 * ref
+        with pytest.raises(RegretSynthError, match="cross-check"):
+            rs.eval_noncausal_cost(K0, d, cross_check_rel=-1.0)
+
+
+def test_cost_solves_its_stein_equations_once_per_controller(schur_stein_calls):
+    K0 = rs.build_noncausal(random_generalized_plant(34, n=3))
+    schur_stein_calls.clear()  # the DARE's own Newton polish
+    rng = np.random.default_rng(35)
+    ds = [rs.Signal(0, rng.standard_normal((L, 2))) for L in (4, 30, 70)]
+    costs = [rs.eval_noncausal_cost(K0, d) for d in ds for _ in range(2)]
+    assert schur_stein_calls == [3, 3, 3]  # M, G_pre, G_cf
+    # a fresh controller with the same matrices solves again, to the same bits
+    fresh = dataclasses.replace(K0)
+    assert [rs.eval_noncausal_cost(fresh, d) for d in ds for _ in range(2)] == costs
+    assert len(schur_stein_calls) == 6

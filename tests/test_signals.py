@@ -7,6 +7,7 @@ import regretsynth as rs
 from regretsynth.errors import NonDecaying
 
 from conftest import random_stable_ss
+from oracles import response_energy_loop
 
 
 def test_zero_in_zero_out():
@@ -90,4 +91,48 @@ def test_response_energy_ill_conditioned_similarity():
     for _ in range(5):
         d = rs.Signal(0, rng.standard_normal((20, 2)))
         ref = rs.simulate(gT, d).norm_sq()
-        assert abs(rs.signals.response_energy(gT, d) - ref) <= 1e-10 * ref
+        energy = rs.signals.response_energy(gT, d)
+        assert abs(energy - ref) <= 1e-10 * ref
+        assert abs(energy - response_energy_loop(gT, d)) <= 1e-12 * ref
+
+
+def test_response_energy_matches_per_step_reference():
+    rng = np.random.default_rng(5)
+    for n, rho in ((1, 0.3), (2, 0.95), (4, 0.7), (6, 0.9), (8, 0.5)):
+        g = random_stable_ss(rng, n, 2, 3, rho=rho)
+        for length in (1, 7, 16, 17, 40, 90):
+            d = rs.Signal(0, rng.standard_normal((length, 2)))
+            ref = response_energy_loop(g, d)
+            assert abs(rs.signals.response_energy(g, d) - ref) <= 1e-12 * ref
+
+
+def test_response_energy_extension_cap():
+    # rho = 0.999: after len(d) free steps the Gramian form still holds
+    # far more than TAIL_FRACTION of the energy, so the cap decides
+    g = rs.StateSpace([[0.999]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    d = rs.Signal(0, np.ones((40, 1)))
+    peak = sum(0.999**k for k in range(40))  # no state exceeds it
+    x_cap = 0.999**40 * peak
+    assert x_cap**2 / (1 - 0.999**2) > rs.signals.TAIL_FRACTION * 80 * peak**2
+    energy = rs.signals.response_energy(g, d)
+    assert abs(energy - response_energy_loop(g, d)) <= 1e-12 * energy
+    ref = rs.simulate(g, d).norm_sq()
+    assert abs(energy - ref) <= 1e-9 * ref
+
+
+def test_response_energy_static_system():
+    g = rs.static_gain([[1.0, -2.0], [0.5, 3.0]], 1.0)
+    d = rs.Signal(0, np.random.default_rng(6).standard_normal((9, 2)))
+    assert rs.signals.response_energy(g, d) == np.sum((d.samples @ g.D.T) ** 2)
+
+
+def test_response_energy_solves_the_gramian_once_per_system(schur_stein_calls):
+    rng = np.random.default_rng(7)
+    g = random_stable_ss(rng, 5, 2, 2, rho=0.8)
+    ds = [rs.Signal(0, rng.standard_normal((L, 2))) for L in (3, 20, 50)]
+    energies = [rs.signals.response_energy(g, d) for d in ds for _ in range(2)]
+    assert schur_stein_calls == [5]
+    # a fresh system with the same matrices solves again, to the same bits
+    copy = rs.StateSpace(g.A.copy(), g.B.copy(), g.C.copy(), g.D.copy(), 1.0)
+    assert [rs.signals.response_energy(copy, d) for d in ds for _ in range(2)] == energies
+    assert schur_stein_calls == [5, 5]
