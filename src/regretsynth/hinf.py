@@ -355,21 +355,53 @@ def _regularized_blocks(P: GeneralizedPlant, reg_eps: float):
     return Ac, B1, B2, C1, C2, D11, D12, D21, D22, meta
 
 
+def _pbh_margins(P: GeneralizedPlant) -> tuple[float, float]:
+    """PBH stabilizability margin of (A, B_u) and detectability margin of
+    (A, C_y), computed once per plant."""
+    setup = P.synthesis_setup
+    if "pbh" not in setup:
+        setup["pbh"] = (pbh_stabilizable(P.A, P.B_u), pbh_detectable(P.A, P.C_y))
+    return setup["pbh"]
+
+
+def _normalized_blocks(P: GeneralizedPlant, reg_eps: float):
+    """Regularized continuous-domain blocks with D12 = [0; I] and
+    D21 = [0, I], computed once per plant and regularization level.
+
+    Returns ((Ac, B1, B2, C1, C2, D11, D22, u_map, y_map), meta) with
+    read-only arrays; callers copy ``meta`` before adding to it.
+    """
+    setup = P.synthesis_setup
+    key = ("blocks", reg_eps)
+    if key not in setup:
+        Ac, B1, B2, C1, C2, D11, D12, D21, D22, meta = _regularized_blocks(P, reg_eps)
+        C1n, D11n, _, B2n, u_map = _svd_normalize_d12(C1, D11, D12, B2)
+        B1n, D11n, _, C2n, y_map = _svd_normalize_d21(B1, D11n, D21, C2)
+        blocks = (Ac, B1n, B2n, C1n, C2n, D11n, D22, u_map, y_map)
+        for arr in blocks:
+            arr.flags.writeable = False
+        setup[key] = blocks, meta
+    return setup[key]
+
+
 def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
                reg_eps: float = 1e-8, norm_tol: float = 1e-6) -> SynthesisResult:
     """Controller with validated closed-loop norm < gamma, or a verdict.
 
     The feasibility verdict is bound to the a-posteriori certificate:
     a candidate that fails independent validation is reported
-    infeasible at this level, never trusted.
+    infeasible at this level, never trusted.  The set-up that does not
+    depend on gamma (PBH margins, balanced bilinear blocks, their
+    regularization and the D12/D21 normalizations) is computed once per
+    plant and regularization level and kept on ``P``, so a bisection
+    over gamma pays for it once.
     """
     if gamma <= 0:
         return SynthesisResult(None, gamma, False, np.inf,
                                metadata={"reason": "gamma_nonpositive"})
-    stab = pbh_stabilizable(P.A, P.B_u)
+    stab, det = _pbh_margins(P)
     if not stab > 1e-9:
         raise NotStabilizable(f"(A, B_u) PBH margin {stab:.3g}")
-    det = pbh_detectable(P.A, P.C_y)
     if not det > 1e-9:
         raise NotDetectable(f"(A, C_y) PBH margin {det:.3g}")
 
@@ -383,9 +415,8 @@ def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
     reason = "unset"
     meta = {}
     for eps in ladder:
-        Ac, B1, B2, C1, C2, D11, D12, D21, D22, meta = _regularized_blocks(P, eps)
-        C1n, D11n, D12n, B2n, u_map = _svd_normalize_d12(C1, D11, D12, B2)
-        B1n, D11n, D21n, C2n, y_map = _svd_normalize_d21(B1, D11n, D21, C2)
+        (Ac, B1n, B2n, C1n, C2n, D11n, D22, u_map, y_map), meta = \
+            _normalized_blocks(P, eps)
         out, reason = _central_controller(Ac, B1n, B2n, C1n, C2n, D11n, gamma)
         if out is not None or reason in genuine or not meta:
             break

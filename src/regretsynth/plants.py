@@ -11,6 +11,7 @@ closes an uncertainty around (v, w).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,14 @@ class GeneralizedPlant:
     def ed_subsystem(self) -> StateSpace:
         """Open-loop map from d to e."""
         return StateSpace(self.A, self.B_d, self.C_e, self.D_ed, self.sample_time)
+
+    @cached_property
+    def synthesis_setup(self) -> dict:
+        """Store for the set-up of :func:`hinf.synth_hinf` that depends on
+        the plant alone (PBH margins, normalized blocks per regularization
+        level), so a bisection over gamma computes it once.  The state
+        space is read-only, so the entries cannot go stale."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ The DARE solved here is::
 with R > 0.  The solver is the structured doubling algorithm (SDA) on
 the symplectic form, preceded by the standard S-elimination
 (A <- A - B R^{-1} S', Q <- Q - S R^{-1} S') and followed by one Newton
-(policy-iteration) polish step.  Fixed-point value iteration is kept as
-a fallback.  Both routes need only linear solves, no ordered Schur
-decomposition.
+(policy-iteration) polish step.  A zero-cost problem (Q = 0, S = 0)
+goes through a stable/anti-stable dichotomy instead, and scipy's QZ
+solver is the fallback when neither is accepted.
 """
 
 from __future__ import annotations
@@ -118,12 +118,6 @@ def min_sv(M: np.ndarray) -> float:
     if M.size == 0:
         return np.inf
     return float(np.linalg.svd(M, compute_uv=False)[-1])
-
-
-def sp_radius(A: np.ndarray) -> float:
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
 def pbh_stabilizable(A: np.ndarray, B: np.ndarray, tol_stab: float = TOL_STAB) -> float:
@@ -248,22 +242,6 @@ def _sda(A: np.ndarray, G: np.ndarray, Q: np.ndarray, tol: float = 1e-13,
     return None
 
 
-def _value_iteration(p: DareProblem, tol: float = 1e-13, max_iter: int = 20000):
-    X = _sym(p.Q).copy()
-    cap = 1e12 * (1.0 + np.max(np.abs(p.Q)))
-    for it in range(1, max_iter + 1):
-        G = p.A.T @ X @ p.B + p.S
-        H = p.R + p.B.T @ X @ p.B
-        X_next = _sym(p.A.T @ X @ p.A + p.Q - G @ np.linalg.solve(H, G.T))
-        diff = np.max(np.abs(X_next - X)) / (1.0 + np.max(np.abs(X)))
-        X = X_next
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > cap:
-            return None
-        if diff < tol:
-            return X, it
-    return None
-
-
 def _matrix_sign(M: np.ndarray, max_iter: int = 100, tol: float = 1e-14):
     """Matrix sign function by scaled Newton iteration."""
     Z = M.copy()
@@ -383,7 +361,8 @@ def _newton_polish(p: DareProblem, X: np.ndarray, steps: int = 3) -> np.ndarray:
 
 def solve_dare(p: DareProblem, check_assumptions: bool = False,
                tol: float = 1e-13, max_iter: int = 200) -> DareSolution:
-    """Stabilizing DARE solution via SDA with value-iteration fallback."""
+    """Stabilizing DARE solution via SDA (the Q = 0 dichotomy when the
+    cost is zero) with a QZ fallback."""
     if check_assumptions:
         report = check_dare_assumptions(p)
         if not report.passed:
@@ -432,8 +411,8 @@ def solve_dare(p: DareProblem, check_assumptions: bool = False,
     method = "sda"
     iterations = 0
     if np.max(np.abs(p.Q)) == 0.0 and np.max(np.abs(p.S)) == 0.0:
-        # SDA and value iteration both latch onto the non-stabilizing
-        # zero solution here; use the dichotomy construction instead.
+        # SDA latches onto the non-stabilizing zero solution here; use
+        # the dichotomy construction instead.
         X = _solve_dare_zero_q(p)
         if X is not None:
             accepted = _accept(_newton_polish(p, X))
@@ -446,17 +425,11 @@ def solve_dare(p: DareProblem, check_assumptions: bool = False,
             accepted = _accept(_newton_polish(p, X))
     if accepted is None:
         # stiff problems (near-singular R) defeat the doubling
-        # iteration; fall back to the QZ solver, then value iteration
+        # iteration; fall back to the QZ solver
         method = "qz"
         X = _qz(p)
         if X is not None and np.all(np.isfinite(X)):
             accepted = _accept(_newton_polish(p, _sym(X)))
-    if accepted is None and sp_radius(p.A) < 1.0:
-        method = "value_iteration"
-        out = _value_iteration(p)
-        if out is not None:
-            X, iterations = out
-            accepted = _accept(_newton_polish(p, X))
     if accepted is None:
         raise NoStabilizingSolution("no solver produced a stabilizing solution")
     X, K, H, A_c, res = accepted

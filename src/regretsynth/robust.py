@@ -38,6 +38,10 @@ from .spectral import SpectralFactor, effective_gamma_d, spectral_factor_regret
 from .statespace import StateSpace, append, invert, series, static_gain
 
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# relative step of scipy's forward-difference (2-point) Jacobian
+_FD_STEP = np.sqrt(np.finfo(float).eps)
+# bound on the D-scale zeros/poles: keeps D and D^{-1} safely stable
+_RHO_MAX = 1.0 - 1e-5
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,62 @@ def _first_order_cascade(gain_log: float, zeros: np.ndarray, poles: np.ndarray,
     return sys
 
 
+def _dscale_roots(x):
+    """Zeros/poles of the D-scale fit from unconstrained parameters."""
+    return _RHO_MAX * np.tanh(x)
+
+
+def _section_terms(ejt, roots):
+    """log10|e^{j theta} - r| on the angles of ``ejt``, one row per root."""
+    return np.log10(np.abs(ejt - roots[:, None]))
+
+
+def _logmag(ejt, gain_log, zeros, poles):
+    """log10 of the cascade magnitude, added section by section."""
+    lm = np.full(ejt.shape, gain_log)
+    for lz, lp in zip(_section_terms(ejt, zeros), _section_terms(ejt, poles)):
+        lm += lz - lp
+    return lm
+
+
+def _logmag_residual(params, ejt, target):
+    """Fit residual at params = [gain_log, k zero parameters, k poles]."""
+    k = (params.size - 1) // 2
+    return _logmag(ejt, params[0], _dscale_roots(params[1 : 1 + k]),
+                   _dscale_roots(params[1 + k :])) - target
+
+
+def _logmag_jacobian(params, ejt, target):
+    """Forward-difference Jacobian of :func:`_logmag_residual` by scipy's
+    2-point rule, bitwise.
+
+    The step is h = sqrt(eps) sign(x) max(1, |x|) with sign(0) = +1, and
+    column j is (f(x + h_j e_j) - f(x)) / ((x_j + h_j) - x_j).  The
+    section terms are evaluated once at x and once at the moved
+    parameters; each column swaps in the one section its parameter
+    moves and adds the sections in the residual's own order.
+    """
+    k = (params.size - 1) // 2
+    step = _FD_STEP * np.where(params >= 0, 1.0, -1.0) \
+        * np.maximum(1.0, np.abs(params))
+    moved = params + step
+    dx = moved - params
+    base = _section_terms(ejt, _dscale_roots(params[1:]))
+    shifted = _section_terms(ejt, _dscale_roots(moved[1:]))
+    # row 0 is the residual at params; row 1 + j moves parameter j
+    lm = np.empty((1 + params.size, ejt.size))
+    lm[0] = params[0]
+    lm[1] = moved[0]
+    lm[2:] = params[0]
+    for i in range(k):
+        terms = np.repeat((base[i] - base[k + i])[None], lm.shape[0], axis=0)
+        terms[2 + i] = shifted[i] - base[k + i]
+        terms[2 + k + i] = base[i] - shifted[k + i]
+        lm += terms
+    res = lm - target
+    return ((res[1:] - res[0]) / dx[:, None]).T
+
+
 def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
                max_order: int = 4, sample_time=1.0, seed: int = 0,
                raise_on_fail: bool = True) -> DScaling:
@@ -217,28 +277,24 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
     sections with zeros/poles inside the unit circle (so the inverse is
     stable by construction).  The order escalates until the worst-case
     log10 error is within tolerance.
+
+    ``least_squares`` (Levenberg-Marquardt) gets the forward-difference
+    Jacobian of scipy's 2-point rule from :func:`_logmag_jacobian`, which
+    evaluates the section terms twice instead of the whole residual once
+    per parameter and gives the same bits.
     """
     pts = [(float(t), float(d)) for t, d in pointwise]
     thetas = np.array([t for t, _ in pts])
     target = np.log10(np.array([max(d, 1e-12) for _, d in pts]))
     rng = np.random.default_rng(seed)
     ejt = np.exp(1j * thetas)
-    rho_max = 1.0 - 1e-5  # keeps D and D^{-1} safely stable
-
-    def roots_of(x):
-        return rho_max * np.tanh(x)
-
-    def logmag(gain_log, zeros, poles):
-        lm = np.full(thetas.shape, gain_log)
-        for a, b in zip(zeros, poles):
-            lm += np.log10(np.abs(ejt - a)) - np.log10(np.abs(ejt - b))
-        return lm
 
     # order 0: best constant
     g0 = float(np.mean(target))
-    sys0 = _first_order_cascade(g0, np.zeros(0), np.zeros(0), sample_time)
+    empty = np.zeros(0)
+    sys0 = _first_order_cascade(g0, empty, empty, sample_time)
     best = DScaling(tuple(pts), sys0, 0,
-                    float(np.max(np.abs(logmag(g0, (), ()) - target))))
+                    float(np.max(np.abs(_logmag(ejt, g0, empty, empty) - target))))
     orders = [order] if order is not None else list(range(1, max_order + 1))
     if best.fit_error <= fit_tol and order in (None, 0):
         return best
@@ -248,8 +304,8 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
     def corner_starts(k, jitter):
         """Pole/zero pairs at log-spaced corner angles of the data."""
         corners = np.logspace(np.log10(th_lo), np.log10(np.pi * 0.5), k)
-        radii = np.clip(np.exp(-corners), -rho_max, rho_max)
-        x = np.arctanh(np.clip(radii / rho_max, -0.999999, 0.999999))
+        radii = np.clip(np.exp(-corners), -_RHO_MAX, _RHO_MAX)
+        x = np.arctanh(np.clip(radii / _RHO_MAX, -0.999999, 0.999999))
         zs = x * (1.0 + 0.2 * jitter[:k])
         ps = x * (1.0 + 0.2 * jitter[k:])
         return np.concatenate([[g0], zs, ps])
@@ -257,30 +313,23 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
     for k in orders:
         if k == 0:
             continue
-
-        def residual(params):
-            gl = params[0]
-            return logmag(gl, roots_of(params[1 : 1 + k]),
-                          roots_of(params[1 + k :])) - target
-
         starts = [corner_starts(k, np.zeros(2 * k))]
         for _ in range(2):
             starts.append(corner_starts(k, rng.standard_normal(2 * k)))
         starts.append(np.concatenate([[g0], rng.uniform(-2, 2, 2 * k)]))
         for x0 in starts:
             try:
-                sol = scipy.optimize.least_squares(residual, x0, method="lm",
-                                                   max_nfev=600)
+                sol = scipy.optimize.least_squares(
+                    _logmag_residual, x0, jac=_logmag_jacobian, method="lm",
+                    max_nfev=600, args=(ejt, target))
             except Exception:
                 continue
-            gl = sol.x[0]
-            zs = roots_of(sol.x[1 : 1 + k])
-            ps = roots_of(sol.x[1 + k :])
-            err = float(np.max(np.abs(logmag(gl, zs, ps) - target)))
+            err = float(np.max(np.abs(_logmag_residual(sol.x, ejt, target))))
             if err < best.fit_error:
-                best = DScaling(tuple(pts),
-                                _first_order_cascade(gl, zs, ps, sample_time),
-                                k, err)
+                zs = _dscale_roots(sol.x[1 : 1 + k])
+                ps = _dscale_roots(sol.x[1 + k :])
+                best = DScaling(tuple(pts), _first_order_cascade(
+                    sol.x[0], zs, ps, sample_time), k, err)
         if best.fit_error <= fit_tol:
             return best
     if best.fit_error > fit_tol and raise_on_fail:

@@ -93,6 +93,21 @@ def schur_stein_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def system_balance_calls(monkeypatch):
+    """State sizes of the plants that H-infinity synthesis balanced
+    during a test."""
+    calls = []
+    balance = rs.hinf._system_balance
+
+    def counted(A, B, C, *args, **kwargs):
+        calls.append(A.shape[0])
+        return balance(A, B, C, *args, **kwargs)
+
+    monkeypatch.setattr(rs.hinf, "_system_balance", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def store():
     return ExampleStore()

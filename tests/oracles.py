@@ -285,3 +285,88 @@ def noncausal_cost_loop(K0, d) -> float:
         j_sim += float(e @ e)
         x = P.A @ x + P.B_d @ din[k] + P.B_u @ u
     return j_sim + float(x @ K0.X @ x)
+
+
+def dscale_logmag_loop(ejt, gain_log, zeros, poles):
+    """Reference log magnitude of the D-scale cascade: one section at a
+    time, each on a 1-D array."""
+    lm = np.full(ejt.shape, gain_log)
+    for a, b in zip(zeros, poles):
+        lm += np.log10(np.abs(ejt - a)) - np.log10(np.abs(ejt - b))
+    return lm
+
+
+def dscale_residual_loop(params, ejt, target):
+    k = (params.size - 1) // 2
+    rho_max = 1.0 - 1e-5
+    return dscale_logmag_loop(ejt, params[0],
+                              rho_max * np.tanh(params[1 : 1 + k]),
+                              rho_max * np.tanh(params[1 + k :])) - target
+
+
+def dscale_jacobian_loop(params, ejt, target):
+    """Column-by-column forward differences by scipy's default 2-point
+    rule: step sqrt(eps) sign(x) max(1, |x|) with sign(0) = +1, and the
+    whole residual evaluated anew for each column."""
+    f0 = dscale_residual_loop(params, ejt, target)
+    J = np.empty((f0.size, params.size))
+    for j in range(params.size):
+        sign = 1.0 if params[j] >= 0 else -1.0
+        h = np.sqrt(np.finfo(float).eps) * sign * max(1.0, abs(params[j]))
+        x1 = params.copy()
+        x1[j] = params[j] + h
+        J[:, j] = (dscale_residual_loop(x1, ejt, target) - f0) \
+            / ((params[j] + h) - params[j])
+    return J
+
+
+def fit_dscale_loop(pointwise, fit_tol: float = 0.1, max_order: int = 4,
+                    sample_time=1.0, seed: int = 0):
+    """Reference D-scale fit: the same starts, draws and stop rules as
+    ``robust.fit_dscale``, with the residual above and the Jacobian left
+    to ``least_squares`` (``jac="2-point"``).  Returns the best (order,
+    fit error, system), also when the error is above ``fit_tol``."""
+    import scipy.optimize
+
+    pts = [(float(t), float(d)) for t, d in pointwise]
+    thetas = np.array([t for t, _ in pts])
+    target = np.log10(np.array([max(d, 1e-12) for _, d in pts]))
+    rng = np.random.default_rng(seed)
+    ejt = np.exp(1j * thetas)
+    rho_max = 1.0 - 1e-5
+    g0 = float(np.mean(target))
+    order = 0
+    best = np.array([g0])
+    err_best = float(np.max(np.abs(dscale_logmag_loop(ejt, g0, (), ())
+                                   - target)))
+    th_pos = thetas[thetas > 0]
+    th_lo = max(float(np.min(th_pos)) if th_pos.size else 1e-4, 1e-6)
+    for k in range(1, max_order + 1):
+        if err_best <= fit_tol:
+            break
+        starts = []
+        for jitter in [np.zeros(2 * k)] + [rng.standard_normal(2 * k)
+                                           for _ in range(2)]:
+            corners = np.logspace(np.log10(th_lo), np.log10(np.pi * 0.5), k)
+            radii = np.clip(np.exp(-corners), -rho_max, rho_max)
+            x = np.arctanh(np.clip(radii / rho_max, -0.999999, 0.999999))
+            starts.append(np.concatenate([[g0], x * (1.0 + 0.2 * jitter[:k]),
+                                          x * (1.0 + 0.2 * jitter[k:])]))
+        starts.append(np.concatenate([[g0], rng.uniform(-2, 2, 2 * k)]))
+        for x0 in starts:
+            try:
+                sol = scipy.optimize.least_squares(
+                    dscale_residual_loop, x0, jac="2-point", method="lm",
+                    max_nfev=600, args=(ejt, target))
+            except Exception:
+                continue
+            err = float(np.max(np.abs(dscale_residual_loop(sol.x, ejt,
+                                                           target))))
+            if err < err_best:
+                order, best, err_best = k, sol.x, err
+    sys = rs.static_gain([[10.0 ** best[0]]], sample_time)
+    for a, b in zip(rho_max * np.tanh(best[1 : 1 + order]),
+                    rho_max * np.tanh(best[1 + order :])):
+        sys = rs.series(sys, rs.StateSpace([[b]], [[1.0]], [[b - a]], [[1.0]],
+                                           sample_time))
+    return order, err_best, sys

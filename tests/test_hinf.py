@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,16 +60,21 @@ def test_not_stabilizable_raises():
     ss = rs.StateSpace([[2.0]], [[1.0, 0.0]], [[1.0], [1.0]],
                        [[0.0, 1.0], [0.5, 0.0]], 1.0)
     P = rs.GeneralizedPlant(ss, n_d=1, n_u=1, n_e=1, n_y=1)
+    # the margin is kept on the plant; the verdict is raised on every call
+    for gamma in (1.0, 2.0):
+        with pytest.raises(NotStabilizable):
+            rs.synth_hinf(P, gamma)
     with pytest.raises(NotStabilizable):
-        rs.synth_hinf(P, 1.0)
+        rs.hinf_optimize(P)
 
 
 def test_not_detectable_raises():
     ss = rs.StateSpace([[2.0]], [[1.0, 1.0]], [[1.0], [0.0]],
                        [[0.0, 1.0], [0.5, 0.0]], 1.0)
     P = rs.GeneralizedPlant(ss, n_d=1, n_u=1, n_e=1, n_y=1)
-    with pytest.raises(NotDetectable):
-        rs.synth_hinf(P, 1.0)
+    for gamma in (1.0, 2.0):
+        with pytest.raises(NotDetectable):
+            rs.synth_hinf(P, gamma)
 
 
 def test_zero_disturbance_path():
@@ -85,3 +92,40 @@ def test_nonzero_gamma_required():
     P = random_generalized_plant(7)
     res = rs.synth_hinf(P, 0.0)
     assert not res.feasible
+
+
+def test_hinf_optimize_sets_up_each_level_once(boeing_nominal, monkeypatch,
+                                               system_balance_calls):
+    # a fresh plant: the set-up is kept on the instance
+    P = dataclasses.replace(boeing_nominal)
+    levels, controllers = [], []
+    regularize = rs.hinf._regularized_blocks
+    central = rs.hinf._central_controller
+    monkeypatch.setattr(rs.hinf, "_regularized_blocks",
+                        lambda P, eps: levels.append(eps) or regularize(P, eps))
+    monkeypatch.setattr(rs.hinf, "_central_controller",
+                        lambda *args: controllers.append(1) or central(*args))
+    rs.hinf_optimize(P, 1e-2, 1e-3)
+    # the Boeing plant escalates through the whole ladder 1e-8, 1e-6, 1e-4
+    assert sorted(levels) == [1e-8, 1e-6, 1e-4]
+    assert system_balance_calls == [P.n_x] * 3
+    # while the bisection tried many more levels of gamma
+    assert len(controllers) > 2 * len(levels)
+
+
+def _result_bytes(res):
+    K = res.controller
+    mats = () if K is None else tuple(m.tobytes() for m in (K.A, K.B, K.C, K.D))
+    return mats, res.feasible, np.float64(res.achieved_norm).tobytes(), \
+        res.metadata["reason"]
+
+
+def test_cached_setup_gives_the_fresh_plants_result(boeing_nominal):
+    P = dataclasses.replace(boeing_nominal)
+    g, _ = rs.hinf_optimize(P, 1e-2, 1e-3)
+    for gamma in (g, 0.5 * g):
+        warm = rs.synth_hinf(P, gamma)
+        fresh = rs.synth_hinf(dataclasses.replace(boeing_nominal), gamma)
+        assert _result_bytes(warm) == _result_bytes(fresh)
+    assert rs.synth_hinf(P, g).feasible
+    assert not rs.synth_hinf(P, 0.5 * g).feasible

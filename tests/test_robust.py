@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 import regretsynth as rs
-from regretsynth.errors import NotAFailurePoint, UnstableSystem
-from regretsynth.robust import _scaled_sigma, dk_scaled_plant
+from regretsynth.errors import (FitToleranceExceeded, NotAFailurePoint,
+                                UnstableSystem)
+from regretsynth.robust import (_logmag_jacobian, _logmag_residual,
+                                _scaled_sigma, dk_scaled_plant)
 
 from conftest import scalar_plant
+from oracles import (dscale_jacobian_loop, dscale_residual_loop,
+                     fit_dscale_loop)
 
 
 def scalar_uncertain_plant():
@@ -192,6 +196,74 @@ def test_fit_dscale_recovers_first_order():
     assert np.max(np.abs(mag / target - 1)) < 0.01
     assert D.system.is_schur()
     assert rs.invert(D.system).is_schur()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_logmag_jacobian_matches_column_loop_bitwise(k):
+    rng = np.random.default_rng(k)
+    thetas = np.sort(rng.uniform(0.0, np.pi, 97))
+    ejt = np.exp(1j * thetas)
+    target = rng.standard_normal(thetas.size)
+    for scale in (0.1, 1.0, 4.0):
+        params = scale * rng.standard_normal(1 + 2 * k)
+        params[rng.integers(0, params.size)] = 0.0
+        params[rng.integers(0, params.size)] = -abs(params[0]) - 0.5
+        assert np.array_equal(_logmag_residual(params, ejt, target),
+                              dscale_residual_loop(params, ejt, target))
+        assert np.array_equal(_logmag_jacobian(params, ejt, target),
+                              dscale_jacobian_loop(params, ejt, target))
+
+
+def _lm_differences_by_2point_rule() -> bool:
+    """Whether least_squares(method="lm") builds its Jacobian by scipy's
+    2-point rule (step sqrt(eps) max(1, |x|)) and not by MINPACK's own
+    differences (step sqrt(eps) |x|): only then does a fit with a
+    Jacobian callable take the steps of a fit without one."""
+    import scipy.optimize
+
+    seen = []
+
+    def f(x):
+        seen.append(float(x[0]))
+        return np.array([x[0] - 1.0, 0.5 * x[0]])
+
+    scipy.optimize.least_squares(f, np.array([0.5]), method="lm", max_nfev=2)
+    return 0.5 + np.sqrt(np.finfo(float).eps) in seen
+
+
+def _first_order_magnitudes(thetas, zeros, poles):
+    z = np.exp(1j * thetas)
+    mag = np.ones_like(thetas)
+    for a, b in zip(zeros, poles):
+        mag = mag * np.abs((z - a) / (z - b))
+    return mag
+
+
+@pytest.mark.skipif(not _lm_differences_by_2point_rule(),
+                    reason="the installed scipy does not build the lm "
+                           "Jacobian through the 2-point rule")
+@pytest.mark.parametrize("zeros, poles, fit_tol, order", [
+    ((0.3,), (0.8,), 0.05, 1),
+    ((-0.5, 0.3, 0.8, 0.97), (0.0, 0.6, 0.9, 0.99), 1e-3, 4),
+    ((0.95 * np.exp(1j), 0.95 * np.exp(-1j)),
+     (0.5 * np.exp(1j), 0.5 * np.exp(-1j)), 0.02, None),
+])
+def test_fit_dscale_matches_2point_fit_bitwise(zeros, poles, fit_tol, order):
+    thetas = np.linspace(1e-3, np.pi, 120)
+    pts = list(zip(thetas, _first_order_magnitudes(thetas, zeros, poles)))
+    ref_order, ref_err, ref_sys = fit_dscale_loop(pts, fit_tol=fit_tol)
+    if order is None:
+        # a notch no real cascade of order 4 follows
+        with pytest.raises(FitToleranceExceeded):
+            rs.fit_dscale(pts, fit_tol=fit_tol)
+        assert ref_err > fit_tol
+    else:
+        assert ref_order == order
+    D = rs.fit_dscale(pts, fit_tol=fit_tol, raise_on_fail=False)
+    assert (D.order, D.fit_error) == (ref_order, ref_err)
+    for name in "ABCD":
+        assert getattr(D.system, name).tobytes() == \
+            getattr(ref_sys, name).tobytes()
 
 
 def test_build_m_composition_oracle():
