@@ -5,7 +5,8 @@ from .statespace import (StateSpace, static_gain, series, parallel, append,
 from .plants import (GeneralizedPlant, UncertainPlant, lft_lower, lft_upper,
                      matrix_lft_upper, weight_disturbance, structural_prune)
 from .signals import Signal, simulate, inner, random_signal, sinusoid_signal
-from .norms import FrequencyGrid, LoopMargins, hinf_norm, loop_margins, l2_gain_curve
+from .norms import (FrequencyGrid, LoopMargins, NormBracket, hinf_norm, loop_margins,
+                    l2_gain_curve)
 from .riccati import (DareProblem, DareSolution, DareAssumptionReport,
                       check_dare_assumptions, solve_dare, dare_residual)
 from .noncausal import (NoncausalController, NoncausalClosedLoop,

@@ -8,8 +8,11 @@ feasibility problems: the unit circle maps onto the imaginary axis, so
 closed-loop norms and internal stability are preserved.
 
 Nothing downstream trusts the synthesis internals: every returned
-controller carries an a-posteriori certificate (closed-loop spectral
-radius and independently computed H-infinity norm).
+controller carries an a-posteriori certificate, the closed-loop spectral
+radius and a certified upper bound on the closed-loop H-infinity norm
+(the upper end of the level-set bracket of :func:`norms.hinf_norm`,
+computed on the discrete loop without this transform).  A level is
+feasible only when that upper bound is below it.
 """
 
 from __future__ import annotations
@@ -385,16 +388,22 @@ def _normalized_blocks(P: GeneralizedPlant, reg_eps: float):
 
 
 def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
-               reg_eps: float = 1e-8, norm_tol: float = 1e-6) -> SynthesisResult:
+               reg_eps: float = 1e-8, norm_tol: float = 1e-9) -> SynthesisResult:
     """Controller with validated closed-loop norm < gamma, or a verdict.
 
     The feasibility verdict is bound to the a-posteriori certificate:
     a candidate that fails independent validation is reported
-    infeasible at this level, never trusted.  The set-up that does not
-    depend on gamma (PBH margins, balanced bilinear blocks, their
-    regularization and the D12/D21 normalizations) is computed once per
-    plant and regularization level and kept on ``P``, so a bisection
-    over gamma pays for it once.
+    infeasible at this level, never trusted.  Validation brackets the
+    closed-loop norm to the relative width ``2 norm_tol``; the level is
+    feasible when the certified upper end is below gamma.  The bracket,
+    the number of levels tested and the bracket's status are recorded
+    in ``metadata`` as ``norm_bracket``, ``norm_iterations`` and
+    ``norm_status``.
+
+    The set-up that does not depend on gamma (PBH margins, balanced
+    bilinear blocks, their regularization and the D12/D21
+    normalizations) is computed once per plant and regularization level
+    and kept on ``P``, so a bisection over gamma pays for it once.
     """
     if gamma <= 0:
         return SynthesisResult(None, gamma, False, np.inf,
@@ -441,12 +450,16 @@ def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
     if not cl.is_schur():
         return SynthesisResult(None, gamma, False, np.inf,
                                metadata={**meta, "reason": "closed_loop_unstable"})
-    norm = hinf_norm(cl, tol=norm_tol)
-    feasible = norm < gamma
-    return SynthesisResult(Kd if feasible else None, gamma, feasible, norm,
+    br = hinf_norm(cl, tol=norm_tol, return_bracket=True)
+    feasible = br.upper < gamma
+    reason = "ok" if feasible else (
+        "norm_at_level" if br.certified else "norm_uncertified")
+    return SynthesisResult(Kd if feasible else None, gamma, feasible, br.upper,
                            cl if feasible else None,
-                           metadata={**meta,
-                                     "reason": "ok" if feasible else "norm_at_level"})
+                           metadata={**meta, "reason": reason,
+                                     "norm_bracket": (br.lower, br.upper),
+                                     "norm_iterations": br.iterations,
+                                     "norm_status": br.status})
 
 
 def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,

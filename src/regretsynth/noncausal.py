@@ -204,10 +204,6 @@ class NoncausalClosedLoop:
     def n_d(self) -> int:
         return self.K0.plant.n_d
 
-    @property
-    def n_e_hat(self) -> int:
-        return self.C_hat.shape[0]
-
     def to_statespace(self) -> StateSpace:
         """Raw matrices as a StateSpace; only valid for frequency-domain
         evaluation (the realization is not causal)."""
@@ -216,16 +212,6 @@ class NoncausalClosedLoop:
 
     def freqresp(self, thetas) -> np.ndarray:
         return self.to_statespace().freqresp(thetas)
-
-    def simulate_ehat(self, d: Signal, tol: float = TRUNC_TOL) -> Signal:
-        """e_hat response via backward v-pass then forward x-pass."""
-        t0, x, u, e, _ = noncausal_response(self.K0, d, tol)
-        T = e.shape[0]
-        din = d.on_window(t0, t0 + T - 1)
-        top = self.gamma_J * e
-        bottom = self.gamma_d * din
-        return Signal(t0, np.hstack([top, bottom]))
-
 
 def build_phat(K0: NoncausalController, gammas) -> NoncausalClosedLoop:
     """Assemble the Eq.-of-motion matrices of the benchmark closed loop."""

@@ -1,19 +1,40 @@
 """Frequency-domain analysis: H-infinity norm, sigma curves, loop margins.
 
-The H-infinity norm is computed on a dense adaptive frequency grid with
-local peak refinement.  The initial grid mixes logarithmically and
-linearly spaced angles and is seeded with the angles of the system
-poles, which is where lightly damped peaks live; each local maximum is
-then sharpened by golden-section search until the peak value is
-resolved to a relative tolerance.
+The H-infinity norm comes with a certificate.  :func:`hinf_norm` runs the
+level-set iteration of Boyd and Balakrishnan (1990) and Bruinsma and
+Steinbuch (1990) directly on the discrete-time pencil, with no bilinear
+map, and returns a bracket ``[lower, upper]``.  The lower end is sigma_max
+at an angle, and the upper end is a level that sigma_max never reaches.
+The upper end is the certificate, so it is the value that
+``hinf_norm`` returns.
 
-All evaluation is stacked over angles: :meth:`StateSpace.freqresp`
-solves the resolvent for a block of angles at once (blocks of about
-1 MB, see ``statespace.FREQRESP_BLOCK``, with a per-angle fallback for
-a pole exactly on the circle) and the singular values of all angles come
-from one stacked SVD.  The golden sections of the (at most 12) peaks run
-in lock step, one ``freqresp`` call per step for every bracket still
-open, each bracket with its own update, best-so-far and stop rule.
+A level gamma is a singular value of G(e^{j theta}) exactly when
+e^{j theta} is a generalized eigenvalue of the (x, p, u, y) pencil
+``F - z E`` with
+
+    F = [[A, 0, B, 0], [0, I, 0, 0], [C, 0, D, -I], [0, B', -gamma^2 I, D']]
+    E = [[I, 0, 0, 0], [0, A', 0, C'], [0, 0, 0, 0], [0, 0, 0, 0]].
+
+Each step tests the level ``(1 + 2 tol) lower``.  An eigenvalue within
+``_CIRCLE_TOL`` of the unit circle is taken as a crossing only once a
+singular value at its angle is confirmed within ``_CONFIRM_TOL`` of the
+level.  The lower bound then rises to sigma_max at the confirmed angles
+and at their midpoints.  The iteration stops when the level has no
+confirmed crossing.
+
+Near a peak, the level just above it still has a pair of eigenvalues
+close to the circle, and no midpoint rises above the level.  This is a
+stall.  A bounded local search maximizes sigma_max around each confirmed
+angle.  If it finds a peak above the level, the iteration goes on.  If
+every such peak lies below the level, the eigenvalues are off the circle
+and the level is an upper bound.  Status ``"peaks_below"`` records this.
+An iteration that runs out of steps certifies nothing: it reports an
+infinite upper end.
+
+The state coordinates are balanced by powers of two before the pencil
+is formed.  On loops with D-scale poles near z = 1, the unbalanced
+pencil put true crossings up to 1e-3 off the circle, and the balanced
+one puts them within 1e-7.
 """
 
 from __future__ import annotations
@@ -21,11 +42,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError, UnstableSystem
 from .statespace import UNIT, StateSpace
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# a pencil eigenvalue this close to the unit circle is a candidate crossing
+_CIRCLE_TOL = 1e-4
+# a candidate is confirmed when a singular value at its angle is this
+# close to the level, relative to it
+_CONFIRM_TOL = 1e-3
+# levels tested before the iteration gives up without a certificate
+_MAX_LEVELS = 30
+# the local search spans this many times an eigenvalue's distance from
+# the circle on each side of its angle, and at least _SEARCH_MIN
+_SEARCH_SPAN = 10.0
+_SEARCH_MIN = 1e-8
+# the local search zooms in this many times on 9 points per bracket
+_SEARCH_ZOOMS = 4
 
 
 @dataclass(frozen=True)
@@ -76,7 +110,7 @@ def _pole_angle_seeds(sys: StateSpace) -> np.ndarray:
 
 
 def norm_grid(sys: StateSpace, n: int = 512) -> np.ndarray:
-    """Evaluation grid for norm computation, seeded with pole angles."""
+    """Evaluation grid for loop margins, seeded with pole angles."""
     base = FrequencyGrid.default(n).thetas
     seeds = _pole_angle_seeds(sys)
     if seeds.size:
@@ -89,86 +123,189 @@ def sigma_max_on_grid(sys: StateSpace, thetas) -> np.ndarray:
     return np.linalg.svd(sys.freqresp(thetas), compute_uv=False)[:, 0]
 
 
-def _golden_max_lockstep(f, lo, hi, rel_tol: float):
-    """Golden-section maximization on k brackets [lo, hi] in lock step.
+@dataclass(frozen=True)
+class NormBracket:
+    """H-infinity norm bracket: sigma_max(G(e^{j theta})) = lower, and
+    sigma_max stays below upper at every angle when ``certified``."""
 
-    ``f`` maps an array of points to their values.  Each step evaluates
-    one new point per bracket that has not yet met its stop rule; every
-    bracket follows the scalar golden-section update on its own and
-    keeps its best point seen.  Returns the best points and values.
-    """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    k = a.size
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fcd = f(np.concatenate([c, d]))
-    fc, fd = fcd[:k], fcd[k:]
-    first = fc >= fd
-    best_x, best_f = np.where(first, c, d), np.where(first, fc, fd)
-    live = np.arange(k)
-    for _ in range(80):
-        if not live.size:
+    lower: float
+    upper: float
+    theta: float      # angle of the largest sigma_max found: the lower end,
+                      # unless no evaluated angle exceeded the Markov bound
+    iterations: int   # levels tested, one generalized eigenproblem each
+    status: str       # "exact", "no_crossing", "peaks_below" or "iteration_limit"
+
+    @property
+    def certified(self) -> bool:
+        return self.status != "iteration_limit"
+
+
+def _balanced(A, B, C, sweeps: int = 8):
+    """Diagonal state scaling by powers of two (exact) that equalizes the
+    off-diagonal row and column sums of [A B; C 0], all states at once."""
+    n = A.shape[0]
+    for _ in range(sweeps):
+        off = np.abs(A)
+        off[np.diag_indices(n)] = 0.0
+        rows = off.sum(axis=1) + np.abs(B).sum(axis=1)
+        cols = off.sum(axis=0) + np.abs(C).sum(axis=0)
+        ok = (rows > 0) & (cols > 0)
+        expo = np.zeros(n)
+        expo[ok] = np.clip(np.round(0.5 * np.log2(rows[ok] / cols[ok])), -16, 16)
+        if not expo.any():
             break
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _GOLDEN * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
-        f_new = f(np.where(left, c[live], d[live]))
-        fc[lt], fd[rt] = f_new[left], f_new[~left]
-        at_c = fc[live] >= fd[live]
-        x = np.where(at_c, c[live], d[live])
-        fx = np.where(at_c, fc[live], fd[live])
-        up = fx > best_f[live]
-        best_x[live[up]], best_f[live[up]] = x[up], fx[up]
-        width = np.maximum(np.maximum(np.abs(a[live]), np.abs(b[live])), 1e-12)
-        live = live[~(b[live] - a[live] <= rel_tol * width)]
+        f = 2.0 ** expo
+        A = A / f[:, None] * f
+        B = B / f[:, None]
+        C = C * f
+    return A, B, C
+
+
+def _circle_eigenvalues(A, B, C, D, level: float):
+    """Angles in [0, pi] and distances from the circle of the eigenvalues
+    of the level-set pencil within ``_CIRCLE_TOL`` of the unit circle.
+
+    The pencil is formed for G / level at level 1: scaling p by level^2,
+    y by level and the rows to match turns it into the pencil at
+    ``level``, so the eigenvalues are the same."""
+    n, m, p = A.shape[0], B.shape[1], C.shape[0]
+    size = 2 * n + m + p
+    x, q = slice(0, n), slice(n, 2 * n)
+    u, y = slice(2 * n, 2 * n + m), slice(2 * n + m, size)
+    ry, ru = slice(2 * n, 2 * n + p), slice(2 * n + p, size)
+    F = np.zeros((size, size))
+    E = np.zeros((size, size))
+    F[x, x], F[x, u] = A, B
+    F[q, q] = np.eye(n)
+    F[ry, x], F[ry, u], F[ry, y] = C / level, D / level, -np.eye(p)
+    F[ru, q], F[ru, u], F[ru, y] = B.T, -np.eye(m), D.T / level
+    E[x, x] = np.eye(n)
+    E[q, q], E[q, y] = A.T, C.T / level
+    alpha, beta = scipy.linalg.eigvals(F, E, homogeneous_eigvals=True)
+    near = (beta != 0) & (np.abs(np.abs(alpha) - np.abs(beta)) <= _CIRCLE_TOL * np.abs(beta))
+    z = alpha[near] / beta[near]
+    return np.abs(np.angle(z)), np.abs(np.abs(z) - 1.0)
+
+
+def _local_peaks(sys: StateSpace, thetas, dists):
+    """Largest sigma_max found around each angle, by a zooming search.
+
+    The bracket around an angle spans ``_SEARCH_SPAN`` times the
+    distance of its eigenvalue from the circle; overlapping brackets are
+    merged.  Each zoom evaluates 9 points across every bracket at once
+    and narrows each bracket to a quarter around its best point.
+    Returns (angles, values), one per merged bracket.
+    """
+    half = _SEARCH_SPAN * dists + _SEARCH_MIN
+    order = np.argsort(thetas)
+    lo, hi = [], []
+    for a, b in zip(thetas[order] - half[order], thetas[order] + half[order]):
+        if lo and a <= hi[-1]:
+            hi[-1] = max(hi[-1], b)
+        else:
+            lo.append(a)
+            hi.append(b)
+    lo, hi = np.array(lo), np.array(hi)
+    best_x = np.clip(0.5 * (lo + hi), 0.0, np.pi)
+    best_f = sigma_max_on_grid(sys, best_x)
+    width = 0.5 * (hi - lo)
+    rows = np.arange(best_x.size)
+    for _ in range(_SEARCH_ZOOMS):
+        grid = np.clip(best_x[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 9),
+                       0.0, np.pi)
+        vals = sigma_max_on_grid(sys, grid.ravel()).reshape(grid.shape)
+        k = np.argmax(vals, axis=1)
+        up = vals[rows, k] > best_f
+        best_x[up], best_f[up] = grid[rows, k][up], vals[rows, k][up]
+        width = 0.25 * width
     return best_x, best_f
 
 
-def hinf_norm(sys: StateSpace, tol: float = 1e-6, return_theta: bool = False):
-    """Peak maximum singular value of G(e^{j theta}) over [0, pi].
+def _markov_bound(sys: StateSpace) -> float:
+    """A lower bound on the norm from the Markov parameters D, CB, ...,
+    CA^{n-1}B: each h_k is a Fourier coefficient of G, so ||h_k||_2 <=
+    ||G||_inf, and ||h_k||_F / sqrt(min(n_u, n_y)) <= ||h_k||_2.  It is
+    zero only when G is."""
+    markov = [sys.D]
+    AkB = sys.B
+    for _ in range(sys.n_x):
+        markov.append(sys.C @ AkB)
+        AkB = sys.A @ AkB
+    frob = np.sqrt(np.max([np.sum(h * h) for h in markov]))
+    return float(frob / np.sqrt(min(sys.n_u, sys.n_y)))
 
-    Requires a Schur-stable system.  Equals the induced l2 -> l2 gain.
+
+def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
+    """Certified bracket of the H-infinity norm of a Schur-stable system.
+
+    Level-set iteration on the discrete pencil (see the module notes):
+    the upper end exceeds the lower end by the factor ``1 + 2 tol`` unless
+    the iteration gave up, in which case the upper end is infinite.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if sys.n_u == 0 or sys.n_y == 0:
-        return (0.0, 0.0) if return_theta else 0.0
+        return NormBracket(0.0, 0.0, 0.0, 0, "exact")
     if sys.n_x == 0:
-        val = float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-        return (val, 0.0) if return_theta else val
+        val = float(np.linalg.svd(sys.D, compute_uv=False)[0])
+        return NormBracket(val, val, 0.0, 0, "exact")
     if not sys.is_schur():
         raise UnstableSystem(
             f"hinf_norm requires a stable system (spectral radius "
             f"{sys.spectral_radius():.6g})"
         )
-    thetas = norm_grid(sys)
-    vals = sigma_max_on_grid(sys, thetas)
+    seeds = np.concatenate([np.linspace(0.0, np.pi, 9), _pole_angle_seeds(sys)])
+    vals = sigma_max_on_grid(sys, seeds)
+    k = int(np.argmax(vals))
+    theta = float(seeds[k])
+    # a level far below the norm makes the pencil's blocks huge, so the
+    # Markov bound keeps the first level off zero where every seed angle
+    # is a zero of G
+    lower = max(float(vals[k]), _markov_bound(sys))
+    if lower == 0.0:
+        return NormBracket(0.0, 0.0, 0.0, 0, "exact")
+    A, B, C = _balanced(sys.A, sys.B, sys.C)
+    for it in range(1, _MAX_LEVELS + 1):
+        level = (1.0 + 2.0 * tol) * lower
+        thetas, dists = _circle_eigenvalues(A, B, C, sys.D, level)
+        thetas, first = np.unique(thetas, return_index=True)
+        dists = dists[first]
+        sv = np.linalg.svd(sys.freqresp(thetas), compute_uv=False)
+        confirmed = np.min(np.abs(sv / level - 1.0), axis=1) <= _CONFIRM_TOL
+        if not confirmed.any():
+            return NormBracket(lower, level, theta, it, "no_crossing")
+        thetas, dists = thetas[confirmed], dists[confirmed]
+        mids = 0.5 * (thetas[1:] + thetas[:-1])
+        pts = np.concatenate([thetas, mids])
+        vals = np.concatenate([sv[confirmed, 0], sigma_max_on_grid(sys, mids)])
+        if vals.max() <= level:
+            # a stall: search around each confirmed angle
+            peaks, peak_vals = _local_peaks(sys, thetas, dists)
+            pts, vals = np.concatenate([pts, peaks]), np.concatenate([vals, peak_vals])
+        k = int(np.argmax(vals))
+        if vals[k] > lower:
+            lower, theta = float(vals[k]), float(pts[k])
+        if vals[k] <= level:
+            return NormBracket(lower, level, theta, it, "peaks_below")
+    return NormBracket(lower, np.inf, theta, _MAX_LEVELS, "iteration_limit")
 
-    # refine every local maximum of the gridded response
-    peaks = []
-    for i in range(thetas.size):
-        left = vals[i - 1] if i > 0 else -np.inf
-        right = vals[i + 1] if i < thetas.size - 1 else -np.inf
-        if vals[i] >= left and vals[i] >= right:
-            peaks.append(i)
-    # strongest peaks first; cap the refinement work
-    peaks.sort(key=lambda i: -vals[i])
-    best_val = float(np.max(vals))
-    best_theta = float(thetas[int(np.argmax(vals))])
-    brackets = [(thetas[max(i - 1, 0)], thetas[min(i + 1, thetas.size - 1)])
-                for i in peaks[:12]]
-    brackets = [(lo, hi) for lo, hi in brackets if hi > lo]
-    if brackets:
-        lo, hi = zip(*brackets)
-        xs, fxs = _golden_max_lockstep(lambda th: sigma_max_on_grid(sys, th),
-                                       lo, hi, rel_tol=tol * 1e-2)
-        for x, fx in zip(xs, fxs):
-            if fx > best_val:
-                best_val, best_theta = float(fx), float(x)
+
+def hinf_norm(sys: StateSpace, tol: float = 1e-9, return_theta: bool = False,
+              return_bracket: bool = False):
+    """Certified upper bound on the peak of sigma_max(G(e^{j theta})).
+
+    Requires a Schur-stable system; the norm is the induced l2 -> l2
+    gain.  The value is the upper end of :func:`_norm_bracket`, at most
+    ``1 + 2 tol`` times a value sigma_max attains.  ``return_theta`` adds
+    the angle of that attained value; ``return_bracket`` returns the
+    :class:`NormBracket` itself.
+    """
+    br = _norm_bracket(sys, tol)
+    if return_bracket:
+        return br
     if return_theta:
-        return best_val, best_theta
-    return best_val
+        return br.upper, br.theta
+    return br.upper
 
 
 def l2_gain_curve(sys: StateSpace, thetas) -> np.ndarray:

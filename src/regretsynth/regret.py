@@ -182,9 +182,6 @@ class ParetoFront:
     gamma_inf: float
     metadata: dict = field(default_factory=dict)
 
-    def gamma_d_grid(self) -> np.ndarray:
-        return np.array([p.gamma_d for p in self.points])
-
     def gamma_j_values(self) -> np.ndarray:
         return np.array([p.gamma_j_upper for p in self.points])
 

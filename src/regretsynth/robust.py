@@ -222,37 +222,60 @@ def _section_terms(ejt, roots):
     return np.log10(np.abs(ejt - roots[:, None]))
 
 
-def _logmag(ejt, gain_log, zeros, poles):
-    """log10 of the cascade magnitude, added section by section."""
-    lm = np.full(ejt.shape, gain_log)
-    for lz, lp in zip(_section_terms(ejt, zeros), _section_terms(ejt, poles)):
+def _logmag(gain_log, terms):
+    """log10 of the cascade magnitude from its section terms (the k zero
+    rows, then the k pole rows), added section by section."""
+    k = terms.shape[0] // 2
+    lm = np.full(terms.shape[1:], gain_log)
+    for lz, lp in zip(terms[:k], terms[k:]):
         lm += lz - lp
     return lm
 
 
-def _logmag_residual(params, ejt, target):
-    """Fit residual at params = [gain_log, k zero parameters, k poles]."""
-    k = (params.size - 1) // 2
-    return _logmag(ejt, params[0], _dscale_roots(params[1 : 1 + k]),
-                   _dscale_roots(params[1 + k :])) - target
+class _SectionMemo:
+    """Section terms at the last point where one fit evaluated its
+    residual.  Levenberg-Marquardt asks for the Jacobian at the point it
+    has just evaluated and accepted, so the Jacobian can take the terms
+    from here instead of evaluating them again."""
+
+    def __init__(self):
+        self.params = None
+        self.terms = None
+
+    def terms_at(self, params):
+        if self.params is not None and np.array_equal(self.params, params):
+            return self.terms
+        return None
 
 
-def _logmag_jacobian(params, ejt, target):
+def _logmag_residual(params, ejt, target, memo=None):
+    """Fit residual at params = [gain_log, k zero parameters, k poles];
+    keeps the section terms in ``memo`` when one is given."""
+    terms = _section_terms(ejt, _dscale_roots(params[1:]))
+    if memo is not None:
+        memo.params, memo.terms = params.copy(), terms
+    return _logmag(params[0], terms) - target
+
+
+def _logmag_jacobian(params, ejt, target, memo=None):
     """Forward-difference Jacobian of :func:`_logmag_residual` by scipy's
     2-point rule, bitwise.
 
     The step is h = sqrt(eps) sign(x) max(1, |x|) with sign(0) = +1, and
     column j is (f(x + h_j e_j) - f(x)) / ((x_j + h_j) - x_j).  The
-    section terms are evaluated once at x and once at the moved
-    parameters; each column swaps in the one section its parameter
-    moves and adds the sections in the residual's own order.
+    section terms are evaluated once at the moved parameters, and at x
+    only when ``memo`` does not hold them for x; each column swaps in
+    the one section its parameter moves and adds the sections in the
+    residual's own order.
     """
     k = (params.size - 1) // 2
     step = _FD_STEP * np.where(params >= 0, 1.0, -1.0) \
         * np.maximum(1.0, np.abs(params))
     moved = params + step
     dx = moved - params
-    base = _section_terms(ejt, _dscale_roots(params[1:]))
+    base = memo.terms_at(params) if memo is not None else None
+    if base is None:
+        base = _section_terms(ejt, _dscale_roots(params[1:]))
     shifted = _section_terms(ejt, _dscale_roots(moved[1:]))
     # row 0 is the residual at params; row 1 + j moves parameter j
     lm = np.empty((1 + params.size, ejt.size))
@@ -280,8 +303,9 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
 
     ``least_squares`` (Levenberg-Marquardt) gets the forward-difference
     Jacobian of scipy's 2-point rule from :func:`_logmag_jacobian`, which
-    evaluates the section terms twice instead of the whole residual once
-    per parameter and gives the same bits.
+    evaluates the section terms at the moved parameters, reuses those of
+    the residual at x, and gives the same bits as differencing the whole
+    residual once per parameter.
     """
     pts = [(float(t), float(d)) for t, d in pointwise]
     thetas = np.array([t for t, _ in pts])
@@ -294,7 +318,7 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
     empty = np.zeros(0)
     sys0 = _first_order_cascade(g0, empty, empty, sample_time)
     best = DScaling(tuple(pts), sys0, 0,
-                    float(np.max(np.abs(_logmag(ejt, g0, empty, empty) - target))))
+                    float(np.max(np.abs(_logmag(g0, np.zeros((0, ejt.size))) - target))))
     orders = [order] if order is not None else list(range(1, max_order + 1))
     if best.fit_error <= fit_tol and order in (None, 0):
         return best
@@ -321,7 +345,7 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
             try:
                 sol = scipy.optimize.least_squares(
                     _logmag_residual, x0, jac=_logmag_jacobian, method="lm",
-                    max_nfev=600, args=(ejt, target))
+                    max_nfev=600, args=(ejt, target, _SectionMemo()))
             except Exception:
                 continue
             err = float(np.max(np.abs(_logmag_residual(sol.x, ejt, target))))
@@ -524,9 +548,10 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
     """Random stable Delta (n_w x n_v) with ||Delta||_inf <= 1.
 
     Poles are uniform in radius on [0, 0.95] with random angles (complex
-    pairs), input/output maps Gaussian; the system is normalized by its
-    computed norm and shrunk by a uniform factor, so its norm is that
-    factor times the computed one.
+    pairs), input/output maps Gaussian; the system is divided by the
+    certified upper bound of its norm (:func:`hinf_norm`) and shrunk by a
+    uniform factor, so its norm is at most that factor as certified, and
+    ``norm`` is the factor times the upper bound of the raw system.
     """
     rng = np.random.default_rng(seed)
     if order == 0:

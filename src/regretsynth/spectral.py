@@ -250,33 +250,6 @@ def _check_factor_assumptions(prob: DareProblem) -> None:
         )
 
 
-def regret_qtilde(K0, gamma_J: float) -> np.ndarray:
-    """Q of the reduced V-DARE in the v-coordinates of build_phat.
-
-    The closed form through X^{-1}, kept as a reference for the w-block
-    cost of ``_w_realization`` on well-conditioned X; the factor itself
-    does not use it.  The expression is subtractive, so roundoff can
-    leave eigenvalues a few ulps below zero; those are clipped after a
-    sign sanity check.
-    """
-    P = K0.plant
-    A11 = K0.A11
-    A11_inv = np.linalg.inv(A11)
-    X_inv = np.linalg.inv(K0.X)
-    H_plant = K0.H  # R + B_u' X B_u
-    mid = X_inv - A11 @ X_inv @ A11.T - P.B_u @ np.linalg.solve(H_plant, P.B_u.T)
-    Qt = _sym(gamma_J**2 * A11_inv @ mid @ A11_inv.T)
-    if Qt.size == 0:
-        return Qt
-    evals, evecs = np.linalg.eigh(Qt)
-    scale = 1.0 + float(np.max(np.abs(evals)))
-    if evals[0] < -1e-8 * scale:
-        raise AssumptionViolated(
-            f"reduced-factor state cost is indefinite (min eig {evals[0]:.3g})"
-        )
-    return (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-
-
 def _to_v_coordinates(wr: _WRealization, M_w: np.ndarray) -> np.ndarray:
     """T_w^{-T} M_w T_w^{-1}: a w-block quadratic form seen in v."""
     Ti = np.linalg.solve(wr.T_w.T, np.eye(wr.T_w.shape[0]))

@@ -210,9 +210,6 @@ class StateSpace:
             X = np.linalg.solve(z * (1 + 1e-9) * np.eye(self.n_x) - self.A, self.B)
         return self.C @ X + self.D
 
-    def dcgain(self) -> np.ndarray:
-        return np.real(self.at_z(1.0))
-
     # -- submatrices -----------------------------------------------------
     def subsystem(self, outputs, inputs) -> "StateSpace":
         """Keep a subset of input/output channels (state is preserved)."""

@@ -20,6 +20,18 @@ def random_stable_ss(rng, n, n_u, n_y, rho=0.7, sample_time=1.0,
     return rs.StateSpace(A, B, C, D, sample_time)
 
 
+def random_plant_with_dscale_pole(rng, n=4):
+    """diag(d, 1) G diag(1/d, 1) for a random stable 2 x 2 G and the D-scale
+    section d(z) = (z + 0.9999) / (z + 0.99999): real poles at -0.99999
+    and -0.9999, each nearly cancelled by a zero, and a tenfold gain of
+    the off-diagonal channels within 1e-4 rad of pi."""
+    g = random_stable_ss(rng, n, 2, 2, rho=0.9)
+    a, b = -0.9999, -0.99999
+    d = rs.StateSpace([[b]], [[1.0]], [[b - a]], [[1.0]], 1.0)
+    one = rs.static_gain([[1.0]], 1.0)
+    return rs.series(rs.series(rs.append(rs.invert(d), one), g), rs.append(d, one))
+
+
 def random_generalized_plant(seed, n=3, nd=2, nu=1, ne=2, ny=1, rho=0.7):
     """Random stable plant with the standing zero-feedthrough pattern."""
     rng = np.random.default_rng(seed)

@@ -370,3 +370,86 @@ def fit_dscale_loop(pointwise, fit_tol: float = 0.1, max_order: int = 4,
         sys = rs.series(sys, rs.StateSpace([[b]], [[1.0]], [[b - a]], [[1.0]],
                                            sample_time))
     return order, err_best, sys
+
+
+def hinf_norm_dense(sys, n: int = 4001, n_peaks: int = 32, zooms: int = 12) -> float:
+    """Dense-grid reference for the H-infinity norm: a lower bound.
+
+    sigma_max on n linearly and n logarithmically spaced angles plus the
+    pole angles, then each of the n_peaks largest local maxima sharpened
+    by repeated 41-point grids of a tenth of the previous width.  It has
+    no level sets and no pencil, so it shares no code path with
+    ``hinf_norm`` beyond the frequency response.
+    """
+    if sys.n_x == 0 or sys.n_u == 0 or sys.n_y == 0:
+        return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
+    poles = np.linalg.eigvals(sys.A)
+    thetas = np.unique(np.concatenate([
+        np.linspace(0.0, np.pi, n), np.logspace(-7, np.log10(np.pi), n),
+        np.abs(np.angle(poles))]))
+
+    def sigma(th):
+        return np.linalg.svd(sys.freqresp(th), compute_uv=False)[:, 0]
+
+    vals = sigma(thetas)
+    padded = np.concatenate([[-np.inf], vals, [-np.inf]])
+    peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
+    peaks = peaks[np.argsort(-vals[peaks])][:n_peaks]
+    best = float(vals.max())
+    for i in peaks:
+        lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, thetas.size - 1)]
+        for _ in range(zooms):
+            grid = np.linspace(lo, hi, 41)
+            v = sigma(grid)
+            j = int(np.argmax(v))
+            best = max(best, float(v[j]))
+            lo, hi = grid[max(j - 2, 0)], grid[min(j + 2, 40)]
+    return best
+
+
+def regret_qtilde(K0, gamma_J: float) -> np.ndarray:
+    """Q of the reduced V-DARE in the v-coordinates of build_phat.
+
+    The closed form through X^{-1}: a reference for the w-block cost of
+    ``spectral._w_realization`` on well-conditioned X.  The expression is
+    subtractive, so roundoff can leave eigenvalues a few ulps below zero;
+    those are clipped after a sign sanity check.
+    """
+    P = K0.plant
+    A11 = K0.A11
+    A11_inv = np.linalg.inv(A11)
+    X_inv = np.linalg.inv(K0.X)
+    mid = X_inv - A11 @ X_inv @ A11.T - P.B_u @ np.linalg.solve(K0.H, P.B_u.T)
+    Qt = gamma_J**2 * A11_inv @ mid @ A11_inv.T
+    Qt = 0.5 * (Qt + Qt.T)
+    if Qt.size == 0:
+        return Qt
+    evals, evecs = np.linalg.eigh(Qt)
+    scale = 1.0 + float(np.max(np.abs(evals)))
+    assert evals[0] >= -1e-8 * scale, f"indefinite reduced cost {evals[0]:.3g}"
+    return (evecs * np.clip(evals, 0.0, None)) @ evecs.T
+
+
+def n_e_hat(phat) -> int:
+    """Outputs of the benchmark closed loop d -> (gamma_J e, gamma_d d)."""
+    return phat.C_hat.shape[0]
+
+
+def simulate_ehat(phat, d):
+    """e_hat = (gamma_J e, gamma_d d) of the benchmark closed loop, by the
+    backward v-pass and forward x-pass of ``noncausal_response``."""
+    from regretsynth.noncausal import noncausal_response
+
+    t0, _, _, e, _ = noncausal_response(phat.K0, d)
+    din = d.on_window(t0, t0 + e.shape[0] - 1)
+    return rs.Signal(t0, np.hstack([phat.gamma_J * e, phat.gamma_d * din]))
+
+
+def dcgain(sys) -> np.ndarray:
+    """G(1), the DC gain of a discrete-time system."""
+    return np.real(sys.at_z(1.0))
+
+
+def gamma_d_grid(front) -> np.ndarray:
+    """The gamma_d of each point of a Pareto front."""
+    return np.array([p.gamma_d for p in front.points])

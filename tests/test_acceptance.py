@@ -17,7 +17,7 @@ import regretsynth as rs
 from regretsynth.regret import _bisect_gamma_j
 
 from conftest import random_generalized_plant
-from oracles import QPOracle, competitive_ratio_oracle
+from oracles import QPOracle, competitive_ratio_oracle, gamma_d_grid
 
 
 def verdict(num, label, ok, detail):
@@ -311,7 +311,7 @@ def boeing_fronts(store):
     # robust evaluated at the extreme and a mid grid point
     unc = store.uncertain("boeing747")
     oracle_small = rs.dk_feasibility_oracle(unc, K0=K0)
-    grid = nominal.gamma_d_grid()
+    grid = gamma_d_grid(nominal)
     small = _bisect_gamma_j(oracle_small, float(grid[0]), 1e-2, 1e-3)
     oracle_mid = rs.dk_feasibility_oracle(unc, K0=K0)
     mid = _bisect_gamma_j(oracle_mid, float(grid[4]), 1e-2, 1e-3)

@@ -26,6 +26,26 @@ def test_random_plants_optimize_and_validate():
         assert g < rs.hinf_norm(P.ed_subsystem()) + 1e-9
 
 
+def test_synthesis_records_the_norm_bracket(monkeypatch):
+    P = random_generalized_plant(1)
+    g, res = rs.hinf_optimize(P, 1e-4, 1e-4)
+    lower, upper = res.metadata["norm_bracket"]
+    assert upper == res.achieved_norm < g
+    assert lower <= upper <= lower * (1 + 2e-9) * (1 + 1e-15)
+    assert res.metadata["norm_status"] in ("no_crossing", "peaks_below")
+    assert res.metadata["norm_iterations"] >= 1
+    # the bracket is the one hinf_norm gives for the returned closed loop
+    br = rs.hinf_norm(res.closed_loop, return_bracket=True)
+    assert (br.lower, br.upper) == (lower, upper)
+    # a closed loop whose norm the iteration cannot certify is never feasible
+    monkeypatch.setattr(rs.norms, "_MAX_LEVELS", 0)
+    stalled = rs.synth_hinf(P, 2.0 * upper)
+    assert not stalled.feasible
+    assert stalled.metadata["reason"] == "norm_uncertified"
+    assert stalled.metadata["norm_status"] == "iteration_limit"
+    assert stalled.achieved_norm == np.inf
+
+
 def test_feasibility_monotone_ladder():
     P = random_generalized_plant(5)
     g, _ = rs.hinf_optimize(P, 1e-3, 1e-3)

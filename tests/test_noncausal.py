@@ -10,7 +10,7 @@ from regretsynth.errors import RegretSynthError
 from regretsynth.noncausal import noncausal_response
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
-from oracles import noncausal_cost_loop
+from oracles import noncausal_cost_loop, simulate_ehat
 
 
 def qp_oracle(P, d, pad=80):
@@ -138,7 +138,7 @@ def test_phat_structure_and_identity():
     rng = np.random.default_rng(6)
     for _ in range(10):
         d = rs.Signal(0, rng.standard_normal((int(rng.integers(5, 30)), 1)))
-        lhs = phat.simulate_ehat(d).norm_sq()
+        lhs = simulate_ehat(phat, d).norm_sq()
         rhs = d.norm_sq() + rs.eval_noncausal_cost(K0, d)
         assert abs(lhs - rhs) <= 1e-8 * (1 + abs(rhs))
 
@@ -150,7 +150,7 @@ def test_phat_gamma_j_zero():
     assert np.max(np.abs(phat.C_hat)) == 0.0
     rng = np.random.default_rng(7)
     d = rs.Signal(0, rng.standard_normal((12, P.n_d)))
-    assert abs(phat.simulate_ehat(d).norm_sq() - 4.0 * d.norm_sq()) < 1e-10 * (
+    assert abs(simulate_ehat(phat, d).norm_sq() - 4.0 * d.norm_sq()) < 1e-10 * (
         1 + d.norm_sq()
     )
 

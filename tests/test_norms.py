@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import regretsynth as rs
 from regretsynth.errors import UnstableSystem
-from regretsynth.norms import _golden_max_lockstep, norm_grid, sigma_max_on_grid
+import regretsynth.norms as norms
+from regretsynth.norms import norm_grid, sigma_max_on_grid
 
-from conftest import random_stable_ss
+from conftest import random_plant_with_dscale_pole, random_stable_ss
+from oracles import hinf_norm_dense
 
 
 def test_static_norm_is_sigma_max():
@@ -104,28 +107,22 @@ def _golden_max(f, a, b, rel_tol, max_iter=80):
     return best_x, best_f
 
 
-def _hinf_norm_per_peak(g, tol=1e-6):
-    """The gridded norm refined one peak at a time, one angle per
-    evaluation: what the lock-step refinement must reproduce."""
+def _hinf_norm_gridded(g, tol=1e-6):
+    """The gridded norm that the level-set iteration replaced: sigma_max
+    on ``norm_grid`` and the 12 largest local maxima refined by golden
+    section.  A lower bound."""
     thetas = norm_grid(g)
     vals = np.array([_sigma_at(g, th) for th in thetas])
     padded = np.concatenate([[-np.inf], vals, [-np.inf]])
     peaks = [i for i in range(thetas.size)
              if vals[i] >= padded[i] and vals[i] >= padded[i + 2]]
     peaks.sort(key=lambda i: -vals[i])
-    best = (float(np.max(vals)), float(thetas[int(np.argmax(vals))]))
+    best = float(np.max(vals))
     for i in peaks[:12]:
         lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, thetas.size - 1)]
-        if hi <= lo:
-            continue
-        x, fx = _golden_max(lambda th: _sigma_at(g, th), lo, hi, tol * 1e-2)
-        if fx > best[0]:
-            best = (float(fx), float(x))
+        if hi > lo:
+            best = max(best, _golden_max(lambda th: _sigma_at(g, th), lo, hi, tol * 1e-2)[1])
     return best
-
-
-def _resonance(r, th0):
-    return r * np.array([[np.cos(th0), np.sin(th0)], [-np.sin(th0), np.cos(th0)]])
 
 
 def test_sigma_max_on_grid_matches_per_angle_svd():
@@ -136,31 +133,103 @@ def test_sigma_max_on_grid_matches_per_angle_svd():
     assert np.array_equal(rs.l2_gain_curve(g, thetas), per_angle)
 
 
-def test_lockstep_refinement_matches_per_peak_search():
-    systems = [rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)]
-    for r, th0 in ((0.9995, 0.8), (0.99999, 2.5), (0.999, 1e-3)):
-        systems.append(rs.StateSpace(_resonance(r, th0), [[1.0], [0.0]],
-                                     [[0.0, 1.0]], [[0.0]], 1.0))
-    # two resonances seen through a 2 x 2 map: several peaks refined at once
-    A = np.zeros((4, 4))
-    A[:2, :2], A[2:, 2:] = _resonance(0.9995, 0.8), _resonance(0.998, 2.0)
-    systems.append(rs.StateSpace(A, [[1.0, 0.0], [0.0, 0.3], [0.5, 1.0], [0.0, 0.0]],
-                                 [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.2, 0.0]],
-                                 np.zeros((2, 2)), 1.0))
-    systems.append(random_stable_ss(np.random.default_rng(10), 6, 2, 2, rho=0.97))
-    for g in systems:
-        assert rs.hinf_norm(g, return_theta=True) == _hinf_norm_per_peak(g)
+def _second_order(eps, th0, zero_th=None, gain=1.0):
+    """(A, B, C, D) of gain * (z - q)(z - q') / ((z - p)(z - p')), p and q
+    at radius 1 - eps and angles th0 and zero_th; without zero_th, the
+    all-pole section scaled to a peak of about ``gain`` at th0."""
+    r = 1.0 - eps
+    den = np.array([1.0, -2.0 * r * np.cos(th0), r * r])
+    if zero_th is None:
+        num = np.array([0.0, 0.0, 2.0 * eps * np.sin(th0)]) * gain
+    else:
+        num = np.array([1.0, -2.0 * r * np.cos(zero_th), r * r]) * gain
+    b = num[1:] - num[0] * den[1:]
+    return (np.array([[-den[1], -den[2]], [1.0, 0.0]]), np.array([[1.0], [0.0]]),
+            b[None, :], np.array([[num[0]]]))
 
 
-def test_lockstep_brackets_match_scalar_searches():
-    # brackets of very different widths stop at different steps
-    g = random_stable_ss(np.random.default_rng(11), 6, 2, 2, rho=0.97)
+def test_norm_catches_peak_narrower_than_a_grid_cell():
+    # twelve resonances of peak 1 and, at 2.7, a pole/zero pair one pole
+    # width apart: sigma_max there is 0.95 at the pole angle but peaks at
+    # 0.95 * golden ratio / sqrt(2) = 1.0869 within 1e-6 rad of it.  The
+    # gridded norm refines only its 12 largest grid maxima and misses it.
+    eps = 1e-6
+    blocks = [_second_order(eps, 0.2 + 0.2 * i) for i in range(12)]
+    blocks.append(_second_order(eps, 2.7, 2.7 + eps, 0.95 / np.sqrt(2.0)))
+    g = rs.StateSpace(*(scipy.linalg.block_diag(*[b[k] for b in blocks])
+                        for k in range(4)), 1.0)
+    # the peak of the pair alone; the conjugate pair moves it by ~1e-6
+    peak = 0.95 * (1.0 + np.sqrt(5.0)) / 2.0 / np.sqrt(2.0)
+    assert _hinf_norm_gridded(g) < 1.0001
+    br = rs.hinf_norm(g, return_bracket=True)
+    assert br.certified
+    assert abs(br.upper / peak - 1.0) < 1e-5
+    assert br.lower <= hinf_norm_dense(g) * (1 + 1e-12) <= br.upper
+    assert abs(br.theta - 2.7) < 1e-5
+    assert br.upper <= br.lower * (1 + 2e-9) * (1 + 1e-15)
+
+
+def test_norm_with_pole_near_minus_one_matches_dense_reference():
+    # the D-scale fit puts real poles at +-0.99999, where the bilinear map
+    # needs (A + I)^{-1}; the discrete pencil does not
+    for seed in range(4):
+        g = random_plant_with_dscale_pole(np.random.default_rng(seed))
+        assert np.min(np.abs(g.poles() + 1.0)) < 2e-5
+        ref = hinf_norm_dense(g)
+        br = rs.hinf_norm(g, return_bracket=True)
+        assert br.certified
+        assert br.upper >= ref
+        assert br.lower <= ref * (1 + 1e-12)
+        assert br.upper <= ref * (1 + 1e-8)
+
+
+def test_stall_is_resolved_by_local_search():
+    # at the level (1 + 2 tol) * 2 the pair of eigenvalues near z = 1 sits
+    # about 5e-5 from the circle, so it is a confirmed candidate, but no
+    # midpoint rises above the level: the local search shows the peak
+    # below it
+    g = rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    br = rs.hinf_norm(g, return_bracket=True)
+    assert br.status == "peaks_below" and br.certified
+    assert br.lower <= 2.0 <= br.upper <= 2.0 * (1 + 2e-9) * (1 + 1e-15)
+    # a looser tolerance puts the pair off the tolerance band: no stall
+    loose = rs.hinf_norm(g, tol=1e-3, return_bracket=True)
+    assert loose.status == "no_crossing" and loose.lower <= 2.0 <= loose.upper
+
+
+def test_iteration_limit_certifies_nothing(monkeypatch):
+    g = rs.StateSpace(*_second_order(1e-6, 2.7, 2.7 + 1e-6), 1.0)
+    assert rs.hinf_norm(g, return_bracket=True).iterations > 1
+    monkeypatch.setattr(norms, "_MAX_LEVELS", 1)
+    br = rs.hinf_norm(g, return_bracket=True)
+    assert br.status == "iteration_limit" and not br.certified
+    assert br.upper == np.inf and rs.hinf_norm(g) == np.inf
+
+
+def test_bracket_holds_on_random_systems():
     rng = np.random.default_rng(12)
-    lo = np.sort(rng.uniform(0.0, 3.0, 9))
-    hi = lo + np.logspace(-6, -0.5, 9)
-    for rel_tol in (1e-8, 1e-4):
-        xs, fxs = _golden_max_lockstep(lambda th: sigma_max_on_grid(g, th),
-                                       lo, hi, rel_tol)
-        for k in range(lo.size):
-            x, fx = _golden_max(lambda th: _sigma_at(g, th), lo[k], hi[k], rel_tol)
-            assert (xs[k], fxs[k]) == (x, fx)
+    for _ in range(20):
+        n, m, p = (int(v) for v in rng.integers(1, 7, 3))
+        g = random_stable_ss(rng, n, m, p, rho=float(rng.uniform(0.5, 0.999)))
+        ref = hinf_norm_dense(g)
+        br = rs.hinf_norm(g, return_bracket=True)
+        assert br.certified
+        assert br.lower <= ref * (1 + 1e-12) and br.upper >= ref
+        assert sigma_max_on_grid(g, [br.theta])[0] == br.lower
+        assert rs.hinf_norm(g) == br.upper
+        assert rs.hinf_norm(g, return_theta=True) == (br.upper, br.theta)
+
+
+def test_norm_of_zero_system_and_bad_tolerance():
+    g = rs.StateSpace(np.diag([0.5, -0.3]), np.zeros((2, 1)), np.ones((1, 2)),
+                      [[0.0]], 1.0)
+    br = rs.hinf_norm(g, return_bracket=True)
+    assert (br.lower, br.upper, br.status) == (0.0, 0.0, "exact")
+    # 1 - z^-16 vanishes at every angle k pi / 8 and has no pole to seed
+    # from; the Markov parameters start the iteration and it finds 2
+    h = rs.StateSpace(np.eye(16, k=-1), np.eye(16, 1), -np.eye(1, 16, 15), [[1.0]], 1.0)
+    val, theta = rs.hinf_norm(h, return_theta=True)
+    assert 2.0 <= val <= 2.0 * (1 + 3e-9)
+    assert abs(abs(np.sin(8.0 * theta)) - 1.0) < 1e-8
+    with pytest.raises(ValueError):
+        rs.hinf_norm(g, tol=0.0)

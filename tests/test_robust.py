@@ -6,7 +6,8 @@ import pytest
 import regretsynth as rs
 from regretsynth.errors import (FitToleranceExceeded, NotAFailurePoint,
                                 UnstableSystem)
-from regretsynth.robust import (_logmag_jacobian, _logmag_residual,
+import regretsynth.robust as robust
+from regretsynth.robust import (_SectionMemo, _logmag_jacobian, _logmag_residual,
                                 _scaled_sigma, dk_scaled_plant)
 
 from conftest import scalar_plant
@@ -212,6 +213,32 @@ def test_logmag_jacobian_matches_column_loop_bitwise(k):
                               dscale_residual_loop(params, ejt, target))
         assert np.array_equal(_logmag_jacobian(params, ejt, target),
                               dscale_jacobian_loop(params, ejt, target))
+        # with the section terms of the residual's point kept, and with a
+        # memo that holds another point
+        for memo_at in (params, params + 0.25):
+            memo = _SectionMemo()
+            _logmag_residual(memo_at, ejt, target, memo)
+            assert np.array_equal(_logmag_jacobian(params, ejt, target, memo),
+                                  dscale_jacobian_loop(params, ejt, target))
+
+
+def test_logmag_jacobian_reuses_the_residual_point(monkeypatch):
+    calls = []
+    section_terms = robust._section_terms
+
+    def counted(ejt, roots):
+        calls.append(roots.size)
+        return section_terms(ejt, roots)
+
+    monkeypatch.setattr(robust, "_section_terms", counted)
+    ejt = np.exp(1j * np.linspace(0.0, np.pi, 50))
+    params = np.array([0.3, 0.5, -0.2, 1.1, 0.7])
+    memo = _SectionMemo()
+    _logmag_residual(params, ejt, np.zeros(50), memo)
+    _logmag_jacobian(params.copy(), ejt, np.zeros(50), memo)
+    assert len(calls) == 2  # the residual's terms and the moved ones
+    _logmag_jacobian(params + 1.0, ejt, np.zeros(50), memo)
+    assert len(calls) == 4
 
 
 def _lm_differences_by_2point_rule() -> bool:

@@ -6,10 +6,10 @@ import pytest
 import regretsynth as rs
 from regretsynth.errors import GammaDZero
 from regretsynth.riccati import DareProblem, dare_residual, solve_dare
-from regretsynth.spectral import _to_v_coordinates, _w_realization, regret_qtilde
+from regretsynth.spectral import _to_v_coordinates, _w_realization
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
-from oracles import para_hermitian_apply
+from oracles import n_e_hat, para_hermitian_apply, regret_qtilde, simulate_ehat
 
 
 def factor_product_error(F, system, thetas):
@@ -49,8 +49,8 @@ def test_adjoint_property_mixed_phat():
     rng = np.random.default_rng(2)
     for _ in range(5):
         d = rs.Signal(0, rng.standard_normal((10, 1)))
-        e = rs.Signal(0, rng.standard_normal((8, phat.n_e_hat)))
-        lhs = rs.inner(phat.simulate_ehat(d), e)
+        e = rs.Signal(0, rng.standard_normal((8, n_e_hat(phat))))
+        lhs = rs.inner(simulate_ehat(phat, d), e)
         rhs = rs.inner(d, para_hermitian_apply(phat, e))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 

@@ -8,6 +8,7 @@ from regretsynth.errors import DimensionError, SampleTimeError
 from regretsynth.hinf import tustin_c2d, tustin_d2c
 
 from conftest import random_stable_ss
+from oracles import dcgain
 
 
 def test_dimension_checks():
@@ -55,7 +56,7 @@ def test_zoh_siso_plant_closed_form():
     # C B / |pole residue|: compare DC gain and the first Markov term
     markov1 = float(ss.C[0, 0] * ss.B[0, 0])
     assert abs(markov1 - (15.0 / 5.6) * (1 - np.exp(-0.0056))) < 1e-12
-    assert abs(ss.dcgain()[0, 0] - 15.0 / 5.6) < 1e-9
+    assert abs(dcgain(ss)[0, 0] - 15.0 / 5.6) < 1e-9
 
 
 def test_zoh_stable_stays_schur():
