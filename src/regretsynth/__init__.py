@@ -18,7 +18,7 @@ from .spectral import (SpectralFactor, spectral_factorize_general,
 from .hinf import SynthesisResult, synth_hinf, hinf_optimize
 from .regret import (RegretLevel, ParetoFront, ParetoPoint, synth_regret,
                      optimize_special, pareto_front, verify_regret)
-from .robust import (AugmentedOpenLoop, DScaling, DKOptions, UncertaintySample,
+from .robust import (AugmentedOpenLoop, DScaling, UncertaintySample,
                      build_M, dk_iteration, dk_feasibility_oracle, fit_dscale,
                      matrix_rp_test, robust_pareto_front, robust_perf_test,
                      sample_uncertainty, verify_robust_regret,

@@ -24,7 +24,7 @@ from .norms import FrequencyGrid, hinf_norm, loop_margins
 from .parallel import thread_count
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import RegretLevel, optimize_special, pareto_front, synth_regret, verify_regret
-from .robust import (DKOptions, dk_feasibility_oracle, robust_pareto_front,
+from .robust import (dk_feasibility_oracle, robust_pareto_front,
                      sample_uncertainty, verify_robust_regret)
 from .signals import simulate
 from .statespace import series
@@ -52,6 +52,15 @@ def _load_nominal(args) -> GeneralizedPlant:
         return build_example(args.example).nominal()
     plant = rio.load_plant(args.plant_file)
     return plant.nominal() if isinstance(plant, UncertainPlant) else plant
+
+
+def _level(args) -> RegretLevel:
+    """The level of --gamma-d / --gamma-j, an unset one read as 0."""
+    try:
+        return RegretLevel(args.gamma_d or 0.0,
+                           args.gamma_j if args.gamma_j is not None else 0.0)
+    except ValueError as exc:
+        raise RegretSynthError(f"bad level: {exc}") from None
 
 
 def _outdir(args) -> Path:
@@ -97,8 +106,7 @@ def cmd_synth(args) -> int:
     out = _outdir(args)
     level = None
     if args.gamma_d is not None or args.gamma_j is not None:
-        level = RegretLevel(args.gamma_d or 0.0,
-                            args.gamma_j if args.gamma_j is not None else 0.0)
+        level = _level(args)
     if args.mode == "nominal":
         P = _load_nominal(args)
         K0 = build_noncausal(P)
@@ -112,7 +120,7 @@ def cmd_synth(args) -> int:
     else:
         unc = _load_uncertain(args)
         K0 = build_noncausal(unc.nominal())
-        oracle = dk_feasibility_oracle(unc, DKOptions(), K0)
+        oracle = dk_feasibility_oracle(unc, K0=K0)
         if level is None:
             gamma, res = optimize_special(unc.nominal(), args.kind,
                                           args.tol_abs, args.tol_rel, K0=K0,
@@ -267,8 +275,7 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     out = _outdir(args)
     K = rio.load_controller(args.controller)
-    level = RegretLevel(args.gamma_d or 0.0,
-                        args.gamma_j if args.gamma_j is not None else 0.0)
+    level = _level(args)
     if args.mode == "nominal":
         P = _load_nominal(args)
         rep = verify_regret(K, P, level, n_trials=args.trials, seed=args.seed)
@@ -353,7 +360,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.fn(args)
-    except RegretSynthError as exc:
+    except (RegretSynthError, OSError) as exc:
+        # bad levels, unreadable or malformed input files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

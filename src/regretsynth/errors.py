@@ -65,18 +65,6 @@ class NoFeasibleUpperBound(RegretSynthError):
     """Doubling search never found a feasible synthesis level."""
 
 
-class DKDidNotConverge(RegretSynthError):
-    """DK-iteration stalled before certifying the robust level.
-
-    Carries the best iterate so callers can inspect or reuse it.
-    """
-
-    def __init__(self, message, best=None, achieved=None):
-        super().__init__(message)
-        self.best = best
-        self.achieved = achieved
-
-
 class FitToleranceExceeded(RegretSynthError):
     """Rational D-scale fit error above tolerance at the maximum order."""
 

@@ -34,6 +34,10 @@ from .riccati import pbh_detectable, pbh_stabilizable
 from .statespace import StateSpace
 
 _SQRT2 = np.sqrt(2.0)
+# D12/D21 regularization levels, tried in order on numerical failure
+_REG_LADDER = (1e-8, 1e-6, 1e-4)
+# doublings from level 1 before a search gives up
+DOUBLING_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ def tustin_c2d(Ac, Bc, Cc, Dc):
     return A, B, C, D
 
 
-def care_sign(H: np.ndarray, polish: int = 2):
+def care_sign(H: np.ndarray):
     """Stabilizing solution of the Riccati equation attached to a
     Hamiltonian matrix, via the matrix sign function.
 
@@ -138,7 +142,7 @@ def care_sign(H: np.ndarray, polish: int = 2):
     H21 = H[n:, :n]
     res_scale = max(1.0, float(np.max(np.abs(H21))),
                     float(np.max(np.abs(X)) * (1.0 + np.max(np.abs(H11)))))
-    for _ in range(polish + 2):
+    for _ in range(4):
         L = H11 + H12 @ X
         res = X @ H11 + H11.T @ X + X @ H12 @ X - H21
         if np.max(np.abs(res)) < 1e-12 * res_scale:
@@ -387,14 +391,13 @@ def _normalized_blocks(P: GeneralizedPlant, reg_eps: float):
     return setup[key]
 
 
-def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
-               reg_eps: float = 1e-8, norm_tol: float = 1e-9) -> SynthesisResult:
+def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
     """Controller with validated closed-loop norm < gamma, or a verdict.
 
     The feasibility verdict is bound to the a-posteriori certificate:
     a candidate that fails independent validation is reported
     infeasible at this level, never trusted.  Validation brackets the
-    closed-loop norm to the relative width ``2 norm_tol``; the level is
+    closed-loop norm at :func:`hinf_norm`'s default tolerance; the level is
     feasible when the certified upper end is below gamma.  The bracket,
     the number of levels tested and the bracket's status are recorded
     in ``metadata`` as ``norm_bracket``, ``norm_iterations`` and
@@ -418,12 +421,7 @@ def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
     # hopeless (the channels are rescaled by 1/eps); escalate only on
     # numerical failure modes, never on genuine infeasibility signals
     genuine = {"parrott", "X_indefinite", "Y_indefinite", "spectral_radius"}
-    ladder = sorted({reg_eps, 1e-6, 1e-4})
-    ladder = [e for e in ladder if e >= reg_eps]
-    out = None
-    reason = "unset"
-    meta = {}
-    for eps in ladder:
+    for eps in _REG_LADDER:
         (Ac, B1n, B2n, C1n, C2n, D11n, D22, u_map, y_map), meta = \
             _normalized_blocks(P, eps)
         out, reason = _central_controller(Ac, B1n, B2n, C1n, C2n, D11n, gamma)
@@ -444,13 +442,10 @@ def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
         return SynthesisResult(None, gamma, False, np.inf,
                                metadata={**meta, "reason": str(exc)})
     cl = lft_lower(P, Kd)
-    if not validate:
-        return SynthesisResult(Kd, gamma, True, np.nan, cl,
-                               metadata={**meta, "validated": False})
     if not cl.is_schur():
         return SynthesisResult(None, gamma, False, np.inf,
                                metadata={**meta, "reason": "closed_loop_unstable"})
-    br = hinf_norm(cl, tol=norm_tol, return_bracket=True)
+    br = hinf_norm(cl, return_bracket=True)
     feasible = br.upper < gamma
     reason = "ok" if feasible else (
         "norm_at_level" if br.certified else "norm_uncertified")
@@ -462,38 +457,48 @@ def synth_hinf(P: GeneralizedPlant, gamma: float, *, validate: bool = True,
                                      "norm_status": br.status})
 
 
-def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
-                  tol_rel: float = 1e-4, gamma_hint: float | None = None,
-                  max_doublings: int = 60, stop_below: float | None = None):
-    """Minimal achievable closed-loop norm by bisection.
+def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
+                 stop_below: float | None = None):
+    """Smallest level at which ``feasible_at`` returns a feasible result.
 
-    Returns (gamma_upper, result) where result holds the controller
-    synthesized at the feasible upper end of the final bracket.  When
-    ``stop_below`` is set, bisection ends as soon as a feasible level
-    at or under it is found (used by feasibility-only callers).
+    ``feasible_at(g)`` returns an object with a ``feasible`` flag.  The
+    search doubles g from 1 until a level is feasible, then bisects the
+    bracket [lo, hi] until ``hi - lo <= tol_abs + tol_rel hi``.  When
+    ``stop_below`` is set, it ends as soon as a feasible level at or
+    under it is found (used by feasibility-only callers).
+
+    Returns (lo, hi, best): lo is 0 or a level found infeasible, hi a
+    feasible level, and best the result at hi, so every answer is
+    certified at the bracket's upper end.
     """
-    g0 = gamma_hint if gamma_hint and gamma_hint > 0 else 1.0
-    lo, hi = 0.0, None
-    best = None
-    g = g0
-    for _ in range(max_doublings):
-        res = synth_hinf(P, g)
-        if res.feasible:
-            hi, best = g, res
+    lo, hi = 0.0, 1.0
+    for _ in range(DOUBLING_LIMIT):
+        best = feasible_at(hi)
+        if best.feasible:
             break
-        lo = g
-        g *= 2.0
-    if hi is None:
-        raise NoFeasibleUpperBound(
-            f"no feasible level found up to gamma = {g / 2:.3g}"
-        )
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NoFeasibleUpperBound(f"no feasible level found up to {lo:.3g}")
     while hi - lo > tol_abs + tol_rel * hi:
         if stop_below is not None and hi <= stop_below:
             break
         mid = 0.5 * (lo + hi)
-        res = synth_hinf(P, mid)
+        res = feasible_at(mid)
         if res.feasible:
             hi, best = mid, res
         else:
             lo = mid
+    return lo, hi, best
+
+
+def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
+                  tol_rel: float = 1e-4, stop_below: float | None = None):
+    """Minimal achievable closed-loop norm by :func:`bisect_level`.
+
+    Returns (gamma_upper, result) where result holds the controller
+    synthesized at the feasible upper end of the final bracket;
+    ``stop_below`` is passed on to the driver.
+    """
+    _, hi, best = bisect_level(lambda g: synth_hinf(P, g), tol_abs, tol_rel,
+                               stop_below)
     return hi, best

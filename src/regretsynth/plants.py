@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, WellPosednessError
-from .statespace import StateSpace, _join_sample_time
+from .statespace import StateSpace, join_sample_time
 
 _FEEDTHROUGH_TOL = 1e-10
 
@@ -209,7 +209,7 @@ def lft_lower(P: GeneralizedPlant, K: StateSpace) -> StateSpace:
         raise DimensionError(
             f"controller is {K.n_y}x{K.n_u}, plant wants {P.n_u}x{P.n_y}"
         )
-    ts = _join_sample_time(P.ss, K)
+    ts = join_sample_time(P.ss, K)
     A, B_d, B_u = P.A, P.B_d, P.B_u
     C_e, C_y = P.C_e, P.C_y
     D_eu, D_yd = P.D_eu, P.D_yd
@@ -237,7 +237,7 @@ def lft_upper(M: StateSpace, Delta: StateSpace, n_w: int, n_v: int,
         raise DimensionError(
             f"Delta is {Delta.n_y}x{Delta.n_u}, expected {n_w}x{n_v}"
         )
-    ts = _join_sample_time(M, Delta)
+    ts = join_sample_time(M, Delta)
     n_d = M.n_u - n_w
     n_e = M.n_y - n_v
     if n_d < 0 or n_e < 0:
@@ -295,7 +295,7 @@ def weight_disturbance(P: GeneralizedPlant, W: StateSpace) -> GeneralizedPlant:
     """
     if W.n_y != P.n_d:
         raise DimensionError("weight output dimension must equal n_d")
-    ts = _join_sample_time(P.ss, W)
+    ts = join_sample_time(P.ss, W)
     n, nw = P.n_x, W.n_x
     A = np.block([
         [P.A, P.B_d @ W.C],

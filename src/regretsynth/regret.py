@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoFeasibleUpperBound
-from .hinf import SynthesisResult, hinf_optimize, synth_hinf
+from .hinf import SynthesisResult, bisect_level, hinf_optimize, synth_hinf
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
+from .parallel import parallel_map
 from .plants import GeneralizedPlant, lft_lower, weight_disturbance
 from .signals import random_signal, response_energy, sinusoid_signal
 from .spectral import effective_gamma_d, spectral_factor_regret
@@ -32,6 +32,9 @@ KIND_HINF = "hinf"
 KIND_COMPETITIVE = "competitive-ratio"
 KIND_ADDITIVE = "additive-regret"
 KIND_GENERAL = "general"
+
+# sinusoidal trials of verify_regret, the rest of its trials being noise
+_N_SINUSOIDS = 64
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class RegretLevel:
     kind: str = KIND_GENERAL
 
     def __post_init__(self):
-        if self.gamma_d < 0 or self.gamma_J < 0:
-            raise ValueError("gamma levels must be nonnegative")
+        if not (0 <= self.gamma_d < np.inf and 0 <= self.gamma_J < np.inf):
+            raise ValueError("gamma levels must be finite and nonnegative")
         kind = self.kind
         if kind == KIND_HINF and self.gamma_J != 0:
             raise ValueError("hinf level requires gamma_J = 0")
@@ -125,41 +128,22 @@ def _level_for(kind: str, gamma: float) -> RegretLevel:
 
 def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
                      tol_rel: float = 1e-4, K0: NoncausalController | None = None,
-                     feasibility=None, gamma_hint: float | None = None,
-                     max_doublings: int = 60):
+                     feasibility=None):
     """Bisect the scalar gamma of a special regret kind.
 
     Returns (gamma_upper, result_at_upper).  ``feasibility`` overrides
-    the per-level oracle (used by the robust front to swap in
+    the per-level oracle (used by the robust designs to swap in
     DK-iteration).
     """
     if kind == KIND_HINF and feasibility is None:
-        return hinf_optimize(P, tol_abs, tol_rel, gamma_hint)
+        return hinf_optimize(P, tol_abs, tol_rel)
     if K0 is None:
         K0 = build_noncausal(P)
     if feasibility is None:
         def feasibility(level):
             return synth_regret(P, level, K0=K0)
-    lo = 0.0
-    hi = None
-    best = None
-    g = gamma_hint if gamma_hint and gamma_hint > 0 else 1.0
-    for _ in range(max_doublings):
-        res = feasibility(_level_for(kind, g))
-        if res.feasible:
-            hi, best = g, res
-            break
-        lo = g
-        g *= 2.0
-    if hi is None:
-        raise NoFeasibleUpperBound(f"no feasible {kind} level found up to {g / 2:.3g}")
-    while hi - lo > tol_abs + tol_rel * hi:
-        mid = 0.5 * (lo + hi)
-        res = feasibility(_level_for(kind, mid))
-        if res.feasible:
-            hi, best = mid, res
-        else:
-            lo = mid
+    _, hi, best = bisect_level(lambda g: feasibility(_level_for(kind, g)),
+                               tol_abs, tol_rel)
     return hi, best
 
 
@@ -178,7 +162,6 @@ class ParetoPoint:
 @dataclass(frozen=True)
 class ParetoFront:
     points: tuple
-    mode: str
     gamma_inf: float
     metadata: dict = field(default_factory=dict)
 
@@ -193,61 +176,38 @@ class ParetoFront:
         return rows
 
 
-def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float, tol_rel: float,
-                    hint: float | None = None, max_doublings: int = 60) -> ParetoPoint:
-    """Minimal gamma_J at fixed gamma_d by doubling + bisection."""
-    lo = 0.0
-    hi = None
-    best = None
-    g = hint if hint and hint > 0 else 1.0
-    for _ in range(max_doublings):
-        res = feasibility(RegretLevel(gamma_d, g))
-        if res.feasible:
-            hi, best = g, res
-            break
-        lo = g
-        g *= 2.0
-    if hi is None:
-        raise NoFeasibleUpperBound(
-            f"no feasible gamma_J found at gamma_d = {gamma_d:.4g}"
-        )
-    while hi - lo > tol_abs + tol_rel * hi:
-        mid = 0.5 * (lo + hi)
-        res = feasibility(RegretLevel(gamma_d, mid))
-        if res.feasible:
-            hi, best = mid, res
-        else:
-            lo = mid
-    return ParetoPoint(gamma_d, lo, hi, best)
+def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float,
+                    tol_rel: float) -> ParetoPoint:
+    """Minimal gamma_J at fixed gamma_d by :func:`bisect_level`."""
+    return ParetoPoint(gamma_d, *bisect_level(
+        lambda g: feasibility(RegretLevel(gamma_d, g)), tol_abs, tol_rel))
 
 
 def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
                  tol_rel: float = 1e-4, grid_span=(0.001, 0.999),
-                 K0: NoncausalController | None = None, feasibility=None,
-                 mode: str = "nominal", gamma_inf: float | None = None,
-                 parallel: bool = True) -> ParetoFront:
+                 K0: NoncausalController | None = None,
+                 gamma_inf: float | None = None, oracle_factory=None) -> ParetoFront:
     """Trade-off front: minimal gamma_J over a grid of gamma_d values.
 
-    The grid spans ``grid_span`` times the H-infinity optimum.  Points
-    are independent; they run under the parallel-map contract.
+    The grid spans ``grid_span`` times the H-infinity optimum.  Each
+    point bisects with its own oracle from ``oracle_factory()`` (nominal
+    synthesis by default), so points are independent; they run under
+    the parallel-map contract.
     """
-    from .parallel import parallel_map
-
     if K0 is None:
         K0 = build_noncausal(P)
     if gamma_inf is None:
         gamma_inf, _ = hinf_optimize(P, tol_abs, tol_rel)
-    if feasibility is None:
-        def feasibility(level):
-            return synth_regret(P, level, K0=K0)
+    if oracle_factory is None:
+        def oracle_factory():
+            return lambda level: synth_regret(P, level, K0=K0)
     grid = np.linspace(grid_span[0], grid_span[1], n_points) * gamma_inf
 
     def solve_point(gd):
-        return _bisect_gamma_j(feasibility, float(gd), tol_abs, tol_rel)
+        return _bisect_gamma_j(oracle_factory(), float(gd), tol_abs, tol_rel)
 
-    points = parallel_map(solve_point, list(grid)) if parallel else \
-        [solve_point(g) for g in grid]
-    return ParetoFront(tuple(points), mode, gamma_inf,
+    points = parallel_map(solve_point, list(grid))
+    return ParetoFront(tuple(points), gamma_inf,
                        metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
                                  "grid_span": grid_span})
 
@@ -262,8 +222,7 @@ class RegretVerification:
 
 def verify_regret(K: StateSpace, P: GeneralizedPlant, level: RegretLevel,
                   n_trials: int = 200, seed: int = 0,
-                  K0: NoncausalController | None = None,
-                  n_sinusoids: int = 64) -> RegretVerification:
+                  K0: NoncausalController | None = None) -> RegretVerification:
     """Empirical check of the regret bound over sampled disturbances.
 
     Mixes white noise, low-pass noise, and windowed sinusoids near the
@@ -281,12 +240,12 @@ def verify_regret(K: StateSpace, P: GeneralizedPlant, level: RegretLevel,
     worst = -np.inf
     worst_kind = ""
     trials = []
-    n_noise = max(n_trials - n_sinusoids, 0)
+    n_noise = max(n_trials - _N_SINUSOIDS, 0)
     for k in range(n_noise):
         kind = "white" if k % 2 == 0 else "lowpass"
         trials.append((kind, random_signal(rng, P.n_d, int(rng.integers(8, 60)),
                                            kind=kind)))
-    for k in range(min(n_sinusoids, n_trials)):
+    for k in range(min(_N_SINUSOIDS, n_trials)):
         theta = theta_peak * (0.8 + 0.4 * rng.random())
         direction = rng.standard_normal(P.n_d)
         trials.append(("sinusoid",

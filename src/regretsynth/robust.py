@@ -20,7 +20,6 @@ import numpy as np
 import scipy.optimize
 
 from .errors import (
-    DKDidNotConverge,
     WellPosednessError,
     FitToleranceExceeded,
     NotAFailurePoint,
@@ -29,10 +28,9 @@ from .errors import (
 from .hinf import SynthesisResult, hinf_optimize, synth_hinf
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import FrequencyGrid, hinf_norm
-from .parallel import parallel_map
 from .plants import (GeneralizedPlant, UncertainPlant, lft_lower,
                      lft_upper, matrix_lft_upper, weight_disturbance)
-from .regret import ParetoFront, RegretLevel, _bisect_gamma_j
+from .regret import ParetoFront, RegretLevel, pareto_front
 from .signals import Signal, response_energy
 from .spectral import SpectralFactor, effective_gamma_d, spectral_factor_regret
 from .statespace import StateSpace, append, invert, series, static_gain
@@ -42,6 +40,22 @@ _PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _FD_STEP = np.sqrt(np.finfo(float).eps)
 # bound on the D-scale zeros/poles: keeps D and D^{-1} safely stable
 _RHO_MAX = 1.0 - 1e-5
+# robust_perf_test: base grid (immutable), and refinement around its
+# worst angles
+_RP_GRID = FrequencyGrid.default(256)
+_RP_REFINE_FACTOR = 4
+_RP_N_REFINE = 5
+# highest order of the fitted D-scale
+_D_MAX_ORDER = 4
+# DK-iteration: iteration cap, K-step bisection tolerances, and the stall
+# rule (no peak drop of _DK_STALL_TOL over _DK_STALL_ITERS iterations)
+_DK_MAX_ITER = 12
+_DK_TOL_ABS = 1e-3
+_DK_TOL_REL = 1e-3
+_DK_STALL_TOL = 1e-3
+_DK_STALL_ITERS = 3
+# sample_uncertainty shrinks each sample by a factor uniform on this range
+_DELTA_SCALE_RANGE = (0.2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -161,13 +175,11 @@ class RobustPerfReport:
         return [(th, d) for th, d, _ in self.pointwise]
 
 
-def robust_perf_test(M: AugmentedOpenLoop, grid: FrequencyGrid | None = None,
-                     refine_factor: int = 4, n_refine: int = 5) -> RobustPerfReport:
+def robust_perf_test(M: AugmentedOpenLoop) -> RobustPerfReport:
     """Frequency-wise scaled test plus the small-gain prerequisite."""
     if not M.M.is_schur():
         raise UnstableSystem("robust performance test requires stable M")
-    if grid is None:
-        grid = FrequencyGrid.default(256)
+    grid = _RP_GRID
     m11 = M.m11()
     m11_norm = hinf_norm(m11) if M.n_w and M.n_v else 0.0
 
@@ -177,8 +189,8 @@ def robust_perf_test(M: AugmentedOpenLoop, grid: FrequencyGrid | None = None,
                 for th, d, v in zip(thetas, d_opt, val)]
 
     pts = run(grid.thetas)
-    worst = sorted(pts, key=lambda t: -t[2])[:n_refine]
-    fine = grid.refined_near([t[0] for t in worst], refine_factor)
+    worst = sorted(pts, key=lambda t: -t[2])[:_RP_N_REFINE]
+    fine = grid.refined_near([t[0] for t in worst], _RP_REFINE_FACTOR)
     extra_thetas = np.setdiff1d(fine.thetas, grid.thetas)
     pts += run(extra_thetas)
     pts.sort(key=lambda t: t[0])
@@ -291,8 +303,7 @@ def _logmag_jacobian(params, ejt, target, memo=None):
     return ((res[1:] - res[0]) / dx[:, None]).T
 
 
-def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
-               max_order: int = 4, sample_time=1.0, seed: int = 0,
+def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
                raise_on_fail: bool = True) -> DScaling:
     """Fit a stable minimum-phase SISO system to pointwise magnitudes.
 
@@ -310,7 +321,7 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
     pts = [(float(t), float(d)) for t, d in pointwise]
     thetas = np.array([t for t, _ in pts])
     target = np.log10(np.array([max(d, 1e-12) for _, d in pts]))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ejt = np.exp(1j * thetas)
 
     # order 0: best constant
@@ -319,8 +330,7 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
     sys0 = _first_order_cascade(g0, empty, empty, sample_time)
     best = DScaling(tuple(pts), sys0, 0,
                     float(np.max(np.abs(_logmag(g0, np.zeros((0, ejt.size))) - target))))
-    orders = [order] if order is not None else list(range(1, max_order + 1))
-    if best.fit_error <= fit_tol and order in (None, 0):
+    if best.fit_error <= fit_tol:
         return best
     th_pos = thetas[thetas > 0]
     th_lo = max(float(np.min(th_pos)) if th_pos.size else 1e-4, 1e-6)
@@ -334,9 +344,7 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
         ps = x * (1.0 + 0.2 * jitter[k:])
         return np.concatenate([[g0], zs, ps])
 
-    for k in orders:
-        if k == 0:
-            continue
+    for k in range(1, _D_MAX_ORDER + 1):
         starts = [corner_starts(k, np.zeros(2 * k))]
         for _ in range(2):
             starts.append(corner_starts(k, rng.standard_normal(2 * k)))
@@ -359,7 +367,7 @@ def fit_dscale(pointwise, order: int | None = None, fit_tol: float = 0.1,
     if best.fit_error > fit_tol and raise_on_fail:
         raise FitToleranceExceeded(
             f"D-scale fit error {best.fit_error:.3g} above {fit_tol} at "
-            f"order {max_order}; supply a higher order"
+            f"order {_D_MAX_ORDER}"
         )
     return best
 
@@ -392,33 +400,18 @@ def dk_scaled_plant(P: UncertainPlant, F: SpectralFactor,
                             n_e=n_v + n_e, n_y=n_y)
 
 
-@dataclass
-class DKOptions:
-    max_iter: int = 12
-    tol_abs: float = 1e-3
-    tol_rel: float = 1e-3
-    fit_tol: float = 0.1
-    max_d_order: int = 4
-    stall_tol: float = 1e-3
-    stall_iters: int = 3
-    grid: FrequencyGrid | None = None
-
-
 def dk_iteration(P: UncertainPlant, level: RegretLevel,
-                 opts: DKOptions | None = None,
                  K0: NoncausalController | None = None,
-                 raise_on_fail: bool = False,
                  initial_D: DScaling | None = None) -> SynthesisResult:
     """Alternate H-infinity synthesis (K-step) and D-scale fitting.
 
     Terminates successfully when the frequency-wise scaled test passes;
     success certifies the robust level (sufficient only).  Stalls or
-    the iteration cap end with an infeasible result, or
-    :class:`DKDidNotConverge` when ``raise_on_fail`` is set.  A
-    ``initial_D`` from a nearby level warm-starts the alternation (any
-    stable minimum-phase D keeps the certificate sound).
+    the iteration cap end with an infeasible result whose reason is
+    ``dk_did_not_converge``.  An ``initial_D`` from a nearby level
+    warm-starts the alternation (any stable minimum-phase D keeps the
+    certificate sound).
     """
-    opts = opts or DKOptions()
     if K0 is None:
         K0 = build_noncausal(P.nominal())
     gd_eff = effective_gamma_d(level.gamma_d, level.gamma_J)
@@ -437,15 +430,15 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     best = None
     best_val = np.inf
     trace = []
-    for it in range(opts.max_iter):
+    for it in range(_DK_MAX_ITER):
         if it == 0 and D is None:
             K = nom_res.controller
             gamma_val = nom_res.achieved_norm
         else:
             P_syn = dk_scaled_plant(P, F, D)
             try:
-                gamma_val, res = hinf_optimize(P_syn, opts.tol_abs, opts.tol_rel,
-                                               gamma_hint=1.0, stop_below=1.0)
+                gamma_val, res = hinf_optimize(P_syn, _DK_TOL_ABS, _DK_TOL_REL,
+                                               stop_below=1.0)
             except Exception as exc:
                 trace.append({"iter": it, "error": str(exc)})
                 break
@@ -455,13 +448,13 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
             trace.append({"iter": it, "hinf_value": gamma_val,
                           "note": "M unstable"})
             break
-        rp = robust_perf_test(M, opts.grid)
+        rp = robust_perf_test(M)
         peak = 1.0 - rp.margin
         trace.append({"iter": it, "hinf_value": gamma_val,
                       "scaled_peak": peak,
                       "d_order": D.order if D else 0})
         if peak < best_val:
-            best_val, best = peak, (K, rp, M)
+            best_val, best = peak, K
         if rp.passed:
             meta = {"level": (level.gamma_d, level.gamma_J),
                     "kind": level.kind, "iterations": it + 1,
@@ -471,37 +464,30 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
                 meta["gamma_d_regularized"] = gd_eff
             return SynthesisResult(K, 1.0, True, peak,
                                    lft_lower(P.nominal(), K), meta)
-        if len(trace) > opts.stall_iters:
-            recent = [t.get("scaled_peak", np.inf) for t in trace[-opts.stall_iters - 1 :]]
-            if min(recent[:-1]) - recent[-1] < opts.stall_tol and \
+        if len(trace) > _DK_STALL_ITERS:
+            recent = [t.get("scaled_peak", np.inf)
+                      for t in trace[-_DK_STALL_ITERS - 1 :]]
+            if min(recent[:-1]) - recent[-1] < _DK_STALL_TOL and \
                     all(np.isfinite(recent)):
                 break
         # best-effort fit: an imperfect D still reshapes the K-step
-        D = fit_dscale(rp.pointwise_scalings(), fit_tol=opts.fit_tol,
-                       max_order=opts.max_d_order,
-                       sample_time=P.sample_time, raise_on_fail=False)
-    if raise_on_fail:
-        raise DKDidNotConverge(
-            f"DK-iteration stopped at scaled peak {best_val:.4f}",
-            best=best[0] if best else None, achieved=best_val,
-        )
+        D = fit_dscale(rp.pointwise_scalings(), sample_time=P.sample_time,
+                       raise_on_fail=False)
     meta = {"level": (level.gamma_d, level.gamma_J), "kind": level.kind,
             "reason": "dk_did_not_converge", "dk_trace": trace,
             "scaled_peak": best_val}
-    return SynthesisResult(best[0] if best else None, 1.0, False, best_val,
-                           None, meta)
+    return SynthesisResult(best, 1.0, False, best_val, None, meta)
 
 
-def dk_feasibility_oracle(P: UncertainPlant, opts: DKOptions | None = None,
+def dk_feasibility_oracle(P: UncertainPlant,
                           K0: NoncausalController | None = None):
     """Feasibility closure for bisections, warm-starting D across levels."""
-    opts = opts or DKOptions()
     if K0 is None:
         K0 = build_noncausal(P.nominal())
     state = {"D": None}
 
     def feasibility(level: RegretLevel) -> SynthesisResult:
-        res = dk_iteration(P, level, opts, K0=K0, initial_D=state["D"])
+        res = dk_iteration(P, level, K0=K0, initial_D=state["D"])
         if res.feasible:
             state["D"] = res.metadata.get("final_D")
         return res
@@ -511,27 +497,18 @@ def dk_feasibility_oracle(P: UncertainPlant, opts: DKOptions | None = None,
 
 def robust_pareto_front(P: UncertainPlant, n_points: int = 20,
                         tol_abs: float = 1e-2, tol_rel: float = 1e-3,
-                        grid_span=(0.001, 0.999), opts: DKOptions | None = None,
+                        grid_span=(0.001, 0.999),
                         gamma_inf: float | None = None) -> ParetoFront:
     """Pareto front with DK-iteration as the feasibility oracle.
 
     Each grid point gets its own warm-started oracle, so points stay
     independent (parallel-map contract).
     """
-    opts = opts or DKOptions()
-    K0 = build_noncausal(P.nominal())
-    if gamma_inf is None:
-        gamma_inf, _ = hinf_optimize(P.nominal(), tol_abs, tol_rel)
-    grid = np.linspace(grid_span[0], grid_span[1], n_points) * gamma_inf
-
-    def solve_point(gd):
-        oracle = dk_feasibility_oracle(P, opts, K0)
-        return _bisect_gamma_j(oracle, float(gd), tol_abs, tol_rel)
-
-    points = parallel_map(solve_point, list(grid))
-    return ParetoFront(tuple(points), "robust", gamma_inf,
-                       metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
-                                 "grid_span": grid_span})
+    nominal = P.nominal()
+    K0 = build_noncausal(nominal)
+    return pareto_front(nominal, n_points, tol_abs, tol_rel, grid_span,
+                        K0=K0, gamma_inf=gamma_inf,
+                        oracle_factory=lambda: dk_feasibility_oracle(P, K0=K0))
 
 
 @dataclass(frozen=True)
@@ -544,7 +521,7 @@ class UncertaintySample:
 
 
 def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
-                       sample_time=1.0, scale_range=(0.2, 1.0)) -> UncertaintySample:
+                       sample_time=1.0) -> UncertaintySample:
     """Random stable Delta (n_w x n_v) with ||Delta||_inf <= 1.
 
     Poles are uniform in radius on [0, 0.95] with random angles (complex
@@ -557,7 +534,7 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
     if order == 0:
         D = rng.standard_normal((n_w, n_v))
         sv = np.linalg.svd(D, compute_uv=False)[0] if D.size else 1.0
-        D = D / max(sv, 1e-12) * rng.uniform(*scale_range)
+        D = D / max(sv, 1e-12) * rng.uniform(*_DELTA_SCALE_RANGE)
         return UncertaintySample(static_gain(D, sample_time), seed,
                                  float(np.linalg.svd(D, compute_uv=False)[0]))
     blocks = []
@@ -581,7 +558,7 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
     D = 0.1 * rng.standard_normal((n_w, n_v))
     raw = StateSpace(A, B, C, D, sample_time)
     nrm = hinf_norm(raw)
-    factor = rng.uniform(*scale_range) / max(nrm, 1e-12)
+    factor = rng.uniform(*_DELTA_SCALE_RANGE) / max(nrm, 1e-12)
     Delta = StateSpace(A, B, factor * C, factor * D, sample_time)
     return UncertaintySample(Delta, seed, float(factor * nrm))
 

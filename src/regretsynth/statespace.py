@@ -232,7 +232,7 @@ def static_gain(D, sample_time=UNIT) -> StateSpace:
     )
 
 
-def _join_sample_time(a: StateSpace, b: StateSpace):
+def join_sample_time(a: StateSpace, b: StateSpace):
     if a.sample_time == b.sample_time:
         return a.sample_time
     raise SampleTimeError(
@@ -244,7 +244,7 @@ def series(g1: StateSpace, g2: StateSpace) -> StateSpace:
     """Cascade: output of g1 feeds g2, i.e. the map g2(g1(u))."""
     if g1.n_y != g2.n_u:
         raise DimensionError(f"series: g1 has {g1.n_y} outputs, g2 takes {g2.n_u}")
-    ts = _join_sample_time(g1, g2)
+    ts = join_sample_time(g1, g2)
     n1, n2 = g1.n_x, g2.n_x
     A = np.block(
         [
@@ -261,7 +261,7 @@ def series(g1: StateSpace, g2: StateSpace) -> StateSpace:
 def parallel(g1: StateSpace, g2: StateSpace) -> StateSpace:
     if g1.n_u != g2.n_u or g1.n_y != g2.n_y:
         raise DimensionError("parallel: dimension mismatch")
-    ts = _join_sample_time(g1, g2)
+    ts = join_sample_time(g1, g2)
     A = scipy.linalg.block_diag(g1.A, g2.A)
     B = np.vstack([g1.B, g2.B])
     C = np.hstack([g1.C, g2.C])
@@ -270,7 +270,7 @@ def parallel(g1: StateSpace, g2: StateSpace) -> StateSpace:
 
 def append(g1: StateSpace, g2: StateSpace) -> StateSpace:
     """Block-diagonal stacking diag(g1, g2) of inputs and outputs."""
-    ts = _join_sample_time(g1, g2)
+    ts = join_sample_time(g1, g2)
     A = scipy.linalg.block_diag(g1.A, g2.A)
     B = scipy.linalg.block_diag(g1.B, g2.B)
     C = scipy.linalg.block_diag(g1.C, g2.C)

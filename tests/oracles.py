@@ -453,3 +453,37 @@ def dcgain(sys) -> np.ndarray:
 def gamma_d_grid(front) -> np.ndarray:
     """The gamma_d of each point of a Pareto front."""
     return np.array([p.gamma_d for p in front.points])
+
+
+def bisect_loop(feasible_at, tol_abs: float, tol_rel: float,
+                stop_below: float | None = None, max_doublings: int = 60):
+    """Reference doubling-and-bisection loop for ``hinf.bisect_level``.
+
+    The loop as ``hinf_optimize``, ``optimize_special`` and each Pareto
+    point ran it in their own copies: double from 1 until feasible, then
+    bisect, ending early at a feasible level at or under ``stop_below``.
+    Returns (lo, hi, best).
+    """
+    lo, hi = 0.0, None
+    best = None
+    g = 1.0
+    for _ in range(max_doublings):
+        res = feasible_at(g)
+        if res.feasible:
+            hi, best = g, res
+            break
+        lo = g
+        g *= 2.0
+    if hi is None:
+        raise rs.errors.NoFeasibleUpperBound(
+            f"no feasible level found up to {g / 2:.3g}")
+    while hi - lo > tol_abs + tol_rel * hi:
+        if stop_below is not None and hi <= stop_below:
+            break
+        mid = 0.5 * (lo + hi)
+        res = feasible_at(mid)
+        if res.feasible:
+            hi, best = mid, res
+        else:
+            lo = mid
+    return lo, hi, best

@@ -37,6 +37,31 @@ def test_missing_input_exit_code(tmp_path):
     assert run(["synth", "--out", tmp_path / "x"]) == 4
 
 
+@pytest.mark.parametrize("gamma_d", ["-1", "nan", "inf"])
+def test_bad_level_exit_code(tmp_path, capsys, gamma_d):
+    code = run(["synth", "--example", "siso", f"--gamma-d={gamma_d}",
+                "--gamma-j", "1", "--out", tmp_path / "x"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: bad level") and "\n" not in err
+
+
+def test_unreadable_input_file_exit_code(tmp_path, capsys):
+    code = run(["verify", "--example", "siso", "--controller",
+                tmp_path / "missing.sys", "--gamma-d", "1", "--gamma-j", "1",
+                "--out", tmp_path / "v"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["synth", "--plant-file", tmp_path / "missing.sys",
+                "--out", tmp_path / "s"]) == 4
+
+
+def test_level_rejects_non_finite_values():
+    for gd, gj in ((float("nan"), 1.0), (1.0, float("inf")), (-1.0, 1.0)):
+        with pytest.raises(ValueError):
+            rs.RegretLevel(gd, gj)
+
+
 def test_pareto_csv_and_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     base = ["pareto", "--example", "boeing747", "--points", "3",

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+package module imports another's private (``_``-prefixed) names.
 
 Read from the source with the standard library's ``ast``: a name bound
 by an import counts as used when it appears as a name anywhere else in
@@ -30,6 +31,18 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names imported from sibling package modules (relative
+    imports); dunder names such as ``__version__`` are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("_")
+                      and not alias.name.endswith("__")]
+    return sorted(found)
+
+
 def test_detector_finds_unused_names():
     source = ("from __future__ import annotations\n"
               "import numpy as np\nimport scipy.linalg\nimport os\n"
@@ -47,3 +60,15 @@ def test_package_modules_use_every_import():
             if (path.stem, name) not in KEPT:
                 found.append(f"{path.stem}: {name}")
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_detector_finds_private_names():
+    source = ("from .a import b, _c\nfrom . import __version__, _d\n"
+              "from numpy import _e\nimport _f\n")
+    assert private_imports(source) == ["_c", "_d"]
+
+
+def test_package_modules_import_no_private_names():
+    found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in private_imports(path.read_text())]
+    assert not found, "private names imported across modules: " + ", ".join(found)
