@@ -19,6 +19,7 @@ from . import io as rio
 from .errors import RegretSynthError
 from .examples import (EXAMPLE_NAMES, build_example, example_components,
                        quartercar_response_plant, road_pulse)
+from .hinf import check_tolerances
 from .noncausal import build_noncausal
 from .norms import FrequencyGrid, hinf_norm, loop_margins
 from .parallel import thread_count
@@ -61,6 +62,14 @@ def _level(args) -> RegretLevel:
                            args.gamma_j if args.gamma_j is not None else 0.0)
     except ValueError as exc:
         raise RegretSynthError(f"bad level: {exc}") from None
+
+
+def _check_tolerances(args) -> None:
+    """--tol-abs / --tol-rel as the bisection driver accepts them."""
+    try:
+        check_tolerances(args.tol_abs, args.tol_rel)
+    except ValueError as exc:
+        raise RegretSynthError(f"bad tolerances: {exc}") from None
 
 
 def _outdir(args) -> Path:
@@ -359,6 +368,7 @@ def main(argv=None) -> int:
         print("one of --example or --plant-file is required", file=sys.stderr)
         return EXIT_INPUT
     try:
+        _check_tolerances(args)
         return args.fn(args)
     except (RegretSynthError, OSError) as exc:
         # bad levels, unreadable or malformed input files

@@ -5,7 +5,10 @@ The discrete problem is mapped through the bilinear transform
 solved with the two-Riccati central controller (general feedthrough
 case), and mapped back.  The transform is an exact isomorphism of the
 feasibility problems: the unit circle maps onto the imaginary axis, so
-closed-loop norms and internal stability are preserved.
+closed-loop norms and internal stability are preserved.  Before the map,
+the plant's states are scaled by :func:`statespace.balance_states`, the
+same power-of-two balancing that :func:`norms.hinf_norm` applies to its
+pencil.
 
 Nothing downstream trusts the synthesis internals: every returned
 controller carries an a-posteriori certificate, the closed-loop spectral
@@ -31,7 +34,7 @@ from .errors import (
 from .norms import hinf_norm
 from .plants import GeneralizedPlant, lft_lower
 from .riccati import pbh_detectable, pbh_stabilizable
-from .statespace import StateSpace
+from .statespace import StateSpace, balance_states
 
 _SQRT2 = np.sqrt(2.0)
 # D12/D21 regularization levels, tried in order on numerical failure
@@ -159,42 +162,6 @@ def care_sign(H: np.ndarray):
     if np.max(np.linalg.eigvals(L).real) >= 0.0:
         return None
     return X
-
-
-def _system_balance(A, B, C, sweeps: int = 8):
-    """Diagonal state scaling equalizing row/column norms of [A B; C 0].
-
-    Unlike balancing A alone, including B and C in the objective keeps
-    the input/output maps sane.  Scale factors are powers of two, so
-    the transform is exact in floating point.
-    """
-    n = A.shape[0]
-    if n == 0:
-        return A, B, C
-    A = A.copy()
-    B = B.copy()
-    C = C.copy()
-    total = np.zeros(n)
-    for _ in range(sweeps):
-        changed = False
-        for i in range(n):
-            r = np.sum(np.abs(A[i, :])) - abs(A[i, i]) + np.sum(np.abs(B[i, :]))
-            c = np.sum(np.abs(A[:, i])) - abs(A[i, i]) + np.sum(np.abs(C[:, i]))
-            if not (r > 0 and c > 0 and np.isfinite(r) and np.isfinite(c)):
-                continue
-            expo = np.clip(np.round(0.5 * np.log2(r / c)), -16.0, 16.0)
-            expo = np.clip(expo, -20.0 - total[i], 20.0 - total[i])
-            f = 2.0 ** expo
-            if f != 1.0:
-                A[i, :] /= f
-                B[i, :] /= f
-                A[:, i] *= f
-                C[:, i] *= f
-                total[i] += expo
-                changed = True
-        if not changed:
-            break
-    return A, B, C
 
 
 def _svd_normalize_d12(C1, D11, D12, B2):
@@ -335,7 +302,7 @@ def _regularized_blocks(P: GeneralizedPlant, reg_eps: float):
     """
     # state balancing (similarity only, channels untouched) tames badly
     # scaled realizations coming out of the spectral-factor chain
-    A0_, B0_, C0_ = _system_balance(P.ss.A, P.ss.B, P.ss.C)
+    A0_, B0_, C0_ = balance_states(P.ss.A, P.ss.B, P.ss.C)
     Ac, Bc, Cc, Dc = tustin_d2c(A0_, B0_, C0_, P.ss.D)
     n_d, n_u, n_e, n_y = P.n_d, P.n_u, P.n_e, P.n_y
     B1, B2 = Bc[:, :n_d], Bc[:, n_d:]
@@ -457,6 +424,16 @@ def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
                                      "norm_status": br.status})
 
 
+def check_tolerances(tol_abs: float, tol_rel: float) -> None:
+    """Raise ValueError unless the bisection stopping rule
+    ``hi - lo <= tol_abs + tol_rel hi`` can be met in floating point:
+    both tolerances finite and non-negative, and at least one positive."""
+    if not (np.isfinite(tol_abs) and np.isfinite(tol_rel)
+            and tol_abs >= 0 and tol_rel >= 0 and (tol_abs > 0 or tol_rel > 0)):
+        raise ValueError(f"tolerances must be finite, non-negative and not "
+                         f"both zero (tol_abs={tol_abs}, tol_rel={tol_rel})")
+
+
 def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
                  stop_below: float | None = None):
     """Smallest level at which ``feasible_at`` returns a feasible result.
@@ -469,8 +446,10 @@ def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
 
     Returns (lo, hi, best): lo is 0 or a level found infeasible, hi a
     feasible level, and best the result at hi, so every answer is
-    certified at the bracket's upper end.
+    certified at the bracket's upper end.  Tolerances that
+    :func:`check_tolerances` rejects raise ValueError.
     """
+    check_tolerances(tol_abs, tol_rel)
     lo, hi = 0.0, 1.0
     for _ in range(DOUBLING_LIMIT):
         best = feasible_at(hi)

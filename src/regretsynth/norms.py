@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, UnstableSystem
-from .statespace import UNIT, StateSpace
+from .statespace import UNIT, StateSpace, balance_states
 
 # a pencil eigenvalue this close to the unit circle is a candidate crossing
 _CIRCLE_TOL = 1e-4
@@ -138,27 +138,6 @@ class NormBracket:
     @property
     def certified(self) -> bool:
         return self.status != "iteration_limit"
-
-
-def _balanced(A, B, C, sweeps: int = 8):
-    """Diagonal state scaling by powers of two (exact) that equalizes the
-    off-diagonal row and column sums of [A B; C 0], all states at once."""
-    n = A.shape[0]
-    for _ in range(sweeps):
-        off = np.abs(A)
-        off[np.diag_indices(n)] = 0.0
-        rows = off.sum(axis=1) + np.abs(B).sum(axis=1)
-        cols = off.sum(axis=0) + np.abs(C).sum(axis=0)
-        ok = (rows > 0) & (cols > 0)
-        expo = np.zeros(n)
-        expo[ok] = np.clip(np.round(0.5 * np.log2(rows[ok] / cols[ok])), -16, 16)
-        if not expo.any():
-            break
-        f = 2.0 ** expo
-        A = A / f[:, None] * f
-        B = B / f[:, None]
-        C = C * f
-    return A, B, C
 
 
 def _circle_eigenvalues(A, B, C, D, level: float):
@@ -264,7 +243,7 @@ def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
     lower = max(float(vals[k]), _markov_bound(sys))
     if lower == 0.0:
         return NormBracket(0.0, 0.0, 0.0, 0, "exact")
-    A, B, C = _balanced(sys.A, sys.B, sys.C)
+    A, B, C = balance_states(sys.A, sys.B, sys.C)
     for it in range(1, _MAX_LEVELS + 1):
         level = (1.0 + 2.0 * tol) * lower
         thetas, dists = _circle_eigenvalues(A, B, C, sys.D, level)

@@ -8,8 +8,10 @@ with R > 0.  The solver is the structured doubling algorithm (SDA) on
 the symplectic form, preceded by the standard S-elimination
 (A <- A - B R^{-1} S', Q <- Q - S R^{-1} S') and followed by one Newton
 (policy-iteration) polish step.  A zero-cost problem (Q = 0, S = 0)
-goes through a stable/anti-stable dichotomy instead, and scipy's QZ
-solver is the fallback when neither is accepted.
+first goes through the stable/anti-stable dichotomy of an ordered real
+Schur form of A, since SDA converges there to the non-stabilizing zero
+solution.  A problem that neither route solves raises
+:class:`NoStabilizingSolution`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ from .errors import AssumptionViolated, DimensionError, NoStabilizingSolution
 from .statespace import TOL_STAB, stein
 
 _SYM_TOL = 1e-12
+# SDA stopping rule: relative change of the iterate, and iteration cap
+_SDA_TOL = 1e-13
+_SDA_MAX_ITER = 200
+# angles of the unit-circle rank condition, and the margin that the
+# stabilizability, nonsingularity and rank conditions must exceed
+_RANK_GRID = 128
+_ASSUMPTION_TOL = 1e-8
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -141,13 +150,13 @@ def pbh_detectable(A: np.ndarray, C: np.ndarray, tol_stab: float = TOL_STAB) -> 
     return pbh_stabilizable(A.T, C.T, tol_stab)
 
 
-def check_dare_assumptions(p: DareProblem, n_theta: int = 128,
-                           tol: float = 1e-8) -> DareAssumptionReport:
+def check_dare_assumptions(p: DareProblem) -> DareAssumptionReport:
     """Check the four sufficient conditions for a stabilizing solution.
 
     (i) R > 0, (ii) (A, B) stabilizable, (iii) A - B R^{-1} S'
     nonsingular, (iv) [A - e^{j theta} I, B; C_e, D_eu] full column
-    rank on a frequency grid.
+    rank on a frequency grid of ``_RANK_GRID`` angles.  A condition
+    passes with a margin above ``_ASSUMPTION_TOL``.
     """
     conds = []
     # (i) positive definiteness via Cholesky with eigenvalue margin
@@ -160,18 +169,18 @@ def check_dare_assumptions(p: DareProblem, n_theta: int = 128,
         conds.append(ConditionResult("R_positive_definite", False, r_margin))
     # (ii)
     stab_margin = pbh_stabilizable(p.A, p.B)
-    conds.append(ConditionResult("stabilizable", stab_margin > tol, stab_margin))
+    conds.append(ConditionResult("stabilizable", stab_margin > _ASSUMPTION_TOL, stab_margin))
     # (iii)
     if conds[0].passed:
         shifted = p.A - p.B @ np.linalg.solve(p.R, p.S.T)
         m3 = min_sv(shifted) / max(1.0, float(np.max(np.abs(p.A))))
-        conds.append(ConditionResult("A_minus_BRinvS_nonsingular", m3 > tol, m3))
+        conds.append(ConditionResult("A_minus_BRinvS_nonsingular", m3 > _ASSUMPTION_TOL, m3))
     else:
         conds.append(ConditionResult("A_minus_BRinvS_nonsingular", False, 0.0,
                                      "skipped: R not positive definite"))
     # (iv) pencil full column rank on the unit circle
     C_e, D_eu = p.output_pair()
-    thetas = np.linspace(0.0, np.pi, n_theta)
+    thetas = np.linspace(0.0, np.pi, _RANK_GRID)
     scale = max(1.0, float(np.max(np.abs(p.A))), float(np.max(np.abs(C_e))) if C_e.size else 1.0)
     worst = np.inf
     eye = np.eye(p.n)
@@ -181,7 +190,7 @@ def check_dare_assumptions(p: DareProblem, n_theta: int = 128,
             [C_e.astype(complex), D_eu.astype(complex)],
         ])
         worst = min(worst, min_sv(pencil) / scale)
-    conds.append(ConditionResult("unit_circle_rank", worst > tol, worst))
+    conds.append(ConditionResult("unit_circle_rank", worst > _ASSUMPTION_TOL, worst))
     return DareAssumptionReport(tuple(conds), all(c.passed for c in conds))
 
 
@@ -216,15 +225,14 @@ def _gain(p: DareProblem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return K, H
 
 
-def _sda(A: np.ndarray, G: np.ndarray, Q: np.ndarray, tol: float = 1e-13,
-         max_iter: int = 200):
+def _sda(A: np.ndarray, G: np.ndarray, Q: np.ndarray):
     """Structured doubling iteration for X = A'XA + Q - A'XB(...)^{-1}B'XA
     written with G = B R^{-1} B'.  Returns (H_k, iterations) on
     convergence, or None."""
     n = A.shape[0]
     Ek, Gk, Hk = A.copy(), _sym(G), _sym(Q)
     eye = np.eye(n)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SDA_MAX_ITER + 1):
         try:
             W = np.linalg.inv(eye + Gk @ Hk)
         except np.linalg.LinAlgError:
@@ -237,87 +245,29 @@ def _sda(A: np.ndarray, G: np.ndarray, Q: np.ndarray, tol: float = 1e-13,
         Ek, Gk, Hk = E_next, G_next, H_next
         if not np.all(np.isfinite(Hk)):
             return None
-        if diff < tol:
+        if diff < _SDA_TOL:
             return Hk, it
     return None
-
-
-def _matrix_sign(M: np.ndarray, max_iter: int = 100, tol: float = 1e-14):
-    """Matrix sign function by scaled Newton iteration."""
-    Z = M.copy()
-    m = Z.shape[0]
-    for _ in range(max_iter):
-        try:
-            Zi = np.linalg.inv(Z)
-        except np.linalg.LinAlgError:
-            return None
-        detz = abs(np.linalg.det(Z))
-        c = detz ** (-1.0 / m) if np.isfinite(detz) and detz > 0 else 1.0
-        Z_next = 0.5 * (c * Z + Zi / c)
-        err = np.max(np.abs(Z_next - Z)) / max(1.0, np.max(np.abs(Z)))
-        Z = Z_next
-        if err < tol:
-            return Z
-    if np.max(np.abs(Z @ Z - np.eye(m))) < 1e-8:
-        return Z
-    return None
-
-
-def stable_antistable_split(A: np.ndarray, tol_circle: float = 1e-9):
-    """Basis T = [V_stable, V_antistable] of the unit-disk dichotomy of A.
-
-    Uses the disk function via Cayley transform plus the matrix sign
-    iteration, avoiding ordered Schur decompositions.  Returns
-    (T, n_stable) or None when A has eigenvalues too close to the unit
-    circle (or at -1, where the Cayley transform is singular).
-    """
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), 0
-    eigs = np.linalg.eigvals(A)
-    if np.min(np.abs(np.abs(eigs) - 1.0)) <= tol_circle:
-        return None
-    I = np.eye(n)
-    try:
-        Cay = np.linalg.solve(A + I, A - I)
-    except np.linalg.LinAlgError:
-        return None
-    S = _matrix_sign(Cay)
-    if S is None:
-        return None
-    n_stab = int(np.sum(np.abs(eigs) < 1.0))
-    P_s = 0.5 * (I - S)
-    P_a = 0.5 * (I + S)
-    Qs, _, _ = scipy.linalg.qr(P_s, pivoting=True)
-    Qa, _, _ = scipy.linalg.qr(P_a, pivoting=True)
-    T = np.hstack([Qs[:, :n_stab], Qa[:, : n - n_stab]])
-    if np.linalg.cond(T) > 1e12:
-        return None
-    return T, n_stab
 
 
 def _solve_dare_zero_q(p: DareProblem):
     """Stabilizing solution when Q = 0 and S = 0.
 
-    The solution vanishes on the stable invariant subspace of A; on the
-    anti-stable block its inverse satisfies a Stein equation in A^{-1}.
-    Returns X or None.
+    The solution vanishes on the stable invariant subspace of A.  With
+    the real Schur form A = Z T Z' ordered so that the stable
+    eigenvalues lead, and Z_a the trailing (anti-stable) columns of Z,
+    X = Z_a W^{-1} Z_a' where W solves the Stein equation
+    W = F W F' + F G F' in F = T22^{-1}, G = B_a R^{-1} B_a' and
+    B_a = Z_a' B.  Returns X or None.
     """
-    split = stable_antistable_split(p.A)
-    if split is None:
-        return None
-    T, ns = split
+    T, Z, ns = scipy.linalg.schur(p.A, output="real", sort="iuc")
     n = p.n
-    na = n - ns
-    if na == 0:
+    if ns == n:
         return np.zeros((n, n))
-    Ti = np.linalg.inv(T)
-    At = Ti @ p.A @ T
-    Bt = Ti @ p.B
-    A_a = At[ns:, ns:]
-    B_a = Bt[ns:, :]
+    Z_a = Z[:, ns:]
+    B_a = Z_a.T @ p.B
     try:
-        F = np.linalg.inv(A_a)
+        F = np.linalg.inv(T[ns:, ns:])
     except np.linalg.LinAlgError:
         return None
     G = B_a @ np.linalg.solve(p.R, B_a.T)
@@ -329,10 +279,7 @@ def _solve_dare_zero_q(p: DareProblem):
     w_eigs = np.linalg.eigvalsh(W)
     if w_eigs[0] <= 1e-13 * max(1.0, w_eigs[-1]):
         return None  # anti-stable modes not reachable through B
-    Y_a = _sym(np.linalg.inv(W))
-    Yt = np.zeros((n, n))
-    Yt[ns:, ns:] = Y_a
-    return _sym(Ti.T @ Yt @ Ti)
+    return _sym(Z_a @ np.linalg.solve(W, Z_a.T))
 
 
 def _newton_polish(p: DareProblem, X: np.ndarray, steps: int = 3) -> np.ndarray:
@@ -359,10 +306,10 @@ def _newton_polish(p: DareProblem, X: np.ndarray, steps: int = 3) -> np.ndarray:
     return best
 
 
-def solve_dare(p: DareProblem, check_assumptions: bool = False,
-               tol: float = 1e-13, max_iter: int = 200) -> DareSolution:
-    """Stabilizing DARE solution via SDA (the Q = 0 dichotomy when the
-    cost is zero) with a QZ fallback."""
+def solve_dare(p: DareProblem, check_assumptions: bool = False) -> DareSolution:
+    """Stabilizing DARE solution via SDA, tried after the Q = 0 dichotomy
+    when the cost is zero; raises NoStabilizingSolution when neither is
+    accepted."""
     if check_assumptions:
         report = check_dare_assumptions(p)
         if not report.passed:
@@ -380,7 +327,7 @@ def solve_dare(p: DareProblem, check_assumptions: bool = False,
 
     def _accept(X):
         """Quality gates; returns the solution tuple or None."""
-        if X is None or not np.all(np.isfinite(X)):
+        if not np.all(np.isfinite(X)):
             return None
         X = _sym(X)
         K, H = _gain(p, X)
@@ -395,18 +342,6 @@ def solve_dare(p: DareProblem, check_assumptions: bool = False,
             return X, K, H, A_c, res
         return None
 
-    def _qz(prob):
-        try:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return scipy.linalg.solve_discrete_are(
-                    prob.A, prob.B, prob.Q, prob.R, s=prob.S
-                )
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-
     accepted = None
     method = "sda"
     iterations = 0
@@ -419,17 +354,10 @@ def solve_dare(p: DareProblem, check_assumptions: bool = False,
         method = "zero_q_dichotomy"
     if accepted is None:
         method = "sda"
-        out = _sda(A_s, G, Q_s, tol=tol, max_iter=max_iter)
+        out = _sda(A_s, G, Q_s)
         if out is not None:
             X, iterations = out
             accepted = _accept(_newton_polish(p, X))
-    if accepted is None:
-        # stiff problems (near-singular R) defeat the doubling
-        # iteration; fall back to the QZ solver
-        method = "qz"
-        X = _qz(p)
-        if X is not None and np.all(np.isfinite(X)):
-            accepted = _accept(_newton_polish(p, _sym(X)))
     if accepted is None:
         raise NoStabilizingSolution("no solver produced a stabilizing solution")
     X, K, H, A_c, res = accepted

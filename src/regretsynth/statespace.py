@@ -32,6 +32,9 @@ FREQRESP_BLOCK = 65536
 
 UNIT = "unit"
 
+# passes of balance_states over all states
+_BALANCE_SWEEPS = 8
+
 
 def _as_matrix(value, rows=None, cols=None) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(value, dtype=float))
@@ -69,6 +72,33 @@ def stein(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return np.zeros((0, 0))
     Z, Ms = _schur_stein(A.T, Q)
     return np.real(Z @ Ms @ Z.conj().T)
+
+
+def balance_states(A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """Diagonal state scaling by powers of two (exact in floating point)
+    that equalizes the off-diagonal row and column sums of [A B; C 0],
+    all states at once.
+
+    Returns the scaled (A, B, C); the transfer function is unchanged.
+    Including B and C in the sums keeps the input and output maps in
+    scale with A.
+    """
+    n = A.shape[0]
+    for _ in range(_BALANCE_SWEEPS):
+        off = np.abs(A)
+        off[np.diag_indices(n)] = 0.0
+        rows = off.sum(axis=1) + np.abs(B).sum(axis=1)
+        cols = off.sum(axis=0) + np.abs(C).sum(axis=0)
+        ok = (rows > 0) & (cols > 0)
+        expo = np.zeros(n)
+        expo[ok] = np.clip(np.round(0.5 * np.log2(rows[ok] / cols[ok])), -16, 16)
+        if not expo.any():
+            break
+        f = 2.0 ** expo
+        A = A / f[:, None] * f
+        B = B / f[:, None]
+        C = C * f
+    return A, B, C
 
 
 @dataclass(frozen=True)

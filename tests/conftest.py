@@ -110,13 +110,13 @@ def system_balance_calls(monkeypatch):
     """State sizes of the plants that H-infinity synthesis balanced
     during a test."""
     calls = []
-    balance = rs.hinf._system_balance
+    balance = rs.hinf.balance_states
 
-    def counted(A, B, C, *args, **kwargs):
+    def counted(A, B, C):
         calls.append(A.shape[0])
-        return balance(A, B, C, *args, **kwargs)
+        return balance(A, B, C)
 
-    monkeypatch.setattr(rs.hinf, "_system_balance", counted)
+    monkeypatch.setattr(rs.hinf, "balance_states", counted)
     return calls
 
 

@@ -487,3 +487,9 @@ def bisect_loop(feasible_at, tol_abs: float, tol_rel: float,
         else:
             lo = mid
     return lo, hi, best
+
+
+def qz_dare(p) -> np.ndarray:
+    """Reference stabilizing DARE solution from scipy's QZ solver (the
+    generalized Schur form of the symplectic pencil)."""
+    return scipy.linalg.solve_discrete_are(p.A, p.B, p.Q, p.R, s=p.S)

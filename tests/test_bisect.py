@@ -61,6 +61,27 @@ def test_always_infeasible_raises_after_the_doublings():
     assert never.tried == [2.0**k for k in range(DOUBLING_LIMIT)]
 
 
+class LevelBudget(Threshold):
+    """A threshold oracle that fails the test once it has been asked about
+    200 levels, where a search with a reachable stopping rule is done."""
+
+    def __call__(self, g):
+        if len(self.tried) >= 200:
+            raise RuntimeError("bisection did not stop after 200 levels")
+        return super().__call__(g)
+
+
+@pytest.mark.parametrize("tol_abs, tol_rel",
+                         [(0.0, 0.0), (-1.0, 1e-4), (1e-4, -1.0),
+                          (float("nan"), 1e-4), (1e-4, float("nan")),
+                          (float("inf"), 0.0)])
+def test_unreachable_tolerances_raise_before_any_level(tol_abs, tol_rel):
+    oracle = LevelBudget(0.7)
+    with pytest.raises(ValueError):
+        bisect_level(oracle, tol_abs, tol_rel)
+    assert oracle.tried == []
+
+
 def test_hinf_optimize_runs_the_reference_search():
     P = random_generalized_plant(2)
     g, res = rs.hinf_optimize(P, 1e-3, 1e-3)

@@ -46,6 +46,16 @@ def test_bad_level_exit_code(tmp_path, capsys, gamma_d):
     assert err.startswith("error: bad level") and "\n" not in err
 
 
+@pytest.mark.parametrize("tol_abs, tol_rel", [("0", "0"), ("-1", "1e-4"),
+                                              ("nan", "1e-4")])
+def test_bad_tolerance_exit_code(tmp_path, capsys, tol_abs, tol_rel):
+    code = run(["synth", "--example", "siso", f"--tol-abs={tol_abs}",
+                f"--tol-rel={tol_rel}", "--out", tmp_path / "x"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: bad tolerances") and "\n" not in err
+
+
 def test_unreadable_input_file_exit_code(tmp_path, capsys):
     code = run(["verify", "--example", "siso", "--controller",
                 tmp_path / "missing.sys", "--gamma-d", "1", "--gamma-j", "1",

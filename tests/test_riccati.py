@@ -8,6 +8,7 @@ from regretsynth.errors import AssumptionViolated
 from regretsynth.riccati import dare_residual
 
 from conftest import random_generalized_plant
+from oracles import qz_dare
 
 
 def value_iteration_oracle(p, tol=1e-14, max_iter=100000):
@@ -151,3 +152,33 @@ def test_zero_q_dichotomy_mixed_spectrum():
     assert sol.spectral_radius() < 1.0
     assert sol.residual < 1e-8 * (1 + np.max(np.abs(sol.X)))
     assert np.min(np.linalg.eigvalsh(sol.X)) >= -1e-8 * (1 + np.max(np.abs(sol.X)))
+
+
+def test_sda_solves_a_dare_with_near_singular_r():
+    # R = (1e-4)^2 I, a nearly free input: a stiff problem for doubling;
+    # unstable A, so X is far from the cost Q
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4))
+    A = 1.3 * A / max(np.abs(np.linalg.eigvals(A)))
+    C = rng.standard_normal((2, 4))
+    p = rs.DareProblem(A, rng.standard_normal((4, 2)), C.T @ C,
+                       1e-8 * np.eye(2), np.zeros((4, 2)))
+    sol = rs.solve_dare(p)
+    assert sol.method == "sda"
+    assert sol.spectral_radius() < 1.0
+    X_qz = qz_dare(p)
+    assert np.max(np.abs(sol.X - X_qz)) < 1e-12 * np.max(np.abs(X_qz))
+
+
+@pytest.mark.parametrize("spectrum", [(0.5, -0.3, 1.8, 2.5), (1.2, -1.5, 2.5, 3.0)],
+                         ids=["mixed", "anti-stable"])
+def test_zero_q_dichotomy_matches_qz(spectrum):
+    rng = np.random.default_rng(22)
+    A = np.diag(spectrum) + 0.1 * rng.standard_normal((4, 4))
+    assert np.min(np.abs(np.abs(np.linalg.eigvals(A)) - 1)) > 0.05
+    p = rs.DareProblem(A, rng.standard_normal((4, 2)), np.zeros((4, 4)),
+                       np.eye(2), np.zeros((4, 2)))
+    sol = rs.solve_dare(p)
+    assert sol.method == "zero_q_dichotomy"
+    X_qz = qz_dare(p)
+    assert np.max(np.abs(sol.X - X_qz)) < 1e-12 * np.max(np.abs(X_qz))

@@ -58,16 +58,28 @@ def test_forward_requires_stability():
         rs.simulate(g, rs.Signal.impulse(1))
 
 
-def test_backward_antistable():
-    # x[t+1] = 2 x[t] + d[t] solved against zero terminal state:
-    # x[t] = -sum_{k >= t} 2^{-(k - t + 1)} d[k]
-    g = rs.StateSpace([[2.0]], [[1.0]], [[1.0]], [[0.0]], 1.0)
-    d = rs.Signal(0, np.array([[1.0], [0.0], [0.0]]))
-    y = rs.simulate(g, d, direction="backward")
-    assert abs(y.at(0)[0] + 0.5) < 1e-12
-    assert abs(y.at(-1)[0] + 0.25) < 1e-12
-    assert abs(y.at(-5)[0] + 0.25 / 16) < 1e-12
-    assert abs(y.at(1)[0]) < 1e-12
+def test_window_ends_when_the_state_is_negligible():
+    # the mode at 1 - 1e-4 is not driven by B: a window sized from the
+    # spectral radius would run about 276,000 steps past the input
+    g = rs.StateSpace(np.diag([0.5, 1.0 - 1e-4]), [[1.0], [0.0]],
+                      [[1.0, 1.0]], [[0.0]], 1.0)
+    d = rs.Signal(0, np.random.default_rng(4).standard_normal((600, 1)))
+    y = rs.simulate(g, d)
+    assert len(y) < len(d) + 100
+    ref = response_energy_loop(g, d)
+    assert abs(y.norm_sq() - ref) <= 1e-12 * ref
+    x = np.zeros(2)
+    for d_k in d.on_window(0, y.t1):
+        x = g.A @ x + g.B @ d_k
+    assert np.linalg.norm(x) <= rs.signals.TRUNC_TOL * np.sqrt(1 + y.norm_sq())
+
+
+def test_window_never_exceeds_the_spectral_radius_bound(monkeypatch):
+    g = rs.StateSpace([[0.9]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    monkeypatch.setattr(rs.signals, "decay_extension", lambda rho, tol, n_x: 3)
+    y = rs.simulate(g, rs.Signal.impulse(1))
+    assert len(y) == 1 + 7 * 3
+    assert y.at(21)[0] == pytest.approx(0.9**20)
 
 
 def test_inner_window_alignment():
