@@ -23,7 +23,8 @@ import numpy as np
 from .errors import RegretSynthError
 from .plants import GeneralizedPlant
 from .riccati import DareProblem, DareSolution, solve_dare
-from .signals import Signal, TRUNC_TOL, decay_extension
+from .signals import (Signal, TRUNC_TOL, decay_extension, free_response,
+                      lock_step_view, trial_blocks)
 from .statespace import StateSpace, stein
 
 
@@ -89,21 +90,25 @@ def build_noncausal(P: GeneralizedPlant) -> NoncausalController:
     return NoncausalController(K_x, K_v, K_d, X, H, sol.closed_loop_A, P, sol)
 
 
-def _padded_window(K0: NoncausalController, d: Signal, tol: float = TRUNC_TOL):
-    n_pad = decay_extension(K0.decay_rate(), tol, K0.A11.shape[0])
-    return d.t0 - n_pad, d.t1 + n_pad
+def _backward_v(K0: NoncausalController, din: np.ndarray) -> np.ndarray:
+    """v on windows of padded inputs din, shape (N, T, n_d), with v = 0
+    after the last sample: returns (N, T + 1, n_x), v[:, T] = 0.
 
-
-def _backward_v(K0: NoncausalController, d: Signal, t0: int, t1: int) -> np.ndarray:
-    """v[t] for t in [t0, t1 + 1]; v[t1 + 1] = 0.  Returns (T+1, n_x)."""
-    T = t1 - t0 + 1
-    # stacked matrix-vector products: see signals.response_energy
-    drive = np.matmul(K0.X @ K0.plant.B_d, d.on_window(t0, t1)[:, :, None])[:, :, 0]
-    v = np.zeros((T + 1, K0.A11.shape[0]))
+    The recursions run in lock step, each step one stacked product
+    that rounds like the per-window ``A11' @ v`` (see
+    ``signals.response_energy``).  A window's zero padding after its
+    support leaves its v exactly zero there, so each window's recursion
+    starts at its own end.
+    """
+    N, T = din.shape[:2]
+    drive = lock_step_view(
+        np.matmul(K0.X @ K0.plant.B_d, din[:, :, :, None])[:, :, :, 0])
+    v = np.zeros((N, T + 1, K0.A11.shape[0]))
+    V = lock_step_view(v)
     A11T = K0.A11.T
-    vk = v[T]
+    vk = V[T]
     for k in range(T - 1, -1, -1):
-        vk = v[k] = A11T @ (vk + drive[k])
+        vk = V[k] = np.matmul(A11T, vk + drive[k])
     return v
 
 
@@ -111,15 +116,29 @@ def noncausal_response(K0: NoncausalController, d: Signal,
                        tol: float = TRUNC_TOL):
     """Closed-loop signals (x, u, e) of the benchmark on a padded window.
 
+    The window covers the support of d and extends it on each side by
+    the state-based rule of ``signals.simulate``.  Before the support v
+    runs backward, v[t] = A11' v[t+1], and the window starts at the
+    first v with ||v|| <= tol sqrt(1 + sum of ||v||^2 after it), where
+    the state x, zero there, stands for the negligible M v.  After the
+    support v = 0 and x runs forward, x[t+1] = A11 x[t], and the window
+    ends just before the first x with ||x|| <= tol sqrt(1 + ||e||^2 so
+    far).  Either side takes at most seven ``decay_extension`` steps.
+
     Returns (t0, x, u, e, v) arrays; x/u/e have one row per step of the
     padded window, v has one extra row (it is indexed by t+1 inside).
     """
     P = K0.plant
-    t0, t1 = _padded_window(K0, d, tol)
-    v = _backward_v(K0, d, t0, t1)
-    T = t1 - t0 + 1
-    din = d.on_window(t0, t1)
-    n = P.n_x
+    n = K0.A11.shape[0]
+    cap = 7 * decay_extension(K0.decay_rate(), tol, n)
+    v_sup = _backward_v(K0, d.samples[None])[0]  # v[d.t0 .. d.t1 + 1]
+    pre, _, v_start = free_response(K0.A11.T, K0.A11.T @ v_sup[0],
+                                    lambda vs: vs, float(np.vdot(v_sup, v_sup)),
+                                    cap, tol)
+    v = np.concatenate([v_start[None], pre[::-1], v_sup])
+    t0 = d.t0 - 1 - pre.shape[0]
+    T = v.shape[0] - 1
+    din = d.on_window(t0, d.t1)
     x = np.zeros((T + 1, n))
     u = np.zeros((T, K0.K_x.shape[0]))
     e = np.zeros((T, P.n_e))
@@ -129,54 +148,97 @@ def noncausal_response(K0: NoncausalController, d: Signal,
         u[k] = -K0.K_x @ x[k] - K0.K_v @ v[k + 1] - K0.K_d @ din[k]
         e[k] = C_e @ x[k] + D_eu @ u[k]
         x[k + 1] = A @ x[k] + B_d @ din[k] + B_u @ u[k]
-    return t0, x, u, e, v
+    # past the support v = 0 and u = -K_x x, so e = (C_e - D_eu K_x) x
+    C_cl = C_e - D_eu @ K0.K_x
+    post, e_post, x_end = free_response(K0.A11, x[T],
+                                        lambda states: states @ C_cl.T,
+                                        float(np.vdot(e, e)), cap, tol)
+    return (t0, np.concatenate([x[:T], post, x_end[None]]),
+            np.concatenate([u, -(post @ K0.K_x.T)]), np.concatenate([e, e_post]),
+            np.concatenate([v, np.zeros((post.shape[0], n))]))
 
 
-def eval_noncausal_cost(K0: NoncausalController, d: Signal,
-                        cross_check_rel: float = 1e-8) -> float:
+def eval_noncausal_cost(K0: NoncausalController, d,
+                        cross_check_rel: float = 1e-8):
     """J(K0, d): benchmark cost with exact anticipation and settling tails.
+
+    ``d`` is a :class:`~regretsynth.signals.Signal`, which gives a
+    float, or a sequence of signals, which gives an array with one cost
+    per signal.
 
     Both tails are summed in closed form instead of by window padding:
     before the disturbance arrives the state rides the decaying
     backward variable through a Stein-equation particular solution, and
     after it ends the cost-to-go is the Riccati value x' X x.  The
     simulated energy must agree with the completion-of-squares sum.
+
+    The backward and forward recursions of a sequence run in lock step
+    over zero-padded inputs, in blocks of ``signals.trial_blocks``, each
+    step one stacked matrix-vector product that rounds like the
+    per-signal one; everything else is evaluated on each signal's own
+    rows, so a cost does not depend on the sequence it is in.
     """
-    if d.norm_sq() == 0.0:
-        return 0.0
+    if isinstance(d, Signal):
+        return float(_costs(K0, [d], cross_check_rel)[0])
+    return _costs(K0, d, cross_check_rel)
+
+
+def _costs(K0: NoncausalController, ds, cross_check_rel: float) -> np.ndarray:
     P = K0.plant
-    din = d.samples
-    v = _backward_v(K0, d, d.t0, d.t1)
-    v0, v_next = v[0], v[1:]
+    out = np.zeros(len(ds))
+    live = [i for i, d in enumerate(ds) if d.norm_sq() != 0.0]
+    # per padded sample: the input, two state rows, their two drives
+    # and the terms w and B_d d kept for the sums
+    for block in trial_blocks([len(ds[i]) for i in live],
+                              P.n_d + P.n_u + 5 * K0.A11.shape[0]):
+        idx = [live[j] for j in block]
+        out[idx] = _lock_step_costs(K0, [ds[i] for i in idx], cross_check_rel)
+    return out
+
+
+def _lock_step_costs(K0: NoncausalController, ds, cross_check_rel: float) -> np.ndarray:
+    """Costs of :func:`eval_noncausal_cost` for one block of nonzero signals."""
+    P = K0.plant
+    A11, n = K0.A11, K0.A11.shape[0]
+    T = max(len(d) for d in ds)
+    din = np.zeros((len(ds), T, P.n_d))
+    for b, d in enumerate(ds):
+        din[b, : len(d)] = d.samples
+    v = _backward_v(K0, din)
     # u[t] = -K_x x[t] - w[t]: the part of the input fixed by d and v
-    w = din @ K0.K_d.T + v_next @ K0.K_v.T
-    Bd_d = din @ P.B_d.T
-    drive = Bd_d - w @ P.B_u.T
+    drive = np.zeros((len(ds), T, n))
+    terms = []
+    for b, d in enumerate(ds):
+        w = d.samples @ K0.K_d.T + v[b, 1 : len(d) + 1] @ K0.K_v.T
+        Bd_d = d.samples @ P.B_d.T
+        drive[b, : len(d)] = Bd_d - w @ P.B_u.T
+        terms.append((w, Bd_d))
     # pre-window: x rides the backward variable, x[t] = M v[t]
-    j_pre = float(v0 @ K0.G_pre @ v0)
-    # main window with the exact incoming state
-    A11 = K0.A11
-    xs = np.empty((len(d) + 1, A11.shape[0]))
-    x = xs[0] = K0.M @ v0
-    for k in range(len(d)):
-        x = xs[k + 1] = A11 @ x + drive[k]
-    u = -(xs[:-1] @ K0.K_x.T) - w
-    e = xs[:-1] @ P.C_e.T + u @ P.D_eu.T
-    j_mid = float(np.vdot(e, e))
-    # settle tail: v = 0 past the support, optimal cost-to-go is x' X x
-    j_post = float(x @ K0.X @ x)
-    j_sim = j_pre + j_mid + j_post
-    # completion-of-squares sum (window terms plus its own pre-tail)
+    xs = np.empty((len(ds), T + 1, n))
+    X, drive = lock_step_view(xs), lock_step_view(drive)
+    x = X[0] = np.matmul(K0.M, lock_step_view(v)[0])
+    for k in range(T):
+        x = X[k + 1] = np.matmul(A11, x) + drive[k]
     BdX = P.B_d.T @ K0.X @ P.B_d
-    j_cf = (float(np.vdot(din @ BdX, din)) + 2.0 * float(np.vdot(v_next, Bd_d))
-            - float(np.vdot(w @ K0.H, w)) - float(v0 @ K0.G_cf @ v0))
-    scale = 1.0 + abs(j_sim)
-    if abs(j_sim - j_cf) > cross_check_rel * scale:
-        raise RegretSynthError(
-            f"noncausal cost cross-check failed: simulated {j_sim:.12g} vs "
-            f"closed form {j_cf:.12g}"
-        )
-    return j_sim
+    out = np.empty(len(ds))
+    for b, (d, (w, Bd_d)) in enumerate(zip(ds, terms)):
+        L, din_b, v0 = len(d), d.samples, v[b, 0]
+        v_next, x_end = v[b, 1 : L + 1], xs[b, L]
+        u = -(xs[b, :L] @ K0.K_x.T) - w
+        e = xs[b, :L] @ P.C_e.T + u @ P.D_eu.T
+        # settle tail: v = 0 past the support, cost-to-go x' X x
+        j_sim = float(v0 @ K0.G_pre @ v0) + float(np.vdot(e, e)) \
+            + float(x_end @ K0.X @ x_end)
+        # completion-of-squares sum (window terms plus its own pre-tail)
+        j_cf = (float(np.vdot(din_b @ BdX, din_b)) + 2.0 * float(np.vdot(v_next, Bd_d))
+                - float(np.vdot(w @ K0.H, w)) - float(v0 @ K0.G_cf @ v0))
+        if abs(j_sim - j_cf) > cross_check_rel * (1.0 + abs(j_sim)):
+            raise RegretSynthError(
+                f"noncausal cost cross-check failed: simulated {j_sim:.12g} "
+                f"vs closed form {j_cf:.12g}"
+            )
+        out[b] = j_sim
+    return out
 
 
 @dataclass(frozen=True)

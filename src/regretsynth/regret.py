@@ -227,14 +227,15 @@ def verify_regret(K: StateSpace, P: GeneralizedPlant, level: RegretLevel,
 
     Mixes white noise, low-pass noise, and windowed sinusoids near the
     weighted closed loop's peak frequency (near-worst-case for LTI
-    bounds).  d = 0 is excluded by construction.
+    bounds).  d = 0 is excluded by construction.  The trials are costed
+    as one sequence by ``response_energy`` and ``eval_noncausal_cost``,
+    whose state recursions run in lock step.
     """
     if K0 is None:
         K0 = build_noncausal(P)
     cl = lft_lower(P, K)
     if not cl.is_schur():
         return RegretVerification(False, np.inf, 0, "unstable")
-    gd_eff = effective_gamma_d(level.gamma_d, level.gamma_J)
     _, theta_peak = hinf_norm(cl, return_theta=True)
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -251,11 +252,10 @@ def verify_regret(K: StateSpace, P: GeneralizedPlant, level: RegretLevel,
         trials.append(("sinusoid",
                        sinusoid_signal(P.n_d, theta, int(rng.integers(32, 128)),
                                        direction=direction)))
-    for kind, d in trials:
-        if d.norm_sq() == 0.0:
-            continue
-        j_k = response_energy(cl, d)
-        j_0 = eval_noncausal_cost(K0, d)
+    live = [(kind, d) for kind, d in trials if d.norm_sq() != 0.0]
+    ds = [d for _, d in live]
+    for (kind, d), j_k, j_0 in zip(live, response_energy(cl, ds).tolist(),
+                                    eval_noncausal_cost(K0, ds).tolist()):
         bound = level.gamma_d**2 * d.norm_sq() + level.gamma_J**2 * j_0
         margin = j_k - bound
         if margin > worst:

@@ -312,11 +312,16 @@ def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
     stable by construction).  The order escalates until the worst-case
     log10 error is within tolerance.
 
-    ``least_squares`` (Levenberg-Marquardt) gets the forward-difference
-    Jacobian of scipy's 2-point rule from :func:`_logmag_jacobian`, which
-    evaluates the section terms at the moved parameters, reuses those of
-    the residual at x, and gives the same bits as differencing the whole
-    residual once per parameter.
+    Each start is one call of MINPACK's Levenberg-Marquardt ``lmder``
+    through ``scipy.optimize.leastsq``, with the tolerances and the
+    evaluation budget of ``least_squares(method="lm")`` but without its
+    wrapper and its extra Jacobian at the solution; a start with
+    non-finite residuals, or fewer residuals than parameters, is
+    skipped.  The Jacobian is the forward difference of scipy's
+    2-point rule from :func:`_logmag_jacobian`, which evaluates the
+    section terms at the moved parameters, reuses those of the residual
+    at x, and gives the same bits as differencing the whole residual
+    once per parameter.
     """
     pts = [(float(t), float(d)) for t, d in pointwise]
     thetas = np.array([t for t, _ in pts])
@@ -350,21 +355,23 @@ def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
             starts.append(corner_starts(k, rng.standard_normal(2 * k)))
         starts.append(np.concatenate([[g0], rng.uniform(-2, 2, 2 * k)]))
         for x0 in starts:
-            try:
-                sol = scipy.optimize.least_squares(
-                    _logmag_residual, x0, jac=_logmag_jacobian, method="lm",
-                    max_nfev=600, args=(ejt, target, _SectionMemo()))
-            except Exception:
-                continue
-            err = float(np.max(np.abs(_logmag_residual(sol.x, ejt, target))))
+            memo = _SectionMemo()
+            r0 = _logmag_residual(x0, ejt, target, memo)
+            if r0.size < x0.size or not np.all(np.isfinite(r0)):
+                continue  # lmder needs finite residuals, one per parameter
+            x = scipy.optimize.leastsq(
+                _logmag_residual, x0, args=(ejt, target, memo),
+                Dfun=_logmag_jacobian, full_output=True, ftol=1e-8,
+                xtol=1e-8, gtol=1e-8, maxfev=600)[0]
+            err = float(np.max(np.abs(_logmag_residual(x, ejt, target))))
             if err < best.fit_error:
-                zs = _dscale_roots(sol.x[1 : 1 + k])
-                ps = _dscale_roots(sol.x[1 + k :])
+                zs = _dscale_roots(x[1 : 1 + k])
+                ps = _dscale_roots(x[1 + k :])
                 best = DScaling(tuple(pts), _first_order_cascade(
-                    sol.x[0], zs, ps, sample_time), k, err)
+                    x[0], zs, ps, sample_time), k, err)
         if best.fit_error <= fit_tol:
             return best
-    if best.fit_error > fit_tol and raise_on_fail:
+    if not best.fit_error <= fit_tol and raise_on_fail:  # NaN fails too
         raise FitToleranceExceeded(
             f"D-scale fit error {best.fit_error:.3g} above {fit_tol} at "
             f"order {_D_MAX_ORDER}"
@@ -636,7 +643,9 @@ def verify_robust_regret(K: StateSpace, P: UncertainPlant, level: RegretLevel,
     For each sampled Delta the closed loop must be stable and every
     sampled disturbance must respect J(K, d, Delta) < gamma_d^2 ||d||^2
     + gamma_J^2 J(K0, d) with the benchmark evaluated on the nominal
-    model.
+    model.  The disturbances of a sampled Delta are drawn only when its
+    loop is stable, and are costed as one sequence by ``response_energy``
+    and ``eval_noncausal_cost``, whose state recursions run in lock step.
     """
     if K0 is None:
         K0 = build_noncausal(P.nominal())
@@ -653,12 +662,12 @@ def verify_robust_regret(K: StateSpace, P: UncertainPlant, level: RegretLevel,
         if not cl.is_schur():
             n_unstable += 1
             continue
-        for _ in range(n_dist):
-            d = Signal(0, rng.standard_normal((int(rng.integers(8, 50)), P.n_d)))
-            j = response_energy(cl, d)
-            bound = level.gamma_d**2 * d.norm_sq() + \
-                level.gamma_J**2 * eval_noncausal_cost(K0, d)
+        dists = [Signal(0, rng.standard_normal((int(rng.integers(8, 50)), P.n_d)))
+                 for _ in range(n_dist)]
+        for d, j, j_0 in zip(dists, response_energy(cl, dists).tolist(),
+                             eval_noncausal_cost(K0, dists).tolist()):
+            bound = level.gamma_d**2 * d.norm_sq() + level.gamma_J**2 * j_0
             worst = max(worst, j - bound)
-            trials += 1
+        trials += n_dist
     return RobustVerification(n_unstable == 0 and worst < 0.0,
                               n_unstable, worst, trials)

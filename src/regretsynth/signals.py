@@ -22,9 +22,12 @@ TRUNC_TOL = 1e-12
 # Gramian form once the free response has been simulated further.
 TAIL_FRACTION = 1e-3
 
-# free-response steps that response_energy simulates between two
-# evaluations of the tail form
+# free-response steps whose tail forms response_energy evaluates at once
 TAIL_CHUNK = 16
+
+# float64 entries (8 bytes each: 512 kB) of the padded arrays that one
+# block of a lock-step trial kernel holds
+TRIAL_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -129,36 +132,86 @@ def simulate(G: StateSpace, d: Signal) -> Signal:
     for k in range(n_d):
         xs[k] = x
         x = A @ x + drive[k]
-    parts = [xs @ G.C.T + d.samples @ G.D.T]
-    energy = float(np.vdot(parts[0], parts[0]))
-    # the free response in chunks that double in length; the window
-    # ends just before the first state that meets the rule
-    left = 7 * decay_extension(rho, TRUNC_TOL, G.n_x)
-    chunk = max(4 * G.n_x, 8)
-    while left > 0:
-        free = np.empty((min(chunk, left), G.n_x))
-        for j in range(len(free)):
-            free[j] = x
-            x = A @ x
-        y = free @ G.C.T
-        before = energy + np.concatenate(([0.0], np.cumsum(np.sum(y * y, axis=1))))
-        stop = np.flatnonzero(np.sum(free * free, axis=1)
-                              <= TRUNC_TOL**2 * (1.0 + before[:-1]))
+    y = xs @ G.C.T + d.samples @ G.D.T
+    _, free, _ = free_response(A, x, lambda states: states @ G.C.T,
+                               float(np.vdot(y, y)),
+                               7 * decay_extension(rho, TRUNC_TOL, G.n_x), TRUNC_TOL)
+    return Signal(d.t0, np.concatenate([y, free]))
+
+
+def free_response(step: np.ndarray, x: np.ndarray, output, energy: float,
+                  cap: int, tol: float):
+    """States x, step x, step^2 x, ... until the state is negligible.
+
+    The states run in chunks that double in length and end just before
+    the first state with ||x|| <= tol sqrt(1 + energy so far), the
+    energy starting at ``energy`` and growing by that of each state's
+    output (the rows of ``output(states)``); at most ``cap`` > 0
+    states.  Returns (states, outputs, the first state left out).
+    """
+    states, outputs = [], []
+    chunk = max(4 * x.size, 8)
+    while cap > 0:
+        xs = np.empty((min(chunk, cap), x.size))
+        for j in range(xs.shape[0]):
+            xs[j] = x
+            x = step @ x
+        ys = output(xs)
+        before = energy + np.concatenate(([0.0], np.cumsum(np.sum(ys * ys, axis=1))))
+        stop = np.flatnonzero(np.sum(xs * xs, axis=1)
+                              <= tol**2 * (1.0 + before[:-1]))
         if stop.size:
-            parts.append(y[: stop[0]])
-            break
-        parts.append(y)
+            i = stop[0]
+            return (np.concatenate(states + [xs[:i]]),
+                    np.concatenate(outputs + [ys[:i]]), xs[i])
+        states.append(xs)
+        outputs.append(ys)
         energy = float(before[-1])
-        left -= len(free)
+        cap -= xs.shape[0]
         chunk *= 2
-    return Signal(d.t0, np.concatenate(parts))
+    return np.concatenate(states), np.concatenate(outputs), x
 
 
-def response_energy(G: StateSpace, d: Signal) -> float:
+def trial_blocks(lengths, row_size: int) -> list[np.ndarray]:
+    """Blocks of trials for the lock-step kernels, as arrays of indices.
+
+    Trials are taken in increasing length (ties in their given order),
+    and a block grows while its trials, each padded to the block's
+    longest and counted as one sample more, hold at most TRIAL_BLOCK
+    entries at ``row_size`` entries per sample.  A trial too long for
+    that forms a block of its own.
+    """
+    lengths = np.asarray(lengths, dtype=int)
+    order = np.argsort(lengths, kind="stable")
+    blocks, start = [], 0
+    for i in range(1, order.size + 1):
+        if i == order.size or \
+                (i + 1 - start) * (lengths[order[i]] + 1) * row_size > TRIAL_BLOCK:
+            blocks.append(order[start:i])
+            start = i
+    return blocks
+
+
+def lock_step_view(stack: np.ndarray) -> np.ndarray:
+    """Time-major view of a (trials, time, n) stack for a lock-step
+    recursion: step k is ``view[k]``, the trials as (trials, n, 1)
+    column vectors, so that a step is one stacked ``np.matmul`` that
+    rounds like the per-trial ``A @ x``.  One trial gives plain (n,)
+    vectors, the same product with about a fifth less overhead.  Writes
+    to the view land in the stack."""
+    if stack.shape[0] == 1:
+        return stack[0]
+    return stack.transpose(1, 0, 2)[:, :, :, None]
+
+
+def response_energy(G: StateSpace, d):
     """||G d||_2^2 with the post-support tail summed exactly.
 
-    Simulates over the input support; the remaining output energy is
-    x' Go x with Go the observability Gramian, so no window extension
+    ``d`` is a :class:`Signal`, which gives a float, or a sequence of
+    signals, which gives an array with one energy per signal.
+
+    The output energy up to step k plus x[k]' Go x[k], with Go the
+    observability Gramian, is the whole energy, so no window extension
     is needed even for slowly decaying systems.  The tail is evaluated
     in the orthogonal Schur coordinates of A, where the quadratic form
     is unchanged but the Gramian comes from a triangular recursion: a
@@ -166,51 +219,97 @@ def response_energy(G: StateSpace, d: Signal) -> float:
     the tail when the realization is far from normal.  The Schur form
     still inherits a backward error of order eps ||A||, large next to
     the tail when ||A|| far exceeds the spectral radius, so the free
-    response is simulated further, for at most len(d) steps, until the
-    form carries under TAIL_FRACTION of the energy.
+    response is simulated for up to len(d) steps past the support: the
+    sum is taken at the first free state whose form is at most
+    TAIL_FRACTION of the energy before it, or at the last.
 
-    The Gramian is solved once per system (``G.schur_gramian``); a call
-    costs one matrix-vector product per simulated step, and outputs and
-    tail forms are evaluated as whole arrays.
+    The state recursions of a sequence run in lock step, in blocks of
+    :func:`trial_blocks`.  The inputs of a block are zero-padded to its
+    longest, so each state runs on as its free response past its own
+    support, and a time step is one stacked product (see
+    :func:`lock_step_view`): it rounds like the per-signal ``A @ x``,
+    which matters because in far-from-normal coordinates the recursion
+    amplifies a one-ulp change (``X @ A.T`` rounds otherwise).  Outputs
+    and tail forms are evaluated on each signal's own rows, so an
+    energy does not depend on the sequence it is in.  The Gramian is
+    solved once per system (``G.schur_gramian``).
     """
-    if d.dim != G.n_u:
-        raise DimensionError(f"input has dim {d.dim}, system takes {G.n_u}")
+    if isinstance(d, Signal):
+        return float(_energies(G, [d])[0])
+    return _energies(G, d)
+
+
+def _energies(G: StateSpace, ds) -> np.ndarray:
+    for d in ds:
+        if d.dim != G.n_u:
+            raise DimensionError(f"input has dim {d.dim}, system takes {G.n_u}")
+    out = np.empty(len(ds))
     if G.n_x == 0:
-        return float(np.sum((d.samples @ G.D.T) ** 2))
+        for i, d in enumerate(ds):
+            out[i] = np.sum((d.samples @ G.D.T) ** 2)
+        return out
     if not G.is_schur():
         raise NonDecaying("response_energy requires a stable system")
-    A, n_d = G.A, len(d)
-    # B d[k] for every k as one stack of matrix-vector products, which
-    # round like the product taken step by step: in far-from-normal
-    # coordinates the recursion amplifies a one-ulp change of its input
-    drive = np.matmul(G.B, d.samples[:, :, None])[:, :, 0]
-    xs = np.zeros((n_d + 1, G.n_x))
-    x = xs[0]
-    for k in range(n_d):
-        x = xs[k + 1] = A @ x + drive[k]
-    y = xs[:-1] @ G.C.T + d.samples @ G.D.T
-    total = float(np.vdot(y, y))
+    # per padded sample: the input, its drive and two history rows
+    for block in trial_blocks([len(d) for d in ds], G.n_u + 3 * G.n_x):
+        out[block] = _lock_step_energies(G, [ds[i] for i in block])
+    return out
+
+
+def _lock_step_energies(G: StateSpace, ds) -> np.ndarray:
+    """Energies of :func:`response_energy` for one block of signals.
+
+    A signal of length L reads its free response from the states
+    L..2L, TAIL_CHUNK at a time.  The block's recursion is extended
+    only as far as a chunk asks, so it ends at the chunk that decides
+    the last signal, not at state 2T of the block's longest length T.
+    """
+    A = G.A
     Z, Go_s = G.schur_gramian
-    # free-response steps i = 0..n_d, TAIL_CHUNK at a time: stop at the
-    # first i whose tail form is at most TAIL_FRACTION of the energy
-    # before it, or at i = n_d
-    start = 0
-    while True:
-        free = np.empty((min(TAIL_CHUNK, n_d + 1 - start), G.n_x))
-        for j in range(free.shape[0]):
-            free[j] = x
-            x = A @ x
-        free_s = free @ Z.conj()  # rows x' conj(Z) = (Z^H x)'
-        tails = np.real(np.sum(free_s.conj() * (free_s @ Go_s.T), axis=1))
-        y = free @ G.C.T
-        steps = np.sum(y * y, axis=1)
-        before = total + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-        stop = np.flatnonzero(tails <= TAIL_FRACTION * before)
-        start += free.shape[0]
-        if stop.size or start > n_d:
-            i = stop[0] if stop.size else -1
-            return float(before[i] + tails[i])
-        total = float(before[-1] + steps[-1])
+    Zc = Z.conj()
+    T = max(len(d) for d in ds)
+    u = np.zeros((len(ds), T, G.n_u))
+    for b, d in enumerate(ds):
+        u[b, : len(d)] = d.samples
+    # B d[k] as stacked matrix-vector products, like the recursion
+    drive = lock_step_view(np.matmul(G.B, u[:, :, :, None])[:, :, :, 0])
+    xs = np.zeros((len(ds), 2 * T + 1, G.n_x))
+    X = lock_step_view(xs)
+    x, done = X[0], 1  # xs[:, :done] is simulated
+
+    def simulate_to(end):
+        nonlocal x, done
+        for k in range(done, min(end, T + 1)):
+            x = X[k] = np.matmul(A, x) + drive[k - 1]
+        for k in range(max(done, T + 1), end):
+            x = X[k] = np.matmul(A, x)
+        done = max(done, end)
+
+    out = np.empty(len(ds))
+    for b, d in enumerate(ds):
+        L = len(d)
+        simulate_to(L)
+        y = xs[b, :L] @ G.C.T + d.samples @ G.D.T
+        total = float(np.vdot(y, y))
+        # free-response states L + i, i = 0..L: stop at the first i
+        # whose tail form is at most TAIL_FRACTION of the energy
+        # before it, or at i = L
+        for start in range(L, 2 * L + 1, TAIL_CHUNK):
+            end = min(start + TAIL_CHUNK, 2 * L + 1)
+            simulate_to(end)
+            free = xs[b, start:end]
+            free_s = free @ Zc  # rows x' conj(Z) = (Z^H x)'
+            tails = (free_s.conj() * (free_s @ Go_s.T)).sum(axis=1).real
+            y = free @ G.C.T
+            steps = (y * y).sum(axis=1)
+            before = total + np.concatenate(([0.0], steps[:-1].cumsum()))
+            stop = (tails <= TAIL_FRACTION * before).nonzero()[0]
+            if stop.size or end > 2 * L:
+                i = stop[0] if stop.size else -1
+                out[b] = before[i] + tails[i]
+                break
+            total = float(before[-1] + steps[-1])
+    return out
 
 
 def random_signal(rng, dim: int, length: int, t0: int = 0, kind: str = "white") -> Signal:

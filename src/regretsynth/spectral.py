@@ -324,12 +324,11 @@ def verify_factor(factor: SpectralFactor, phat: NoncausalClosedLoop,
                   rel_tol: float = 1e-7) -> FactorVerification:
     """Sampled check of ||F d||^2 = gamma_d^2 ||d||^2 + gamma_J^2 J(K0, d)."""
     rng = np.random.default_rng(seed)
+    ds = [Signal(0, rng.standard_normal((int(rng.integers(5, 40)), phat.n_d)))
+          for _ in range(trials)]
     worst = 0.0
-    for _ in range(trials):
-        length = int(rng.integers(5, 40))
-        d = Signal(0, rng.standard_normal((length, phat.n_d)))
-        lhs = response_energy(factor.F, d)
-        cost = eval_noncausal_cost(phat.K0, d)
+    for d, lhs, cost in zip(ds, response_energy(factor.F, ds).tolist(),
+                            eval_noncausal_cost(phat.K0, ds).tolist()):
         rhs = phat.gamma_d**2 * d.norm_sq() + phat.gamma_J**2 * cost
         dev = abs(lhs - rhs) / (1.0 + abs(rhs))
         worst = max(worst, dev)

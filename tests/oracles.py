@@ -287,6 +287,66 @@ def noncausal_cost_loop(K0, d) -> float:
     return j_sim + float(x @ K0.X @ x)
 
 
+def response_energy_per_trial(G, d) -> float:
+    """``signals.response_energy`` as a loop over one disturbance: the
+    arithmetic of ``response_energy``, step by step with ``A @ x``, so
+    the kernel must give the same bits."""
+    if G.n_x == 0:
+        return float(np.sum((d.samples @ G.D.T) ** 2))
+    A, n_d = G.A, len(d)
+    drive = np.matmul(G.B, d.samples[:, :, None])[:, :, 0]
+    xs = np.zeros((n_d + 1, G.n_x))
+    x = xs[0]
+    for k in range(n_d):
+        x = xs[k + 1] = A @ x + drive[k]
+    y = xs[:-1] @ G.C.T + d.samples @ G.D.T
+    total = float(np.vdot(y, y))
+    Z, Go_s = G.schur_gramian
+    chunk = rs.signals.TAIL_CHUNK
+    start = 0
+    while True:
+        free = np.empty((min(chunk, n_d + 1 - start), G.n_x))
+        for j in range(free.shape[0]):
+            free[j] = x
+            x = A @ x
+        free_s = free @ Z.conj()
+        tails = np.real(np.sum(free_s.conj() * (free_s @ Go_s.T), axis=1))
+        y = free @ G.C.T
+        steps = np.sum(y * y, axis=1)
+        before = total + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+        stop = np.flatnonzero(tails <= rs.signals.TAIL_FRACTION * before)
+        start += free.shape[0]
+        if stop.size or start > n_d:
+            i = stop[0] if stop.size else -1
+            return float(before[i] + tails[i])
+        total = float(before[-1] + steps[-1])
+
+
+def noncausal_cost_per_trial(K0, d) -> float:
+    """``noncausal.eval_noncausal_cost`` as a loop over one disturbance:
+    the arithmetic of ``eval_noncausal_cost``, step by step, so the
+    kernel must give the same bits (cross-check left out)."""
+    if d.norm_sq() == 0.0:
+        return 0.0
+    P = K0.plant
+    din = d.samples
+    drive = np.matmul(K0.X @ P.B_d, din[:, :, None])[:, :, 0]
+    v = np.zeros((len(d) + 1, K0.A11.shape[0]))
+    vk = v[-1]
+    for k in range(len(d) - 1, -1, -1):
+        vk = v[k] = K0.A11.T @ (vk + drive[k])
+    v0, v_next = v[0], v[1:]
+    w = din @ K0.K_d.T + v_next @ K0.K_v.T
+    drive = din @ P.B_d.T - w @ P.B_u.T
+    xs = np.empty((len(d) + 1, K0.A11.shape[0]))
+    x = xs[0] = K0.M @ v0
+    for k in range(len(d)):
+        x = xs[k + 1] = K0.A11 @ x + drive[k]
+    u = -(xs[:-1] @ K0.K_x.T) - w
+    e = xs[:-1] @ P.C_e.T + u @ P.D_eu.T
+    return float(v0 @ K0.G_pre @ v0) + float(np.vdot(e, e)) + float(x @ K0.X @ x)
+
+
 def dscale_logmag_loop(ejt, gain_log, zeros, poles):
     """Reference log magnitude of the D-scale cascade: one section at a
     time, each on a 1-D array."""
@@ -493,3 +553,67 @@ def qz_dare(p) -> np.ndarray:
     """Reference stabilizing DARE solution from scipy's QZ solver (the
     generalized Schur form of the symplectic pencil)."""
     return scipy.linalg.solve_discrete_are(p.A, p.B, p.Q, p.R, s=p.S)
+
+
+def verify_regret_loop(K, P, level, n_trials: int = 200, seed: int = 0,
+                       K0=None):
+    """Per-trial reference for ``regret.verify_regret``: the same draws,
+    and one ``response_energy`` and one ``eval_noncausal_cost`` call per
+    disturbance, in draw order."""
+    if K0 is None:
+        K0 = rs.build_noncausal(P)
+    cl = rs.lft_lower(P, K)
+    if not cl.is_schur():
+        return rs.regret.RegretVerification(False, np.inf, 0, "unstable")
+    _, theta_peak = rs.hinf_norm(cl, return_theta=True)
+    rng = np.random.default_rng(seed)
+    n_sin = rs.regret._N_SINUSOIDS
+    trials = []
+    for k in range(max(n_trials - n_sin, 0)):
+        kind = "white" if k % 2 == 0 else "lowpass"
+        trials.append((kind, rs.random_signal(rng, P.n_d, int(rng.integers(8, 60)),
+                                              kind=kind)))
+    for _ in range(min(n_sin, n_trials)):
+        theta = theta_peak * (0.8 + 0.4 * rng.random())
+        direction = rng.standard_normal(P.n_d)
+        trials.append(("sinusoid",
+                       rs.sinusoid_signal(P.n_d, theta, int(rng.integers(32, 128)),
+                                          direction=direction)))
+    worst, worst_kind = -np.inf, ""
+    for kind, d in trials:
+        if d.norm_sq() == 0.0:
+            continue
+        margin = rs.signals.response_energy(cl, d) - (
+            level.gamma_d**2 * d.norm_sq()
+            + level.gamma_J**2 * rs.eval_noncausal_cost(K0, d))
+        if margin > worst:
+            worst, worst_kind = margin, kind
+    return rs.regret.RegretVerification(worst < 0.0, worst, len(trials), worst_kind)
+
+
+def verify_robust_regret_loop(K, P, level, n_delta: int = 50, n_dist: int = 20,
+                              seed: int = 0, delta_order: int = 5, K0=None):
+    """Per-trial reference for ``robust.verify_robust_regret``: the
+    disturbances of a sampled Delta are drawn only when its loop is
+    stable, and each is evaluated on its own."""
+    if K0 is None:
+        K0 = rs.build_noncausal(P.nominal())
+    cl_open = rs.lft_lower(P.as_generalized(), K)
+    rng = np.random.default_rng(seed)
+    n_unstable, worst, trials = 0, -np.inf, 0
+    for _ in range(n_delta):
+        ds = rs.sample_uncertainty(P.n_v, P.n_w, delta_order,
+                                   seed=int(rng.integers(0, 2**31)),
+                                   sample_time=P.sample_time)
+        cl = rs.lft_upper(cl_open, ds.Delta, P.n_w, P.n_v)
+        if not cl.is_schur():
+            n_unstable += 1
+            continue
+        for _ in range(n_dist):
+            d = rs.Signal(0, rng.standard_normal((int(rng.integers(8, 50)), P.n_d)))
+            worst = max(worst, rs.signals.response_energy(cl, d) - (
+                level.gamma_d**2 * d.norm_sq()
+                + level.gamma_J**2 * rs.eval_noncausal_cost(K0, d)))
+            trials += 1
+    return rs.robust.RobustVerification(n_unstable == 0 and worst < 0.0,
+                                        n_unstable, worst, trials)

@@ -10,7 +10,7 @@ from regretsynth.errors import RegretSynthError
 from regretsynth.noncausal import noncausal_response
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
-from oracles import noncausal_cost_loop, simulate_ehat
+from oracles import noncausal_cost_loop, noncausal_cost_per_trial, simulate_ehat
 
 
 def qp_oracle(P, d, pad=80):
@@ -227,3 +227,71 @@ def test_cost_solves_its_stein_equations_once_per_controller(schur_stein_calls):
     fresh = dataclasses.replace(K0)
     assert [rs.eval_noncausal_cost(fresh, d) for d in ds for _ in range(2)] == costs
     assert len(schur_stein_calls) == 6
+
+
+def test_costs_match_per_step_reference_in_mixed_batches():
+    plants = [scalar_plant()] + [random_generalized_plant(seed, n=n, rho=rho)
+                                 for seed, n, rho in ((36, 2, 0.5), (37, 5, 0.9))]
+    rng = np.random.default_rng(38)
+    lengths = (37, 1, 128, 5, 16, 90, 2, 127, 8)
+    for P in plants:
+        K0 = rs.build_noncausal(P)
+        ds = [rs.Signal(0, np.zeros((L, P.n_d)) if L == 5 else
+                        rng.standard_normal((L, P.n_d))) for L in lengths]
+        costs = rs.eval_noncausal_cost(K0, ds)
+        assert costs.shape == (len(ds),)
+        assert costs[lengths.index(5)] == 0.0
+        for d, cost in zip(ds, costs):
+            if d.norm_sq() == 0.0:
+                continue
+            ref = noncausal_cost_loop(K0, d)
+            assert abs(cost - ref) <= 1e-12 * ref
+            # the same bits as the signal on its own
+            assert cost == noncausal_cost_per_trial(K0, d)
+            assert cost == rs.eval_noncausal_cost(K0, d)
+        assert rs.eval_noncausal_cost(K0, []).shape == (0,)
+        (cost,) = rs.eval_noncausal_cost(K0, ds[:1])
+        assert cost == costs[0]
+        single = rs.eval_noncausal_cost(K0, ds[0])
+        assert type(single) is float and single == cost
+
+
+def test_cross_check_raises_from_inside_a_batch():
+    P = random_generalized_plant(39, n=3)
+    K0 = rs.build_noncausal(P)
+    rng = np.random.default_rng(40)
+    zero = rs.Signal(0, np.zeros((6, P.n_d)))
+    ds = [zero, rs.Signal(0, rng.standard_normal((20, P.n_d))), zero]
+    with pytest.raises(RegretSynthError, match="cross-check"):
+        rs.eval_noncausal_cost(K0, ds, cross_check_rel=-1.0)
+    # zero signals are not simulated, so they pass any cross-check
+    assert list(rs.eval_noncausal_cost(K0, [zero, zero], cross_check_rel=-1.0)) \
+        == [0.0, 0.0]
+
+
+def test_response_window_ends_when_the_state_is_negligible():
+    # the mode at 1 - 1e-4 is neither driven nor weighted: a window sized
+    # from the decay rate would pad 276,000 steps on each side
+    ss = rs.StateSpace(np.diag([0.5, 1.0 - 1e-4]), [[1.0, 1.0], [0.0, 0.0]],
+                       [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                       [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]], 1.0)
+    P = rs.GeneralizedPlant(ss, n_d=1, n_u=1, n_e=2, n_y=1)
+    K0 = rs.build_noncausal(P)
+    assert K0.decay_rate() > 1.0 - 2e-4
+    d = rs.Signal(3, np.random.default_rng(41).standard_normal((50, 1)))
+    t0, x, u, e, v = noncausal_response(K0, d)
+    assert len(e) < len(d) + 200 and t0 < d.t0
+    assert x.shape[0] == v.shape[0] == len(e) + 1 == len(u) + 1
+    J = rs.eval_noncausal_cost(K0, d)
+    assert abs(np.sum(e * e) - J) <= 1e-9 * J
+
+
+def test_quartercar_response_window(store):
+    # the quarter car's slow mode (0.9991) is driven, so its window stays
+    # long; sizing both sides from the decay rate gave 61,440 samples
+    K0 = store.k0("quartercar")
+    d = rs.Signal(0, np.random.default_rng(0).standard_normal((50, K0.plant.n_d)))
+    t0, x, u, e, v = noncausal_response(K0, d)
+    assert len(e) < 45_000
+    J = rs.eval_noncausal_cost(K0, d)
+    assert abs(np.sum(e * e) - J) <= 1e-9 * J

@@ -6,7 +6,8 @@ import pytest
 import regretsynth as rs
 from regretsynth.regret import KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, KIND_HINF
 
-from conftest import scalar_plant
+from conftest import random_generalized_plant, scalar_plant
+from oracles import verify_regret_loop
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +109,21 @@ def test_pareto_csv_rows(scalar_k0):
     assert len(rows) == 3
     for gd, lo, hi, norm, order in rows:
         assert lo <= hi and norm < 1.0 and order >= 1
+
+
+@pytest.mark.parametrize("level, seed", [((1.0, 1.0), 3), ((0.5, 0.5), 4)])
+def test_verify_regret_matches_per_trial_loop(scalar_k0, level, seed):
+    P, K0 = scalar_k0
+    K = rs.synth_regret(P, rs.RegretLevel(1.0, 1.0), K0=K0).controller
+    level = rs.RegretLevel(*level)
+    rep = rs.verify_regret(K, P, level, n_trials=120, seed=seed, K0=K0)
+    assert rep == verify_regret_loop(K, P, level, n_trials=120, seed=seed, K0=K0)
+
+
+def test_verify_regret_matches_per_trial_loop_two_disturbances():
+    P = random_generalized_plant(5, n=4)
+    K = rs.static_gain(np.zeros((P.n_u, P.n_y)), P.sample_time)
+    level = rs.RegretLevel(3.0, 1.0)
+    rep = rs.verify_regret(K, P, level, n_trials=90, seed=6)
+    assert rep == verify_regret_loop(K, P, level, n_trials=90, seed=6)
+    assert rep.n_trials == 90

@@ -12,7 +12,7 @@ from regretsynth.robust import (_SectionMemo, _logmag_jacobian, _logmag_residual
 
 from conftest import scalar_plant
 from oracles import (dscale_jacobian_loop, dscale_residual_loop,
-                     fit_dscale_loop)
+                     fit_dscale_loop, verify_robust_regret_loop)
 
 
 def scalar_uncertain_plant():
@@ -241,6 +241,24 @@ def test_logmag_jacobian_reuses_the_residual_point(monkeypatch):
     assert len(calls) == 4
 
 
+def test_fit_dscale_skips_starts_with_non_finite_residuals(monkeypatch):
+    calls = []
+    residual = robust._logmag_residual
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(robust, "_logmag_residual", counted)
+    thetas = np.linspace(1e-3, np.pi, 40)
+    mags = np.ones_like(thetas)
+    mags[7] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(FitToleranceExceeded):
+        rs.fit_dscale(list(zip(thetas, mags)))
+    # one residual at each of the 4 starts of orders 1-4, none solved
+    assert len(calls) == 16
+
+
 def _lm_differences_by_2point_rule() -> bool:
     """Whether least_squares(method="lm") builds its Jacobian by scipy's
     2-point rule (step sqrt(eps) max(1, |x|)) and not by MINPACK's own
@@ -384,3 +402,17 @@ def test_robust_front_dominates_nominal_scalar():
                                  grid_span=(0.3, 0.9), gamma_inf=nom.gamma_inf)
     for pn, pr in zip(nom.points, rob.points):
         assert pr.gamma_j_upper >= pn.gamma_j_upper - 2 * (5e-3 + 5e-3 * pn.gamma_j_upper)
+
+
+def test_verify_robust_regret_matches_per_trial_loop():
+    # the static gain -1.4 leaves a loop pole at -0.9, and some of the
+    # sampled Deltas push it out of the unit circle
+    unc = scalar_uncertain_plant()
+    K0 = rs.build_noncausal(unc.nominal())
+    K = rs.static_gain([[-1.4]], 1.0)
+    level = rs.RegretLevel(2.0, 1.0)
+    rep = rs.verify_robust_regret(K, unc, level, n_delta=12, n_dist=4, seed=1,
+                                  K0=K0)
+    assert rep == verify_robust_regret_loop(K, unc, level, n_delta=12, n_dist=4,
+                                            seed=1, K0=K0)
+    assert (rep.n_unstable, rep.trials) == (6, 24)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import regretsynth as rs
 from regretsynth.errors import NonDecaying
 
 from conftest import random_stable_ss
-from oracles import response_energy_loop
+from oracles import response_energy_loop, response_energy_per_trial
 
 
 def test_zero_in_zero_out():
@@ -148,3 +150,96 @@ def test_response_energy_solves_the_gramian_once_per_system(schur_stein_calls):
     copy = rs.StateSpace(g.A.copy(), g.B.copy(), g.C.copy(), g.D.copy(), 1.0)
     assert [rs.signals.response_energy(copy, d) for d in ds for _ in range(2)] == energies
     assert schur_stein_calls == [5, 5]
+
+
+def _mixed_batch(rng, dim, lengths):
+    """Disturbances of the given lengths; the one of length 5 is zero."""
+    return [rs.Signal(0, np.zeros((L, dim)) if L == 5 else rng.standard_normal((L, dim)))
+            for L in lengths]
+
+
+BATCH_LENGTHS = (37, 1, 128, 5, 16, 17, 90, 2, 64, 127, 33, 8)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 13, 22, 40])
+def test_stacked_product_rounds_like_the_per_trial_one(n):
+    # the lock-step kernels rest on this: one stacked np.matmul over the
+    # trials gives the bits of A @ x taken trial by trial
+    rng = np.random.default_rng(n)
+    A, X = rng.standard_normal((n, n)), rng.standard_normal((37, n))
+    stacked = np.matmul(A, X[:, :, None])[:, :, 0]
+    assert np.array_equal(stacked, np.array([A @ x for x in X]))
+
+
+def test_response_energy_of_a_sequence_matches_per_step_reference():
+    rng = np.random.default_rng(8)
+    for n, rho in ((1, 0.3), (3, 0.95), (8, 0.7), (13, 0.9)):
+        g = random_stable_ss(rng, n, 2, 3, rho=rho)
+        ds = _mixed_batch(rng, 2, BATCH_LENGTHS)
+        energies = rs.signals.response_energy(g, ds)
+        assert energies.shape == (len(ds),)
+        for d, energy in zip(ds, energies):
+            ref = response_energy_loop(g, d)
+            assert abs(energy - ref) <= 1e-12 * ref
+            # the same bits as the signal on its own: the lock-step
+            # recursion rounds like the per-signal one
+            assert energy == response_energy_per_trial(g, d)
+            assert energy == rs.signals.response_energy(g, d)
+        assert energies[BATCH_LENGTHS.index(5)] == 0.0
+
+
+def test_response_energy_of_small_sequences():
+    rng = np.random.default_rng(9)
+    g = random_stable_ss(rng, 4, 2, 2, rho=0.8)
+    assert rs.signals.response_energy(g, []).shape == (0,)
+    d = rs.Signal(0, rng.standard_normal((30, 2)))
+    (energy,) = rs.signals.response_energy(g, [d])
+    assert abs(energy - response_energy_loop(g, d)) <= 1e-12 * energy
+    # a signal on its own gives a float, of the same bits
+    single = rs.signals.response_energy(g, d)
+    assert type(single) is float and single == energy
+    static = rs.static_gain([[1.0, -2.0], [0.5, 3.0]], 1.0)
+    ds = _mixed_batch(rng, 2, (9, 5, 1))
+    assert list(rs.signals.response_energy(static, ds)) == \
+        [np.sum((d.samples @ static.D.T) ** 2) for d in ds]
+
+
+def test_response_energy_of_a_sequence_requires_stability():
+    g = rs.StateSpace([[1.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    with pytest.raises(NonDecaying):
+        rs.signals.response_energy(g, [rs.Signal.impulse(1)] * 3)
+
+
+def test_trial_blocks_cover_every_trial_within_the_budget():
+    lengths = [40, 3, 128, 128, 0, 7, 3, 90, 127, 1]
+    row_size = 2000  # a padded trial of 128 samples fills 258,000 entries
+    blocks = rs.signals.trial_blocks(lengths, row_size)
+    order = np.concatenate(blocks)
+    assert sorted(order) == list(range(len(lengths)))
+    assert [lengths[i] for i in order] == sorted(lengths)
+    for block in blocks:
+        longest = max(lengths[i] for i in block)
+        assert block.size == 1 or \
+            block.size * (longest + 1) * row_size <= rs.signals.TRIAL_BLOCK
+    assert rs.signals.trial_blocks([], row_size) == []
+
+
+def test_lock_step_kernels_bound_their_working_arrays(store):
+    # 200 disturbances of 127 samples on the quarter-car loop: the state
+    # histories of all of them would take 3.3 MB for the energies alone
+    P = store.nominal("quartercar")
+    K0 = store.k0("quartercar")
+    cl = rs.lft_lower(P, rs.static_gain(np.zeros((P.n_u, P.n_y)), P.sample_time))
+    rng = np.random.default_rng(10)
+    ds = [rs.Signal(0, rng.standard_normal((127, P.n_d))) for _ in range(200)]
+    rs.signals.response_energy(cl, ds[:1])  # the Gramian, once per system
+    rs.eval_noncausal_cost(K0, ds[:1])  # the cached Stein solutions
+    for kernel, system in ((rs.signals.response_energy, cl),
+                           (rs.eval_noncausal_cost, K0)):
+        tracemalloc.start()
+        try:
+            kernel(system, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (kernel.__name__, peak)
