@@ -15,12 +15,16 @@ controller carries an a-posteriori certificate, the closed-loop spectral
 radius and a certified upper bound on the closed-loop H-infinity norm
 (the upper end of the level-set bracket of :func:`norms.hinf_norm`,
 computed on the discrete loop without this transform).  A level is
-feasible only when that upper bound is below it.
+feasible only when that upper bound is below it.  :func:`hinf_optimize`
+decides the levels of its search by :func:`norms.norm_below`, which
+answers whether that upper bound would be below a level from one
+pencil, and brackets only the levels it cannot decide and the level it
+returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +35,7 @@ from .errors import (
     NotStabilizable,
     RegretSynthError,
 )
-from .norms import hinf_norm
+from .norms import hinf_norm, norm_below
 from .plants import GeneralizedPlant, lft_lower
 from .riccati import pbh_detectable, pbh_stabilizable
 from .statespace import StateSpace, balance_states
@@ -358,26 +362,16 @@ def _normalized_blocks(P: GeneralizedPlant, reg_eps: float):
     return setup[key]
 
 
-def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
-    """Controller with validated closed-loop norm < gamma, or a verdict.
+def _candidate(P: GeneralizedPlant, gamma: float):
+    """The part of :func:`synth_hinf` that depends on gamma: the central
+    controller and its closed loop, before any certificate.
 
-    The feasibility verdict is bound to the a-posteriori certificate:
-    a candidate that fails independent validation is reported
-    infeasible at this level, never trusted.  Validation brackets the
-    closed-loop norm at :func:`hinf_norm`'s default tolerance; the level is
-    feasible when the certified upper end is below gamma.  The bracket,
-    the number of levels tested and the bracket's status are recorded
-    in ``metadata`` as ``norm_bracket``, ``norm_iterations`` and
-    ``norm_status``.
-
-    The set-up that does not depend on gamma (PBH margins, balanced
-    bilinear blocks, their regularization and the D12/D21
-    normalizations) is computed once per plant and regularization level
-    and kept on ``P``, so a bisection over gamma pays for it once.
+    Returns (reason, meta, Kd, cl): ``reason`` is None when the closed
+    loop ``cl`` of the controller ``Kd`` is Schur-stable, and otherwise
+    the verdict, with ``Kd`` and ``cl`` None.
     """
     if gamma <= 0:
-        return SynthesisResult(None, gamma, False, np.inf,
-                               metadata={"reason": "gamma_nonpositive"})
+        return "gamma_nonpositive", {}, None, None
     stab, det = _pbh_margins(P)
     if not stab > 1e-9:
         raise NotStabilizable(f"(A, B_u) PBH margin {stab:.3g}")
@@ -395,8 +389,7 @@ def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
         if out is not None or reason in genuine or not meta:
             break
     if out is None:
-        return SynthesisResult(None, gamma, False, np.inf,
-                               metadata={**meta, "reason": reason})
+        return reason, meta, None, None
     Ak, Bk, Ck, Dk = out
     # undo channel normalizations
     Bk = Bk @ y_map
@@ -406,12 +399,21 @@ def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
         Ak, Bk, Ck, Dk = _wrap_d22(Ak, Bk, Ck, Dk, D22)
         Kd = StateSpace(*tustin_c2d(Ak, Bk, Ck, Dk), P.sample_time)
     except RegretSynthError as exc:
-        return SynthesisResult(None, gamma, False, np.inf,
-                               metadata={**meta, "reason": str(exc)})
+        return str(exc), meta, None, None
     cl = lft_lower(P, Kd)
     if not cl.is_schur():
-        return SynthesisResult(None, gamma, False, np.inf,
-                               metadata={**meta, "reason": "closed_loop_unstable"})
+        return "closed_loop_unstable", meta, None, None
+    return None, meta, Kd, cl
+
+
+def _infeasible(gamma: float, reason: str, meta: dict) -> SynthesisResult:
+    return SynthesisResult(None, gamma, False, np.inf,
+                           metadata={**meta, "reason": reason})
+
+
+def _certified(gamma: float, meta: dict, Kd: StateSpace,
+               cl: StateSpace) -> SynthesisResult:
+    """The verdict on a candidate from the bracket of its closed-loop norm."""
     br = hinf_norm(cl, return_bracket=True)
     feasible = br.upper < gamma
     reason = "ok" if feasible else (
@@ -422,6 +424,29 @@ def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
                                      "norm_bracket": (br.lower, br.upper),
                                      "norm_iterations": br.iterations,
                                      "norm_status": br.status})
+
+
+def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
+    """Controller with validated closed-loop norm < gamma, or a verdict.
+
+    The feasibility verdict is bound to the a-posteriori certificate:
+    a candidate that fails independent validation is reported
+    infeasible at this level, never trusted.  Validation brackets the
+    closed-loop norm at :func:`hinf_norm`'s default tolerance; the level is
+    feasible when the certified upper end is below gamma.  The bracket,
+    the number of levels tested and the bracket's status are recorded
+    in ``metadata`` as ``norm_bracket``, ``norm_iterations`` and
+    ``norm_status``.
+
+    The set-up that does not depend on gamma (PBH margins, balanced
+    bilinear blocks, their regularization and the D12/D21
+    normalizations) is computed once per plant and regularization level
+    and kept on ``P``, so a bisection over gamma pays for it once.
+    """
+    reason, meta, Kd, cl = _candidate(P, gamma)
+    if reason is not None:
+        return _infeasible(gamma, reason, meta)
+    return _certified(gamma, meta, Kd, cl)
 
 
 def check_tolerances(tol_abs: float, tol_rel: float) -> None:
@@ -470,6 +495,15 @@ def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
     return lo, hi, best
 
 
+@dataclass(frozen=True)
+class _Decided:
+    """A search level that :func:`norms.norm_below` decided, with the
+    candidate kept for the one bracket the search may end with."""
+
+    feasible: bool
+    candidate: tuple
+
+
 def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
                   tol_rel: float = 1e-4, stop_below: float | None = None):
     """Minimal achievable closed-loop norm by :func:`bisect_level`.
@@ -477,7 +511,37 @@ def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
     Returns (gamma_upper, result) where result holds the controller
     synthesized at the feasible upper end of the final bracket;
     ``stop_below`` is passed on to the driver.
+
+    Each level gets the candidate of :func:`synth_hinf`, and
+    :func:`norms.norm_below` decides whether its closed-loop bracket
+    would be below the level; only a level it cannot decide is
+    bracketed during the search.  The level the search returns is
+    bracketed once at the end, so the levels, the controller and the
+    certificate are those of a search over :func:`synth_hinf`.  The
+    metadata adds ``search_levels``, one (gamma, verdict) per level in
+    the order tried: the synthesis reason of a candidate that failed,
+    or ``below``, ``above`` or ``bracket``.
     """
-    _, hi, best = bisect_level(lambda g: synth_hinf(P, g), tol_abs, tol_rel,
-                               stop_below)
-    return hi, best
+    levels = []
+
+    def decide(g):
+        reason, meta, Kd, cl = _candidate(P, g)
+        if reason is not None:
+            levels.append((g, reason))
+            return _infeasible(g, reason, meta)
+        below = norm_below(cl, g)
+        if below is None:
+            levels.append((g, "bracket"))
+            return _certified(g, meta, Kd, cl)
+        levels.append((g, "below" if below else "above"))
+        return _Decided(below, (meta, Kd, cl))
+
+    _, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below)
+    if isinstance(best, _Decided):
+        best = _certified(hi, *best.candidate)
+        if not best.feasible:
+            raise RegretSynthError(
+                f"the norm bracket contradicts the decided level {hi!r}: "
+                f"upper end {best.achieved_norm!r}")
+    return hi, replace(best, metadata={**best.metadata,
+                                       "search_levels": tuple(levels)})

@@ -31,6 +31,12 @@ and the level is an upper bound.  Status ``"peaks_below"`` records this.
 An iteration that runs out of steps certifies nothing: it reports an
 infinite upper end.
 
+A search over levels needs only to know whether the bracket's upper
+end would fall below each level, and :func:`norm_below` answers that
+from a single step at the level just under it.  It shares the step
+(:func:`_level_step`) with the bracket, and answers None when only the
+bracket can tell.
+
 The state coordinates are balanced by powers of two before the pencil
 is formed.  On loops with D-scale poles near z = 1, the unbalanced
 pencil put true crossings up to 1e-3 off the circle, and the balanced
@@ -54,6 +60,8 @@ _CIRCLE_TOL = 1e-4
 _CONFIRM_TOL = 1e-3
 # levels tested before the iteration gives up without a certificate
 _MAX_LEVELS = 30
+# hinf_norm's default relative bracket half-width, the one norm_below decides
+_NORM_TOL = 1e-9
 # the local search spans this many times an eigenvalue's distance from
 # the circle on each side of its angle, and at least _SEARCH_MIN
 _SEARCH_SPAN = 10.0
@@ -214,6 +222,56 @@ def _markov_bound(sys: StateSpace) -> float:
     return float(frob / np.sqrt(min(sys.n_u, sys.n_y)))
 
 
+def _level_step(sys: StateSpace, A, B, C, level: float, ends: bool = False):
+    """sigma_max samples of one level-set step at ``level``.
+
+    ``A, B, C`` are the balanced state matrices of ``sys``.  The pencil
+    at ``level`` gives the candidate crossings, and a candidate counts
+    once a singular value at its angle is within ``_CONFIRM_TOL`` of the
+    level.  sigma_max is evaluated at the confirmed angles and at the
+    midpoints between consecutive ones; with ``ends``, 0 and pi join the
+    angles the midpoints are taken between.  When a crossing is
+    confirmed but no value rises above the level (a stall), the local
+    search adds the peak around each confirmed angle.
+
+    Returns (angles, values), or None when no crossing is confirmed and
+    ``ends`` is false.
+    """
+    thetas, dists = _circle_eigenvalues(A, B, C, sys.D, level)
+    thetas, first = np.unique(thetas, return_index=True)
+    dists = dists[first]
+    sv = np.linalg.svd(sys.freqresp(thetas), compute_uv=False)
+    confirmed = np.min(np.abs(sv / level - 1.0), axis=1) <= _CONFIRM_TOL
+    if not (confirmed.any() or ends):
+        return None
+    thetas, dists = thetas[confirmed], dists[confirmed]
+    cuts = np.concatenate([[0.0], thetas, [np.pi]]) if ends else thetas
+    mids = 0.5 * (cuts[1:] + cuts[:-1])
+    pts = np.concatenate([thetas, mids])
+    vals = np.concatenate([sv[confirmed, 0], sigma_max_on_grid(sys, mids)])
+    if thetas.size and vals.max() <= level:
+        peaks, peak_vals = _local_peaks(sys, thetas, dists)
+        pts, vals = np.concatenate([pts, peaks]), np.concatenate([vals, peak_vals])
+    return pts, vals
+
+
+def _static_norm(sys: StateSpace, tol: float) -> float | None:
+    """The norm of a system with no input, output or state, None for
+    any other; raises on a tolerance or a system the bracket rejects."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if sys.n_u == 0 or sys.n_y == 0:
+        return 0.0
+    if sys.n_x == 0:
+        return float(np.linalg.svd(sys.D, compute_uv=False)[0])
+    if not sys.is_schur():
+        raise UnstableSystem(
+            f"hinf_norm requires a stable system (spectral radius "
+            f"{sys.spectral_radius():.6g})"
+        )
+    return None
+
+
 def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
     """Certified bracket of the H-infinity norm of a Schur-stable system.
 
@@ -221,18 +279,9 @@ def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
     the upper end exceeds the lower end by the factor ``1 + 2 tol`` unless
     the iteration gave up, in which case the upper end is infinite.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if sys.n_u == 0 or sys.n_y == 0:
-        return NormBracket(0.0, 0.0, 0.0, 0, "exact")
-    if sys.n_x == 0:
-        val = float(np.linalg.svd(sys.D, compute_uv=False)[0])
+    val = _static_norm(sys, tol)
+    if val is not None:
         return NormBracket(val, val, 0.0, 0, "exact")
-    if not sys.is_schur():
-        raise UnstableSystem(
-            f"hinf_norm requires a stable system (spectral radius "
-            f"{sys.spectral_radius():.6g})"
-        )
     seeds = np.concatenate([np.linspace(0.0, np.pi, 9), _pole_angle_seeds(sys)])
     vals = sigma_max_on_grid(sys, seeds)
     k = int(np.argmax(vals))
@@ -246,21 +295,10 @@ def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
     A, B, C = balance_states(sys.A, sys.B, sys.C)
     for it in range(1, _MAX_LEVELS + 1):
         level = (1.0 + 2.0 * tol) * lower
-        thetas, dists = _circle_eigenvalues(A, B, C, sys.D, level)
-        thetas, first = np.unique(thetas, return_index=True)
-        dists = dists[first]
-        sv = np.linalg.svd(sys.freqresp(thetas), compute_uv=False)
-        confirmed = np.min(np.abs(sv / level - 1.0), axis=1) <= _CONFIRM_TOL
-        if not confirmed.any():
+        step = _level_step(sys, A, B, C, level)
+        if step is None:
             return NormBracket(lower, level, theta, it, "no_crossing")
-        thetas, dists = thetas[confirmed], dists[confirmed]
-        mids = 0.5 * (thetas[1:] + thetas[:-1])
-        pts = np.concatenate([thetas, mids])
-        vals = np.concatenate([sv[confirmed, 0], sigma_max_on_grid(sys, mids)])
-        if vals.max() <= level:
-            # a stall: search around each confirmed angle
-            peaks, peak_vals = _local_peaks(sys, thetas, dists)
-            pts, vals = np.concatenate([pts, peaks]), np.concatenate([vals, peak_vals])
+        pts, vals = step
         k = int(np.argmax(vals))
         if vals[k] > lower:
             lower, theta = float(vals[k]), float(pts[k])
@@ -269,7 +307,49 @@ def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
     return NormBracket(lower, np.inf, theta, _MAX_LEVELS, "iteration_limit")
 
 
-def hinf_norm(sys: StateSpace, tol: float = 1e-9, return_theta: bool = False,
+def norm_below(sys: StateSpace, level: float) -> bool | None:
+    """Whether ``hinf_norm(sys)`` is below ``level``, from one step.
+
+    True only when the bracket's upper end at the default ``tol``
+    (1e-9) would be below ``level``, False only when it would not, and
+    None when only the bracket can tell.  The step tests the largest
+    ``L`` with ``(1 + 2 tol) L < level``: the bracket only ever tests
+    ``(1 + 2 tol)`` times a value that sigma_max attains, so a norm
+    below ``L`` keeps every level it tests below ``level``.  sigma_max is evaluated at 0 and pi, and
+    :func:`_level_step` adds the confirmed crossings of the pencil at
+    ``L``, the midpoints of [0, theta_1, ..., theta_k, pi] and, on a
+    stall, the local peaks.  A value at or above ``level`` answers
+    False.  Values all below ``L / (1 + 2 tol)`` answer True: the
+    bracket's stall rule takes sigma_max to peak within that factor of
+    the largest value its search finds, and the decision keeps the
+    same margin under ``L``.  Any other outcome, a norm within about
+    the bracket's width of ``level``, answers None.
+
+    Requires a Schur-stable system, like :func:`hinf_norm`.
+    """
+    val = _static_norm(sys, _NORM_TOL)
+    if val is not None or not level > 0:
+        return bool(val is not None and val < level)
+    if level == np.inf:
+        return None
+    scale = 1.0 + 2.0 * _NORM_TOL
+    test = level / scale
+    while not scale * test < level:
+        test = np.nextafter(test, 0.0)
+    vals = sigma_max_on_grid(sys, [0.0, np.pi])
+    if vals.max() < test:
+        A, B, C = balance_states(sys.A, sys.B, sys.C)
+        _, step = _level_step(sys, A, B, C, test, ends=True)
+        vals = np.concatenate([vals, step])
+    top = vals.max()
+    if top >= level:
+        return False
+    if scale * top < test:
+        return True
+    return None
+
+
+def hinf_norm(sys: StateSpace, tol: float = _NORM_TOL, return_theta: bool = False,
               return_bracket: bool = False):
     """Certified upper bound on the peak of sigma_max(G(e^{j theta})).
 

@@ -23,6 +23,7 @@ from .errors import (
     WellPosednessError,
     FitToleranceExceeded,
     NotAFailurePoint,
+    RegretSynthError,
     UnstableSystem,
 )
 from .hinf import SynthesisResult, hinf_optimize, synth_hinf
@@ -415,9 +416,12 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     Terminates successfully when the frequency-wise scaled test passes;
     success certifies the robust level (sufficient only).  Stalls or
     the iteration cap end with an infeasible result whose reason is
-    ``dk_did_not_converge``.  An ``initial_D`` from a nearby level
-    warm-starts the alternation (any stable minimum-phase D keeps the
-    certificate sound).
+    ``dk_did_not_converge``, and so does a K-step that raises a
+    :class:`RegretSynthError` (no feasible level within the doubling
+    limit, say) or a ``LinAlgError``: its message is the trace entry's
+    ``error``.  Any other exception propagates.  An ``initial_D`` from
+    a nearby level warm-starts the alternation (any stable minimum-phase
+    D keeps the certificate sound).
     """
     if K0 is None:
         K0 = build_noncausal(P.nominal())
@@ -446,7 +450,7 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
             try:
                 gamma_val, res = hinf_optimize(P_syn, _DK_TOL_ABS, _DK_TOL_REL,
                                                stop_below=1.0)
-            except Exception as exc:
+            except (RegretSynthError, np.linalg.LinAlgError) as exc:
                 trace.append({"iter": it, "error": str(exc)})
                 break
             K = res.controller

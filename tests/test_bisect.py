@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import regretsynth as rs
@@ -89,3 +90,64 @@ def test_hinf_optimize_runs_the_reference_search():
     assert g == hi
     assert res.achieved_norm == best.achieved_norm
     assert res.controller.A.tobytes() == best.controller.A.tobytes()
+
+
+def _controller_bytes(res):
+    K = res.controller
+    return tuple(getattr(K, m).tobytes() for m in "ABCD")
+
+
+# seed -> a level the search visits whose closed-loop norm lies within the
+# bracket's width under it: the bracket there says infeasible
+AT_THE_NORM = {0: 3.879150390625, 3: 16.435546875, 6: 3.185302734375}
+VERDICTS = {"below", "above", "bracket", "parrott", "R_singular", "X_riccati",
+            "X_indefinite", "Y_riccati", "Y_indefinite", "spectral_radius",
+            "feedthrough_factorization", "closed_loop_unstable"}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_decided_search_matches_the_search_over_synth_hinf_bitwise(seed):
+    P = random_generalized_plant(seed)
+    g, res = rs.hinf_optimize(P, 1e-4, 1e-4)
+    tried = []
+    reference = random_generalized_plant(seed)
+    _, hi, best = bisect_loop(lambda x: tried.append(x) or rs.synth_hinf(reference, x),
+                              1e-4, 1e-4)
+    levels = res.metadata["search_levels"]
+    assert [level for level, _ in levels] == tried
+    assert {verdict for _, verdict in levels} <= VERDICTS
+    assert np.float64(g).tobytes() == np.float64(hi).tobytes()
+    assert _controller_bytes(res) == _controller_bytes(best)
+    assert np.float64(res.achieved_norm).tobytes() == \
+        np.float64(best.achieved_norm).tobytes()
+    assert res.metadata["norm_bracket"] == best.metadata["norm_bracket"]
+    assert {k: v for k, v in res.metadata.items() if k != "search_levels"} == best.metadata
+    if seed in AT_THE_NORM:
+        level = AT_THE_NORM[seed]
+        assert (level, "bracket") in levels
+        at = rs.synth_hinf(reference, level)
+        assert not at.feasible and at.metadata["reason"] == "norm_at_level"
+        assert at.metadata["norm_bracket"][0] < level
+
+
+def test_search_brackets_only_undecided_levels_and_the_result(monkeypatch):
+    P = random_generalized_plant(1)
+    brackets = []
+    hinf_norm = rs.hinf.hinf_norm
+    monkeypatch.setattr(rs.hinf, "hinf_norm",
+                        lambda *a, **k: brackets.append(a[0]) or hinf_norm(*a, **k))
+    g, res = rs.hinf_optimize(P, 1e-4, 1e-4)
+    levels = res.metadata["search_levels"]
+    verdicts = [verdict for _, verdict in levels]
+    assert dict(levels)[g] == "below"
+    assert len(brackets) == verdicts.count("bracket") + 1
+    assert brackets[-1] is res.closed_loop
+    assert res.feasible and res.achieved_norm < g
+
+
+def test_a_decision_the_bracket_contradicts_raises(monkeypatch):
+    # a bracket that runs out of levels certifies nothing, so the level
+    # the decisions returned is not feasible by the bracket
+    monkeypatch.setattr(rs.norms, "_MAX_LEVELS", 0)
+    with pytest.raises(rs.errors.RegretSynthError, match="contradicts"):
+        rs.hinf_optimize(random_generalized_plant(1), 1e-4, 1e-4)

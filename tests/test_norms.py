@@ -233,3 +233,81 @@ def test_norm_of_zero_system_and_bad_tolerance():
     assert abs(abs(np.sin(8.0 * theta)) - 1.0) < 1e-8
     with pytest.raises(ValueError):
         rs.hinf_norm(g, tol=0.0)
+
+
+def _edge_peaked(rng, n, m, p, sign):
+    """A random stable system plus a dominant real pole near sign * 1,
+    so that sigma_max peaks at theta = 0 (sign 1) or pi (sign -1)."""
+    A = np.zeros((n, n))
+    B = 5.0 * rng.standard_normal((n, m))
+    C = 5.0 * rng.standard_normal((p, n))
+    A[-1, -1] = sign * rng.uniform(0.9, 0.999)
+    if n > 1:
+        h = random_stable_ss(rng, n - 1, m, p, rho=0.5, feedthrough=False)
+        A[:-1, :-1], B[:-1], C[:, :-1] = h.A, h.B, h.C
+    return rs.StateSpace(A, B, C, rng.standard_normal((p, m)), 1.0)
+
+
+def _decision_levels(br):
+    """The bracket's own ends, one float either side of the upper end,
+    and levels 1e-9 and 1e-6 either side of the ends."""
+    u, lo = br.upper, br.lower
+    return (u, np.nextafter(u, np.inf), np.nextafter(u, -np.inf),
+            lo * (1 - 1e-9), lo * (1 + 1e-9), u * (1 - 1e-6), u * (1 + 1e-6))
+
+
+def test_norm_below_never_contradicts_the_bracket():
+    rng = np.random.default_rng(20)
+    edges = 0
+    for i in range(300):
+        n = int(rng.integers(1, 31))
+        m, p = (int(v) for v in rng.integers(1, 4, 2))
+        if i % 3:
+            g = _edge_peaked(rng, n, m, p, 1 if i % 3 == 1 else -1)
+        else:
+            g = random_stable_ss(rng, n, m, p, rho=float(rng.uniform(0.3, 0.9999)),
+                                 feedthrough=bool(i % 2))
+        br = rs.hinf_norm(g, return_bracket=True)
+        assert br.certified
+        edges += br.theta in (0.0, np.pi)
+        answers = [norms.norm_below(g, level) for level in _decision_levels(br)]
+        for level, below in zip(_decision_levels(br), answers):
+            # None defers to the bracket; an answer must be the bracket's
+            assert below is None or below == (br.upper < level), (i, level)
+        # a level 1e-6 away from the norm is decided
+        assert answers[5:] == [False, True], i
+    assert edges >= 150
+
+
+def test_norm_below_samples_the_ends_and_the_arcs_between_crossings():
+    # 1 / (z + 0.5) peaks at pi with 2 and falls to 2/3 at 0: a decision
+    # that sampled only theta = 0 and the crossings would call 1.5 a bound
+    g = rs.StateSpace([[-0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    assert norms.norm_below(g, 1.5) is False
+    assert norms.norm_below(g, 2.0 * (1 + 1e-6)) is True
+    # two resonances: the level 1.5 crosses only the larger one, whose
+    # arc between its crossings lies above it
+    blocks = [_second_order(1e-3, 0.5), _second_order(1e-3, 2.0, gain=2.0)]
+    h = rs.StateSpace(*(scipy.linalg.block_diag(*[b[k] for b in blocks])
+                        for k in range(4)), 1.0)
+    assert norms.norm_below(h, 1.5) is False
+    assert norms.norm_below(h, rs.hinf_norm(h) * (1 + 1e-6)) is True
+    # at the stall of test_stall_is_resolved_by_local_search the norm 2
+    # is within the bracket's width of the level: only the bracket tells
+    s = rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    assert norms.norm_below(s, 2.0 * (1 + 2e-9)) is None
+
+
+def test_norm_below_special_systems_and_levels():
+    g = rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
+    for level in (0.0, -1.0, np.nan):
+        assert norms.norm_below(g, level) is False
+    assert norms.norm_below(g, np.inf) is None
+    static = rs.static_gain([[3.0, 4.0]], 1.0)
+    assert norms.norm_below(static, 5.0) is False
+    assert norms.norm_below(static, np.nextafter(5.0, np.inf)) is True
+    zero = rs.StateSpace(np.diag([0.5, -0.3]), np.zeros((2, 1)), np.ones((1, 2)),
+                         [[0.0]], 1.0)
+    assert norms.norm_below(zero, 1e-300) is True
+    with pytest.raises(UnstableSystem):
+        norms.norm_below(rs.StateSpace([[1.5]], [[1.0]], [[1.0]], [[0.0]], 1.0), 1.0)

@@ -416,3 +416,34 @@ def test_verify_robust_regret_matches_per_trial_loop():
     assert rep == verify_robust_regret_loop(K, unc, level, n_delta=12, n_dist=4,
                                             seed=1, K0=K0)
     assert (rep.n_unstable, rep.trials) == (6, 24)
+
+
+def _unit_dscale():
+    return robust.DScaling(pointwise=(), system=rs.static_gain([[1.0]], 1.0),
+                           order=0, fit_error=0.0)
+
+
+def test_dk_iteration_records_a_k_step_without_a_feasible_level(monkeypatch):
+    def no_level(*args, **kwargs):
+        raise rs.errors.NoFeasibleUpperBound("no feasible level found up to 5.76e+17")
+
+    monkeypatch.setattr(robust, "hinf_optimize", no_level)
+    unc = scalar_uncertain_plant()
+    K0 = rs.build_noncausal(unc.nominal())
+    # an initial D puts a K-step at iteration 0
+    res = rs.dk_iteration(unc, rs.RegretLevel(2.0, 1.0), K0=K0, initial_D=_unit_dscale())
+    assert not res.feasible
+    assert res.metadata["reason"] == "dk_did_not_converge"
+    assert res.metadata["dk_trace"] == [
+        {"iter": 0, "error": "no feasible level found up to 5.76e+17"}]
+
+
+def test_dk_iteration_lets_a_fault_in_the_k_step_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a fault, not a verdict")
+
+    monkeypatch.setattr(robust, "hinf_optimize", broken)
+    unc = scalar_uncertain_plant()
+    K0 = rs.build_noncausal(unc.nominal())
+    with pytest.raises(TypeError):
+        rs.dk_iteration(unc, rs.RegretLevel(2.0, 1.0), K0=K0, initial_D=_unit_dscale())
