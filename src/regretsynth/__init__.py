@@ -4,7 +4,7 @@ from .statespace import (StateSpace, static_gain, series, parallel, append,
                          invert, zoh_discretize, tf1_to_ss, UNIT)
 from .plants import (GeneralizedPlant, UncertainPlant, lft_lower, lft_upper,
                      matrix_lft_upper, weight_disturbance, structural_prune)
-from .signals import Signal, simulate, inner, random_signal, sinusoid_signal
+from .signals import Signal, simulate, random_signal, sinusoid_signal
 from .norms import (FrequencyGrid, LoopMargins, NormBracket, hinf_norm, loop_margins,
                     l2_gain_curve)
 from .riccati import (DareProblem, DareSolution, DareAssumptionReport,
@@ -21,8 +21,7 @@ from .regret import (RegretLevel, ParetoFront, ParetoPoint, synth_regret,
 from .robust import (AugmentedOpenLoop, DScaling, UncertaintySample,
                      build_M, dk_iteration, dk_feasibility_oracle, fit_dscale,
                      matrix_rp_test, robust_pareto_front, robust_perf_test,
-                     sample_uncertainty, verify_robust_regret,
-                     worst_case_const_delta)
+                     sample_uncertainty, verify_robust_regret)
 from .examples import (EXAMPLE_NAMES, ExampleSpec, build_example,
                        example_components, example_spec,
                        quartercar_response_plant, road_pulse)

@@ -73,6 +73,14 @@ class NoncausalController:
         return stein(self.A11, self.A11 @ C_w.T @ C_w @ self.A11.T)
 
     @cached_property
+    def factor_setup(self) -> dict:
+        """Store for the part of the regret spectral factor that depends on
+        the controller alone (see ``spectral.spectral_factor_regret``), so
+        a search over regret levels computes it once.  The gains are
+        read-only, so the entries cannot go stale."""
+        return {}
+
+    @cached_property
     def G_cf(self) -> np.ndarray:
         """Pre-tail of the completion-of-squares sum, where only
         -(K_v v)' H (K_v v) survives: -v[t0]' G_cf v[t0]."""

@@ -19,21 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .errors import (
-    WellPosednessError,
-    FitToleranceExceeded,
-    NotAFailurePoint,
-    RegretSynthError,
-    UnstableSystem,
-)
+from .errors import FitToleranceExceeded, RegretSynthError, UnstableSystem
 from .hinf import SynthesisResult, hinf_optimize, synth_hinf
-from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
+from .noncausal import NoncausalController, build_noncausal, eval_noncausal_cost
 from .norms import FrequencyGrid, hinf_norm
-from .plants import (GeneralizedPlant, UncertainPlant, lft_lower,
-                     lft_upper, matrix_lft_upper, weight_disturbance)
-from .regret import ParetoFront, RegretLevel, pareto_front
+from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
+from .regret import ParetoFront, RegretLevel, pareto_front, regret_weighted_plant
 from .signals import Signal, response_energy
-from .spectral import SpectralFactor, effective_gamma_d, spectral_factor_regret
+from .spectral import SpectralFactor
 from .statespace import StateSpace, append, invert, series, static_gain
 
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -425,12 +418,9 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     """
     if K0 is None:
         K0 = build_noncausal(P.nominal())
-    gd_eff = effective_gamma_d(level.gamma_d, level.gamma_J)
-    phat = build_phat(K0, (gd_eff, level.gamma_J))
-    F = spectral_factor_regret(phat)
+    nominal_plant, F = regret_weighted_plant(P.nominal(), K0, level)
     # nominal feasibility is necessary (Delta = 0 belongs to the set);
     # the nominal controller also seeds the alternation
-    nominal_plant = weight_disturbance(P.nominal(), F.F_inv)
     nom_res = synth_hinf(nominal_plant, 1.0)
     if not nom_res.feasible:
         return SynthesisResult(None, 1.0, False, np.inf, None,
@@ -471,8 +461,8 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
                     "kind": level.kind, "iterations": it + 1,
                     "dk_trace": trace, "scaled_peak": peak,
                     "m11_norm": rp.m11_norm, "final_D": D}
-            if gd_eff != level.gamma_d:
-                meta["gamma_d_regularized"] = gd_eff
+            if F.gamma_d != level.gamma_d:
+                meta["gamma_d_regularized"] = F.gamma_d
             return SynthesisResult(K, 1.0, True, peak,
                                    lft_lower(P.nominal(), K), meta)
         if len(trace) > _DK_STALL_ITERS:
@@ -572,62 +562,6 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
     factor = rng.uniform(*_DELTA_SCALE_RANGE) / max(nrm, 1e-12)
     Delta = StateSpace(A, B, factor * C, factor * D, sample_time)
     return UncertaintySample(Delta, seed, float(factor * nrm))
-
-
-def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
-    """Real destabilizing uncertainty at a failed real-frequency point.
-
-    Uses the top singular pair of the optimally scaled matrix; at the
-    scalar-D optimum the pair is balanced, so the witness has norm at
-    most one and drives the loop gain to the test value.
-    """
-    M0 = np.real_if_close(np.atleast_2d(M0))
-    if np.iscomplexobj(M0):
-        raise NotAFailurePoint("constant witness requires a real matrix "
-                               "(theta must be 0 or pi)")
-    passed, d_opt, val = matrix_rp_test(M0, n_v, n_w)
-    if val < 1.0 - 1e-6:
-        raise NotAFailurePoint(f"scaled test passes here (value {val:.4f})")
-    S = M0.copy()
-    S[:n_v, n_w:] *= d_opt
-    S[n_v:, :n_w] /= d_opt
-    U, sv, Vt = np.linalg.svd(S)
-
-    def witness_from(u, v, s):
-        w_part, v_part = v[:n_w], u[:n_v]
-        denom = s * float(v_part @ v_part)
-        if denom <= 1e-12:
-            return None
-        Delta = np.outer(w_part, v_part) / denom
-        sd = np.linalg.svd(Delta, compute_uv=False)[0] if Delta.size else 0.0
-        if sd > 1.0 + 1e-9:
-            return None
-        try:
-            gain = matrix_lft_upper(M0, Delta, n_w, n_v)
-        except WellPosednessError:
-            return Delta
-        g = np.linalg.svd(gain, compute_uv=False)[0] if gain.size else 0.0
-        return Delta if g >= min(val, 1.0) - 1e-6 else None
-
-    # singular values tie at the balanced optimum up to the search
-    # tolerance; try pure pairs, then two-pair combinations, until one
-    # closes the loop
-    top = [i for i in range(sv.size) if sv[i] >= sv[0] * (1.0 - 1e-5)]
-    for i in top:
-        out = witness_from(U[:, i], Vt[i, :], sv[i])
-        if out is not None:
-            return out
-    for i in top:
-        for j in top:
-            if j <= i:
-                continue
-            for sign in (1.0, -1.0):
-                u = (U[:, i] + sign * U[:, j]) / np.sqrt(2.0)
-                v = (Vt[i, :] + sign * Vt[j, :]) / np.sqrt(2.0)
-                out = witness_from(u, v, 0.5 * (sv[i] + sv[j]))
-                if out is not None:
-                    return out
-    raise NotAFailurePoint("no rank-one witness found at this frequency")
 
 
 @dataclass(frozen=True)

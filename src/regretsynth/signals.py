@@ -86,16 +86,6 @@ class Signal:
         return cls(t0, s)
 
 
-def inner(a: Signal, b: Signal) -> float:
-    if a.dim != b.dim:
-        raise DimensionError("inner: dimension mismatch")
-    lo = max(a.t0, b.t0)
-    hi = min(a.t1, b.t1)
-    if hi < lo:
-        return 0.0
-    return float(np.sum(a.on_window(lo, hi) * b.on_window(lo, hi)))
-
-
 def decay_extension(rho: float, tol: float = TRUNC_TOL, n_x: int = 1) -> int:
     """Steps after which a rho-decaying state has shrunk by the factor
     tol: ceil(log tol / log rho), with a dimensional floor."""

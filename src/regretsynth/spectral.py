@@ -47,7 +47,7 @@ from .riccati import (
     solve_dare,
 )
 from .signals import Signal, response_energy
-from .statespace import StateSpace, invert, schur_realization
+from .statespace import FREQRESP_BLOCK, StateSpace, invert, schur_realization
 
 # Competitive-ratio regularization: gamma_d = 0 is a singular problem,
 # replaced by gamma_d_eff = EPS_CR * gamma_J (slightly stronger bound).
@@ -56,6 +56,10 @@ EPS_CR = 1e-4
 # Largest relative deviation of F~F from P~P on the check grid that a
 # returned factor may show.
 FACTOR_IDENTITY_TOL = 1e-6
+
+# Angles of that check grid (read-only).
+CHECK_THETAS = np.linspace(0.0, np.pi, 64)
+CHECK_THETAS.flags.writeable = False
 
 
 def effective_gamma_d(gamma_d: float, gamma_J: float, eps_cr: float = EPS_CR) -> float:
@@ -118,49 +122,55 @@ def _factor_from_dares(prob: DareProblem, sample_time):
     return schur_realization(F), internals
 
 
-def _freq_identity_error(F: StateSpace, phat_resp, thetas) -> float:
-    """max relative deviation of F*F from P~P on the grid."""
-    Fresp = F.freqresp(thetas)
-    worst = 0.0
-    for k in range(len(thetas)):
-        lhs = Fresp[k].conj().T @ Fresp[k]
-        rhs = phat_resp[k].conj().T @ phat_resp[k]
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    return worst
+def _freq_identity_error(F: StateSpace, system_resp: np.ndarray) -> float:
+    """max relative deviation of F*F from P~P on CHECK_THETAS, given the
+    response of P there; one stacked product per side."""
+    Fresp = F.freqresp(CHECK_THETAS)
+    lhs = np.matmul(Fresp.conj().transpose(0, 2, 1), Fresp)
+    rhs = np.matmul(system_resp.conj().transpose(0, 2, 1), system_resp)
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=(1, 2)))
+    return float(np.max(np.max(np.abs(lhs - rhs), axis=(1, 2)) / scale))
 
 
-def _factor_diagnostics(F: StateSpace, F_inv: StateSpace, system,
-                        n_theta_check: int) -> dict:
-    thetas = np.linspace(0.0, np.pi, n_theta_check)
+def _factor_diagnostics(F: StateSpace, F_inv: StateSpace, system_resp) -> dict:
     return {
-        "freq_identity_error": _freq_identity_error(F, system.freqresp(thetas),
-                                                    thetas),
+        "freq_identity_error": _freq_identity_error(F, system_resp),
         "rho_F": F.spectral_radius(),
         "rho_F_inv": F_inv.spectral_radius(),
     }
 
 
 @dataclass(frozen=True)
-class _WRealization:
-    """Benchmark closed loop with v = L w and a real-Schur basis per block.
+class _WBasis:
+    """The benchmark closed loop with v = L w and a real-Schur basis per
+    block: everything the regret factor needs that depends on K0 alone.
 
-    ``A, B, C, D`` is the 2 n_x-state realization (x-block first, both
-    diagonal blocks quasi-triangular); ``Q_w`` is the state cost of the
-    n_x-state w-block problem in the same basis, and ``T_w`` = L U_w
-    maps that basis to the v-coordinates of ``build_phat`` (X = L L').
+    ``A, B`` is the 2 n_x-state realization (x-block first, both
+    diagonal blocks quasi-triangular) and ``C_e`` its error rows at
+    gamma_J = 1; ``G_w`` is the state cost of the n_x-state w-block
+    problem at gamma_J = 1 in the same basis, and ``T_w_inv`` inverts
+    T_w = L U_w, the map from that basis to the v-coordinates of
+    ``build_phat`` (X = L L').  ``xhat_block`` is [[X, I], [I, X^{-1}]],
+    the primal solution over gamma_J^2 before V is added, ``resolvent``
+    is (e^{j theta} I - A_hat)^{-1} B_hat on CHECK_THETAS, and
+    ``stabilizability`` the PBH margin of the w-block.  The arrays are
+    read-only.
     """
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    Q_w: np.ndarray
-    T_w: np.ndarray
+    C_e: np.ndarray
+    G_w: np.ndarray
+    T_w_inv: np.ndarray
+    xhat_block: np.ndarray
+    resolvent: np.ndarray
+    stabilizability: float
+    cond_X: float
 
 
-def _w_realization(phat: NoncausalClosedLoop) -> _WRealization:
-    """Well-scaled realization of the benchmark closed loop.
+def _w_basis(phat: NoncausalClosedLoop) -> _WBasis:
+    """The :class:`_WBasis` of the benchmark of ``phat``, computed once per
+    controller and kept in ``K0.factor_setup``.
 
     In the v-coordinates of ``build_phat`` the primal solution is
     gamma_J^2 [[X, I], [I, X^{-1}]] + diag(0, V): its v-block carries
@@ -170,11 +180,19 @@ def _w_realization(phat: NoncausalClosedLoop) -> _WRealization:
     + w the q-block is not driven by d and its cost-to-go is
     gamma_J^2 |q|^2, which leaves the w-block with the positive
     semidefinite state cost gamma_J^2 (N' N + E' E).
+
+    ``build_phat`` forms A_hat and B_hat from K0 alone, so the resolvent
+    of the first closed loop serves every level.  Filling the store is
+    idempotent: two threads of a ``pareto_front`` pool may at worst
+    both compute it.  A K0 whose X is not positive definite stores
+    nothing, so every call raises ``SingularX`` again.
     """
+    setup = phat.K0.factor_setup
+    if "w_basis" in setup:
+        return setup["w_basis"]
     K0 = phat.K0
     P = K0.plant
     n = P.n_x
-    gamma_J = phat.gamma_J
     try:
         L = np.linalg.cholesky(K0.X)
     except np.linalg.LinAlgError as exc:
@@ -196,39 +214,69 @@ def _w_realization(phat: NoncausalClosedLoop) -> _WRealization:
     S2, U2 = scipy.linalg.schur(A_w, output="real")
     A = np.block([[S1, U1.T @ A12 @ U2], [np.zeros((n, n)), S2]])
     B = np.vstack([U1.T @ P.B_d, -U2.T @ L.T @ P.B_d])
-    C = np.vstack([
-        gamma_J * np.hstack([C11 @ U1, C2 @ U2]),
-        np.zeros((P.n_d, 2 * n)),
-    ])
     NE = np.vstack([N, E]) @ U2
-    Q_w = gamma_J**2 * _sym(NE.T @ NE)
-    return _WRealization(A, B, C, phat.D_hat, Q_w, L @ U2)
+    T_w = L @ U2
+    T_w_inv = np.linalg.solve(T_w.T, np.eye(n))
+    # T_w is L times an orthogonal matrix, so the identity maps to X^{-1}
+    X_inv = _sym(T_w_inv @ np.eye(n) @ T_w_inv.T)
+    arrays = (A, B, np.hstack([C11 @ U1, C2 @ U2]), _sym(NE.T @ NE), T_w_inv,
+              np.block([[K0.X, np.eye(n)], [np.eye(n), X_inv]]),
+              _check_resolvent(phat.A_hat, phat.B_hat))
+    for arr in arrays:
+        arr.flags.writeable = False
+    setup["w_basis"] = _WBasis(*arrays, pbh_stabilizable(A[n:, n:], B[n:, :]),
+                               float(np.linalg.cond(K0.X)))
+    return setup["w_basis"]
 
 
-def spectral_factorize_general(system, *, check: bool = True,
-                               n_theta_check: int = 64) -> SpectralFactor:
+def _check_resolvent(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(e^{j theta} I - A)^{-1} B on CHECK_THETAS, by the stacked solve of
+    ``StateSpace.freqresp`` in its blocks, so that C X + D is that
+    method's response bit for bit.  A_hat has no pole on the circle
+    (A11 is Schur, A11^{-T} anti-Schur), so no angle needs its
+    per-angle fallback."""
+    eye = np.eye(A.shape[0])
+    block = max(1, FREQRESP_BLOCK // A.shape[0]**2)
+    parts = []
+    for lo in range(0, CHECK_THETAS.size, block):
+        resolvent = np.exp(1j * CHECK_THETAS[lo : lo + block])[:, None, None] * eye
+        resolvent -= A
+        parts.append(np.linalg.solve(resolvent, B[None]))
+    return np.concatenate(parts)
+
+
+def _closed_loop_response(phat: NoncausalClosedLoop) -> np.ndarray:
+    """phat's frequency response on CHECK_THETAS, from the kept resolvent."""
+    return phat.C_hat @ _w_basis(phat).resolvent + phat.D_hat
+
+
+def spectral_factorize_general(system, *, check: bool = True) -> SpectralFactor:
     """Spectral factor of P~P for a square-cost system (state dim kept).
 
     Accepts a StateSpace or a NoncausalClosedLoop; the latter is factored
-    in the well-scaled realization of ``_w_realization`` (2 n_x states,
+    in the well-scaled realization of :class:`_WBasis` (2 n_x states,
     mixed causal and anti-causal dynamics).  F and F_inv are returned
     in orthogonal real-Schur coordinates.
     """
     if isinstance(system, NoncausalClosedLoop):
-        wr = _w_realization(system)
-        mats = (wr.A, wr.B, wr.C, wr.D)
+        basis = _w_basis(system)
+        C = np.vstack([system.gamma_J * basis.C_e,
+                       np.zeros((system.n_d, basis.A.shape[0]))])
+        mats = (basis.A, basis.B, C, system.D_hat)
         ts = system.K0.plant.sample_time
         gamma_d, gamma_J = system.gamma_d, system.gamma_J
+        system_resp = _closed_loop_response(system)
     else:
         mats = (system.A, system.B, system.C, system.D)
         ts = system.sample_time
         gamma_d = gamma_J = float("nan")
+        system_resp = system.freqresp(CHECK_THETAS)
     prob = DareProblem.from_output_data(*mats)
     if check and prob.n:
         _check_factor_assumptions(prob)
     F, internals = _factor_from_dares(prob, ts)
     F_inv = schur_realization(invert(F))
-    diag = _factor_diagnostics(F, F_inv, system, n_theta_check)
+    diag = _factor_diagnostics(F, F_inv, system_resp)
     return SpectralFactor(F, F_inv, gamma_d, gamma_J, internals, diag)
 
 
@@ -250,24 +298,27 @@ def _check_factor_assumptions(prob: DareProblem) -> None:
         )
 
 
-def _to_v_coordinates(wr: _WRealization, M_w: np.ndarray) -> np.ndarray:
+def _to_v_coordinates(basis: _WBasis, M_w: np.ndarray) -> np.ndarray:
     """T_w^{-T} M_w T_w^{-1}: a w-block quadratic form seen in v."""
-    Ti = np.linalg.solve(wr.T_w.T, np.eye(wr.T_w.shape[0]))
+    Ti = basis.T_w_inv
     return _sym(Ti @ M_w @ Ti.T)
 
 
-def spectral_factor_regret(phat: NoncausalClosedLoop, *,
-                           n_theta_check: int = 64) -> SpectralFactor:
+def spectral_factor_regret(phat: NoncausalClosedLoop) -> SpectralFactor:
     """State-dimension-n_x spectral factor for the regret bound.
 
     Requires gamma_d > 0 (competitive ratio must be regularized by the
     caller) and stabilizability of (A11^{-T}, X B_d).  In the
-    coordinates of ``_w_realization`` the primal gain of the 2 n_x
+    coordinates of :class:`_WBasis` the primal gain of the 2 n_x
     problem vanishes on the x-block, so the x-block is unobservable in
     the factor and the factor is the two-DARE factor of the n_x-state
-    w-block alone.  F and F_inv are returned in orthogonal real-Schur
-    coordinates; a factor whose own frequency identity error exceeds
-    FACTOR_IDENTITY_TOL raises SpectralFactorInaccurate instead.
+    w-block alone.  What depends on K0 alone (that basis, the PBH
+    margin, cond(X), and the closed loop's resolvent on the check grid)
+    is computed once per K0; each call forms the gamma-scaled cost and
+    response, the two DAREs and the checks.  F and F_inv are returned
+    in orthogonal real-Schur coordinates; a factor whose own frequency
+    identity error is not within FACTOR_IDENTITY_TOL raises
+    SpectralFactorInaccurate instead.
     """
     gamma_d, gamma_J = phat.gamma_d, phat.gamma_J
     if gamma_d <= 0.0:
@@ -275,35 +326,31 @@ def spectral_factor_regret(phat: NoncausalClosedLoop, *,
             "spectral factor needs gamma_d > 0; regularize the competitive "
             "ratio level first (effective_gamma_d)"
         )
-    K0 = phat.K0
-    P = K0.plant
+    P = phat.K0.plant
     n = P.n_x
-    wr = _w_realization(phat)
-    A_w, B_w = wr.A[n:, n:], wr.B[n:, :]
-    stab = pbh_stabilizable(A_w, B_w)
-    if not stab > 1e-10:
+    basis = _w_basis(phat)
+    if not basis.stabilizability > 1e-10:
         raise StabilizabilityFailure(
-            f"(A11^-T, X B_d) not stabilizable (PBH margin {stab:.3g})"
+            f"(A11^-T, X B_d) not stabilizable (PBH margin "
+            f"{basis.stabilizability:.3g})"
         )
-    prob_w = DareProblem(A_w, B_w, wr.Q_w, gamma_d**2 * np.eye(P.n_d),
-                         np.zeros((n, P.n_d)))
+    prob_w = DareProblem(basis.A[n:, n:], basis.B[n:, :], gamma_J**2 * basis.G_w,
+                         gamma_d**2 * np.eye(P.n_d), np.zeros((n, P.n_d)))
     F, internals = _factor_from_dares(prob_w, P.sample_time)
     F_inv = schur_realization(invert(F))
-    diagnostics = _factor_diagnostics(F, F_inv, phat, n_theta_check)
+    diagnostics = _factor_diagnostics(F, F_inv, _closed_loop_response(phat))
     # primal solution and V in the v-coordinates of build_phat, for the
-    # diagnostics only (T_w is L times an orthogonal matrix, so the
-    # identity maps to X^{-1})
-    V = _to_v_coordinates(wr, internals["Xhat"])
-    X_inv = _to_v_coordinates(wr, np.eye(n))
-    Xhat = gamma_J**2 * np.block([[K0.X, np.eye(n)], [np.eye(n), X_inv]])
+    # diagnostics only
+    V = _to_v_coordinates(basis, internals["Xhat"])
+    Xhat = gamma_J**2 * basis.xhat_block
     Xhat[n:, n:] += V
     Xhat = _sym(Xhat)
     prob_full = DareProblem.from_output_data(phat.A_hat, phat.B_hat,
                                              phat.C_hat, phat.D_hat)
     diagnostics["xhat_dare_residual"] = dare_residual(prob_full, Xhat)
-    diagnostics["cond_X"] = float(np.linalg.cond(K0.X))
+    diagnostics["cond_X"] = basis.cond_X
     internals.update(V_w=internals["Xhat"], V=V, Xhat=Xhat)
-    if diagnostics["freq_identity_error"] > FACTOR_IDENTITY_TOL:
+    if not diagnostics["freq_identity_error"] <= FACTOR_IDENTITY_TOL:
         raise SpectralFactorInaccurate(
             f"spectral factor misses its frequency identity by "
             f"{diagnostics['freq_identity_error']:.3g} "

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrtrs
 
 from .errors import DimensionError, SampleTimeError
 
@@ -51,17 +52,27 @@ def _schur_stein(A: np.ndarray, Q: np.ndarray):
     needs only columns l < j, through one lower-triangular solve, so
     the recursion keeps the accuracy of triangular substitution even
     when A is far from normal.  Returns (Z, Xs).
+
+    Each solve calls LAPACK's ``ztrtrs`` directly, the call
+    ``scipy.linalg.solve_triangular`` makes for a C-ordered matrix (its
+    transpose, upper, transposed), without that wrapper's per-call
+    checks: a singular column raises ``LinAlgError`` as it does there,
+    and a non-finite Q raises ``ValueError`` once, before the recursion.
     """
     n = A.shape[0]
     T, Z = scipy.linalg.schur(A.astype(complex), output="complex")
     Qs = Z.conj().T @ Q @ Z
+    if not np.isfinite(Qs).all():
+        raise ValueError("Stein equation with a non-finite right-hand side")
     TH = T.conj().T
     eye = np.eye(n)
     Xs = np.zeros((n, n), dtype=complex)
     for j in range(n):
         rhs = Qs[:, j] + TH @ (Xs[:, :j] @ T[:j, j])
-        Xs[:, j] = scipy.linalg.solve_triangular(eye - T[j, j] * TH, rhs,
-                                                 lower=True)
+        Xs[:, j], info = ztrtrs((eye - T[j, j] * TH).T, rhs, lower=0, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}")
     return Z, Xs
 
 

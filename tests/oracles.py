@@ -233,6 +233,22 @@ def para_hermitian_apply(system, ebar, tol: float = 1e-12):
     return rs.Signal(t0, dbar)
 
 
+def schur_stein_reference(A, Q):
+    """``statespace._schur_stein`` through ``scipy.linalg.solve_triangular``,
+    one call per column."""
+    n = A.shape[0]
+    T, Z = scipy.linalg.schur(A.astype(complex), output="complex")
+    Qs = Z.conj().T @ Q @ Z
+    TH = T.conj().T
+    eye = np.eye(n)
+    Xs = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        rhs = Qs[:, j] + TH @ (Xs[:, :j] @ T[:j, j])
+        Xs[:, j] = scipy.linalg.solve_triangular(eye - T[j, j] * TH, rhs,
+                                                 lower=True)
+    return Z, Xs
+
+
 def response_energy_loop(G, d) -> float:
     """Per-step reference for ``signals.response_energy``: the same
     stopping rule, one sample at a time, with the Gramian solved anew."""
@@ -471,7 +487,7 @@ def regret_qtilde(K0, gamma_J: float) -> np.ndarray:
     """Q of the reduced V-DARE in the v-coordinates of build_phat.
 
     The closed form through X^{-1}: a reference for the w-block cost of
-    ``spectral._w_realization`` on well-conditioned X.  The expression is
+    ``spectral._w_basis`` on well-conditioned X.  The expression is
     subtractive, so roundoff can leave eigenvalues a few ulps below zero;
     those are clipped after a sign sanity check.
     """
@@ -488,6 +504,107 @@ def regret_qtilde(K0, gamma_J: float) -> np.ndarray:
     scale = 1.0 + float(np.max(np.abs(evals)))
     assert evals[0] >= -1e-8 * scale, f"indefinite reduced cost {evals[0]:.3g}"
     return (evecs * np.clip(evals, 0.0, None)) @ evecs.T
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+def w_realization_reference(phat):
+    """The well-scaled benchmark realization as ``spectral`` formed it at
+    every level, before its K0-only half was kept per controller.
+
+    Returns (A, B, C, D, Q_w, T_w): the 2 n_x-state realization, the
+    w-block state cost and the map T_w = L U_w to v-coordinates.
+    """
+    K0 = phat.K0
+    P = K0.plant
+    n = P.n_x
+    gamma_J = phat.gamma_J
+    try:
+        L = np.linalg.cholesky(K0.X)
+    except np.linalg.LinAlgError as exc:
+        raise rs.errors.SingularX("X is not positive definite") from exc
+
+    def right_LiT(M):  # M L^{-T}
+        return scipy.linalg.solve_triangular(L, M.T, lower=True).T
+
+    A11 = K0.A11
+    C11 = P.C_e - P.D_eu @ K0.K_x
+    A11iT_L = np.linalg.solve(A11.T, L)
+    A_w = scipy.linalg.solve_triangular(L, A11iT_L, lower=True)
+    A12 = -P.B_u @ K0.K_v @ A11iT_L
+    C2 = -P.D_eu @ K0.K_v @ A11iT_L
+    N = L.T @ A12 + A_w - L.T @ right_LiT(A11)
+    E = C2 - right_LiT(C11)
+    S1, U1 = scipy.linalg.schur(A11, output="real")
+    S2, U2 = scipy.linalg.schur(A_w, output="real")
+    A = np.block([[S1, U1.T @ A12 @ U2], [np.zeros((n, n)), S2]])
+    B = np.vstack([U1.T @ P.B_d, -U2.T @ L.T @ P.B_d])
+    C = np.vstack([
+        gamma_J * np.hstack([C11 @ U1, C2 @ U2]),
+        np.zeros((P.n_d, 2 * n)),
+    ])
+    NE = np.vstack([N, E]) @ U2
+    Q_w = gamma_J**2 * _sym(NE.T @ NE)
+    return A, B, C, phat.D_hat, Q_w, L @ U2
+
+
+def identity_error_loop(F, system_resp, thetas) -> float:
+    """Per-angle reference for the factor's frequency-identity error."""
+    Fresp = F.freqresp(thetas)
+    worst = 0.0
+    for k in range(len(thetas)):
+        lhs = Fresp[k].conj().T @ Fresp[k]
+        rhs = system_resp[k].conj().T @ system_resp[k]
+        scale = max(1.0, float(np.max(np.abs(rhs))))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+    return worst
+
+
+def regret_factor_reference(phat):
+    """``spectral_factor_regret`` computing everything at every level:
+    (F, F_inv, diagnostics) from :func:`w_realization_reference`, the
+    PBH test, the closed loop's ``freqresp`` and the per-angle loop."""
+    K0 = phat.K0
+    P = K0.plant
+    n = P.n_x
+    A, B, _, _, Q_w, T_w = w_realization_reference(phat)
+    A_w, B_w = A[n:, n:], B[n:, :]
+    if not rs.riccati.pbh_stabilizable(A_w, B_w) > 1e-10:
+        raise rs.errors.StabilizabilityFailure("(A11^-T, X B_d) not stabilizable")
+    prob_w = rs.DareProblem(A_w, B_w, Q_w, phat.gamma_d**2 * np.eye(P.n_d),
+                            np.zeros((n, P.n_d)))
+    F, internals = rs.spectral._factor_from_dares(prob_w, P.sample_time)
+    F_inv = rs.statespace.schur_realization(rs.invert(F))
+    thetas = np.linspace(0.0, np.pi, 64)
+    diagnostics = {
+        "freq_identity_error": identity_error_loop(F, phat.freqresp(thetas), thetas),
+        "rho_F": F.spectral_radius(),
+        "rho_F_inv": F_inv.spectral_radius(),
+    }
+    Ti = np.linalg.solve(T_w.T, np.eye(n))
+    V = _sym(Ti @ internals["Xhat"] @ Ti.T)
+    X_inv = _sym(Ti @ np.eye(n) @ Ti.T)
+    Xhat = phat.gamma_J**2 * np.block([[K0.X, np.eye(n)], [np.eye(n), X_inv]])
+    Xhat[n:, n:] += V
+    Xhat = _sym(Xhat)
+    prob_full = rs.DareProblem.from_output_data(phat.A_hat, phat.B_hat,
+                                                phat.C_hat, phat.D_hat)
+    diagnostics["xhat_dare_residual"] = rs.dare_residual(prob_full, Xhat)
+    diagnostics["cond_X"] = float(np.linalg.cond(K0.X))
+    return F, F_inv, diagnostics
+
+
+def inner(a, b) -> float:
+    """<a, b> of two signals over the overlap of their windows."""
+    if a.dim != b.dim:
+        raise rs.errors.DimensionError("inner: dimension mismatch")
+    lo = max(a.t0, b.t0)
+    hi = min(a.t1, b.t1)
+    if hi < lo:
+        return 0.0
+    return float(np.sum(a.on_window(lo, hi) * b.on_window(lo, hi)))
 
 
 def n_e_hat(phat) -> int:
@@ -617,3 +734,60 @@ def verify_robust_regret_loop(K, P, level, n_delta: int = 50, n_dist: int = 20,
             trials += 1
     return rs.robust.RobustVerification(n_unstable == 0 and worst < 0.0,
                                         n_unstable, worst, trials)
+
+
+def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
+    """Real destabilizing uncertainty at a failed real-frequency point of
+    ``matrix_rp_test``.
+
+    Uses the top singular pair of the optimally scaled matrix; at the
+    scalar-D optimum the pair is balanced, so the witness has norm at
+    most one and drives the loop gain to the test value.
+    """
+    M0 = np.real_if_close(np.atleast_2d(M0))
+    if np.iscomplexobj(M0):
+        raise rs.errors.NotAFailurePoint("constant witness requires a real matrix "
+                                         "(theta must be 0 or pi)")
+    passed, d_opt, val = rs.matrix_rp_test(M0, n_v, n_w)
+    if val < 1.0 - 1e-6:
+        raise rs.errors.NotAFailurePoint(f"scaled test passes here (value {val:.4f})")
+    S = M0.copy()
+    S[:n_v, n_w:] *= d_opt
+    S[n_v:, :n_w] /= d_opt
+    U, sv, Vt = np.linalg.svd(S)
+
+    def witness_from(u, v, s):
+        w_part, v_part = v[:n_w], u[:n_v]
+        denom = s * float(v_part @ v_part)
+        if denom <= 1e-12:
+            return None
+        Delta = np.outer(w_part, v_part) / denom
+        sd = np.linalg.svd(Delta, compute_uv=False)[0] if Delta.size else 0.0
+        if sd > 1.0 + 1e-9:
+            return None
+        try:
+            gain = rs.matrix_lft_upper(M0, Delta, n_w, n_v)
+        except rs.errors.WellPosednessError:
+            return Delta
+        g = np.linalg.svd(gain, compute_uv=False)[0] if gain.size else 0.0
+        return Delta if g >= min(val, 1.0) - 1e-6 else None
+
+    # singular values tie at the balanced optimum up to the search
+    # tolerance; try pure pairs, then two-pair combinations, until one
+    # closes the loop
+    top = [i for i in range(sv.size) if sv[i] >= sv[0] * (1.0 - 1e-5)]
+    for i in top:
+        out = witness_from(U[:, i], Vt[i, :], sv[i])
+        if out is not None:
+            return out
+    for i in top:
+        for j in top:
+            if j <= i:
+                continue
+            for sign in (1.0, -1.0):
+                u = (U[:, i] + sign * U[:, j]) / np.sqrt(2.0)
+                v = (Vt[i, :] + sign * Vt[j, :]) / np.sqrt(2.0)
+                out = witness_from(u, v, 0.5 * (sv[i] + sv[j]))
+                if out is not None:
+                    return out
+    raise rs.errors.NotAFailurePoint("no rank-one witness found at this frequency")

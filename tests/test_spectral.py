@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import regretsynth as rs
-from regretsynth.errors import GammaDZero
+from regretsynth.errors import GammaDZero, SingularX, StabilizabilityFailure
 from regretsynth.riccati import DareProblem, dare_residual, solve_dare
-from regretsynth.spectral import _to_v_coordinates, _w_realization
+from regretsynth.spectral import CHECK_THETAS, _to_v_coordinates, _w_basis
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
-from oracles import n_e_hat, para_hermitian_apply, regret_qtilde, simulate_ehat
+from oracles import (identity_error_loop, inner, n_e_hat, para_hermitian_apply,
+                     regret_factor_reference, regret_qtilde, simulate_ehat)
 
 
 def factor_product_error(F, system, thetas):
@@ -37,8 +40,8 @@ def test_adjoint_property_causal():
     for _ in range(5):
         d = rs.Signal(0, rng.standard_normal((14, 2)))
         e = rs.Signal(0, rng.standard_normal((11, 2)))
-        lhs = rs.inner(rs.simulate(g, d), e)
-        rhs = rs.inner(d, para_hermitian_apply(g, e))
+        lhs = inner(rs.simulate(g, d), e)
+        rhs = inner(d, para_hermitian_apply(g, e))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -50,8 +53,8 @@ def test_adjoint_property_mixed_phat():
     for _ in range(5):
         d = rs.Signal(0, rng.standard_normal((10, 1)))
         e = rs.Signal(0, rng.standard_normal((8, n_e_hat(phat))))
-        lhs = rs.inner(simulate_ehat(phat, d), e)
-        rhs = rs.inner(d, para_hermitian_apply(phat, e))
+        lhs = inner(simulate_ehat(phat, d), e)
+        rhs = inner(d, para_hermitian_apply(phat, e))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -162,9 +165,9 @@ def test_w_block_cost_matches_closed_form():
         P = random_generalized_plant(seed)
         K0 = rs.build_noncausal(P)
         assert np.linalg.cond(K0.X) < 1e5
-        wr = _w_realization(rs.build_phat(K0, (0.5, 1.3)))
+        basis = _w_basis(rs.build_phat(K0, (0.5, 1.3)))
         Qt = regret_qtilde(K0, 1.3)
-        err = np.max(np.abs(_to_v_coordinates(wr, wr.Q_w) - Qt))
+        err = np.max(np.abs(_to_v_coordinates(basis, 1.3**2 * basis.G_w) - Qt))
         assert err < 1e-10 * (1 + np.max(np.abs(Qt)))
 
 
@@ -185,3 +188,78 @@ def test_gamma_d_zero_raises():
         rs.spectral_factor_regret(phat)
     assert rs.effective_gamma_d(0.0, 2.0) == pytest.approx(2e-4)
     assert rs.effective_gamma_d(0.5, 2.0) == 0.5
+
+
+def _matrices(F):
+    return [F.A, F.B, F.C, F.D]
+
+
+@pytest.mark.parametrize("name", ["siso", "boeing747", "quartercar"])
+def test_regret_factor_matches_per_level_reference_bitwise(store, name):
+    # hinf, competitive-ratio (regularized gamma_d), additive and general
+    # levels; the K0-only half is computed at the first level and reused
+    K0 = rs.build_noncausal(store.nominal(name))
+    levels = [(2.5, 0.0), (rs.effective_gamma_d(0.0, 1.6), 1.6), (1.4, 1.0),
+              (0.7, 2.2)]
+    for gammas in levels:
+        phat = rs.build_phat(K0, gammas)
+        F = rs.spectral_factor_regret(phat)
+        F_ref, F_inv_ref, diag_ref = regret_factor_reference(phat)
+        for got, want in zip(_matrices(F.F) + _matrices(F.F_inv),
+                             _matrices(F_ref) + _matrices(F_inv_ref)):
+            assert np.array_equal(got, want)
+        assert F.diagnostics.keys() == diag_ref.keys()
+        for key, want in diag_ref.items():
+            assert F.diagnostics[key] == want, key
+        # the general factor of the same closed loop checks its identity
+        # on the same response
+        G = rs.spectral_factorize_general(phat)
+        assert G.diagnostics["freq_identity_error"] == identity_error_loop(
+            G.F, phat.freqresp(CHECK_THETAS), CHECK_THETAS)
+    assert list(K0.factor_setup) == ["w_basis"]
+
+
+def test_factor_setup_is_computed_once_per_controller_and_read_only(monkeypatch):
+    K0 = rs.build_noncausal(random_generalized_plant(6))
+    # one PBH test per filled store
+    fills = []
+    pbh = rs.spectral.pbh_stabilizable
+    monkeypatch.setattr(rs.spectral, "pbh_stabilizable",
+                        lambda A, B: fills.append(A.shape) or pbh(A, B))
+    factors = [rs.spectral_factor_regret(rs.build_phat(K0, g))
+               for g in ((0.9, 1.1), (2.0, 0.0), (0.4, 3.0))]
+    assert len(fills) == 1
+    basis = K0.factor_setup["w_basis"]
+    arrays = [basis.A, basis.B, basis.C_e, basis.G_w, basis.T_w_inv,
+              basis.xhat_block, basis.resolvent]
+    assert all(not arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError):
+        basis.G_w[0, 0] = 1.0
+    # the levels do not share mutable state through the store
+    assert factors[0].internals["Xhat"] is not factors[1].internals["Xhat"]
+    assert factors[0].internals["Xhat"].flags.writeable
+    # a fresh controller with the same matrices fills its own store
+    fresh = dataclasses.replace(K0)
+    rs.spectral_factor_regret(rs.build_phat(fresh, (0.9, 1.1)))
+    assert len(fills) == 2
+
+
+def test_failed_checks_raise_on_every_call():
+    K0 = rs.build_noncausal(random_generalized_plant(7))
+    # X not positive definite: nothing is stored, every call raises
+    bad_x = dataclasses.replace(K0, X=-K0.X)
+    for _ in range(2):
+        with pytest.raises(SingularX):
+            rs.spectral_factor_regret(rs.build_phat(bad_x, (1.0, 1.0)))
+    assert bad_x.factor_setup == {}
+    # B_d = 0: (A11^-T, X B_d) is anti-stable with no input
+    P = random_generalized_plant(7)
+    ss = P.ss
+    B = ss.B.copy()
+    B[:, :P.n_d] = 0.0
+    P0 = rs.GeneralizedPlant(rs.StateSpace(ss.A, B, ss.C, ss.D, ss.sample_time),
+                             n_d=P.n_d, n_u=P.n_u, n_e=P.n_e, n_y=P.n_y)
+    K0 = rs.build_noncausal(P0)
+    for gammas in ((1.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
+        with pytest.raises(StabilizabilityFailure):
+            rs.spectral_factor_regret(rs.build_phat(K0, gammas))

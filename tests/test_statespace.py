@@ -8,7 +8,7 @@ from regretsynth.errors import DimensionError, SampleTimeError
 from regretsynth.hinf import tustin_c2d, tustin_d2c
 
 from conftest import random_stable_ss
-from oracles import dcgain
+from oracles import dcgain, schur_stein_reference
 
 
 def test_dimension_checks():
@@ -147,3 +147,33 @@ def test_freqresp_pole_on_circle_falls_back_per_angle():
     # the regular angles of that block stay on the stacked route
     regular = [0, 2, 3]
     assert np.array_equal(resp[regular], g.freqresp(thetas[regular]))
+
+
+def test_schur_stein_matches_solve_triangular_bitwise():
+    rng = np.random.default_rng(11)
+    for n in range(1, 31):
+        A = random_stable_ss(rng, n, 1, 1, rho=0.9).A
+        # far from normal: a shear with cond(S) about 1e6 around a
+        # triangular core with large off-diagonal entries
+        core = np.diag(rng.uniform(-0.9, 0.9, n)) + 5.0 * np.triu(
+            rng.standard_normal((n, n)), 1)
+        S = np.eye(n) + 1e3 * np.triu(rng.standard_normal((n, n)), 1) / n
+        skewed = S @ core @ np.linalg.inv(S)
+        for M in (A, skewed):
+            Q = rng.standard_normal((n, n))
+            Q = Q @ Q.T
+            Z, Xs = rs.statespace._schur_stein(M, Q)
+            Z_ref, Xs_ref = schur_stein_reference(M, Q)
+            assert np.array_equal(Z, Z_ref) and np.array_equal(Xs, Xs_ref)
+
+
+def test_schur_stein_singular_column_raises():
+    # eigenvalues 1 and 0.5: column 1 - T[j, j] conj(T[j, j]) is zero
+    A = np.array([[0.5, 0.3], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        schur_stein_reference(A, np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        rs.statespace._schur_stein(A, np.eye(2))
+    with pytest.raises(ValueError):
+        rs.statespace._schur_stein(0.5 * np.eye(2), np.array([[1.0, np.nan],
+                                                             [np.nan, 1.0]]))
