@@ -187,10 +187,10 @@ def _w_basis(phat: NoncausalClosedLoop) -> _WBasis:
     both compute it.  A K0 whose X is not positive definite stores
     nothing, so every call raises ``SingularX`` again.
     """
-    setup = phat.K0.factor_setup
+    K0 = phat.K0
+    setup = K0.factor_setup
     if "w_basis" in setup:
         return setup["w_basis"]
-    K0 = phat.K0
     P = K0.plant
     n = P.n_x
     try:
