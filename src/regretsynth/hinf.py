@@ -8,7 +8,10 @@ feasibility problems: the unit circle maps onto the imaginary axis, so
 closed-loop norms and internal stability are preserved.  Before the map,
 the plant's states are scaled by :func:`statespace.balance_states`, the
 same power-of-two balancing that :func:`norms.hinf_norm` applies to its
-pencil.
+pencil.  The X and Y Riccati equations of the central controller are
+solved by :func:`care_schur` from one ordered real Schur form of the
+balanced Hamiltonian (Laub 1979), then polished by Newton steps and
+gated on the residual and the stability of the closed-loop matrix.
 
 Nothing downstream trusts the synthesis internals: every returned
 controller carries an a-posteriori certificate, the closed-loop spectral
@@ -58,10 +61,6 @@ class SynthesisResult:
     closed_loop: StateSpace | None = None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def certificate(self) -> float:
-        return self.achieved_norm
-
 
 def tustin_d2c(A, B, C, D):
     """Bilinear discrete -> continuous map with s = (z - 1)/(z + 1)."""
@@ -94,50 +93,37 @@ def tustin_c2d(Ac, Bc, Cc, Dc):
     return A, B, C, D
 
 
-def care_sign(H: np.ndarray):
+def care_schur(H: np.ndarray):
     """Stabilizing solution of the Riccati equation attached to a
-    Hamiltonian matrix, via the matrix sign function.
+    Hamiltonian matrix, from one ordered real Schur form (Laub 1979).
 
     Returns the symmetric X with H [I; X] = [I; X] L and L Hurwitz, or
     None when H has eigenvalues on (or numerically at) the imaginary
-    axis or the subspace does not define a solution.
+    axis or the subspace does not define a solution.  The stable
+    subspace is spanned by the leading Schur vectors of the balanced
+    Hamiltonian; X is then polished by Newton steps and gated on its
+    residual and on L.
     """
-    m = H.shape[0]
-    n = m // 2
+    n = H.shape[0] // 2
     # Diagonal balancing (similarity) before eigenvalue work; the
     # invariant subspace transforms back exactly.
     Hb, T_bal = scipy.linalg.matrix_balance(H)
-    eigs = np.linalg.eigvals(Hb)
-    if np.min(np.abs(eigs.real) / (1.0 + np.abs(eigs))) <= 1e-9:
+    try:
+        T, U, sdim = scipy.linalg.schur(Hb, output="real", sort="lhp")
+    except np.linalg.LinAlgError:
         return None
-    Z = Hb.copy()
-    best_err = np.inf
-    stall = 0
-    for _ in range(100):
-        try:
-            Zi = np.linalg.inv(Z)
-        except np.linalg.LinAlgError:
-            return None
-        detz = abs(np.linalg.det(Z))
-        c = detz ** (-1.0 / m) if detz > 0 and np.isfinite(detz) else 1.0
-        Z_next = 0.5 * (c * Z + Zi / c)
-        err = np.max(np.abs(Z_next - Z)) / max(1.0, np.max(np.abs(Z)))
-        Z = Z_next
-        if err < 1e-13:
-            break
-        # near-axis spectra flatten out at a roundoff floor; accept it
-        if err < 0.5 * best_err:
-            best_err, stall = err, 0
-        else:
-            stall += 1
-            if stall >= 5 and err < 1e-6:
-                break
-    if np.max(np.abs(Z @ Z - np.eye(m))) > 1e-2:
+    # eigenvalues off T's diagonal blocks: a standardized 2 x 2 block
+    # [[a, b], [c, a]] has Re = a and |lambda|^2 = a^2 - bc
+    re = np.diag(T)
+    mod2 = re * re
+    bc = np.diag(T, 1) * np.diag(T, -1)
+    mod2[:-1] -= bc
+    mod2[1:] -= bc
+    if np.min(np.abs(re) / (1.0 + np.sqrt(mod2))) <= 1e-9 or sdim != n:
         return None
-    Z = T_bal @ Z @ np.linalg.inv(T_bal)
-    P_stable = 0.5 * (np.eye(m) - Z)
-    Qm, _, _ = scipy.linalg.qr(P_stable, pivoting=True)
-    V = Qm[:, :n]
+    # the leading Schur vectors span Hb's stable subspace; T_bal maps
+    # them to a basis of H's
+    V = T_bal @ U[:, :n]
     V1, V2 = V[:n, :], V[n:, :]
     sv = np.linalg.svd(V1, compute_uv=False)
     if sv[-1] <= 1e-12 * max(1.0, sv[0]):
@@ -234,7 +220,7 @@ def _central_controller(A, B1, B2, C1, C2, D11, gamma):
     stack_b = np.vstack([B, -C1.T @ D1dot])
     row = np.hstack([D1dot.T @ C1, B.T])
     Hx = np.vstack([top, bot]) - stack_b @ Ri @ row
-    X = care_sign(Hx)
+    X = care_schur(Hx)
     if X is None:
         return None, "X_riccati"
     x_scale = 1.0 + float(np.max(np.abs(X)))
@@ -248,7 +234,7 @@ def _central_controller(A, B1, B2, C1, C2, D11, gamma):
     stack_c = np.vstack([C.T, -B1 @ Ddot1.T])
     row = np.hstack([Ddot1 @ B1.T, C])
     Hy = np.vstack([top, bot]) - stack_c @ Rti @ row
-    Y = care_sign(Hy)
+    Y = care_schur(Hy)
     if Y is None:
         return None, "Y_riccati"
     y_scale = 1.0 + float(np.max(np.abs(Y)))

@@ -666,6 +666,75 @@ def bisect_loop(feasible_at, tol_abs: float, tol_rel: float,
     return lo, hi, best
 
 
+def care_sign_reference(H: np.ndarray):
+    """Reference for ``hinf.care_schur``: the stabilizing Riccati solution
+    from the matrix-sign Newton iteration with determinant scaling, the
+    solver the central controller used before the ordered Schur form.
+
+    Returns X, or None on the same gates (near-axis eigenvalues, a
+    subspace that is not a graph, residual, L not Hurwitz).
+    """
+    m = H.shape[0]
+    n = m // 2
+    Hb, T_bal = scipy.linalg.matrix_balance(H)
+    eigs = np.linalg.eigvals(Hb)
+    if np.min(np.abs(eigs.real) / (1.0 + np.abs(eigs))) <= 1e-9:
+        return None
+    Z = Hb.copy()
+    best_err = np.inf
+    stall = 0
+    for _ in range(100):
+        try:
+            Zi = np.linalg.inv(Z)
+        except np.linalg.LinAlgError:
+            return None
+        detz = abs(np.linalg.det(Z))
+        c = detz ** (-1.0 / m) if detz > 0 and np.isfinite(detz) else 1.0
+        Z_next = 0.5 * (c * Z + Zi / c)
+        err = np.max(np.abs(Z_next - Z)) / max(1.0, np.max(np.abs(Z)))
+        Z = Z_next
+        if err < 1e-13:
+            break
+        # near-axis spectra flatten out at a roundoff floor; accept it
+        if err < 0.5 * best_err:
+            best_err, stall = err, 0
+        else:
+            stall += 1
+            if stall >= 5 and err < 1e-6:
+                break
+    if np.max(np.abs(Z @ Z - np.eye(m))) > 1e-2:
+        return None
+    Z = T_bal @ Z @ np.linalg.inv(T_bal)
+    Qm, _, _ = scipy.linalg.qr(0.5 * (np.eye(m) - Z), pivoting=True)
+    V1, V2 = Qm[:n, :n], Qm[n:, :n]
+    sv = np.linalg.svd(V1, compute_uv=False)
+    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        return None
+    X = np.linalg.solve(V1.T, V2.T).T
+    X = 0.5 * (X + X.T)
+    H11, H12 = H[:n, :n], H[:n, n:]
+    H21 = H[n:, :n]
+    res_scale = max(1.0, float(np.max(np.abs(H21))),
+                    float(np.max(np.abs(X)) * (1.0 + np.max(np.abs(H11)))))
+    for _ in range(4):
+        L = H11 + H12 @ X
+        res = X @ H11 + H11.T @ X + X @ H12 @ X - H21
+        if np.max(np.abs(res)) < 1e-12 * res_scale:
+            break
+        try:
+            delta = scipy.linalg.solve_sylvester(L.T, L, -res)
+        except (ValueError, np.linalg.LinAlgError):
+            break
+        X = 0.5 * ((X + delta) + (X + delta).T)
+    res = X @ H11 + H11.T @ X + X @ H12 @ X - H21
+    if np.max(np.abs(res)) > 1e-7 * res_scale:
+        return None
+    L = H11 + H12 @ X
+    if np.max(np.linalg.eigvals(L).real) >= 0.0:
+        return None
+    return X
+
+
 def qz_dare(p) -> np.ndarray:
     """Reference stabilizing DARE solution from scipy's QZ solver (the
     generalized Schur form of the symplectic pencil)."""

@@ -4,11 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import regretsynth as rs
 from regretsynth.errors import NotDetectable, NotStabilizable
 
 from conftest import random_generalized_plant
+from oracles import care_sign_reference
 
 
 def test_random_plants_optimize_and_validate():
@@ -149,3 +151,97 @@ def test_cached_setup_gives_the_fresh_plants_result(boeing_nominal):
         assert _result_bytes(warm) == _result_bytes(fresh)
     assert rs.synth_hinf(P, g).feasible
     assert not rs.synth_hinf(P, 0.5 * g).feasible
+
+
+def _hamiltonian(A, G, Q):
+    """[[A, -G], [-Q, -A']]: its stabilizing X solves A'X + XA - XGX + Q = 0."""
+    return np.block([[A, -G], [-Q, -A.T]])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_care_schur_matches_scipy_care(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 2 + seed, 1 + seed % 3
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((1 + seed % 2, n))
+    W = rng.standard_normal((m, m))
+    R = W @ W.T + 0.1 * np.eye(m)
+    Q = C.T @ C
+    G = B @ np.linalg.solve(R, B.T)
+    X = rs.hinf.care_schur(_hamiltonian(A, G, Q))
+    X_ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+    assert np.array_equal(X, X.T)
+
+    def residual(X):
+        return A.T @ X + X @ A - X @ G @ X + Q
+
+    scale = np.max(np.abs(X)) * (1.0 + np.max(np.abs(A)))
+    assert np.max(np.abs(residual(X))) <= 1e-12 * scale
+    # 1e-9 relative, widened on ill-conditioned seeds by the first-order
+    # error bound |Omega^{-1}| (|res X| + |res X_ref|), Omega the
+    # Lyapunov operator of L = A - G X: there scipy's own residual is
+    # up to 50 times ours
+    L = A - G @ X
+    omega = np.kron(np.eye(n), L.T) + np.kron(L.T, np.eye(n))
+    bound = (np.linalg.norm(residual(X)) + np.linalg.norm(residual(X_ref))) \
+        / np.linalg.svd(omega, compute_uv=False)[-1]
+    assert np.linalg.norm(X - X_ref) <= max(1e-9 * np.linalg.norm(X_ref), bound)
+
+
+def _oscillator_hamiltonian(omega, damping):
+    """An oscillator that no input reaches and no output sees, beside a
+    stable mode that both do: H has the eigenvalues -damping +- j omega
+    and their mirror images."""
+    A = np.array([[-damping, omega, 0.0], [-omega, -damping, 0.0],
+                  [0.0, 0.0, -1.0]])
+    G = Q = np.diag([0.0, 0.0, 1.0])
+    return _hamiltonian(A, G, Q)
+
+
+@pytest.mark.parametrize("omega, damping", [(1.0, 0.0), (1.0, 1e-12),
+                                            (100.0, 5e-9)])
+def test_care_schur_rejects_an_imaginary_axis_eigenvalue(omega, damping):
+    # on the axis, or within 1e-9 (1 + |lambda|) of it: at omega = 100 a
+    # gate that ignored Im(lambda) would pass the damping 5e-9
+    assert rs.hinf.care_schur(_oscillator_hamiltonian(omega, damping)) is None
+
+
+def test_care_schur_solves_the_damped_oscillator():
+    # the fixture above with a damping away from the axis is solved, so
+    # the rejections come from the damping alone; the oscillator block
+    # is unweighted, so its part of X is zero
+    X = rs.hinf.care_schur(_oscillator_hamiltonian(100.0, 0.5))
+    X_ref = np.zeros((3, 3))
+    X_ref[2, 2] = np.sqrt(2.0) - 1.0  # -2x - x^2 + 1 = 0 for the mode -1
+    assert np.max(np.abs(X - X_ref)) <= 1e-12
+
+
+def test_care_schur_rejects_a_subspace_that_is_not_a_graph():
+    # an unstable mode that no input reaches: the stable subspace of H
+    # holds [0; e_1], so V1 is singular
+    A = np.diag([1.0, -2.0])
+    G = np.diag([0.0, 1.0])
+    Q = np.diag([0.0, 1.0])
+    assert rs.hinf.care_schur(_hamiltonian(A, G, Q)) is None
+
+
+def test_care_schur_gives_the_sign_iterations_verdicts(monkeypatch):
+    hamiltonians = []
+    schur = rs.hinf.care_schur
+    monkeypatch.setattr(rs.hinf, "care_schur",
+                        lambda H: hamiltonians.append(H) or schur(H))
+    for seed in range(6):
+        P = random_generalized_plant(seed)
+        g, _ = rs.hinf_optimize(P, 1e-3, 1e-3)
+        for factor in (0.3, 0.9, 0.999, 1.01, 1.5, 4.0):
+            rs.synth_hinf(P, factor * g)
+    solved = 0
+    for H in hamiltonians:
+        X, X_ref = schur(H), care_sign_reference(H)
+        assert (X is None) == (X_ref is None)
+        if X is not None:
+            solved += 1
+            assert np.max(np.abs(X - X_ref)) <= 1e-6 * np.max(np.abs(X_ref))
+    # both verdicts occur
+    assert 0 < solved < len(hamiltonians)
