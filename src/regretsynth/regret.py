@@ -15,7 +15,7 @@ regret).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,13 +126,35 @@ def _level_for(kind: str, gamma: float) -> RegretLevel:
     raise ValueError(f"optimize_special kind must be a special case, got {kind!r}")
 
 
+def _traced_bisection(feasible_at, tol_abs: float, tol_rel: float):
+    """:func:`bisect_level` over ``feasible_at``, with the result at the
+    upper end carrying ``search_levels``: one (gamma, verdict) per level
+    in the order tried, the verdict being ``feasible`` or the result's
+    ``reason``, followed by the iteration count for DK-iteration
+    results."""
+    levels = []
+
+    def decide(g):
+        res = feasible_at(g)
+        entry = (g, "feasible" if res.feasible else res.metadata.get("reason"))
+        if "iterations" in res.metadata:
+            entry += (res.metadata["iterations"],)
+        levels.append(entry)
+        return res
+
+    lo, hi, best = bisect_level(decide, tol_abs, tol_rel)
+    return lo, hi, replace(best, metadata={**best.metadata,
+                                           "search_levels": tuple(levels)})
+
+
 def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
                      tol_rel: float = 1e-4, K0: NoncausalController | None = None,
                      feasibility=None):
     """Bisect the scalar gamma of a special regret kind.
 
-    Returns (gamma_upper, result_at_upper).  ``feasibility`` overrides
-    the per-level oracle (used by the robust designs to swap in
+    Returns (gamma_upper, result_at_upper); the result's metadata holds
+    the ``search_levels`` of the search.  ``feasibility`` overrides the
+    per-level oracle (used by the robust designs to swap in
     DK-iteration).
     """
     if kind == KIND_HINF and feasibility is None:
@@ -142,8 +164,8 @@ def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
     if feasibility is None:
         def feasibility(level):
             return synth_regret(P, level, K0=K0)
-    _, hi, best = bisect_level(lambda g: feasibility(_level_for(kind, g)),
-                               tol_abs, tol_rel)
+    _, hi, best = _traced_bisection(lambda g: feasibility(_level_for(kind, g)),
+                                    tol_abs, tol_rel)
     return hi, best
 
 
@@ -178,8 +200,9 @@ class ParetoFront:
 
 def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float,
                     tol_rel: float) -> ParetoPoint:
-    """Minimal gamma_J at fixed gamma_d by :func:`bisect_level`."""
-    return ParetoPoint(gamma_d, *bisect_level(
+    """Minimal gamma_J at fixed gamma_d by :func:`bisect_level`, with the
+    ``search_levels`` of :func:`optimize_special` on the result."""
+    return ParetoPoint(gamma_d, *_traced_bisection(
         lambda g: feasibility(RegretLevel(gamma_d, g)), tol_abs, tol_rel))
 
 

@@ -6,10 +6,10 @@ frequency scaling D(theta) renders
 
     sigma_max( diag(D I_nv, I) M(e^{j theta}) diag(D^{-1} I_nw, I) ) < 1
 
-at every angle.  The per-angle minimization over D is unimodal in
-log D; its pointwise optimum is fitted by a stable minimum-phase SISO
-system and alternated with H-infinity synthesis (DK-iteration, a
-sufficient procedure only).
+at every angle.  The per-angle value is convex in log D, so a search on
+its slope finds the minimum; the pointwise optimum is fitted by a
+stable minimum-phase SISO system and alternated with H-infinity
+synthesis (DK-iteration, a sufficient procedure only).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .signals import Signal, response_energy
 from .spectral import SpectralFactor
 from .statespace import StateSpace, append, invert, series, static_gain
 
-_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 # relative step of scipy's forward-difference (2-point) Jacobian
 _FD_STEP = np.sqrt(np.finfo(float).eps)
 # bound on the D-scale zeros/poles: keeps D and D^{-1} safely stable
@@ -39,6 +38,11 @@ _RHO_MAX = 1.0 - 1e-5
 _RP_GRID = FrequencyGrid.default(256)
 _RP_REFINE_FACTOR = 4
 _RP_N_REFINE = 5
+# matrix_rp_test: step cap of the slope search, the relative slope that
+# ends it, and the relative change one decade away that makes D free
+_RP_MAX_STEPS = 100
+_RP_SLOPE_TOL = 1e-13
+_RP_FLAT_TOL = 1e-9
 # highest order of the fitted D-scale
 _D_MAX_ORDER = 4
 # DK-iteration: iteration cap, K-step bisection tolerances, and the stall
@@ -83,6 +87,16 @@ def build_M(P: UncertainPlant, K: StateSpace, F: SpectralFactor) -> AugmentedOpe
                                          "gamma_J": F.gamma_J})
 
 
+def _scaled(M0: np.ndarray, n_v: int, n_w: int, d: np.ndarray) -> np.ndarray:
+    """diag(d I_nv, I) M0 diag(I_nw / d, I) for each matrix of a stack M0
+    of shape (..., m, n), with one scaling of ``d`` per matrix."""
+    r = np.ones(M0.shape[:-1])
+    c = np.ones(M0.shape[:-2] + M0.shape[-1:])
+    r[..., :n_v] = d[..., None]
+    c[..., :n_w] = 1.0 / d[..., None]
+    return M0 * (r[..., :, None] * c[..., None, :])
+
+
 def _scaled_sigma(M0: np.ndarray, n_v: int, n_w: int, d) -> np.ndarray:
     """sigma_max(diag(d I_nv, I) M0 diag(I_nw / d, I)) for each matrix of
     a stack M0 of shape (..., m, n), with one scaling d per matrix."""
@@ -90,12 +104,23 @@ def _scaled_sigma(M0: np.ndarray, n_v: int, n_w: int, d) -> np.ndarray:
     d = np.broadcast_to(np.asarray(d, dtype=float), M0.shape[:-2])
     if M0.shape[-2] == 0 or M0.shape[-1] == 0:
         return np.zeros(M0.shape[:-2])
-    r = np.ones(M0.shape[:-1])
-    c = np.ones(M0.shape[:-2] + M0.shape[-1:])
-    r[..., :n_v] = d[..., None]
-    c[..., :n_w] = 1.0 / d[..., None]
-    S = M0 * (r[..., :, None] * c[..., None, :])
-    return np.linalg.svd(S, compute_uv=False)[..., 0]
+    return np.linalg.svd(_scaled(M0, n_v, n_w, d), compute_uv=False)[..., 0]
+
+
+def _sigma_and_slope(M0: np.ndarray, n_v: int, n_w: int, t: np.ndarray):
+    """f(t), the largest singular value of a stack (k, m, n) scaled by
+    d = 10^t, and its slope in t.
+
+    With the top singular triplet (sigma, u, v) of the scaled matrix the
+    slope is ln(10) sigma (||u[:n_v]||^2 - ||v[:n_w]||^2); at a kink (a
+    repeated top singular value) it is a one-sided slope.
+    """
+    U, sv, Vh = np.linalg.svd(_scaled(M0, n_v, n_w, 10.0 ** t),
+                              full_matrices=False)
+    sigma = sv[:, 0]
+    u_v = np.sum(np.abs(U[:, :n_v, 0]) ** 2, axis=1)
+    v_w = np.sum(np.abs(Vh[:, 0, :n_w]) ** 2, axis=1)
+    return sigma, np.log(10.0) * sigma * (u_v - v_w)
 
 
 def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int,
@@ -104,54 +129,79 @@ def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int,
 
     ``M0`` is one matrix (m, n) or a stack (k, m, n).  Returns
     (passed, d_opt, value): scalars for one matrix, arrays of length k
-    for a stack.  The map is unimodal in log D, so a golden-section
-    search on a fixed bracket suffices.  The k searches of a stack run
-    in lock step, one stacked SVD per step over the matrices still
-    searching, each with its own bracket and stop rule; a matrix whose
-    off-diagonal blocks vanish takes D = 1 without a search.
+    for a stack.  ``value`` is the smallest scaled value evaluated, so
+    the scaling d_opt attains it and ``passed`` (value < 1) is sound.
+
+    The scaled value is convex in t = log10 D (Sezginer and Overton
+    1990), and the top singular triplet that gives it gives its slope
+    too.  Each matrix runs a secant search on the slope inside a bracket
+    that starts as [-log_span, log_span] and shrinks to the side of each
+    point where the slope changes sign.  The search starts where the
+    two off-diagonal blocks balance in Frobenius norm and moves half a
+    decade downhill; after that it takes the secant step through the
+    previous point when that lands strictly inside the bracket, and the
+    bracket's midpoint otherwise, which also settles a kink.  A matrix
+    stops when its step or its bracket is below ``tol`` decades or its
+    slope is below 1e-13 of its value.  The k searches of a stack run in
+    lock step, one stacked SVD per step over the matrices still
+    searching.
+
+    A matrix whose off-diagonal blocks vanish takes D = 1 without a
+    search.  Where the value does not depend on D, d_opt is NaN: when
+    one off-diagonal block vanishes, or when the value one decade to
+    each side of the optimum is within 1e-9 (relative) of it.
     """
     M = np.atleast_2d(M0)
     single = M.ndim == 2
     if single:
         M = M[None]
     k = M.shape[0]
-    coupled = (np.any(M[:, :n_v, n_w:], axis=(1, 2))
-               | np.any(M[:, n_v:, :n_w], axis=(1, 2)))
+    has_up = np.any(M[:, :n_v, n_w:], axis=(1, 2))    # scaled by d
+    has_down = np.any(M[:, n_v:, :n_w], axis=(1, 2))  # scaled by 1/d
+    coupled = has_up | has_down
     d_opt = np.ones(k)
     val = np.empty(k)
     val[~coupled] = _scaled_sigma(M[~coupled], n_v, n_w, 1.0)
     lanes = np.flatnonzero(coupled)
-
-    def f(which, x):
-        # the scalar power: numpy's vectorized power differs from it in
-        # the last bit on some inputs
-        d = np.array([10.0 ** float(xi) for xi in x])
-        v = _scaled_sigma(M[lanes[which]], n_v, n_w, d)
-        return np.where(np.isfinite(v), v, 1e300)
-
-    # beyond ~10^12 the off-diagonal contribution is below the answer
-    # tolerance, so a fixed bracket is enough
-    a = np.full(lanes.size, -log_span, dtype=float)
-    b = np.full(lanes.size, log_span, dtype=float)
-    c = b - _PHI * (b - a)
-    e = a + _PHI * (b - a)
+    M = M[lanes]
+    up = np.sum(np.abs(M[:, :n_v, n_w:]) ** 2, axis=(1, 2))
+    down = np.sum(np.abs(M[:, n_v:, :n_w]) ** 2, axis=(1, 2))
+    with np.errstate(divide="ignore"):
+        t = np.clip(0.25 * np.log10(down / up), -log_span, log_span)
+    a = np.full(lanes.size, -log_span)
+    b = np.full(lanes.size, log_span)
+    best = np.full(lanes.size, np.inf)
+    best_t = t.copy()
+    t_prev = np.empty(lanes.size)
+    g_prev = np.empty(lanes.size)
     live = np.arange(lanes.size)
-    fc, fe = f(live, c), f(live, e)
-    for _ in range(200):
+    for step in range(_RP_MAX_STEPS):
         if not live.size:
             break
-        left = fc[live] <= fe[live]
-        lt, rt = live[left], live[~left]
-        b[lt], e[lt], fe[lt] = e[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _PHI * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], e[rt], fe[rt]
-        e[rt] = a[rt] + _PHI * (b[rt] - a[rt])
-        f_new = f(live, np.where(left, c[live], e[live]))
-        fc[lt], fe[rt] = f_new[left], f_new[~left]
-        live = live[~(b[live] - a[live] < tol)]
-    x = np.where(fc <= fe, c, e)
-    d_opt[lanes] = [10.0 ** float(xi) for xi in x]
-    val[lanes] = np.minimum(fc, fe)
+        tl = t[live]
+        s, g = _sigma_and_slope(M[live], n_v, n_w, tl)
+        lower = s < best[live]
+        best[live[lower]], best_t[live[lower]] = s[lower], tl[lower]
+        downhill = g < 0
+        a[live[downhill]] = tl[downhill]
+        b[live[~downhill]] = tl[~downhill]
+        al, bl = a[live], b[live]
+        if step == 0:
+            t_new = np.clip(tl - 0.5 * np.sign(g), al, bl)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                secant = tl - g * (tl - t_prev[live]) / (g - g_prev[live])
+            t_new = np.where((al < secant) & (secant < bl), secant, 0.5 * (al + bl))
+        t_prev[live], g_prev[live], t[live] = tl, g, t_new
+        live = live[(np.abs(t_new - tl) >= tol) & (bl - al >= tol)
+                    & (np.abs(g) > _RP_SLOPE_TOL * s)]
+    flat = ~(has_up[lanes] & has_down[lanes])
+    near = np.ones(lanes.size, dtype=bool)
+    for side in (-1.0, 1.0):
+        probe = _scaled_sigma(M, n_v, n_w, 10.0 ** (best_t + side))
+        near &= np.abs(probe - best) <= _RP_FLAT_TOL * best
+    d_opt[lanes] = np.where(flat | near, np.nan, 10.0 ** best_t)
+    val[lanes] = best
     if single:
         return bool(val[0] < 1.0), float(d_opt[0]), float(val[0])
     return val < 1.0, d_opt, val
@@ -203,9 +253,6 @@ class DScaling:
     system: StateSpace
     order: int
     fit_error: float  # max |log10| deviation on the grid
-
-    def magnitude(self, thetas) -> np.ndarray:
-        return np.abs(self.system.freqresp(thetas)[:, 0, 0])
 
 
 def _first_order_cascade(gain_log: float, zeros: np.ndarray, poles: np.ndarray,
@@ -304,7 +351,8 @@ def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
     Log-magnitude least squares over a cascade of real first-order
     sections with zeros/poles inside the unit circle (so the inverse is
     stable by construction).  The order escalates until the worst-case
-    log10 error is within tolerance.
+    log10 error is within tolerance.  Samples whose magnitude is NaN
+    (angles where :func:`matrix_rp_test` leaves D free) are dropped.
 
     Each start is one call of MINPACK's Levenberg-Marquardt ``lmder``
     through ``scipy.optimize.leastsq``, with the tolerances and the
@@ -317,18 +365,19 @@ def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
     at x, and gives the same bits as differencing the whole residual
     once per parameter.
     """
-    pts = [(float(t), float(d)) for t, d in pointwise]
+    pts = [(float(t), float(d)) for t, d in pointwise if not np.isnan(d)]
     thetas = np.array([t for t, _ in pts])
     target = np.log10(np.array([max(d, 1e-12) for _, d in pts]))
     rng = np.random.default_rng(0)
     ejt = np.exp(1j * thetas)
 
-    # order 0: best constant
-    g0 = float(np.mean(target))
+    # order 0: best constant (D = 1 when no sample constrains D)
+    g0 = float(np.mean(target)) if pts else 0.0
     empty = np.zeros(0)
     sys0 = _first_order_cascade(g0, empty, empty, sample_time)
     best = DScaling(tuple(pts), sys0, 0,
-                    float(np.max(np.abs(_logmag(g0, np.zeros((0, ejt.size))) - target))))
+                    float(np.max(np.abs(_logmag(g0, np.zeros((0, ejt.size))) - target),
+                                 initial=0.0)))
     if best.fit_error <= fit_tol:
         return best
     th_pos = thetas[thetas > 0]
@@ -412,7 +461,8 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     ``dk_did_not_converge``, and so does a K-step that raises a
     :class:`RegretSynthError` (no feasible level within the doubling
     limit, say) or a ``LinAlgError``: its message is the trace entry's
-    ``error``.  Any other exception propagates.  An ``initial_D`` from
+    ``error``.  Any other exception propagates.  Every result's metadata
+    holds ``iterations``, the number of trace entries.  An ``initial_D`` from
     a nearby level warm-starts the alternation (any stable minimum-phase
     D keeps the certificate sound).
     """
@@ -426,7 +476,8 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
         return SynthesisResult(None, 1.0, False, np.inf, None,
                                metadata={"level": (level.gamma_d, level.gamma_J),
                                          "kind": level.kind,
-                                         "reason": "nominal_infeasible"})
+                                         "reason": "nominal_infeasible",
+                                         "iterations": 0})
     D = initial_D
     best = None
     best_val = np.inf
@@ -475,8 +526,8 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
         D = fit_dscale(rp.pointwise_scalings(), sample_time=P.sample_time,
                        raise_on_fail=False)
     meta = {"level": (level.gamma_d, level.gamma_J), "kind": level.kind,
-            "reason": "dk_did_not_converge", "dk_trace": trace,
-            "scaled_peak": best_val}
+            "reason": "dk_did_not_converge", "iterations": len(trace),
+            "dk_trace": trace, "scaled_peak": best_val}
     return SynthesisResult(best, 1.0, False, best_val, None, meta)
 
 

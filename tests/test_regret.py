@@ -79,10 +79,38 @@ def test_optimize_special_cases(scalar_k0):
     assert res_r.metadata["kind"] == KIND_ADDITIVE
 
 
+def test_optimize_special_records_its_levels(scalar_k0):
+    P, K0 = scalar_k0
+    tried = []
+
+    def feasibility(level):
+        res = rs.synth_regret(P, level, K0=K0)
+        tried.append((level.gamma_d, res))
+        return res
+
+    g, res = rs.optimize_special(P, "additive-regret", 1e-3, 1e-3, K0=K0,
+                                 feasibility=feasibility)
+    levels = res.metadata["search_levels"]
+    assert levels == tuple((gd, "feasible" if r.feasible else r.metadata["reason"])
+                           for gd, r in tried)
+    assert dict(levels)[g] == "feasible"
+    # the trace leaves the search and its result alone
+    _, hi, best = rs.hinf.bisect_level(
+        lambda x: rs.synth_regret(P, rs.RegretLevel.additive(x), K0=K0), 1e-3, 1e-3)
+    assert g == hi
+    assert {k: v for k, v in res.metadata.items() if k != "search_levels"} == best.metadata
+    for name in "ABCD":
+        assert getattr(res.controller, name).tobytes() == \
+            getattr(best.controller, name).tobytes()
+    assert res.achieved_norm == best.achieved_norm
+
+
 def test_pareto_front_scalar(scalar_k0):
     P, K0 = scalar_k0
     front = rs.pareto_front(P, n_points=5, tol_abs=1e-3, tol_rel=1e-3, K0=K0)
     gj = front.gamma_j_values()
+    for p in front.points:
+        assert dict(p.result.metadata["search_levels"])[p.gamma_j_upper] == "feasible"
     # dominance: non-increasing within bisection slack
     assert np.all(np.diff(gj) <= 1e-6 + 2 * (1e-3 + 1e-3 * gj[:-1]))
     # endpoints approach the special cases

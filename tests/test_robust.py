@@ -83,20 +83,125 @@ def _golden_min_scalar(M0, n_v, n_w, log_span, tol=1e-7):
     return float(10.0 ** x), min(fc, fe)
 
 
+def _bits(x):
+    """The bytes of a float, with every NaN equal."""
+    x = np.float64(x)
+    return "nan" if np.isnan(x) else x.tobytes()
+
+
 def test_matrix_rp_stack_matches_single_calls_bitwise():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((60, 4, 3)) + 1j * rng.standard_normal((60, 4, 3))
-    M[::5, :2, 1:] = 0.0  # uncoupled lanes: D = 1 without a search
-    M[::5, 2:, :1] = 0.0
-    M[1::7, :2, 1:] = 0.0  # one off-diagonal block left: still searched
+    lane = np.arange(M.shape[0])
+    uncoupled = lane % 5 == 0  # D = 1 without a search
+    one_block = (lane % 7 == 1) & ~uncoupled  # D leaves the value alone
+    M[uncoupled, :2, 1:] = 0.0
+    M[uncoupled, 2:, :1] = 0.0
+    M[one_block, :2, 1:] = 0.0
     for span in (12.0, 6.5):
         passed, d_opt, val = rs.matrix_rp_test(M, 2, 1, log_span=span)
-        assert np.all(d_opt[::5] == 1.0)
+        assert np.all(d_opt[uncoupled] == 1.0)
+        assert np.all(np.isnan(d_opt[one_block]))
+        assert np.all(np.isfinite(d_opt[~one_block]))
         for k in range(M.shape[0]):
-            assert (passed[k], d_opt[k], val[k]) == \
-                rs.matrix_rp_test(M[k], 2, 1, log_span=span)
-            if k % 5:
-                assert (d_opt[k], val[k]) == _golden_min_scalar(M[k], 2, 1, span)
+            single = rs.matrix_rp_test(M[k], 2, 1, log_span=span)
+            assert single[0] == passed[k]
+            assert (_bits(single[1]), _bits(single[2])) == (_bits(d_opt[k]), _bits(val[k]))
+            if uncoupled[k]:
+                continue
+            d_ref, val_ref = _golden_min_scalar(M[k], 2, 1, span)
+            assert abs(val[k] - val_ref) <= 1e-12 * val_ref
+            if not one_block[k]:
+                assert abs(np.log10(d_opt[k] / d_ref)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rp_slope_matches_central_difference(seed):
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(2, 7, size=2)
+    n_v, n_w = rng.integers(1, 3), rng.integers(1, 3)
+    M = rng.standard_normal((8, m, n)) + 1j * rng.standard_normal((8, m, n))
+    t = rng.uniform(-1.5, 1.5, 8)
+    sigma, slope = robust._sigma_and_slope(M, n_v, n_w, t)
+    h = 1e-5
+    central = (_scaled_sigma(M, n_v, n_w, 10.0 ** (t + h))
+               - _scaled_sigma(M, n_v, n_w, 10.0 ** (t - h))) / (2 * h)
+    assert np.allclose(sigma, _scaled_sigma(M, n_v, n_w, 10.0 ** t), rtol=1e-13, atol=0)
+    assert np.all(np.abs(slope - central) <= 1e-6 * sigma)
+
+
+def test_matrix_rp_flat_lane_leaves_d_undetermined():
+    # a roundoff-zero M12 against M21 = 5e-5, as at theta = pi on a loop
+    # with a transmission zero at z = -1: the value does not depend on D
+    flat = np.array([[0.3 + 0.1j, 1e-18], [5e-5, 0.6 - 0.2j], [0.2, 0.1]])
+    # an M12 of 1e-6 moves the value by 5e-6 one decade away: D counts
+    weak = flat.copy()
+    weak[0, 1] = 1e-6
+    for M0, free in ((flat, True), (weak, False)):
+        _, d_opt, val = rs.matrix_rp_test(M0, 1, 1)
+        d_ref, val_ref = _golden_min_scalar(M0, 1, 1, 12.0)
+        assert abs(val - val_ref) <= 1e-12 * val_ref
+        assert np.isnan(d_opt) == free
+        if not free:
+            # the curve is so shallow that roundoff in the value moves
+            # its minimizer by about 1e-6 decades
+            assert abs(np.log10(d_opt / d_ref)) <= 1e-4
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _kink_matrix(rng):
+    """M = diag(U_v, U_e) M0 diag(V_w, V_d) with n_v = n_w = 2, where the
+    singular values of the scaled M0 are d, 1/d and 0.8/d: the optimum
+    t = 0 is a kink (sigma_1 = sigma_2 = 1), and the Frobenius balance
+    lies at t = log10(1.64) / 4."""
+    M0 = np.zeros((4, 4))
+    M0[0, 2], M0[2, 0], M0[3, 1] = 1.0, 1.0, 0.8
+    left = np.zeros((4, 4), complex)
+    right = np.zeros((4, 4), complex)
+    left[:2, :2], left[2:, 2:] = _unitary(rng, 2), _unitary(rng, 2)
+    right[:2, :2], right[2:, 2:] = _unitary(rng, 2), _unitary(rng, 2)
+    return left @ M0 @ right
+
+
+def test_matrix_rp_kink_away_from_the_frobenius_start():
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        M0 = _kink_matrix(rng)
+        _, d_opt, val = rs.matrix_rp_test(M0, 2, 2)
+        _, val_ref = _golden_min_scalar(M0, 2, 2, 12.0)
+        assert abs(val - val_ref) <= 1e-6 * val_ref
+        assert abs(val - 1.0) <= 1e-6
+        assert abs(np.log10(d_opt)) <= 1e-6
+
+
+def test_matrix_rp_evaluates_only_inside_the_bracket(monkeypatch):
+    # every point the search evaluates lies between the last point seen
+    # sloping down and the first seen sloping up
+    seen = []
+    sigma_and_slope = robust._sigma_and_slope
+
+    def recorded(M0, n_v, n_w, t):
+        sigma, slope = sigma_and_slope(M0, n_v, n_w, t)
+        seen.append((float(t[0]), float(slope[0])))
+        return sigma, slope
+
+    monkeypatch.setattr(robust, "_sigma_and_slope", recorded)
+    rng = np.random.default_rng(11)
+    cases = [(_kink_matrix(rng), 2, 2) for _ in range(4)]
+    cases += [(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)), 2, 1)
+              for _ in range(8)]
+    for M0, n_v, n_w in cases:
+        seen.clear()
+        rs.matrix_rp_test(M0, n_v, n_w)
+        assert 1 <= len(seen) <= 40
+        for i, (t, _) in enumerate(seen):
+            a = max([-12.0] + [tj for tj, g in seen[:i] if g < 0])
+            b = min([12.0] + [tj for tj, g in seen[:i] if g >= 0])
+            assert a <= t <= b
 
 
 def test_matrix_rp_cold_restart_invariance():
@@ -194,10 +299,27 @@ def test_fit_dscale_recovers_first_order():
     z = np.exp(1j * thetas)
     target = np.abs((z - 0.3) / (z - 0.8))
     D = rs.fit_dscale(list(zip(thetas, target)), fit_tol=0.05)
-    mag = D.magnitude(thetas)
+    mag = np.abs(D.system.freqresp(thetas)[:, 0, 0])
     assert np.max(np.abs(mag / target - 1)) < 0.01
     assert D.system.is_schur()
     assert rs.invert(D.system).is_schur()
+
+
+def test_fit_dscale_drops_undetermined_samples():
+    thetas = np.linspace(1e-3, np.pi, 120)
+    z = np.exp(1j * thetas)
+    pts = list(zip(thetas, np.abs((z - 0.3) / (z - 0.8))))
+    free = [(t, np.nan) for t in (0.05, 1.3, np.pi)]
+    mixed = pts[:40] + free[:2] + pts[40:] + free[2:]
+    ref = rs.fit_dscale(pts, fit_tol=0.05)
+    D = rs.fit_dscale(mixed, fit_tol=0.05)
+    assert (D.order, D.fit_error, D.pointwise) == (ref.order, ref.fit_error, ref.pointwise)
+    for name in "ABCD":
+        assert getattr(D.system, name).tobytes() == getattr(ref.system, name).tobytes()
+    # no sample constrains D: the unit scaling
+    D = rs.fit_dscale(free)
+    assert (D.order, D.fit_error, D.pointwise) == (0, 0.0, ())
+    assert D.system.D[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -403,6 +525,13 @@ def test_robust_front_dominates_nominal_scalar():
                                  grid_span=(0.3, 0.9), gamma_inf=nom.gamma_inf)
     for pn, pr in zip(nom.points, rob.points):
         assert pr.gamma_j_upper >= pn.gamma_j_upper - 2 * (5e-3 + 5e-3 * pn.gamma_j_upper)
+        # each DK level is traced with its verdict and iteration count
+        levels = pr.result.metadata["search_levels"]
+        assert {verdict for _, verdict, _ in levels} <= {
+            "feasible", "dk_did_not_converge", "nominal_infeasible"}
+        at_upper = [lv for lv in levels if lv[0] == pr.gamma_j_upper]
+        assert at_upper == [(pr.gamma_j_upper, "feasible",
+                             pr.result.metadata["iterations"])]
 
 
 def test_verify_robust_regret_matches_per_trial_loop():
