@@ -12,9 +12,8 @@ from .riccati import (DareProblem, DareSolution, DareAssumptionReport,
 from .noncausal import (NoncausalController, NoncausalClosedLoop,
                         build_noncausal, build_phat, eval_noncausal_cost,
                         noncausal_response)
-from .spectral import (SpectralFactor, spectral_factorize_general,
-                       spectral_factor_regret, verify_factor, effective_gamma_d,
-                       EPS_CR)
+from .spectral import (SpectralFactor, spectral_factor_regret, verify_factor,
+                       effective_gamma_d, EPS_CR)
 from .hinf import SynthesisResult, synth_hinf, hinf_optimize
 from .regret import (RegretLevel, ParetoFront, ParetoPoint, synth_regret,
                      optimize_special, pareto_front, verify_regret)

@@ -191,9 +191,11 @@ def write_pareto_csv(path, front):
 def write_dk_trace_csv(path, trace):
     rows = []
     for t in trace:
+        fit_error = t.get("d_fit_error")
         rows.append((int(t.get("iter", -1)), float(t.get("hinf_value", np.nan)),
-                     int(t.get("d_order", -1))))
-    _write_csv(path, ["iter", "hinf_value", "d_order"], rows)
+                     int(t.get("d_order", -1)),
+                     np.nan if fit_error is None else float(fit_error)))
+    _write_csv(path, ["iter", "hinf_value", "d_order", "d_fit_error"], rows)
 
 
 def write_json(path, payload):

@@ -29,10 +29,11 @@ from .signals import Signal, response_energy
 from .spectral import SpectralFactor
 from .statespace import StateSpace, append, invert, series, static_gain
 
-# relative step of scipy's forward-difference (2-point) Jacobian
-_FD_STEP = np.sqrt(np.finfo(float).eps)
 # bound on the D-scale zeros/poles: keeps D and D^{-1} safely stable
 _RHO_MAX = 1.0 - 1e-5
+# weight of the D-fit's ridge rows _RIDGE * params, which keep the
+# Levenberg-Marquardt Jacobian of full column rank
+_RIDGE = 1e-6
 # robust_perf_test: base grid (immutable), and refinement around its
 # worst angles
 _RP_GRID = FrequencyGrid.default(256)
@@ -270,78 +271,64 @@ def _dscale_roots(x):
     return _RHO_MAX * np.tanh(x)
 
 
-def _section_terms(ejt, roots):
-    """log10|e^{j theta} - r| on the angles of ``ejt``, one row per root."""
-    return np.log10(np.abs(ejt - roots[:, None]))
-
-
-def _logmag(gain_log, terms):
-    """log10 of the cascade magnitude from its section terms (the k zero
-    rows, then the k pole rows), added section by section."""
-    k = terms.shape[0] // 2
-    lm = np.full(terms.shape[1:], gain_log)
-    for lz, lp in zip(terms[:k], terms[k:]):
-        lm += lz - lp
-    return lm
-
-
 class _SectionMemo:
-    """Section terms at the last point where one fit evaluated its
-    residual.  Levenberg-Marquardt asks for the Jacobian at the point it
-    has just evaluated and accepted, so the Jacobian can take the terms
-    from here instead of evaluating them again."""
+    """What one start of the D-fit keeps: the constants of its order, and
+    tanh of the root parameters and the section terms q at the last point
+    where it evaluated its residual or Jacobian.
 
-    def __init__(self):
-        self.params = None
-        self.terms = None
-
-    def terms_at(self, params):
-        if self.params is not None and np.array_equal(self.params, params):
-            return self.terms
-        return None
-
-
-def _logmag_residual(params, ejt, target, memo=None):
-    """Fit residual at params = [gain_log, k zero parameters, k poles];
-    keeps the section terms in ``memo`` when one is given."""
-    terms = _section_terms(ejt, _dscale_roots(params[1:]))
-    if memo is not None:
-        memo.params, memo.terms = params.copy(), terms
-    return _logmag(params[0], terms) - target
-
-
-def _logmag_jacobian(params, ejt, target, memo=None):
-    """Forward-difference Jacobian of :func:`_logmag_residual` by scipy's
-    2-point rule, bitwise.
-
-    The step is h = sqrt(eps) sign(x) max(1, |x|) with sign(0) = +1, and
-    column j is (f(x + h_j e_j) - f(x)) / ((x_j + h_j) - x_j).  The
-    section terms are evaluated once at the moved parameters, and at x
-    only when ``memo`` does not hold them for x; each column swaps in
-    the one section its parameter moves and adds the sections in the
-    residual's own order.
+    A root r = rho tanh(x) contributes ``q = |e^{j theta} - r|^2``, taken
+    as ``(1 - r)^2 + 4 r sin^2(theta / 2)``, which does not cancel near
+    theta = 0 and |r| = 1 as ``1 - 2 r cos(theta) + r^2`` does.  ``s2``
+    holds sin^2(theta / 2) of the samples.  Levenberg-Marquardt asks for
+    the Jacobian at the point it has just evaluated and accepted, so the
+    Jacobian takes q from here and costs no logarithm.
     """
-    k = (params.size - 1) // 2
-    step = _FD_STEP * np.where(params >= 0, 1.0, -1.0) \
-        * np.maximum(1.0, np.abs(params))
-    moved = params + step
-    dx = moved - params
-    base = memo.terms_at(params) if memo is not None else None
-    if base is None:
-        base = _section_terms(ejt, _dscale_roots(params[1:]))
-    shifted = _section_terms(ejt, _dscale_roots(moved[1:]))
-    # row 0 is the residual at params; row 1 + j moves parameter j
-    lm = np.empty((1 + params.size, ejt.size))
-    lm[0] = params[0]
-    lm[1] = moved[0]
-    lm[2:] = params[0]
-    for i in range(k):
-        terms = np.repeat((base[i] - base[k + i])[None], lm.shape[0], axis=0)
-        terms[2 + i] = shifted[i] - base[k + i]
-        terms[2 + k + i] = base[i] - shifted[k + i]
-        lm += terms
-    res = lm - target
-    return ((res[1:] - res[0]) / dx[:, None]).T
+
+    def __init__(self, s2, k):
+        self.s2 = s2
+        self.signs = np.repeat([1.0, -1.0], k)  # zeros, then poles
+        m, n_par = s2.size, 2 * k + 1
+        # the rows of the Jacobian that do not depend on the point: the
+        # gain's 1 on the samples and the ridge block
+        self.jac_fixed = np.zeros((n_par, m + n_par))
+        self.jac_fixed[0, :m] = 1.0
+        self.jac_fixed[:, m:] = _RIDGE * np.eye(n_par)
+        self.key = None
+
+    def at(self, params):
+        """(tanh of the root parameters, q with one row per root)."""
+        key = params.tobytes()
+        if key != self.key:
+            t = np.tanh(params[1:])
+            r = _RHO_MAX * t
+            self.key, self.t = key, t
+            self.q = ((1.0 - r) ** 2)[:, None] + (4.0 * r)[:, None] * self.s2
+        return self.t, self.q
+
+
+def _logmag_residual(params, memo, target):
+    """Fit residual at params = [gain_log, k zero parameters, k pole
+    parameters]: the log10 magnitude misfit on the samples, then the
+    ridge rows ``_RIDGE * params``."""
+    _, q = memo.at(params)
+    misfit = params[0] + (0.5 * memo.signs) @ np.log10(q) - target
+    return np.concatenate((misfit, _RIDGE * params))
+
+
+def _logmag_jacobian(params, memo, target):
+    """Exact Jacobian of :func:`_logmag_residual`, one row per parameter
+    (the transpose, as ``leastsq(..., col_deriv=True)`` takes it).
+
+    The gain row is 1 on the samples.  A zero's row is
+    ``((r - 1) + 2 sin^2(theta / 2)) / (q ln 10) * rho (1 - tanh^2 x)``
+    and a pole's is its negative; the ridge block is ``_RIDGE * I``.
+    """
+    t, q = memo.at(params)
+    jac = memo.jac_fixed.copy()
+    drdx = memo.signs * (_RHO_MAX / np.log(10.0)) * (1.0 - t * t)
+    jac[1:, : target.size] = ((_RHO_MAX * t - 1.0)[:, None] + 2.0 * memo.s2) \
+        * drdx[:, None] / q
+    return jac
 
 
 def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
@@ -356,28 +343,27 @@ def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
 
     Each start is one call of MINPACK's Levenberg-Marquardt ``lmder``
     through ``scipy.optimize.leastsq``, with the tolerances and the
-    evaluation budget of ``least_squares(method="lm")`` but without its
-    wrapper and its extra Jacobian at the solution; a start with
-    non-finite residuals, or fewer residuals than parameters, is
-    skipped.  The Jacobian is the forward difference of scipy's
-    2-point rule from :func:`_logmag_jacobian`, which evaluates the
-    section terms at the moved parameters, reuses those of the residual
-    at x, and gives the same bits as differencing the whole residual
-    once per parameter.
+    evaluation budget of ``least_squares(method="lm")`` and the exact
+    Jacobian of :func:`_logmag_jacobian`; a start with non-finite
+    residuals, or fewer samples than parameters, is skipped.  Ridge rows
+    ``_RIDGE * params`` below the samples give the Jacobian full column
+    rank at every point (each zero's column is minus its pole's where
+    the two coincide), so ``lmder`` never takes its rank-deficient path,
+    whose result depends on memory it reads before writing.  The fit
+    error counts the samples only.
     """
     pts = [(float(t), float(d)) for t, d in pointwise if not np.isnan(d)]
     thetas = np.array([t for t, _ in pts])
     target = np.log10(np.array([max(d, 1e-12) for _, d in pts]))
     rng = np.random.default_rng(0)
-    ejt = np.exp(1j * thetas)
+    s2 = np.sin(0.5 * thetas) ** 2
 
     # order 0: best constant (D = 1 when no sample constrains D)
     g0 = float(np.mean(target)) if pts else 0.0
     empty = np.zeros(0)
     sys0 = _first_order_cascade(g0, empty, empty, sample_time)
     best = DScaling(tuple(pts), sys0, 0,
-                    float(np.max(np.abs(_logmag(g0, np.zeros((0, ejt.size))) - target),
-                                 initial=0.0)))
+                    float(np.max(np.abs(g0 - target), initial=0.0)))
     if best.fit_error <= fit_tol:
         return best
     th_pos = thetas[thetas > 0]
@@ -392,21 +378,22 @@ def fit_dscale(pointwise, fit_tol: float = 0.1, sample_time=1.0,
         ps = x * (1.0 + 0.2 * jitter[k:])
         return np.concatenate([[g0], zs, ps])
 
+    n = target.size
     for k in range(1, _D_MAX_ORDER + 1):
         starts = [corner_starts(k, np.zeros(2 * k))]
         for _ in range(2):
             starts.append(corner_starts(k, rng.standard_normal(2 * k)))
         starts.append(np.concatenate([[g0], rng.uniform(-2, 2, 2 * k)]))
         for x0 in starts:
-            memo = _SectionMemo()
-            r0 = _logmag_residual(x0, ejt, target, memo)
-            if r0.size < x0.size or not np.all(np.isfinite(r0)):
-                continue  # lmder needs finite residuals, one per parameter
+            memo = _SectionMemo(s2, k)
+            if n < x0.size or not np.all(np.isfinite(
+                    _logmag_residual(x0, memo, target))):
+                continue  # lmder needs finite residuals, one sample per parameter
             x = scipy.optimize.leastsq(
-                _logmag_residual, x0, args=(ejt, target, memo),
-                Dfun=_logmag_jacobian, full_output=True, ftol=1e-8,
-                xtol=1e-8, gtol=1e-8, maxfev=600)[0]
-            err = float(np.max(np.abs(_logmag_residual(x, ejt, target))))
+                _logmag_residual, x0, args=(memo, target),
+                Dfun=_logmag_jacobian, full_output=True, col_deriv=True,
+                ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=600)[0]
+            err = float(np.max(np.abs(_logmag_residual(x, memo, target)[:n])))
             if err < best.fit_error:
                 zs = _dscale_roots(x[1 : 1 + k])
                 ps = _dscale_roots(x[1 + k :])
@@ -462,9 +449,11 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     :class:`RegretSynthError` (no feasible level within the doubling
     limit, say) or a ``LinAlgError``: its message is the trace entry's
     ``error``.  Any other exception propagates.  Every result's metadata
-    holds ``iterations``, the number of trace entries.  An ``initial_D`` from
-    a nearby level warm-starts the alternation (any stable minimum-phase
-    D keeps the certificate sound).
+    holds ``iterations``, the number of trace entries.  An entry of an
+    iteration that ran its scaled test also records the D-scale of its
+    K-step: ``d_order`` and ``d_fit_error`` (0 and None without one).
+    An ``initial_D`` from a nearby level warm-starts the alternation (any
+    stable minimum-phase D keeps the certificate sound).
     """
     if K0 is None:
         K0 = build_noncausal(P.nominal())
@@ -504,7 +493,8 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
         peak = 1.0 - rp.margin
         trace.append({"iter": it, "hinf_value": gamma_val,
                       "scaled_peak": peak,
-                      "d_order": D.order if D else 0})
+                      "d_order": D.order if D else 0,
+                      "d_fit_error": D.fit_error if D else None})
         if peak < best_val:
             best_val, best = peak, K
         if rp.passed:

@@ -1,15 +1,15 @@
 """Spectral factorization of the benchmark closed-loop cost.
 
-``spectral_factorize_general`` implements the two-DARE construction for
-a square factor F of P~P: a primal DARE gives the whitening gain, a
-dual DARE re-expresses the anti-causal part, and the factor::
+The two-DARE construction of a square factor F of P~P: a primal DARE
+gives the whitening gain, a dual DARE re-expresses the anti-causal part,
+and the factor::
 
     F = (A - Ky' Kx,  B - Ky',  W^{-1/2} Kx,  W^{-1/2})
 
 is stable and causal with a stable causal inverse whose poles are the
 primal closed-loop eigenvalues.
 
-Both constructions factor the benchmark closed loop in a well-scaled
+The factor is built for the benchmark closed loop in a well-scaled
 realization rather than in the v-coordinates of ``build_phat``, where
 the primal solution gamma_J^2 [[X, I], [I, X^{-1}]] + diag(0, V) grows
 with cond(X).  With X = L L' (Cholesky) and v = L w it reads
@@ -40,9 +40,7 @@ from .errors import (
 from .noncausal import NoncausalClosedLoop, eval_noncausal_cost
 from .riccati import (
     DareProblem,
-    check_dare_assumptions,
     dare_residual,
-    min_sv,
     pbh_stabilizable,
     solve_dare,
 )
@@ -248,54 +246,6 @@ def _check_resolvent(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _closed_loop_response(phat: NoncausalClosedLoop) -> np.ndarray:
     """phat's frequency response on CHECK_THETAS, from the kept resolvent."""
     return phat.C_hat @ _w_basis(phat).resolvent + phat.D_hat
-
-
-def spectral_factorize_general(system, *, check: bool = True) -> SpectralFactor:
-    """Spectral factor of P~P for a square-cost system (state dim kept).
-
-    Accepts a StateSpace or a NoncausalClosedLoop; the latter is factored
-    in the well-scaled realization of :class:`_WBasis` (2 n_x states,
-    mixed causal and anti-causal dynamics).  F and F_inv are returned
-    in orthogonal real-Schur coordinates.
-    """
-    if isinstance(system, NoncausalClosedLoop):
-        basis = _w_basis(system)
-        C = np.vstack([system.gamma_J * basis.C_e,
-                       np.zeros((system.n_d, basis.A.shape[0]))])
-        mats = (basis.A, basis.B, C, system.D_hat)
-        ts = system.K0.plant.sample_time
-        gamma_d, gamma_J = system.gamma_d, system.gamma_J
-        system_resp = _closed_loop_response(system)
-    else:
-        mats = (system.A, system.B, system.C, system.D)
-        ts = system.sample_time
-        gamma_d = gamma_J = float("nan")
-        system_resp = system.freqresp(CHECK_THETAS)
-    prob = DareProblem.from_output_data(*mats)
-    if check and prob.n:
-        _check_factor_assumptions(prob)
-    F, internals = _factor_from_dares(prob, ts)
-    F_inv = schur_realization(invert(F))
-    diag = _factor_diagnostics(F, F_inv, system_resp)
-    return SpectralFactor(F, F_inv, gamma_d, gamma_J, internals, diag)
-
-
-def _check_factor_assumptions(prob: DareProblem) -> None:
-    report = check_dare_assumptions(prob)
-    A = prob.A
-    eigs = np.linalg.eigvals(A)
-    on_circle = float(np.min(np.abs(np.abs(eigs) - 1.0)))
-    nonsing = min_sv(A) / max(1.0, float(np.max(np.abs(A))))
-    failures = [name for name, ok in (("no_unit_circle_eigs", on_circle > 1e-9),
-                                      ("A_nonsingular", nonsing > 1e-10))
-                if not ok]
-    if not report.passed or failures:
-        raise AssumptionViolated(
-            "spectral factorization assumptions failed: "
-            + report.failure_summary()
-            + ("; " + ", ".join(failures) if failures else ""),
-            report,
-        )
 
 
 def _to_v_coordinates(basis: _WBasis, M_w: np.ndarray) -> np.ndarray:

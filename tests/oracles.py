@@ -380,27 +380,11 @@ def dscale_residual_loop(params, ejt, target):
                               rho_max * np.tanh(params[1 + k :])) - target
 
 
-def dscale_jacobian_loop(params, ejt, target):
-    """Column-by-column forward differences by scipy's default 2-point
-    rule: step sqrt(eps) sign(x) max(1, |x|) with sign(0) = +1, and the
-    whole residual evaluated anew for each column."""
-    f0 = dscale_residual_loop(params, ejt, target)
-    J = np.empty((f0.size, params.size))
-    for j in range(params.size):
-        sign = 1.0 if params[j] >= 0 else -1.0
-        h = np.sqrt(np.finfo(float).eps) * sign * max(1.0, abs(params[j]))
-        x1 = params.copy()
-        x1[j] = params[j] + h
-        J[:, j] = (dscale_residual_loop(x1, ejt, target) - f0) \
-            / ((params[j] + h) - params[j])
-    return J
-
-
 def fit_dscale_loop(pointwise, fit_tol: float = 0.1, max_order: int = 4,
                     sample_time=1.0, seed: int = 0):
     """Reference D-scale fit: the same starts, draws and stop rules as
-    ``robust.fit_dscale``, with the residual above and the Jacobian left
-    to ``least_squares`` (``jac="2-point"``).  Returns the best (order,
+    ``robust.fit_dscale``, with the residual above, no ridge rows, and the
+    Jacobian left to ``least_squares`` (``jac="2-point"``).  Returns the best (order,
     fit error, system), also when the error is above ``fit_tol``."""
     import scipy.optimize
 
@@ -560,6 +544,57 @@ def identity_error_loop(F, system_resp, thetas) -> float:
         scale = max(1.0, float(np.max(np.abs(rhs))))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     return worst
+
+
+def spectral_factorize_general(system, *, check: bool = True):
+    """Spectral factor of P~P for a square-cost system (state dim kept):
+    the two-DARE construction on the whole system, the cross-check of the
+    reduced factor of ``spectral.spectral_factor_regret``.
+
+    Accepts a StateSpace or a NoncausalClosedLoop; the latter is factored
+    in the well-scaled realization of ``spectral._WBasis`` (2 n_x states,
+    mixed causal and anti-causal dynamics).  F and F_inv are returned
+    in orthogonal real-Schur coordinates.
+    """
+    sp = rs.spectral
+    if isinstance(system, rs.NoncausalClosedLoop):
+        basis = sp._w_basis(system)
+        C = np.vstack([system.gamma_J * basis.C_e,
+                       np.zeros((system.n_d, basis.A.shape[0]))])
+        mats = (basis.A, basis.B, C, system.D_hat)
+        ts = system.K0.plant.sample_time
+        gamma_d, gamma_J = system.gamma_d, system.gamma_J
+        system_resp = sp._closed_loop_response(system)
+    else:
+        mats = (system.A, system.B, system.C, system.D)
+        ts = system.sample_time
+        gamma_d = gamma_J = float("nan")
+        system_resp = system.freqresp(sp.CHECK_THETAS)
+    prob = rs.DareProblem.from_output_data(*mats)
+    if check and prob.n:
+        _check_factor_assumptions(prob)
+    F, internals = sp._factor_from_dares(prob, ts)
+    F_inv = sp.schur_realization(rs.invert(F))
+    diag = sp._factor_diagnostics(F, F_inv, system_resp)
+    return rs.SpectralFactor(F, F_inv, gamma_d, gamma_J, internals, diag)
+
+
+def _check_factor_assumptions(prob) -> None:
+    report = rs.check_dare_assumptions(prob)
+    A = prob.A
+    eigs = np.linalg.eigvals(A)
+    on_circle = float(np.min(np.abs(np.abs(eigs) - 1.0)))
+    nonsing = rs.riccati.min_sv(A) / max(1.0, float(np.max(np.abs(A))))
+    failures = [name for name, ok in (("no_unit_circle_eigs", on_circle > 1e-9),
+                                      ("A_nonsingular", nonsing > 1e-10))
+                if not ok]
+    if not report.passed or failures:
+        raise rs.errors.AssumptionViolated(
+            "spectral factorization assumptions failed: "
+            + report.failure_summary()
+            + ("; " + ", ".join(failures) if failures else ""),
+            report,
+        )
 
 
 def regret_factor_reference(phat):

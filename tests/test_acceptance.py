@@ -17,7 +17,8 @@ import regretsynth as rs
 from regretsynth.regret import _bisect_gamma_j
 
 from conftest import random_generalized_plant
-from oracles import QPOracle, competitive_ratio_oracle, gamma_d_grid
+from oracles import (QPOracle, competitive_ratio_oracle, gamma_d_grid,
+                     spectral_factorize_general)
 
 
 def verdict(num, label, ok, detail):
@@ -221,7 +222,7 @@ def test_criterion_6_spectral_factor_suite(store):
         assert F.F.is_schur() and F.F_inv.is_schur()
         rep = rs.verify_factor(F, phat, trials=100, seed=seed, rel_tol=1e-7)
         worst_dev = max(worst_dev, rep.max_rel_deviation)
-        F2 = rs.spectral_factorize_general(phat)
+        F2 = spectral_factorize_general(phat)
         th = np.linspace(0, np.pi, 256)
         Fr, Fg = F.F.freqresp(th), F2.F.freqresp(th)
         for k in range(len(th)):

@@ -12,7 +12,8 @@ from regretsynth.spectral import CHECK_THETAS, _to_v_coordinates, _w_basis
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
 from oracles import (identity_error_loop, inner, n_e_hat, para_hermitian_apply,
-                     regret_factor_reference, regret_qtilde, simulate_ehat)
+                     regret_factor_reference, regret_qtilde, simulate_ehat,
+                     spectral_factorize_general)
 
 
 def factor_product_error(F, system, thetas):
@@ -62,7 +63,7 @@ def test_general_factor_static_allpass():
     # D'D = I: the factor product is the identity at every angle
     D = np.array([[0.6, 0.8], [-0.8, 0.6]])
     g = rs.static_gain(D, 1.0)
-    F = rs.spectral_factorize_general(g)
+    F = spectral_factorize_general(g)
     th = np.linspace(0, np.pi, 32)
     Fr = F.F.freqresp(th)
     for k in range(len(th)):
@@ -72,7 +73,7 @@ def test_general_factor_static_allpass():
 def test_general_factor_random_causal():
     rng = np.random.default_rng(3)
     g = random_stable_ss(rng, 3, 2, 2, rho=0.6)
-    F = rs.spectral_factorize_general(g)
+    F = spectral_factorize_general(g)
     assert F.F.is_schur() and F.F_inv.is_schur()
     th = np.linspace(0, np.pi, 256)
     assert factor_product_error(F.F, g, th) < 1e-8
@@ -115,7 +116,7 @@ def test_reduced_matches_general():
         K0 = rs.build_noncausal(P)
         phat = rs.build_phat(K0, (0.8, 1.2))
         F_red = rs.spectral_factor_regret(phat)
-        F_gen = rs.spectral_factorize_general(phat)
+        F_gen = spectral_factorize_general(phat)
         assert F_red.F.n_x == P.n_x
         assert F_gen.F.n_x == 2 * P.n_x
         th = np.linspace(0, np.pi, 256)
@@ -213,7 +214,7 @@ def test_regret_factor_matches_per_level_reference_bitwise(store, name):
             assert F.diagnostics[key] == want, key
         # the general factor of the same closed loop checks its identity
         # on the same response
-        G = rs.spectral_factorize_general(phat)
+        G = spectral_factorize_general(phat)
         assert G.diagnostics["freq_identity_error"] == identity_error_loop(
             G.F, phat.freqresp(CHECK_THETAS), CHECK_THETAS)
     assert list(K0.factor_setup) == ["w_basis"]
