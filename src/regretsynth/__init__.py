@@ -14,7 +14,7 @@ from .noncausal import (NoncausalController, NoncausalClosedLoop,
                         noncausal_response)
 from .spectral import (SpectralFactor, spectral_factor_regret, verify_factor,
                        effective_gamma_d, EPS_CR)
-from .hinf import SynthesisResult, synth_hinf, hinf_optimize
+from .hinf import SynthesisResult, synth_hinf, hinf_optimize, hinf_search
 from .regret import (RegretLevel, ParetoFront, ParetoPoint, synth_regret,
                      optimize_special, pareto_front, verify_regret)
 from .robust import (AugmentedOpenLoop, DScaling, UncertaintySample,

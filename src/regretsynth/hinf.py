@@ -18,11 +18,11 @@ controller carries an a-posteriori certificate, the closed-loop spectral
 radius and a certified upper bound on the closed-loop H-infinity norm
 (the upper end of the level-set bracket of :func:`norms.hinf_norm`,
 computed on the discrete loop without this transform).  A level is
-feasible only when that upper bound is below it.  :func:`hinf_optimize`
+feasible only when that upper bound is below it.  :func:`hinf_search`
 decides the levels of its search by :func:`norms.norm_below`, which
 answers whether that upper bound would be below a level from one
-pencil, and brackets only the levels it cannot decide and the level it
-returns.
+pencil, and brackets only the levels it cannot decide;
+:func:`hinf_optimize` brackets the level it returns once more.
 """
 
 from __future__ import annotations
@@ -484,29 +484,31 @@ def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
 @dataclass(frozen=True)
 class _Decided:
     """A search level that :func:`norms.norm_below` decided, with the
-    candidate kept for the one bracket the search may end with."""
+    candidate kept for the one bracket :func:`hinf_optimize` may end
+    with."""
 
     feasible: bool
     candidate: tuple
 
+    @property
+    def controller(self) -> StateSpace:
+        return self.candidate[1]
 
-def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
-                  tol_rel: float = 1e-4, stop_below: float | None = None):
-    """Minimal achievable closed-loop norm by :func:`bisect_level`.
 
-    Returns (gamma_upper, result) where result holds the controller
-    synthesized at the feasible upper end of the final bracket;
-    ``stop_below`` is passed on to the driver.
+def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
+                stop_below: float | None = None):
+    """The level search of :func:`hinf_optimize`, without its final
+    bracket.
 
-    Each level gets the candidate of :func:`synth_hinf`, and
-    :func:`norms.norm_below` decides whether its closed-loop bracket
-    would be below the level; only a level it cannot decide is
-    bracketed during the search.  The level the search returns is
-    bracketed once at the end, so the levels, the controller and the
-    certificate are those of a search over :func:`synth_hinf`.  The
-    metadata adds ``search_levels``, one (gamma, verdict) per level in
-    the order tried: the synthesis reason of a candidate that failed,
-    or ``below``, ``above`` or ``bracket``.
+    Returns (gamma_upper, result, search_levels).  ``result`` is the one
+    at the feasible upper end of the final bracket: a bracketed
+    :class:`SynthesisResult` when the bracket decided that level, and
+    otherwise the candidate :func:`norms.norm_below` decided below it.
+    Both give the level's controller as ``result.controller``.
+    ``search_levels`` holds one (gamma, verdict) per level in the order
+    tried: the synthesis reason of a candidate that failed, or
+    ``below``, ``above`` or ``bracket``.  Callers that read only the
+    level and the controller skip the bracket of :func:`hinf_optimize`.
     """
     levels = []
 
@@ -523,11 +525,31 @@ def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
         return _Decided(below, (meta, Kd, cl))
 
     _, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below)
+    return hi, best, tuple(levels)
+
+
+def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
+                  tol_rel: float = 1e-4, stop_below: float | None = None):
+    """Minimal achievable closed-loop norm by :func:`bisect_level`.
+
+    Returns (gamma_upper, result) where result holds the controller
+    synthesized at the feasible upper end of the final bracket;
+    ``stop_below`` is passed on to the driver.
+
+    The levels come from :func:`hinf_search`: each level gets the
+    candidate of :func:`synth_hinf`, and :func:`norms.norm_below`
+    decides whether its closed-loop bracket would be below the level;
+    only a level it cannot decide is bracketed during the search.  The
+    level the search returns is bracketed once at the end, so the
+    levels, the controller and the certificate are those of a search
+    over :func:`synth_hinf`.  The metadata adds the search's
+    ``search_levels``.
+    """
+    hi, best, levels = hinf_search(P, tol_abs, tol_rel, stop_below)
     if isinstance(best, _Decided):
         best = _certified(hi, *best.candidate)
         if not best.feasible:
             raise RegretSynthError(
                 f"the norm bracket contradicts the decided level {hi!r}: "
                 f"upper end {best.achieved_norm!r}")
-    return hi, replace(best, metadata={**best.metadata,
-                                       "search_levels": tuple(levels)})
+    return hi, replace(best, metadata={**best.metadata, "search_levels": levels})

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hinf import SynthesisResult, bisect_level, hinf_optimize, synth_hinf
+from .hinf import (SynthesisResult, bisect_level, hinf_optimize, hinf_search,
+                   synth_hinf)
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
 from .parallel import parallel_map
@@ -220,7 +221,7 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     if K0 is None:
         K0 = build_noncausal(P)
     if gamma_inf is None:
-        gamma_inf, _ = hinf_optimize(P, tol_abs, tol_rel)
+        gamma_inf, _, _ = hinf_search(P, tol_abs, tol_rel)
     if oracle_factory is None:
         def oracle_factory():
             return lambda level: synth_regret(P, level, K0=K0)

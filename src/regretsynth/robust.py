@@ -20,9 +20,9 @@ import numpy as np
 import scipy.optimize
 
 from .errors import FitToleranceExceeded, RegretSynthError, UnstableSystem
-from .hinf import SynthesisResult, hinf_optimize, synth_hinf
+from .hinf import SynthesisResult, hinf_search, synth_hinf
 from .noncausal import NoncausalController, build_noncausal, eval_noncausal_cost
-from .norms import FrequencyGrid, hinf_norm
+from .norms import FrequencyGrid, hinf_norm, norm_below
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import ParetoFront, RegretLevel, pareto_front, regret_weighted_plant
 from .signals import Signal, response_energy
@@ -210,6 +210,14 @@ def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int,
 
 @dataclass(frozen=True)
 class RobustPerfReport:
+    """Verdict of :func:`robust_perf_test`.
+
+    ``m11_norm`` is the certified H-infinity norm of M11, or NaN when
+    the scaled peak is at least 1 and M11's norm is decided below it:
+    the test fails then whatever that norm is, and the margin is
+    ``1 - peak`` either way.
+    """
+
     passed: bool
     margin: float               # 1 - max scaled value (negative = fail)
     m11_norm: float
@@ -221,12 +229,18 @@ class RobustPerfReport:
 
 
 def robust_perf_test(M: AugmentedOpenLoop) -> RobustPerfReport:
-    """Frequency-wise scaled test plus the small-gain prerequisite."""
+    """Frequency-wise scaled test plus the small-gain prerequisite.
+
+    The scaled grid test runs first.  When its peak ``vmax`` is at least
+    1 the test fails whatever M11's norm is, so :func:`norms.norm_below`
+    decides whether that norm is below ``vmax``; if it is, the margin is
+    ``1 - vmax`` and ``m11_norm`` is NaN.  Otherwise M11's norm is
+    bracketed by :func:`norms.hinf_norm`, so every passing report holds
+    the certified norm.
+    """
     if not M.M.is_schur():
         raise UnstableSystem("robust performance test requires stable M")
     grid = _RP_GRID
-    m11 = M.m11()
-    m11_norm = hinf_norm(m11) if M.n_w and M.n_v else 0.0
 
     def run(thetas):
         _, d_opt, val = matrix_rp_test(M.M.freqresp(thetas), M.n_v, M.n_w)
@@ -241,6 +255,13 @@ def robust_perf_test(M: AugmentedOpenLoop) -> RobustPerfReport:
     pts.sort(key=lambda t: t[0])
     vmax = max(t[2] for t in pts)
     worst_theta = max(pts, key=lambda t: t[2])[0]
+    if not (M.n_w and M.n_v):
+        m11_norm = 0.0
+    elif vmax >= 1.0 and norm_below(M.m11(), vmax):
+        # failed, and max(vmax, M11's norm) is vmax
+        return RobustPerfReport(False, 1.0 - vmax, np.nan, tuple(pts), worst_theta)
+    else:
+        m11_norm = hinf_norm(M.m11())
     passed = vmax < 1.0 and m11_norm < 1.0
     return RobustPerfReport(passed, 1.0 - max(vmax, m11_norm), m11_norm,
                             tuple(pts), worst_theta)
@@ -452,6 +473,10 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     holds ``iterations``, the number of trace entries.  An entry of an
     iteration that ran its scaled test also records the D-scale of its
     K-step: ``d_order`` and ``d_fit_error`` (0 and None without one).
+    Each K-step runs :func:`hinf.hinf_search` with ``stop_below=1`` and
+    keeps the controller of the level it returns, with no final
+    bracket; its entry records the search's ``(gamma, verdict)`` pairs
+    as ``k_levels``.
     An ``initial_D`` from a nearby level warm-starts the alternation (any
     stable minimum-phase D keeps the certificate sound).
     """
@@ -475,23 +500,25 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
         if it == 0 and D is None:
             K = nom_res.controller
             gamma_val = nom_res.achieved_norm
+            k_step = {}
         else:
             P_syn = dk_scaled_plant(P, F, D)
             try:
-                gamma_val, res = hinf_optimize(P_syn, _DK_TOL_ABS, _DK_TOL_REL,
-                                               stop_below=1.0)
+                gamma_val, res, k_levels = hinf_search(
+                    P_syn, _DK_TOL_ABS, _DK_TOL_REL, stop_below=1.0)
             except (RegretSynthError, np.linalg.LinAlgError) as exc:
                 trace.append({"iter": it, "error": str(exc)})
                 break
             K = res.controller
+            k_step = {"k_levels": k_levels}
         M = build_M(P, K, F)
         if not M.M.is_schur():
-            trace.append({"iter": it, "hinf_value": gamma_val,
+            trace.append({"iter": it, "hinf_value": gamma_val, **k_step,
                           "note": "M unstable"})
             break
         rp = robust_perf_test(M)
         peak = 1.0 - rp.margin
-        trace.append({"iter": it, "hinf_value": gamma_val,
+        trace.append({"iter": it, "hinf_value": gamma_val, **k_step,
                       "scaled_peak": peak,
                       "d_order": D.order if D else 0,
                       "d_fit_error": D.fit_error if D else None})

@@ -895,3 +895,34 @@ def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
                 if out is not None:
                     return out
     raise rs.errors.NotAFailurePoint("no rank-one witness found at this frequency")
+
+
+def robust_perf_test_reference(M):
+    """Reference for ``robust.robust_perf_test``: the test that brackets
+    M11's norm on every input, before the scaled grid test.
+
+    Returns the ``RobustPerfReport`` with the certified norm of M11 in
+    ``m11_norm`` and the margin ``1 - max(grid peak, that norm)``.
+    """
+    if not M.M.is_schur():
+        raise rs.errors.UnstableSystem("robust performance test requires stable M")
+    grid = rs.robust._RP_GRID
+    m11 = M.m11()
+    m11_norm = rs.hinf_norm(m11) if M.n_w and M.n_v else 0.0
+
+    def run(thetas):
+        _, d_opt, val = rs.matrix_rp_test(M.M.freqresp(thetas), M.n_v, M.n_w)
+        return [(float(th), float(d), float(v))
+                for th, d, v in zip(thetas, d_opt, val)]
+
+    pts = run(grid.thetas)
+    worst = sorted(pts, key=lambda t: -t[2])[:rs.robust._RP_N_REFINE]
+    fine = grid.refined_near([t[0] for t in worst], rs.robust._RP_REFINE_FACTOR)
+    extra_thetas = np.setdiff1d(fine.thetas, grid.thetas)
+    pts += run(extra_thetas)
+    pts.sort(key=lambda t: t[0])
+    vmax = max(t[2] for t in pts)
+    worst_theta = max(pts, key=lambda t: t[2])[0]
+    passed = vmax < 1.0 and m11_norm < 1.0
+    return rs.robust.RobustPerfReport(passed, 1.0 - max(vmax, m11_norm), m11_norm,
+                                      tuple(pts), worst_theta)

@@ -145,6 +145,27 @@ def test_search_brackets_only_undecided_levels_and_the_result(monkeypatch):
     assert res.feasible and res.achieved_norm < g
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_hinf_search_matches_hinf_optimize_bitwise(seed, monkeypatch):
+    P = random_generalized_plant(seed)
+    brackets = []
+    hinf_norm = rs.hinf.hinf_norm
+    monkeypatch.setattr(rs.hinf, "hinf_norm",
+                        lambda *a, **k: brackets.append(a[0]) or hinf_norm(*a, **k))
+    # the norms of these plants are above 1, so only 64 ends a search early
+    for stop_below in (None, 1.0, 64.0):
+        brackets.clear()
+        g, res, levels = rs.hinf_search(P, 1e-4, 1e-4, stop_below)
+        verdicts = [verdict for _, verdict in levels]
+        # one bracket per undecided level, none for the level returned
+        assert len(brackets) == verdicts.count("bracket")
+        g_opt, res_opt = rs.hinf_optimize(P, 1e-4, 1e-4, stop_below)
+        assert np.float64(g).tobytes() == np.float64(g_opt).tobytes()
+        assert levels == res_opt.metadata["search_levels"]
+        assert _controller_bytes(res) == _controller_bytes(res_opt)
+        assert res.feasible and dict(levels)[g] in {"below", "bracket"}
+
+
 def test_a_decision_the_bracket_contradicts_raises(monkeypatch):
     # a bracket that runs out of levels certifies nothing, so the level
     # the decisions returned is not feasible by the bracket

@@ -17,7 +17,8 @@ from regretsynth.robust import (_SectionMemo, _logmag_jacobian, _logmag_residual
 
 from conftest import scalar_plant
 from oracles import (dscale_residual_loop, fit_dscale_loop,
-                     verify_robust_regret_loop, worst_case_const_delta)
+                     robust_perf_test_reference, verify_robust_regret_loop,
+                     worst_case_const_delta)
 
 
 def scalar_uncertain_plant():
@@ -519,6 +520,104 @@ def test_robust_perf_small_gain_violation():
     assert rep.m11_norm > 1.0
 
 
+def assert_matches_reference(M):
+    """robust_perf_test gives the reference's report bit for bit, except
+    that M11's norm may be NaN where the scaled peak alone fails the test;
+    a norm clearly below that peak must be decided, not bracketed."""
+    rep, ref = rs.robust_perf_test(M), robust_perf_test_reference(M)
+    assert rep.passed == ref.passed
+    assert np.float64(rep.margin).tobytes() == np.float64(ref.margin).tobytes()
+    assert np.array(rep.pointwise).tobytes() == np.array(ref.pointwise).tobytes()
+    assert rep.worst_theta == ref.worst_theta
+    vmax = max(v for _, _, v in ref.pointwise)
+    if np.isnan(rep.m11_norm):
+        assert vmax >= 1.0 and ref.m11_norm < vmax
+    else:
+        assert rep.m11_norm == ref.m11_norm
+    if vmax >= 1.0 and ref.m11_norm * (1.0 + 1e-6) < vmax:
+        assert np.isnan(rep.m11_norm)
+    return rep, ref
+
+
+@pytest.mark.parametrize("example", ["scalar", "quartercar"])
+def test_robust_perf_test_matches_reference_on_each_dk_step(example, monkeypatch):
+    if example == "scalar":
+        unc, level = scalar_uncertain_plant(), rs.RegretLevel(1.2, 1.0)
+    else:
+        unc, level = rs.build_example("quartercar"), rs.RegretLevel.additive(0.8)
+    tested = []
+    test = robust.robust_perf_test
+    monkeypatch.setattr(robust, "robust_perf_test",
+                        lambda M: tested.append(M) or test(M))
+    res = rs.dk_iteration(unc, level, K0=rs.build_noncausal(unc.nominal()))
+    assert res.feasible and len(tested) >= 2
+    reports = [assert_matches_reference(M) for M in tested]
+    # the failed steps decide M11 against the scaled peak; the passing
+    # step brackets it, and the result reports that norm
+    assert any(np.isnan(rep.m11_norm) for rep, _ in reports)
+    assert res.metadata["m11_norm"] == reports[-1][1].m11_norm
+
+
+def _resonance(theta0, radius, peak):
+    """b / (z^2 - 2 r cos(theta0) z + r^2), scaled to about ``peak`` at theta0."""
+    b = peak * (1.0 - radius) * 2.0 * np.sin(theta0)
+    return rs.StateSpace([[2.0 * radius * np.cos(theta0), -radius**2], [1.0, 0.0]],
+                         [[1.0], [0.0]], [[0.0, b]], [[0.0]], 1.0)
+
+
+def test_robust_perf_test_matches_reference_on_constructed_inputs():
+    # the static M of test_robust_perf_small_gain_violation: M11's norm
+    # is the scaled peak, so only the bracket can tell
+    static = rs.AugmentedOpenLoop(rs.static_gain(np.diag([1.2, 0.1]), 1.0), 1, 1)
+    rep, _ = assert_matches_reference(static)
+    assert rep.m11_norm == 1.2
+    # M11's resonance lies between two grid angles, far above the scaled
+    # grid peak 1.05 of M22: the decision answers False, and the bracket runs
+    thetas = robust._RP_GRID.thetas
+    i = int(np.searchsorted(thetas, 1.5))
+    theta0 = 0.5 * (thetas[i - 1] + thetas[i])
+    peaked = rs.AugmentedOpenLoop(
+        rs.append(_resonance(theta0, 1.0 - 1e-4, 2.0), rs.static_gain([[1.05]], 1.0)),
+        1, 1)
+    rep, ref = assert_matches_reference(peaked)
+    assert max(v for _, _, v in ref.pointwise) < 1.06 < 1.9 < rep.m11_norm
+    assert rep.margin == 1.0 - rep.m11_norm
+    # M11's norm 1.2 fails the small-gain test, but lies below the scaled
+    # peak 1.5, so the peak decides the margin and M11 is not bracketed
+    between = rs.AugmentedOpenLoop(
+        rs.append(rs.StateSpace([[0.5]], [[1.0]], [[0.6]], [[0.0]], 1.0),
+                  rs.static_gain([[1.5]], 1.0)),
+        1, 1)
+    rep, ref = assert_matches_reference(between)
+    assert np.isnan(rep.m11_norm) and abs(ref.m11_norm - 1.2) < 1e-6
+    assert not rep.passed and rep.margin == 1.0 - 1.5
+
+
+def test_dk_k_steps_keep_a_bracket_below_their_level(monkeypatch):
+    # the K-step keeps the controller of the level its search returns
+    # with no bracket; the bracket of each such closed loop is below it
+    searches = []
+    search = robust.hinf_search
+
+    def recorded(P, *args, **kwargs):
+        out = search(P, *args, **kwargs)
+        searches.append((P, *out))
+        return out
+
+    monkeypatch.setattr(robust, "hinf_search", recorded)
+    unc = rs.build_example("quartercar")
+    res = rs.dk_iteration(unc, rs.RegretLevel.additive(0.8),
+                          K0=rs.build_noncausal(unc.nominal()))
+    assert res.feasible and searches
+    k_steps = [t for t in res.metadata["dk_trace"] if "k_levels" in t]
+    assert [t["k_levels"] for t in k_steps] == [levels for *_, levels in searches]
+    assert [t["hinf_value"] for t in k_steps] == [g for _, g, *_ in searches]
+    for P, g, best, levels in searches:
+        assert dict(levels)[g] in {"below", "bracket"}
+        br = rs.hinf_norm(rs.lft_lower(P, best.controller), return_bracket=True)
+        assert br.certified and br.upper < g
+
+
 def test_robust_perf_no_uncertainty_reduces_to_norm():
     # with zero-size uncertainty channels the test is the plain norm
     g = rs.StateSpace(0.5 * np.eye(1), [[1.0]], [[0.3]], [[0.0]], 1.0)
@@ -623,7 +722,7 @@ def test_dk_iteration_records_a_k_step_without_a_feasible_level(monkeypatch):
     def no_level(*args, **kwargs):
         raise rs.errors.NoFeasibleUpperBound("no feasible level found up to 5.76e+17")
 
-    monkeypatch.setattr(robust, "hinf_optimize", no_level)
+    monkeypatch.setattr(robust, "hinf_search", no_level)
     unc = scalar_uncertain_plant()
     K0 = rs.build_noncausal(unc.nominal())
     # an initial D puts a K-step at iteration 0
@@ -638,7 +737,7 @@ def test_dk_iteration_lets_a_fault_in_the_k_step_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("a fault, not a verdict")
 
-    monkeypatch.setattr(robust, "hinf_optimize", broken)
+    monkeypatch.setattr(robust, "hinf_search", broken)
     unc = scalar_uncertain_plant()
     K0 = rs.build_noncausal(unc.nominal())
     with pytest.raises(TypeError):
