@@ -10,10 +10,9 @@ from .norms import (FrequencyGrid, LoopMargins, NormBracket, hinf_norm, loop_mar
 from .riccati import (DareProblem, DareSolution, DareAssumptionReport,
                       check_dare_assumptions, solve_dare, dare_residual)
 from .noncausal import (NoncausalController, NoncausalClosedLoop,
-                        build_noncausal, build_phat, eval_noncausal_cost,
-                        noncausal_response)
-from .spectral import (SpectralFactor, spectral_factor_regret, verify_factor,
-                       effective_gamma_d, EPS_CR)
+                        build_noncausal, build_phat, eval_noncausal_cost)
+from .spectral import (SpectralFactor, spectral_factor_regret, effective_gamma_d,
+                       EPS_CR)
 from .hinf import SynthesisResult, synth_hinf, hinf_optimize, hinf_search
 from .regret import (RegretLevel, ParetoFront, ParetoPoint, synth_regret,
                      optimize_special, pareto_front, verify_regret)

@@ -445,8 +445,37 @@ def check_tolerances(tol_abs: float, tol_rel: float) -> None:
                          f"both zero (tol_abs={tol_abs}, tol_rel={tol_rel})")
 
 
+def _cold_tree_bracket(at, tried: dict, start: float, done):
+    """The deepest node on ``start``'s path of the cold search's tree whose
+    lower end is infeasible and upper end feasible, or None.
+
+    The cold search's tree has the roots (2^k, 2^(k+1)] and halves each
+    node until ``done`` holds.  The path descends, without evaluating
+    anything, from the root holding ``start`` to the final node holding
+    it, then widens to that node's ancestors until one brackets.  An end
+    already seen on the wrong side rules a node out unevaluated.
+    """
+    hi = 2.0
+    while hi < start:
+        hi *= 2.0
+    lo = 0.5 * hi
+    path = [(lo, hi)]
+    while not done(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # an absolute tolerance below the spacing of floats here
+        lo, hi = (lo, mid) if start <= mid else (mid, hi)
+        path.append((lo, hi))
+    for lo, hi in reversed(path):
+        if lo in tried and tried[lo].feasible:
+            continue
+        if at(hi).feasible and not at(lo).feasible:
+            return lo, hi
+    return None
+
+
 def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
-                 stop_below: float | None = None):
+                 stop_below: float | None = None, start: float | None = None):
     """Smallest level at which ``feasible_at`` returns a feasible result.
 
     ``feasible_at(g)`` returns an object with a ``feasible`` flag.  The
@@ -455,25 +484,50 @@ def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
     ``stop_below`` is set, it ends as soon as a feasible level at or
     under it is found (used by feasibility-only callers).
 
+    A ``start`` above 1 (and at most the last doubling, 2^59) is a guess
+    of the answer.  Level 1 is still tried first; when it is infeasible,
+    the search starts from the deepest node of the cold search's tree
+    around ``start`` whose ends bracket, found by
+    :func:`_cold_tree_bracket`, and falls back to the doubling when even
+    that node's root does not bracket.  Every bracket is a node of the
+    cold tree, so with verdicts monotone in g the result is the cold
+    search's; only the levels tried differ.  No level is evaluated twice.
+
     Returns (lo, hi, best): lo is 0 or a level found infeasible, hi a
     feasible level, and best the result at hi, so every answer is
     certified at the bracket's upper end.  Tolerances that
     :func:`check_tolerances` rejects raise ValueError.
     """
     check_tolerances(tol_abs, tol_rel)
-    lo, hi = 0.0, 1.0
-    for _ in range(DOUBLING_LIMIT):
-        best = feasible_at(hi)
-        if best.feasible:
-            break
-        lo, hi = hi, 2.0 * hi
+    tried = {}
+
+    def at(g):
+        if g not in tried:
+            tried[g] = feasible_at(g)
+        return tried[g]
+
+    def done(lo, hi):
+        return (hi - lo <= tol_abs + tol_rel * hi
+                or stop_below is not None and hi <= stop_below)
+
+    bracket = None
+    if start is not None and 1.0 < start <= 2.0 ** (DOUBLING_LIMIT - 1) \
+            and not at(1.0).feasible:
+        bracket = _cold_tree_bracket(at, tried, start, done)
+    if bracket is None:
+        lo, hi = 0.0, 1.0
+        for _ in range(DOUBLING_LIMIT):
+            if at(hi).feasible:
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            raise NoFeasibleUpperBound(f"no feasible level found up to {lo:.3g}")
     else:
-        raise NoFeasibleUpperBound(f"no feasible level found up to {lo:.3g}")
-    while hi - lo > tol_abs + tol_rel * hi:
-        if stop_below is not None and hi <= stop_below:
-            break
+        lo, hi = bracket
+    best = at(hi)
+    while not done(lo, hi):
         mid = 0.5 * (lo + hi)
-        res = feasible_at(mid)
+        res = at(mid)
         if res.feasible:
             hi, best = mid, res
         else:
@@ -496,7 +550,7 @@ class _Decided:
 
 
 def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
-                stop_below: float | None = None):
+                stop_below: float | None = None, start: float | None = None):
     """The level search of :func:`hinf_optimize`, without its final
     bracket.
 
@@ -509,6 +563,7 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
     tried: the synthesis reason of a candidate that failed, or
     ``below``, ``above`` or ``bracket``.  Callers that read only the
     level and the controller skip the bracket of :func:`hinf_optimize`.
+    ``stop_below`` and ``start`` are passed on to :func:`bisect_level`.
     """
     levels = []
 
@@ -524,7 +579,7 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
         levels.append((g, "below" if below else "above"))
         return _Decided(below, (meta, Kd, cl))
 
-    _, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below)
+    _, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below, start)
     return hi, best, tuple(levels)
 
 

@@ -189,13 +189,18 @@ def write_pareto_csv(path, front):
 
 
 def write_dk_trace_csv(path, trace):
+    """One row per ``dk_trace`` entry; ``k_levels`` is the number of levels
+    its K-step search tried.  A column the entry lacks is left empty."""
     rows = []
     for t in trace:
-        fit_error = t.get("d_fit_error")
+        fit_error, peak = t.get("d_fit_error"), t.get("scaled_peak")
         rows.append((int(t.get("iter", -1)), float(t.get("hinf_value", np.nan)),
                      int(t.get("d_order", -1)),
-                     np.nan if fit_error is None else float(fit_error)))
-    _write_csv(path, ["iter", "hinf_value", "d_order", "d_fit_error"], rows)
+                     "" if fit_error is None else float(fit_error),
+                     "" if peak is None else float(peak),
+                     len(t["k_levels"]) if "k_levels" in t else ""))
+    _write_csv(path, ["iter", "hinf_value", "d_order", "d_fit_error", "scaled_peak",
+                      "k_levels"], rows)
 
 
 def write_json(path, payload):

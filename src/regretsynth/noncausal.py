@@ -23,8 +23,7 @@ import numpy as np
 from .errors import RegretSynthError
 from .plants import GeneralizedPlant
 from .riccati import DareProblem, DareSolution, solve_dare
-from .signals import (Signal, TRUNC_TOL, decay_extension, free_response,
-                      lock_step_view, trial_blocks)
+from .signals import Signal, lock_step_view, trial_blocks
 from .statespace import StateSpace, stein
 
 
@@ -118,52 +117,6 @@ def _backward_v(K0: NoncausalController, din: np.ndarray) -> np.ndarray:
     for k in range(T - 1, -1, -1):
         vk = V[k] = np.matmul(A11T, vk + drive[k])
     return v
-
-
-def noncausal_response(K0: NoncausalController, d: Signal,
-                       tol: float = TRUNC_TOL):
-    """Closed-loop signals (x, u, e) of the benchmark on a padded window.
-
-    The window covers the support of d and extends it on each side by
-    the state-based rule of ``signals.simulate``.  Before the support v
-    runs backward, v[t] = A11' v[t+1], and the window starts at the
-    first v with ||v|| <= tol sqrt(1 + sum of ||v||^2 after it), where
-    the state x, zero there, stands for the negligible M v.  After the
-    support v = 0 and x runs forward, x[t+1] = A11 x[t], and the window
-    ends just before the first x with ||x|| <= tol sqrt(1 + ||e||^2 so
-    far).  Either side takes at most seven ``decay_extension`` steps.
-
-    Returns (t0, x, u, e, v) arrays; x/u/e have one row per step of the
-    padded window, v has one extra row (it is indexed by t+1 inside).
-    """
-    P = K0.plant
-    n = K0.A11.shape[0]
-    cap = 7 * decay_extension(K0.decay_rate(), tol, n)
-    v_sup = _backward_v(K0, d.samples[None])[0]  # v[d.t0 .. d.t1 + 1]
-    pre, _, v_start = free_response(K0.A11.T, K0.A11.T @ v_sup[0],
-                                    lambda vs: vs, float(np.vdot(v_sup, v_sup)),
-                                    cap, tol)
-    v = np.concatenate([v_start[None], pre[::-1], v_sup])
-    t0 = d.t0 - 1 - pre.shape[0]
-    T = v.shape[0] - 1
-    din = d.on_window(t0, d.t1)
-    x = np.zeros((T + 1, n))
-    u = np.zeros((T, K0.K_x.shape[0]))
-    e = np.zeros((T, P.n_e))
-    A, B_d, B_u = P.A, P.B_d, P.B_u
-    C_e, D_eu = P.C_e, P.D_eu
-    for k in range(T):
-        u[k] = -K0.K_x @ x[k] - K0.K_v @ v[k + 1] - K0.K_d @ din[k]
-        e[k] = C_e @ x[k] + D_eu @ u[k]
-        x[k + 1] = A @ x[k] + B_d @ din[k] + B_u @ u[k]
-    # past the support v = 0 and u = -K_x x, so e = (C_e - D_eu K_x) x
-    C_cl = C_e - D_eu @ K0.K_x
-    post, e_post, x_end = free_response(K0.A11, x[T],
-                                        lambda states: states @ C_cl.T,
-                                        float(np.vdot(e, e)), cap, tol)
-    return (t0, np.concatenate([x[:T], post, x_end[None]]),
-            np.concatenate([u, -(post @ K0.K_x.T)]), np.concatenate([e, e_post]),
-            np.concatenate([v, np.zeros((post.shape[0], n))]))
 
 
 def eval_noncausal_cost(K0: NoncausalController, d,

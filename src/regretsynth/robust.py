@@ -476,7 +476,9 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     Each K-step runs :func:`hinf.hinf_search` with ``stop_below=1`` and
     keeps the controller of the level it returns, with no final
     bracket; its entry records the search's ``(gamma, verdict)`` pairs
-    as ``k_levels``.
+    as ``k_levels``.  Every K-step after the first starts its search at
+    the level the K-step before it returned, which changes only the
+    levels tried while the verdicts are monotone in gamma.
     An ``initial_D`` from a nearby level warm-starts the alternation (any
     stable minimum-phase D keeps the certificate sound).
     """
@@ -496,6 +498,7 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     best = None
     best_val = np.inf
     trace = []
+    k_start = None
     for it in range(_DK_MAX_ITER):
         if it == 0 and D is None:
             K = nom_res.controller
@@ -505,11 +508,12 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
             P_syn = dk_scaled_plant(P, F, D)
             try:
                 gamma_val, res, k_levels = hinf_search(
-                    P_syn, _DK_TOL_ABS, _DK_TOL_REL, stop_below=1.0)
+                    P_syn, _DK_TOL_ABS, _DK_TOL_REL, stop_below=1.0,
+                    start=k_start)
             except (RegretSynthError, np.linalg.LinAlgError) as exc:
                 trace.append({"iter": it, "error": str(exc)})
                 break
-            K = res.controller
+            K, k_start = res.controller, gamma_val
             k_step = {"k_levels": k_levels}
         M = build_M(P, K, F)
         if not M.M.is_schur():

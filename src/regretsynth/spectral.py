@@ -37,14 +37,13 @@ from .errors import (
     SpectralFactorInaccurate,
     StabilizabilityFailure,
 )
-from .noncausal import NoncausalClosedLoop, eval_noncausal_cost
+from .noncausal import NoncausalClosedLoop
 from .riccati import (
     DareProblem,
     dare_residual,
     pbh_stabilizable,
     solve_dare,
 )
-from .signals import Signal, response_energy
 from .statespace import FREQRESP_BLOCK, StateSpace, invert, schur_realization
 
 # Competitive-ratio regularization: gamma_d = 0 is a singular problem,
@@ -307,26 +306,3 @@ def spectral_factor_regret(phat: NoncausalClosedLoop) -> SpectralFactor:
             f"(tolerance {FACTOR_IDENTITY_TOL:.1g})"
         )
     return SpectralFactor(F, F_inv, gamma_d, gamma_J, internals, diagnostics)
-
-
-@dataclass(frozen=True)
-class FactorVerification:
-    passed: bool
-    max_rel_deviation: float
-    trials: int
-
-
-def verify_factor(factor: SpectralFactor, phat: NoncausalClosedLoop,
-                  trials: int = 20, seed: int = 0,
-                  rel_tol: float = 1e-7) -> FactorVerification:
-    """Sampled check of ||F d||^2 = gamma_d^2 ||d||^2 + gamma_J^2 J(K0, d)."""
-    rng = np.random.default_rng(seed)
-    ds = [Signal(0, rng.standard_normal((int(rng.integers(5, 40)), phat.n_d)))
-          for _ in range(trials)]
-    worst = 0.0
-    for d, lhs, cost in zip(ds, response_energy(factor.F, ds).tolist(),
-                            eval_noncausal_cost(phat.K0, ds).tolist()):
-        rhs = phat.gamma_d**2 * d.norm_sq() + phat.gamma_J**2 * cost
-        dev = abs(lhs - rhs) / (1.0 + abs(rhs))
-        worst = max(worst, dev)
-    return FactorVerification(worst <= rel_tol, worst, trials)

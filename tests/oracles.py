@@ -13,12 +13,17 @@ optimum is below the comparison tolerance.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 import regretsynth as rs
+from regretsynth.noncausal import _backward_v
+from regretsynth.signals import (TRUNC_TOL, decay_extension, free_response,
+                                 response_energy)
 
 
 def _kkt_matrix(P, T):
@@ -72,19 +77,12 @@ def finite_horizon_qp(P, d, pad_left: int, pad_right: int, lu=None) -> float:
         lu = scipy.sparse.linalg.splu(K)
     else:
         blk = m + 2 * n
-    rhs = np.zeros(T * blk)
-    for t in range(T):
-        il = t * blk + m
-        rhs[il : il + n] = P.B_d @ dd[t]
-    z = lu.solve(rhs)
-    cost = 0.0
-    x = np.zeros(n)
-    for t in range(T):
-        u = z[t * blk : t * blk + m]
-        e = P.C_e @ x + P.D_eu @ u
-        cost += float(e @ e)
-        x = z[t * blk + m + n : t * blk + m + 2 * n]
-    return cost
+    rhs = np.zeros((T, blk))  # one row (u_t, lambda_{t+1}, x_{t+1}) per step
+    rhs[:, m : m + n] = dd @ P.B_d.T
+    z = lu.solve(rhs.ravel()).reshape(T, blk)
+    x = np.vstack([np.zeros((1, n)), z[:-1, m + n :]])  # x_0 = 0, x_1 .. x_{T-1}
+    e = x @ P.C_e.T + z[:, :m] @ P.D_eu.T
+    return float(np.vdot(e, e))
 
 
 class QPOracle:
@@ -597,6 +595,30 @@ def _check_factor_assumptions(prob) -> None:
         )
 
 
+@dataclass(frozen=True)
+class FactorVerification:
+    passed: bool
+    max_rel_deviation: float
+    trials: int
+
+
+def verify_factor(factor: rs.SpectralFactor, phat: rs.NoncausalClosedLoop,
+                  trials: int = 20, seed: int = 0,
+                  rel_tol: float = 1e-7) -> FactorVerification:
+    """Sampled check of ||F d||^2 = gamma_d^2 ||d||^2 + gamma_J^2 J(K0, d)
+    on ``trials`` random disturbances of 5 to 39 steps."""
+    rng = np.random.default_rng(seed)
+    ds = [rs.Signal(0, rng.standard_normal((int(rng.integers(5, 40)), phat.n_d)))
+          for _ in range(trials)]
+    worst = 0.0
+    for d, lhs, cost in zip(ds, response_energy(factor.F, ds).tolist(),
+                            rs.eval_noncausal_cost(phat.K0, ds).tolist()):
+        rhs = phat.gamma_d**2 * d.norm_sq() + phat.gamma_J**2 * cost
+        dev = abs(lhs - rhs) / (1.0 + abs(rhs))
+        worst = max(worst, dev)
+    return FactorVerification(worst <= rel_tol, worst, trials)
+
+
 def regret_factor_reference(phat):
     """``spectral_factor_regret`` computing everything at every level:
     (F, F_inv, diagnostics) from :func:`w_realization_reference`, the
@@ -647,11 +669,55 @@ def n_e_hat(phat) -> int:
     return phat.C_hat.shape[0]
 
 
+def noncausal_response(K0: rs.NoncausalController, d: rs.Signal,
+                       tol: float = TRUNC_TOL):
+    """Closed-loop signals (x, u, e) of the benchmark on a padded window.
+
+    The window covers the support of d and extends it on each side by
+    the state-based rule of ``signals.simulate``.  Before the support v
+    runs backward, v[t] = A11' v[t+1], and the window starts at the
+    first v with ||v|| <= tol sqrt(1 + sum of ||v||^2 after it), where
+    the state x, zero there, stands for the negligible M v.  After the
+    support v = 0 and x runs forward, x[t+1] = A11 x[t], and the window
+    ends just before the first x with ||x|| <= tol sqrt(1 + ||e||^2 so
+    far).  Either side takes at most seven ``decay_extension`` steps.
+
+    Returns (t0, x, u, e, v) arrays; x/u/e have one row per step of the
+    padded window, v has one extra row (it is indexed by t+1 inside).
+    """
+    P = K0.plant
+    n = K0.A11.shape[0]
+    cap = 7 * decay_extension(K0.decay_rate(), tol, n)
+    v_sup = _backward_v(K0, d.samples[None])[0]  # v[d.t0 .. d.t1 + 1]
+    pre, _, v_start = free_response(K0.A11.T, K0.A11.T @ v_sup[0],
+                                    lambda vs: vs, float(np.vdot(v_sup, v_sup)),
+                                    cap, tol)
+    v = np.concatenate([v_start[None], pre[::-1], v_sup])
+    t0 = d.t0 - 1 - pre.shape[0]
+    T = v.shape[0] - 1
+    din = d.on_window(t0, d.t1)
+    x = np.zeros((T + 1, n))
+    u = np.zeros((T, K0.K_x.shape[0]))
+    e = np.zeros((T, P.n_e))
+    A, B_d, B_u = P.A, P.B_d, P.B_u
+    C_e, D_eu = P.C_e, P.D_eu
+    for k in range(T):
+        u[k] = -K0.K_x @ x[k] - K0.K_v @ v[k + 1] - K0.K_d @ din[k]
+        e[k] = C_e @ x[k] + D_eu @ u[k]
+        x[k + 1] = A @ x[k] + B_d @ din[k] + B_u @ u[k]
+    # past the support v = 0 and u = -K_x x, so e = (C_e - D_eu K_x) x
+    C_cl = C_e - D_eu @ K0.K_x
+    post, e_post, x_end = free_response(K0.A11, x[T],
+                                        lambda states: states @ C_cl.T,
+                                        float(np.vdot(e, e)), cap, tol)
+    return (t0, np.concatenate([x[:T], post, x_end[None]]),
+            np.concatenate([u, -(post @ K0.K_x.T)]), np.concatenate([e, e_post]),
+            np.concatenate([v, np.zeros((post.shape[0], n))]))
+
+
 def simulate_ehat(phat, d):
     """e_hat = (gamma_J e, gamma_d d) of the benchmark closed loop, by the
-    backward v-pass and forward x-pass of ``noncausal_response``."""
-    from regretsynth.noncausal import noncausal_response
-
+    backward v-pass and forward x-pass of :func:`noncausal_response`."""
     t0, _, _, e, _ = noncausal_response(phat.K0, d)
     din = d.on_window(t0, t0 + e.shape[0] - 1)
     return rs.Signal(t0, np.hstack([phat.gamma_J * e, phat.gamma_d * din]))

@@ -18,7 +18,7 @@ from regretsynth.regret import _bisect_gamma_j
 
 from conftest import random_generalized_plant
 from oracles import (QPOracle, competitive_ratio_oracle, gamma_d_grid,
-                     spectral_factorize_general)
+                     spectral_factorize_general, verify_factor)
 
 
 def verdict(num, label, ok, detail):
@@ -220,7 +220,7 @@ def test_criterion_6_spectral_factor_suite(store):
         phat = rs.build_phat(K0, gammas)
         F = rs.spectral_factor_regret(phat)
         assert F.F.is_schur() and F.F_inv.is_schur()
-        rep = rs.verify_factor(F, phat, trials=100, seed=seed, rel_tol=1e-7)
+        rep = verify_factor(F, phat, trials=100, seed=seed, rel_tol=1e-7)
         worst_dev = max(worst_dev, rep.max_rel_deviation)
         F2 = spectral_factorize_general(phat)
         th = np.linspace(0, np.pi, 256)
@@ -237,7 +237,7 @@ def test_criterion_6_spectral_factor_suite(store):
         phat = rs.build_phat(K0, (1.0, 1.0))
         F = rs.spectral_factor_regret(phat)
         assert F.F.is_schur() and F.F_inv.is_schur()
-        rep = rs.verify_factor(F, phat, trials=100, seed=99, rel_tol=1e-7)
+        rep = verify_factor(F, phat, trials=100, seed=99, rel_tol=1e-7)
         worst_dev = max(worst_dev, rep.max_rel_deviation)
         n_plants += 1
     ok = worst_dev < 1e-7 and worst_freq < 1e-8

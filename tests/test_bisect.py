@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,9 +43,72 @@ def test_driver_tries_the_reference_levels_and_brackets(g_star, tol_abs, tol_rel
     assert hi - lo <= tol_abs + tol_rel * hi
 
 
-@pytest.mark.parametrize("g_star, stop_below",
-                         [(1e-3, 0.1), (0.7, 1.0), (0.7, 0.8), (3.3, 4.0),
-                          (3.3, 3.5), (1e6, 2.0**20)])
+STOP_BELOW = [(1e-3, 0.1), (0.7, 1.0), (0.7, 0.8), (3.3, 4.0), (3.3, 3.5),
+              (1e6, 2.0**20)]
+
+
+def starts_around(lo, hi):
+    """Starts for a search whose cold answer is (lo, hi]: on it, a few
+    final nodes off, 10% off, across the nearest power of two, at or
+    below 1, and near the last doubling 2^59."""
+    width = hi - lo
+    power = 2.0 ** round(math.log2(hi))
+    return [hi, hi + 3 * width, hi - 3 * width, hi + 0.5 * width, 1.1 * hi,
+            0.9 * hi, 1.01 * power, 0.99 * power, 1.0, 0.25,
+            2.0**59, 2.0**59 * (1 - 1e-12), 2.0**59 * 1.25]
+
+
+@pytest.mark.parametrize("g_star", THRESHOLDS)
+@pytest.mark.parametrize("tol_abs, tol_rel", TOLERANCES)
+def test_a_start_gives_the_cold_bracket(g_star, tol_abs, tol_rel):
+    lo, hi, _ = bisect_loop(Threshold(g_star), tol_abs, tol_rel)
+    for start in starts_around(lo, hi):
+        driver = Threshold(g_star)
+        lo_w, hi_w, best = bisect_level(driver, tol_abs, tol_rel, start=start)
+        assert (lo_w, hi_w) == (lo, hi), start
+        assert best.level == hi
+        assert len(driver.tried) == len(set(driver.tried)), start
+
+
+# the three thresholds above 1 at every tolerance, and one whose final node
+# has the lower end 1
+ON_THE_ANSWER = [(g, *tol) for g in THRESHOLDS if g > 1.0 for tol in TOLERANCES] \
+    + [(1.2, 0.5, 0.0)]
+
+
+@pytest.mark.parametrize("g_star, tol_abs, tol_rel", ON_THE_ANSWER)
+def test_a_start_on_the_answer_tries_its_final_node_only(g_star, tol_abs, tol_rel):
+    lo, hi, _ = bisect_loop(Threshold(g_star), tol_abs, tol_rel)
+    driver = Threshold(g_star)
+    assert bisect_level(driver, tol_abs, tol_rel, start=hi)[:2] == (lo, hi)
+    assert driver.tried == ([1.0, hi] if lo == 1.0 else [1.0, hi, lo])
+
+
+class Jagged(Threshold):
+    """Feasible above g_star except on a comb of levels: verdicts that are
+    not monotone in g."""
+
+    def __call__(self, g):
+        self.tried.append(g)
+        return SimpleNamespace(feasible=g >= self.g_star and int(g * 37.0) % 3 != 0,
+                               level=g)
+
+
+@pytest.mark.parametrize("tol_abs, tol_rel", TOLERANCES)
+@pytest.mark.parametrize("start", [None, 1.0, 2.6, 2.9, 3.4, 5.0, 40.0])
+def test_non_monotone_verdicts_still_give_a_bracket(tol_abs, tol_rel, start):
+    driver = Jagged(2.5)
+    lo, hi, best = bisect_level(driver, tol_abs, tol_rel, start=start)
+    verdicts = {}
+    for g in driver.tried:
+        assert g not in verdicts
+        verdicts[g] = Jagged(2.5)(g).feasible
+    assert lo == 0.0 or verdicts[lo] is False
+    assert verdicts[hi] is True and best.feasible and best.level == hi
+    assert hi - lo <= tol_abs + tol_rel * hi
+
+
+@pytest.mark.parametrize("g_star, stop_below", STOP_BELOW)
 def test_stop_below_ends_at_first_feasible_level_under_it(g_star, stop_below):
     driver, reference = Threshold(g_star), Threshold(g_star)
     lo, hi, _ = bisect_level(driver, 1e-9, 1e-9, stop_below=stop_below)
@@ -54,12 +118,33 @@ def test_stop_below_ends_at_first_feasible_level_under_it(g_star, stop_below):
     assert all(g > stop_below for g in driver.tried[:-1] if g >= g_star)
 
 
+@pytest.mark.parametrize("g_star, stop_below", STOP_BELOW)
+@pytest.mark.parametrize("scale", [1.0, 1.1, 0.9, 3.0])
+def test_stop_below_with_a_start_ends_where_the_cold_search_does(g_star, stop_below,
+                                                                 scale):
+    lo, hi, _ = bisect_loop(Threshold(g_star), 1e-9, 1e-9, stop_below)
+    driver = Threshold(g_star)
+    assert bisect_level(driver, 1e-9, 1e-9, stop_below, start=scale * hi)[:2] == (lo, hi)
+    assert len(driver.tried) == len(set(driver.tried))
+
+
 def test_always_infeasible_raises_after_the_doublings():
     never = Threshold(float("inf"))
     with pytest.raises(NoFeasibleUpperBound):
         bisect_level(never, 1e-4, 1e-4)
     assert DOUBLING_LIMIT == 60
     assert never.tried == [2.0**k for k in range(DOUBLING_LIMIT)]
+
+
+@pytest.mark.parametrize("start", [3.0, 2.0**40 * 1.3, 2.0**59, 2.0**59 * 1.5])
+def test_always_infeasible_with_a_start_raises_after_every_doubling(start):
+    never = Threshold(float("inf"))
+    with pytest.raises(NoFeasibleUpperBound, match="up to 5.76e"):
+        bisect_level(never, 1e-4, 1e-4, start=start)
+    doublings = {2.0**k for k in range(DOUBLING_LIMIT)}
+    assert doublings <= set(never.tried) and len(never.tried) == len(set(never.tried))
+    # the other levels lie on start's path of the tree
+    assert all(start / 2 < g < 2 * start for g in set(never.tried) - doublings)
 
 
 class LevelBudget(Threshold):

@@ -7,7 +7,8 @@ import regretsynth as rs
 from regretsynth.errors import PlantFileError
 from regretsynth.io import (load_controller, load_plant, load_system,
                             save_controller, save_plant, save_system,
-                            write_freqresp_csv, write_timeresp_csv)
+                            write_dk_trace_csv, write_freqresp_csv,
+                            write_timeresp_csv)
 
 
 def test_system_round_trip_lossless(tmp_path):
@@ -96,3 +97,20 @@ def test_timeresp_csv(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "t_s,y_1,y_2"
     assert [float(v) for v in lines[1].split(",")] == [-1.0, 0.0, 1.0]
+
+
+def test_dk_trace_csv(tmp_path):
+    # the three kinds of entry: the nominal iteration, a K-step, an error
+    trace = [{"iter": 0, "hinf_value": 0.75, "scaled_peak": 1.25, "d_order": 0,
+              "d_fit_error": None},
+             {"iter": 1, "hinf_value": 1.0, "k_levels": ((1.0, "X_riccati"), (2.0, "below")),
+              "scaled_peak": 0.5, "d_order": 2, "d_fit_error": 0.125},
+             {"iter": 2, "error": "no feasible level found up to 5.76e+17"}]
+    p = tmp_path / "dk_trace.csv"
+    write_dk_trace_csv(p, trace)
+    assert p.read_text().splitlines() == [
+        "iter,hinf_value,d_order,d_fit_error,scaled_peak,k_levels",
+        "0,0.75,0,,1.25,",
+        "1,1.0,2,0.125,0.5,2",
+        "2,nan,-1,,,",
+    ]

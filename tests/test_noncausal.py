@@ -7,10 +7,10 @@ import pytest
 
 import regretsynth as rs
 from regretsynth.errors import RegretSynthError
-from regretsynth.noncausal import noncausal_response
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
-from oracles import noncausal_cost_loop, noncausal_cost_per_trial, simulate_ehat
+from oracles import (noncausal_cost_loop, noncausal_cost_per_trial, noncausal_response,
+                     simulate_ehat)
 
 
 def qp_oracle(P, d, pad=80):

@@ -742,3 +742,44 @@ def test_dk_iteration_lets_a_fault_in_the_k_step_propagate(monkeypatch):
     K0 = rs.build_noncausal(unc.nominal())
     with pytest.raises(TypeError):
         rs.dk_iteration(unc, rs.RegretLevel(2.0, 1.0), K0=K0, initial_D=_unit_dscale())
+
+
+def _digest(v):
+    """A value with every float, array and system replaced by its bytes."""
+    if isinstance(v, (float, np.floating)):
+        return np.float64(v).tobytes()
+    if isinstance(v, dict):
+        return {k: _digest(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_digest(x) for x in v]
+    if isinstance(v, rs.StateSpace):
+        return [getattr(v, m).tobytes() for m in "ABCD"]
+    if isinstance(v, robust.DScaling):
+        return _digest((v.system, v.order, v.fit_error))
+    return v
+
+
+@pytest.mark.parametrize("example", ["scalar", "quartercar"])
+def test_k_step_start_changes_only_the_levels_tried(example, monkeypatch):
+    if example == "scalar":
+        unc, level = scalar_uncertain_plant(), rs.RegretLevel(1.05, 1.0)
+    else:
+        unc, level = rs.build_example("quartercar"), rs.RegretLevel.additive(0.765625)
+    K0 = rs.build_noncausal(unc.nominal())
+    warm = rs.dk_iteration(unc, level, K0=K0)
+    search = robust.hinf_search
+    monkeypatch.setattr(robust, "hinf_search",
+                        lambda *args, start=None, **kwargs: search(*args, **kwargs))
+    cold = rs.dk_iteration(unc, level, K0=K0)
+
+    def without_levels(res):
+        meta = dict(res.metadata)
+        trace = [{k: v for k, v in t.items() if k != "k_levels"} for t in meta.pop("dk_trace")]
+        return _digest((res.controller, res.feasible, res.achieved_norm, meta, trace))
+
+    def levels_tried(res):
+        return sum(len(t.get("k_levels", ())) for t in res.metadata["dk_trace"])
+
+    assert without_levels(warm) == without_levels(cold)
+    # each run has a K-step after the first, so the start saves levels
+    assert levels_tried(warm) < levels_tried(cold)

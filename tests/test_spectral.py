@@ -13,7 +13,7 @@ from regretsynth.spectral import CHECK_THETAS, _to_v_coordinates, _w_basis
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
 from oracles import (identity_error_loop, inner, n_e_hat, para_hermitian_apply,
                      regret_factor_reference, regret_qtilde, simulate_ehat,
-                     spectral_factorize_general)
+                     spectral_factorize_general, verify_factor)
 
 
 def factor_product_error(F, system, thetas):
@@ -177,7 +177,7 @@ def test_verify_factor_sampling():
     K0 = rs.build_noncausal(P)
     phat = rs.build_phat(K0, (1.0, 1.0))
     F = rs.spectral_factor_regret(phat)
-    rep = rs.verify_factor(F, phat, trials=100, seed=1)
+    rep = verify_factor(F, phat, trials=100, seed=1)
     assert rep.passed and rep.max_rel_deviation < 1e-7
 
 
