@@ -1,9 +1,9 @@
 """Discrete-time regret-optimal and robust regret-optimal control synthesis."""
 
-from .statespace import (StateSpace, static_gain, series, parallel, append,
+from .statespace import (StateSpace, static_gain, series, append,
                          invert, zoh_discretize, tf1_to_ss, UNIT)
 from .plants import (GeneralizedPlant, UncertainPlant, lft_lower, lft_upper,
-                     matrix_lft_upper, weight_disturbance, structural_prune)
+                     weight_disturbance, structural_prune)
 from .signals import Signal, simulate, random_signal, sinusoid_signal
 from .norms import (FrequencyGrid, LoopMargins, NormBracket, hinf_norm, loop_margins,
                     l2_gain_curve)

@@ -25,7 +25,7 @@ from .norms import FrequencyGrid, hinf_norm, loop_margins
 from .parallel import thread_count
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import RegretLevel, optimize_special, pareto_front, synth_regret, verify_regret
-from .robust import (dk_feasibility_oracle, robust_pareto_front,
+from .robust import (DELTA_ORDER, dk_feasibility_oracle, robust_pareto_front,
                      sample_uncertainty, verify_robust_regret)
 from .signals import simulate
 from .statespace import series
@@ -209,7 +209,7 @@ def cmd_sim(args) -> int:
         cols_ab, cols_sd = [], []
         ptp = []
         for i in range(args.samples):
-            ds = sample_uncertainty(resp.n_v, resp.n_w, 5,
+            ds = sample_uncertainty(resp.n_v, resp.n_w, DELTA_ORDER,
                                     seed=int(rng.integers(0, 2**31)),
                                     sample_time=resp.sample_time)
             cl = lft_upper(cl_open, ds.Delta, resp.n_w, resp.n_v)
@@ -225,7 +225,7 @@ def cmd_sim(args) -> int:
         for k, t in enumerate(header_t):
             rows.append((float(t), *[float(c[k]) for c in cols_ab],
                          *[float(c[k]) for c in cols_sd]))
-        rio._write_csv(out / "time_response_samples.csv", header, rows)
+        rio.write_csv(out / "time_response_samples.csv", header, rows)
         summary["body_accel_ptp_max"] = max(ptp)
         summary["body_accel_ptp_min"] = min(ptp)
     rio.write_json(out / "summary.json", summary)

@@ -65,14 +65,6 @@ class NoFeasibleUpperBound(RegretSynthError):
     """Doubling search never found a feasible synthesis level."""
 
 
-class FitToleranceExceeded(RegretSynthError):
-    """Rational D-scale fit error above tolerance at the maximum order."""
-
-
-class NotAFailurePoint(RegretSynthError):
-    """Worst-case uncertainty requested at a frequency that passes the test."""
-
-
 class UnknownExample(RegretSynthError):
     """Example name not in the built-in catalogue."""
 

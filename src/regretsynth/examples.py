@@ -18,6 +18,11 @@ from .statespace import UNIT, StateSpace, tf1_to_ss, zoh_discretize
 
 EXAMPLE_NAMES = ("siso", "boeing747", "quartercar")
 
+# road_pulse: bump height (m), bump duration and flat tail after it (s)
+_PULSE_HEIGHT = 0.025
+_PULSE_DURATION = 0.2
+_PULSE_TAIL = 1.0
+
 
 @dataclass(frozen=True)
 class ExampleSpec:
@@ -305,15 +310,16 @@ def quartercar_response_plant() -> UncertainPlant:
     return UncertainPlant(ss, n_w=1, n_d=1, n_u=1, n_v=1, n_e=2, n_y=2)
 
 
-def road_pulse(Ts: float = 0.002, height: float = 0.025,
-               duration: float = 0.2, tail: float = 1.0):
-    """Road bump r(t) = height (1 - cos(8 pi t)) on [0, duration]."""
+def road_pulse(Ts: float = 0.002):
+    """Road bump r(t) = 0.025 (1 - cos(8 pi t)) m on [0, 0.2] s, then 1 s
+    of flat road."""
     from .signals import Signal
 
-    n_pulse = int(round(duration / Ts))
-    n_tail = int(round(tail / Ts))
+    n_pulse = int(round(_PULSE_DURATION / Ts))
+    n_tail = int(round(_PULSE_TAIL / Ts))
     t = np.arange(n_pulse + n_tail) * Ts
-    r = np.where(t <= duration, height * (1.0 - np.cos(8.0 * np.pi * t)), 0.0)
+    r = np.where(t <= _PULSE_DURATION,
+                 _PULSE_HEIGHT * (1.0 - np.cos(8.0 * np.pi * t)), 0.0)
     return Signal(0, r[:, None])
 
 

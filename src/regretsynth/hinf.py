@@ -418,7 +418,7 @@ def synth_hinf(P: GeneralizedPlant, gamma: float) -> SynthesisResult:
     The feasibility verdict is bound to the a-posteriori certificate:
     a candidate that fails independent validation is reported
     infeasible at this level, never trusted.  Validation brackets the
-    closed-loop norm at :func:`hinf_norm`'s default tolerance; the level is
+    closed-loop norm with :func:`hinf_norm`; the level is
     feasible when the certified upper end is below gamma.  The bracket,
     the number of levels tested and the bracket's status are recorded
     in ``metadata`` as ``norm_bracket``, ``norm_iterations`` and
@@ -462,8 +462,6 @@ def _cold_tree_bracket(at, tried: dict, start: float, done):
     path = [(lo, hi)]
     while not done(lo, hi):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # an absolute tolerance below the spacing of floats here
         lo, hi = (lo, mid) if start <= mid else (mid, hi)
         path.append((lo, hi))
     for lo, hi in reversed(path):
@@ -480,7 +478,9 @@ def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
 
     ``feasible_at(g)`` returns an object with a ``feasible`` flag.  The
     search doubles g from 1 until a level is feasible, then bisects the
-    bracket [lo, hi] until ``hi - lo <= tol_abs + tol_rel hi``.  When
+    bracket [lo, hi] until ``hi - lo <= tol_abs + tol_rel hi``, or until
+    the midpoint no longer lies strictly between lo and hi (a bracket
+    down to adjacent floats, narrower than ``tol_abs`` can ask).  When
     ``stop_below`` is set, it ends as soon as a feasible level at or
     under it is found (used by feasibility-only callers).
 
@@ -507,7 +507,7 @@ def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
         return tried[g]
 
     def done(lo, hi):
-        return (hi - lo <= tol_abs + tol_rel * hi
+        return (hi - lo <= tol_abs + tol_rel * hi or not lo < 0.5 * (lo + hi) < hi
                 or stop_below is not None and hi <= stop_below)
 
     bracket = None
@@ -584,12 +584,11 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
 
 
 def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
-                  tol_rel: float = 1e-4, stop_below: float | None = None):
+                  tol_rel: float = 1e-4):
     """Minimal achievable closed-loop norm by :func:`bisect_level`.
 
     Returns (gamma_upper, result) where result holds the controller
-    synthesized at the feasible upper end of the final bracket;
-    ``stop_below`` is passed on to the driver.
+    synthesized at the feasible upper end of the final bracket.
 
     The levels come from :func:`hinf_search`: each level gets the
     candidate of :func:`synth_hinf`, and :func:`norms.norm_below`
@@ -600,7 +599,7 @@ def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
     over :func:`synth_hinf`.  The metadata adds the search's
     ``search_levels``.
     """
-    hi, best, levels = hinf_search(P, tol_abs, tol_rel, stop_below)
+    hi, best, levels = hinf_search(P, tol_abs, tol_rel)
     if isinstance(best, _Decided):
         best = _certified(hi, *best.candidate)
         if not best.feasible:

@@ -138,7 +138,7 @@ def load_controller(path) -> StateSpace:
 
 # -- CSV emitters -------------------------------------------------------
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
@@ -155,7 +155,7 @@ def write_freqresp_csv(path, sys: StateSpace, thetas):
     omega = thetas if ts == UNIT else thetas / ts
     rows = [(float(t), float(w), float(s))
             for t, w, s in zip(thetas, omega, sig)]
-    _write_csv(path, ["theta_rad_per_sample", "omega_rad_per_s", "sigma_max"], rows)
+    write_csv(path, ["theta_rad_per_sample", "omega_rad_per_s", "sigma_max"], rows)
 
 
 def write_sigma_curve_csv(path, sys: StateSpace, thetas):
@@ -166,7 +166,7 @@ def write_sigma_curve_csv(path, sys: StateSpace, thetas):
     sig = l2_gain_curve(sys, thetas)
     ts = sys.sample_time
     omega = thetas if ts == UNIT else thetas / ts
-    _write_csv(path, ["omega", "sigma"],
+    write_csv(path, ["omega", "sigma"],
                [(float(w), float(s)) for w, s in zip(omega, sig)])
 
 
@@ -177,11 +177,11 @@ def write_timeresp_csv(path, signal, sample_time):
     for i in range(len(signal)):
         t = (signal.t0 + i) * ts
         rows.append((float(t), *[float(v) for v in signal.samples[i]]))
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def write_pareto_csv(path, front):
-    _write_csv(path,
+    write_csv(path,
                ["gamma_d", "gamma_J_lower", "gamma_J_upper",
                 "hinf_of_weighted_loop", "controller_order"],
                [(float(gd), float(lo), float(hi), float(h), int(o))
@@ -199,7 +199,7 @@ def write_dk_trace_csv(path, trace):
                      "" if fit_error is None else float(fit_error),
                      "" if peak is None else float(peak),
                      len(t["k_levels"]) if "k_levels" in t else ""))
-    _write_csv(path, ["iter", "hinf_value", "d_order", "d_fit_error", "scaled_peak",
+    write_csv(path, ["iter", "hinf_value", "d_order", "d_fit_error", "scaled_peak",
                       "k_levels"], rows)
 
 

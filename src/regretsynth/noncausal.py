@@ -22,14 +22,18 @@ import numpy as np
 
 from .errors import RegretSynthError
 from .plants import GeneralizedPlant
-from .riccati import DareProblem, DareSolution, solve_dare
+from .riccati import DareProblem, solve_dare
 from .signals import Signal, lock_step_view, trial_blocks
 from .statespace import StateSpace, stein
+
+# largest relative gap between the simulated cost and the
+# completion-of-squares sum that eval_noncausal_cost accepts
+_CROSS_CHECK_REL = 1e-8
 
 
 @dataclass(frozen=True)
 class NoncausalController:
-    """Benchmark controller gains and Riccati provenance.
+    """Benchmark controller gains and the plant Riccati solution.
 
     The matrices that depend on the controller alone (A11^{-T} and the
     Stein solutions behind the closed-form tails of
@@ -43,7 +47,6 @@ class NoncausalController:
     H: np.ndarray
     A11: np.ndarray  # A - B_u K_x, Schur and nonsingular
     plant: GeneralizedPlant
-    dare: DareSolution
 
     def __post_init__(self):
         # read-only copies, so the cached properties cannot go stale
@@ -51,9 +54,6 @@ class NoncausalController:
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def decay_rate(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.A11))))
 
     @cached_property
     def A11_invT(self) -> np.ndarray:
@@ -94,7 +94,7 @@ def build_noncausal(P: GeneralizedPlant) -> NoncausalController:
     K_x = sol.K_x
     K_v = np.linalg.solve(H, P.B_u.T)
     K_d = K_v @ X @ P.B_d
-    return NoncausalController(K_x, K_v, K_d, X, H, sol.closed_loop_A, P, sol)
+    return NoncausalController(K_x, K_v, K_d, X, H, sol.closed_loop_A, P)
 
 
 def _backward_v(K0: NoncausalController, din: np.ndarray) -> np.ndarray:
@@ -119,8 +119,7 @@ def _backward_v(K0: NoncausalController, din: np.ndarray) -> np.ndarray:
     return v
 
 
-def eval_noncausal_cost(K0: NoncausalController, d,
-                        cross_check_rel: float = 1e-8):
+def eval_noncausal_cost(K0: NoncausalController, d):
     """J(K0, d): benchmark cost with exact anticipation and settling tails.
 
     ``d`` is a :class:`~regretsynth.signals.Signal`, which gives a
@@ -131,7 +130,8 @@ def eval_noncausal_cost(K0: NoncausalController, d,
     before the disturbance arrives the state rides the decaying
     backward variable through a Stein-equation particular solution, and
     after it ends the cost-to-go is the Riccati value x' X x.  The
-    simulated energy must agree with the completion-of-squares sum.
+    simulated energy must agree with the completion-of-squares sum to
+    ``_CROSS_CHECK_REL`` relative, or the call raises.
 
     The backward and forward recursions of a sequence run in lock step
     over zero-padded inputs, in blocks of ``signals.trial_blocks``, each
@@ -140,11 +140,11 @@ def eval_noncausal_cost(K0: NoncausalController, d,
     rows, so a cost does not depend on the sequence it is in.
     """
     if isinstance(d, Signal):
-        return float(_costs(K0, [d], cross_check_rel)[0])
-    return _costs(K0, d, cross_check_rel)
+        return float(_costs(K0, [d])[0])
+    return _costs(K0, d)
 
 
-def _costs(K0: NoncausalController, ds, cross_check_rel: float) -> np.ndarray:
+def _costs(K0: NoncausalController, ds) -> np.ndarray:
     P = K0.plant
     out = np.zeros(len(ds))
     live = [i for i, d in enumerate(ds) if d.norm_sq() != 0.0]
@@ -153,11 +153,11 @@ def _costs(K0: NoncausalController, ds, cross_check_rel: float) -> np.ndarray:
     for block in trial_blocks([len(ds[i]) for i in live],
                               P.n_d + P.n_u + 5 * K0.A11.shape[0]):
         idx = [live[j] for j in block]
-        out[idx] = _lock_step_costs(K0, [ds[i] for i in idx], cross_check_rel)
+        out[idx] = _lock_step_costs(K0, [ds[i] for i in idx])
     return out
 
 
-def _lock_step_costs(K0: NoncausalController, ds, cross_check_rel: float) -> np.ndarray:
+def _lock_step_costs(K0: NoncausalController, ds) -> np.ndarray:
     """Costs of :func:`eval_noncausal_cost` for one block of nonzero signals."""
     P = K0.plant
     A11, n = K0.A11, K0.A11.shape[0]
@@ -193,7 +193,7 @@ def _lock_step_costs(K0: NoncausalController, ds, cross_check_rel: float) -> np.
         # completion-of-squares sum (window terms plus its own pre-tail)
         j_cf = (float(np.vdot(din_b @ BdX, din_b)) + 2.0 * float(np.vdot(v_next, Bd_d))
                 - float(np.vdot(w @ K0.H, w)) - float(v0 @ K0.G_cf @ v0))
-        if abs(j_sim - j_cf) > cross_check_rel * (1.0 + abs(j_sim)):
+        if abs(j_sim - j_cf) > _CROSS_CHECK_REL * (1.0 + abs(j_sim)):
             raise RegretSynthError(
                 f"noncausal cost cross-check failed: simulated {j_sim:.12g} "
                 f"vs closed form {j_cf:.12g}"

@@ -15,8 +15,8 @@ e^{j theta} is a generalized eigenvalue of the (x, p, u, y) pencil
     F = [[A, 0, B, 0], [0, I, 0, 0], [C, 0, D, -I], [0, B', -gamma^2 I, D']]
     E = [[I, 0, 0, 0], [0, A', 0, C'], [0, 0, 0, 0], [0, 0, 0, 0]].
 
-Each step tests the level ``(1 + 2 tol) lower``.  An eigenvalue within
-``_CIRCLE_TOL`` of the unit circle is taken as a crossing only once a
+Each step tests the level ``(1 + 2 _NORM_TOL) lower``.  An eigenvalue
+within ``_CIRCLE_TOL`` of the unit circle is taken as a crossing only once a
 singular value at its angle is confirmed within ``_CONFIRM_TOL`` of the
 level.  The lower bound then rises to sigma_max at the confirmed angles
 and at their midpoints.  The iteration stops when the level has no
@@ -60,7 +60,7 @@ _CIRCLE_TOL = 1e-4
 _CONFIRM_TOL = 1e-3
 # levels tested before the iteration gives up without a certificate
 _MAX_LEVELS = 30
-# hinf_norm's default relative bracket half-width, the one norm_below decides
+# hinf_norm's relative bracket half-width, the one norm_below decides
 _NORM_TOL = 1e-9
 # the local search spans this many times an eigenvalue's distance from
 # the circle on each side of its angle, and at least _SEARCH_MIN
@@ -68,6 +68,13 @@ _SEARCH_SPAN = 10.0
 _SEARCH_MIN = 1e-8
 # the local search zooms in this many times on 9 points per bracket
 _SEARCH_ZOOMS = 4
+# smallest positive angle of FrequencyGrid.default's log-spaced part
+_THETA_MIN = 1e-5
+# extra points that FrequencyGrid.refined_near puts per grid cell
+_REFINE_FACTOR = 4
+# points of norm_grid's base grid; loop_margins adds half as many
+# linearly spaced ones
+_MARGIN_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -84,23 +91,24 @@ class FrequencyGrid:
         object.__setattr__(self, "thetas", th)
 
     @classmethod
-    def default(cls, n: int = 256, theta_min: float = 1e-5) -> "FrequencyGrid":
+    def default(cls, n: int = 256) -> "FrequencyGrid":
         """Mixed log + linear grid on (0, pi] plus the endpoints {0, pi}."""
         n_log = n // 2
         n_lin = n - n_log
-        log_part = np.logspace(np.log10(theta_min), np.log10(np.pi), n_log)
+        log_part = np.logspace(np.log10(_THETA_MIN), np.log10(np.pi), n_log)
         lin_part = np.linspace(0.0, np.pi, n_lin)
         return cls(np.concatenate([log_part, lin_part]))
 
-    def refined_near(self, centers, factor: int = 4) -> "FrequencyGrid":
-        """Add `factor` extra points inside the grid cells around each center."""
+    def refined_near(self, centers) -> "FrequencyGrid":
+        """Add ``_REFINE_FACTOR`` extra points inside the grid cells around
+        each center."""
         th = self.thetas
         extra = []
         for c in np.atleast_1d(centers):
             i = np.searchsorted(th, c)
             lo = th[max(i - 2, 0)]
             hi = th[min(i + 1, th.size - 1)]
-            extra.append(np.linspace(lo, hi, 4 * factor + 2))
+            extra.append(np.linspace(lo, hi, 4 * _REFINE_FACTOR + 2))
         return FrequencyGrid(np.concatenate([th] + extra))
 
     def __len__(self):
@@ -117,9 +125,9 @@ def _pole_angle_seeds(sys: StateSpace) -> np.ndarray:
     return np.clip(seeds, 0.0, np.pi)
 
 
-def norm_grid(sys: StateSpace, n: int = 512) -> np.ndarray:
+def norm_grid(sys: StateSpace) -> np.ndarray:
     """Evaluation grid for loop margins, seeded with pole angles."""
-    base = FrequencyGrid.default(n).thetas
+    base = FrequencyGrid.default(_MARGIN_GRID).thetas
     seeds = _pole_angle_seeds(sys)
     if seeds.size:
         jitter = np.concatenate([seeds, seeds * 0.999, np.minimum(seeds * 1.001, np.pi)])
@@ -255,11 +263,9 @@ def _level_step(sys: StateSpace, A, B, C, level: float, ends: bool = False):
     return pts, vals
 
 
-def _static_norm(sys: StateSpace, tol: float) -> float | None:
+def _static_norm(sys: StateSpace) -> float | None:
     """The norm of a system with no input, output or state, None for
-    any other; raises on a tolerance or a system the bracket rejects."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    any other; raises on a system the bracket rejects."""
     if sys.n_u == 0 or sys.n_y == 0:
         return 0.0
     if sys.n_x == 0:
@@ -272,14 +278,14 @@ def _static_norm(sys: StateSpace, tol: float) -> float | None:
     return None
 
 
-def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
+def _norm_bracket(sys: StateSpace) -> NormBracket:
     """Certified bracket of the H-infinity norm of a Schur-stable system.
 
     Level-set iteration on the discrete pencil (see the module notes):
-    the upper end exceeds the lower end by the factor ``1 + 2 tol`` unless
-    the iteration gave up, in which case the upper end is infinite.
+    the upper end exceeds the lower end by the factor ``1 + 2 _NORM_TOL``
+    unless the iteration gave up, in which case the upper end is infinite.
     """
-    val = _static_norm(sys, tol)
+    val = _static_norm(sys)
     if val is not None:
         return NormBracket(val, val, 0.0, 0, "exact")
     seeds = np.concatenate([np.linspace(0.0, np.pi, 9), _pole_angle_seeds(sys)])
@@ -294,7 +300,7 @@ def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
         return NormBracket(0.0, 0.0, 0.0, 0, "exact")
     A, B, C = balance_states(sys.A, sys.B, sys.C)
     for it in range(1, _MAX_LEVELS + 1):
-        level = (1.0 + 2.0 * tol) * lower
+        level = (1.0 + 2.0 * _NORM_TOL) * lower
         step = _level_step(sys, A, B, C, level)
         if step is None:
             return NormBracket(lower, level, theta, it, "no_crossing")
@@ -310,16 +316,16 @@ def _norm_bracket(sys: StateSpace, tol: float) -> NormBracket:
 def norm_below(sys: StateSpace, level: float) -> bool | None:
     """Whether ``hinf_norm(sys)`` is below ``level``, from one step.
 
-    True only when the bracket's upper end at the default ``tol``
-    (1e-9) would be below ``level``, False only when it would not, and
-    None when only the bracket can tell.  The step tests the largest
-    ``L`` with ``(1 + 2 tol) L < level``: the bracket only ever tests
-    ``(1 + 2 tol)`` times a value that sigma_max attains, so a norm
+    True only when the bracket's upper end would be below ``level``,
+    False only when it would not, and None when only the bracket can
+    tell.  The step tests the largest ``L`` with
+    ``(1 + 2 _NORM_TOL) L < level``: the bracket only ever tests
+    ``(1 + 2 _NORM_TOL)`` times a value that sigma_max attains, so a norm
     below ``L`` keeps every level it tests below ``level``.  sigma_max is evaluated at 0 and pi, and
     :func:`_level_step` adds the confirmed crossings of the pencil at
     ``L``, the midpoints of [0, theta_1, ..., theta_k, pi] and, on a
     stall, the local peaks.  A value at or above ``level`` answers
-    False.  Values all below ``L / (1 + 2 tol)`` answer True: the
+    False.  Values all below ``L / (1 + 2 _NORM_TOL)`` answer True: the
     bracket's stall rule takes sigma_max to peak within that factor of
     the largest value its search finds, and the decision keeps the
     same margin under ``L``.  Any other outcome, a norm within about
@@ -327,7 +333,7 @@ def norm_below(sys: StateSpace, level: float) -> bool | None:
 
     Requires a Schur-stable system, like :func:`hinf_norm`.
     """
-    val = _static_norm(sys, _NORM_TOL)
+    val = _static_norm(sys)
     if val is not None or not level > 0:
         return bool(val is not None and val < level)
     if level == np.inf:
@@ -349,17 +355,17 @@ def norm_below(sys: StateSpace, level: float) -> bool | None:
     return None
 
 
-def hinf_norm(sys: StateSpace, tol: float = _NORM_TOL, return_theta: bool = False,
+def hinf_norm(sys: StateSpace, return_theta: bool = False,
               return_bracket: bool = False):
     """Certified upper bound on the peak of sigma_max(G(e^{j theta})).
 
     Requires a Schur-stable system; the norm is the induced l2 -> l2
     gain.  The value is the upper end of :func:`_norm_bracket`, at most
-    ``1 + 2 tol`` times a value sigma_max attains.  ``return_theta`` adds
-    the angle of that attained value; ``return_bracket`` returns the
-    :class:`NormBracket` itself.
+    ``1 + 2 _NORM_TOL`` (1 + 2e-9) times a value sigma_max attains.
+    ``return_theta`` adds the angle of that attained value;
+    ``return_bracket`` returns the :class:`NormBracket` itself.
     """
-    br = _norm_bracket(sys, tol)
+    br = _norm_bracket(sys)
     if return_bracket:
         return br
     if return_theta:
@@ -389,7 +395,7 @@ class LoopMargins:
         return self.phase_margin_deg is not None
 
 
-def loop_margins(L: StateSpace, n_grid: int = 4096) -> LoopMargins:
+def loop_margins(L: StateSpace) -> LoopMargins:
     """Phase margin and gain-crossover frequency of a SISO loop.
 
     The crossover is the lowest angle where |L| crosses 1; the phase
@@ -398,7 +404,7 @@ def loop_margins(L: StateSpace, n_grid: int = 4096) -> LoopMargins:
     """
     if L.n_u != 1 or L.n_y != 1:
         raise DimensionError("loop_margins requires a SISO loop")
-    thetas = np.union1d(norm_grid(L, n_grid), np.linspace(1e-7, np.pi, n_grid // 2))
+    thetas = np.union1d(norm_grid(L), np.linspace(1e-7, np.pi, _MARGIN_GRID // 2))
     resp = L.freqresp(thetas)[:, 0, 0]
     mags = np.abs(resp)
     crossings = np.nonzero((mags[:-1] - 1.0) * (mags[1:] - 1.0) < 0)[0]

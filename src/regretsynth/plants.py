@@ -19,6 +19,9 @@ from .errors import DimensionError, WellPosednessError
 from .statespace import StateSpace, join_sample_time
 
 _FEEDTHROUGH_TOL = 1e-10
+# lft_upper's well-posedness margin: sigma_min(I - D_vw D_Delta) must
+# exceed this times max(1, sigma_max)
+_WELL_POSED_TOL = 1e-9
 
 
 def _check_zero(block: np.ndarray, name: str):
@@ -169,7 +172,7 @@ class UncertainPlant:
         )
 
 
-def structural_prune(ss: StateSpace, tol: float = 0.0) -> StateSpace:
+def structural_prune(ss: StateSpace) -> StateSpace:
     """Drop states outside the structural reachable/observable closure.
 
     Purely pattern-based (no rank decisions): a state is kept iff it is
@@ -179,14 +182,14 @@ def structural_prune(ss: StateSpace, tol: float = 0.0) -> StateSpace:
     n = ss.n_x
     if n == 0:
         return ss
-    Apat = np.abs(ss.A) > tol
-    reach = np.any(np.abs(ss.B) > tol, axis=1)
+    Apat = np.abs(ss.A) > 0.0
+    reach = np.any(np.abs(ss.B) > 0.0, axis=1)
     for _ in range(n):
         new = reach | (Apat @ reach)
         if np.array_equal(new, reach):
             break
         reach = new
-    obs = np.any(np.abs(ss.C) > tol, axis=0)
+    obs = np.any(np.abs(ss.C) > 0.0, axis=0)
     for _ in range(n):
         new = obs | (Apat.T @ obs)
         if np.array_equal(new, obs):
@@ -226,8 +229,7 @@ def lft_lower(P: GeneralizedPlant, K: StateSpace) -> StateSpace:
     return StateSpace(A_cl, B_cl, C_cl, D_cl, ts)
 
 
-def lft_upper(M: StateSpace, Delta: StateSpace, n_w: int, n_v: int,
-              tol: float = 1e-9) -> StateSpace:
+def lft_upper(M: StateSpace, Delta: StateSpace, n_w: int, n_v: int) -> StateSpace:
     """Close w = Delta v around the upper channels of M.
 
     M has inputs (w, d) and outputs (v, e).  Well-posedness requires
@@ -250,7 +252,7 @@ def lft_upper(M: StateSpace, Delta: StateSpace, n_w: int, n_v: int,
     Ad, Bd_, Cd_, Dd_ = Delta.A, Delta.B, Delta.C, Delta.D
     loop = np.eye(n_v) - D_vw @ Dd_
     sv = np.linalg.svd(loop, compute_uv=False) if loop.size else np.array([1.0])
-    if loop.size and sv[-1] <= tol * max(1.0, sv[0]):
+    if loop.size and sv[-1] <= _WELL_POSED_TOL * max(1.0, sv[0]):
         raise WellPosednessError(
             f"I - D_vw D_Delta is singular (sigma_min = {sv[-1]:.3g})"
         )
@@ -272,20 +274,6 @@ def lft_upper(M: StateSpace, Delta: StateSpace, n_w: int, n_v: int,
     C_cl = np.hstack([C_ee + D_ew @ w_x, D_ew @ w_xD])
     D_cl = D_ed + D_ew @ w_d
     return StateSpace(A_cl, B_cl, C_cl, D_cl, ts)
-
-
-def matrix_lft_upper(M: np.ndarray, Delta: np.ndarray, n_w: int, n_v: int,
-                     tol: float = 1e-9) -> np.ndarray:
-    """Constant-matrix upper LFT: M22 + M21 Delta (I - M11 Delta)^{-1} M12."""
-    M11 = M[:n_v, :n_w]
-    M12 = M[:n_v, n_w:]
-    M21 = M[n_v:, :n_w]
-    M22 = M[n_v:, n_w:]
-    loop = np.eye(n_v) - M11 @ Delta
-    sv = np.linalg.svd(loop, compute_uv=False) if loop.size else np.array([1.0])
-    if loop.size and sv[-1] <= tol * max(1.0, sv[0]):
-        raise WellPosednessError("I - M11 Delta is singular")
-    return M22 + M21 @ Delta @ np.linalg.solve(loop, M12)
 
 
 def weight_disturbance(P: GeneralizedPlant, W: StateSpace) -> GeneralizedPlant:

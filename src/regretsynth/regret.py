@@ -36,6 +36,8 @@ KIND_GENERAL = "general"
 
 # sinusoidal trials of verify_regret, the rest of its trials being noise
 _N_SINUSOIDS = 64
+# pareto_front's gamma_d grid, as fractions of the H-infinity optimum
+_GRID_SPAN = (0.001, 0.999)
 
 
 @dataclass(frozen=True)
@@ -208,12 +210,11 @@ def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float,
 
 
 def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
-                 tol_rel: float = 1e-4, grid_span=(0.001, 0.999),
-                 K0: NoncausalController | None = None,
+                 tol_rel: float = 1e-4, K0: NoncausalController | None = None,
                  gamma_inf: float | None = None, oracle_factory=None) -> ParetoFront:
     """Trade-off front: minimal gamma_J over a grid of gamma_d values.
 
-    The grid spans ``grid_span`` times the H-infinity optimum.  Each
+    The grid spans ``_GRID_SPAN`` times the H-infinity optimum.  Each
     point bisects with its own oracle from ``oracle_factory()`` (nominal
     synthesis by default), so points are independent; they run under
     the parallel-map contract.
@@ -225,7 +226,7 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     if oracle_factory is None:
         def oracle_factory():
             return lambda level: synth_regret(P, level, K0=K0)
-    grid = np.linspace(grid_span[0], grid_span[1], n_points) * gamma_inf
+    grid = np.linspace(_GRID_SPAN[0], _GRID_SPAN[1], n_points) * gamma_inf
 
     def solve_point(gd):
         return _bisect_gamma_j(oracle_factory(), float(gd), tol_abs, tol_rel)
@@ -233,7 +234,7 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     points = parallel_map(solve_point, list(grid))
     return ParetoFront(tuple(points), gamma_inf,
                        metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
-                                 "grid_span": grid_span})
+                                 "grid_span": _GRID_SPAN})
 
 
 @dataclass(frozen=True)

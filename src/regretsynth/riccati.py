@@ -32,6 +32,8 @@ _SDA_MAX_ITER = 200
 # stabilizability, nonsingularity and rank conditions must exceed
 _RANK_GRID = 128
 _ASSUMPTION_TOL = 1e-8
+# policy-iteration steps of the Newton polish
+_NEWTON_STEPS = 3
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -129,8 +131,9 @@ def min_sv(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
-def pbh_stabilizable(A: np.ndarray, B: np.ndarray, tol_stab: float = TOL_STAB) -> float:
-    """Smallest sigma_min([A - lambda I, B]) over eigenvalues with |lambda| >= 1.
+def pbh_stabilizable(A: np.ndarray, B: np.ndarray) -> float:
+    """Smallest sigma_min([A - lambda I, B]) over eigenvalues with
+    |lambda| >= 1 - TOL_STAB.
 
     Returns +inf when every eigenvalue is strictly inside the circle.
     """
@@ -140,14 +143,14 @@ def pbh_stabilizable(A: np.ndarray, B: np.ndarray, tol_stab: float = TOL_STAB) -
     margin = np.inf
     scale = max(1.0, float(np.max(np.abs(A))))
     for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - tol_stab:
+        if abs(lam) >= 1.0 - TOL_STAB:
             sv = min_sv(np.hstack([A - lam * np.eye(n), B]).astype(complex))
             margin = min(margin, sv / scale)
     return margin
 
 
-def pbh_detectable(A: np.ndarray, C: np.ndarray, tol_stab: float = TOL_STAB) -> float:
-    return pbh_stabilizable(A.T, C.T, tol_stab)
+def pbh_detectable(A: np.ndarray, C: np.ndarray) -> float:
+    return pbh_stabilizable(A.T, C.T)
 
 
 def check_dare_assumptions(p: DareProblem) -> DareAssumptionReport:
@@ -282,7 +285,7 @@ def _solve_dare_zero_q(p: DareProblem):
     return _sym(Z_a @ np.linalg.solve(W, Z_a.T))
 
 
-def _newton_polish(p: DareProblem, X: np.ndarray, steps: int = 3) -> np.ndarray:
+def _newton_polish(p: DareProblem, X: np.ndarray) -> np.ndarray:
     """Policy-iteration refinement: Stein solves at the current gain.
 
     The Stein equations are solved in the Schur coordinates of the
@@ -291,7 +294,7 @@ def _newton_polish(p: DareProblem, X: np.ndarray, steps: int = 3) -> np.ndarray:
     """
     best = X
     best_res = dare_residual(p, X)
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         K, _ = _gain(p, X)
         A_c = p.A - p.B @ K
         if np.max(np.abs(np.linalg.eigvals(A_c))) >= 1.0:

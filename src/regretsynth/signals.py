@@ -79,12 +79,6 @@ class Signal:
             out[lo - t0 : hi - t0 + 1] = self.samples[lo - self.t0 : hi - self.t0 + 1]
         return out
 
-    @classmethod
-    def impulse(cls, dim: int, channel: int = 0, t0: int = 0) -> "Signal":
-        s = np.zeros((1, dim))
-        s[0, channel] = 1.0
-        return cls(t0, s)
-
 
 def decay_extension(rho: float, tol: float = TRUNC_TOL, n_x: int = 1) -> int:
     """Steps after which a rho-decaying state has shrunk by the factor
@@ -302,8 +296,9 @@ def _lock_step_energies(G: StateSpace, ds) -> np.ndarray:
     return out
 
 
-def random_signal(rng, dim: int, length: int, t0: int = 0, kind: str = "white") -> Signal:
-    """Seeded disturbance generator used by sampling verifications."""
+def random_signal(rng, dim: int, length: int, kind: str = "white") -> Signal:
+    """Seeded disturbance generator used by sampling verifications; the
+    signal starts at time 0."""
     w = rng.standard_normal((length, dim))
     if kind == "white":
         s = w
@@ -315,12 +310,13 @@ def random_signal(rng, dim: int, length: int, t0: int = 0, kind: str = "white") 
             s[k] = acc
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return Signal(t0, s)
+    return Signal(0, s)
 
 
-def sinusoid_signal(dim: int, theta: float, length: int, t0: int = 0,
+def sinusoid_signal(dim: int, theta: float, length: int,
                     direction: np.ndarray | None = None) -> Signal:
-    """Windowed unit-norm sinusoid at a given angle (near-worst-case probe)."""
+    """Windowed unit-norm sinusoid at a given angle (near-worst-case
+    probe), starting at time 0."""
     t = np.arange(length)
     if direction is None:
         direction = np.ones(dim)
@@ -328,6 +324,6 @@ def sinusoid_signal(dim: int, theta: float, length: int, t0: int = 0,
     direction = direction / np.linalg.norm(direction)
     window = 0.5 * (1 - np.cos(2 * np.pi * (t + 0.5) / length))
     s = np.outer(np.cos(theta * t) * window, direction)
-    sig = Signal(t0, s)
+    sig = Signal(0, s)
     n = sig.norm()
-    return Signal(t0, s / n) if n > 0 else sig
+    return Signal(0, s / n) if n > 0 else sig

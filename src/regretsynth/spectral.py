@@ -25,7 +25,7 @@ coordinates and carries its own frequency-identity error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,12 +38,7 @@ from .errors import (
     StabilizabilityFailure,
 )
 from .noncausal import NoncausalClosedLoop
-from .riccati import (
-    DareProblem,
-    dare_residual,
-    pbh_stabilizable,
-    solve_dare,
-)
+from .riccati import DareProblem, pbh_stabilizable, solve_dare
 from .statespace import FREQRESP_BLOCK, StateSpace, invert, schur_realization
 
 # Competitive-ratio regularization: gamma_d = 0 is a singular problem,
@@ -59,8 +54,8 @@ CHECK_THETAS = np.linspace(0.0, np.pi, 64)
 CHECK_THETAS.flags.writeable = False
 
 
-def effective_gamma_d(gamma_d: float, gamma_J: float, eps_cr: float = EPS_CR) -> float:
-    return max(float(gamma_d), eps_cr * float(gamma_J))
+def effective_gamma_d(gamma_d: float, gamma_J: float) -> float:
+    return max(float(gamma_d), EPS_CR * float(gamma_J))
 
 
 def _sym(M):
@@ -76,20 +71,23 @@ def _inv_sqrt(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralFactor:
-    """Square stable factor F with exact state-space inverse."""
+    """Square stable factor F with exact state-space inverse.
+
+    ``diagnostics`` holds ``freq_identity_error``, the factor's own
+    frequency-identity error, and ``cond_X``, the condition number of
+    the benchmark Riccati solution X."""
 
     F: StateSpace
     F_inv: StateSpace
     gamma_d: float
     gamma_J: float
-    internals: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def _factor_from_dares(prob: DareProblem, sample_time):
     """Two-DARE spectral factor of the Popov function of ``prob``.
 
-    Returns (F, internals) with F in orthogonal real-Schur coordinates.
+    Returns F in orthogonal real-Schur coordinates.
     """
     n = prob.n
     if n == 0:
@@ -98,25 +96,21 @@ def _factor_from_dares(prob: DareProblem, sample_time):
             raise AssumptionViolated("D'D must be positive definite")
         D_F = (evecs * np.sqrt(evals)) @ evecs.T
         m = prob.m
-        F = StateSpace(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((m, 0)),
-                       D_F, sample_time)
-        return F, dict(Hhat=prob.R, What=np.linalg.inv(prob.R))
+        return StateSpace(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((m, 0)),
+                          D_F, sample_time)
     A, B = prob.A, prob.B
     sol_x = solve_dare(prob)
-    Xhat, Hhat, Kx = sol_x.X, sol_x.H, sol_x.K_x
+    Hhat, Kx = sol_x.H, sol_x.K_x
     # dual DARE: (A, B, Q, R, S) <- (A', Kx', 0, H^{-1}, 0)
     Hinv = np.linalg.inv(Hhat)
     prob_y = DareProblem(A.T, Kx.T, np.zeros((n, n)), _sym(Hinv),
                          np.zeros((n, Kx.shape[0])))
-    sol_y = solve_dare(prob_y)
-    Yhat = sol_y.X
+    Yhat = solve_dare(prob_y).X
     What = _sym(Hinv + Kx @ Yhat @ Kx.T)
     Ky = np.linalg.solve(What, (A @ Yhat @ Kx.T).T)
     W_is = _inv_sqrt(What)
     F = StateSpace(A - Ky.T @ Kx, B - Ky.T, W_is @ Kx, W_is, sample_time)
-    internals = dict(Xhat=Xhat, Yhat=Yhat, Hhat=Hhat, What=What, Kx=Kx, Ky=Ky,
-                     dare_methods=(sol_x.method, sol_y.method))
-    return schur_realization(F), internals
+    return schur_realization(F)
 
 
 def _freq_identity_error(F: StateSpace, system_resp: np.ndarray) -> float:
@@ -129,14 +123,6 @@ def _freq_identity_error(F: StateSpace, system_resp: np.ndarray) -> float:
     return float(np.max(np.max(np.abs(lhs - rhs), axis=(1, 2)) / scale))
 
 
-def _factor_diagnostics(F: StateSpace, F_inv: StateSpace, system_resp) -> dict:
-    return {
-        "freq_identity_error": _freq_identity_error(F, system_resp),
-        "rho_F": F.spectral_radius(),
-        "rho_F_inv": F_inv.spectral_radius(),
-    }
-
-
 @dataclass(frozen=True)
 class _WBasis:
     """The benchmark closed loop with v = L w and a real-Schur basis per
@@ -145,11 +131,8 @@ class _WBasis:
     ``A, B`` is the 2 n_x-state realization (x-block first, both
     diagonal blocks quasi-triangular) and ``C_e`` its error rows at
     gamma_J = 1; ``G_w`` is the state cost of the n_x-state w-block
-    problem at gamma_J = 1 in the same basis, and ``T_w_inv`` inverts
-    T_w = L U_w, the map from that basis to the v-coordinates of
-    ``build_phat`` (X = L L').  ``xhat_block`` is [[X, I], [I, X^{-1}]],
-    the primal solution over gamma_J^2 before V is added, ``resolvent``
-    is (e^{j theta} I - A_hat)^{-1} B_hat on CHECK_THETAS, and
+    problem at gamma_J = 1 in the same basis, ``resolvent`` is
+    (e^{j theta} I - A_hat)^{-1} B_hat on CHECK_THETAS, and
     ``stabilizability`` the PBH margin of the w-block.  The arrays are
     read-only.
     """
@@ -158,8 +141,6 @@ class _WBasis:
     B: np.ndarray
     C_e: np.ndarray
     G_w: np.ndarray
-    T_w_inv: np.ndarray
-    xhat_block: np.ndarray
     resolvent: np.ndarray
     stabilizability: float
     cond_X: float
@@ -212,12 +193,7 @@ def _w_basis(phat: NoncausalClosedLoop) -> _WBasis:
     A = np.block([[S1, U1.T @ A12 @ U2], [np.zeros((n, n)), S2]])
     B = np.vstack([U1.T @ P.B_d, -U2.T @ L.T @ P.B_d])
     NE = np.vstack([N, E]) @ U2
-    T_w = L @ U2
-    T_w_inv = np.linalg.solve(T_w.T, np.eye(n))
-    # T_w is L times an orthogonal matrix, so the identity maps to X^{-1}
-    X_inv = _sym(T_w_inv @ np.eye(n) @ T_w_inv.T)
-    arrays = (A, B, np.hstack([C11 @ U1, C2 @ U2]), _sym(NE.T @ NE), T_w_inv,
-              np.block([[K0.X, np.eye(n)], [np.eye(n), X_inv]]),
+    arrays = (A, B, np.hstack([C11 @ U1, C2 @ U2]), _sym(NE.T @ NE),
               _check_resolvent(phat.A_hat, phat.B_hat))
     for arr in arrays:
         arr.flags.writeable = False
@@ -245,12 +221,6 @@ def _check_resolvent(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _closed_loop_response(phat: NoncausalClosedLoop) -> np.ndarray:
     """phat's frequency response on CHECK_THETAS, from the kept resolvent."""
     return phat.C_hat @ _w_basis(phat).resolvent + phat.D_hat
-
-
-def _to_v_coordinates(basis: _WBasis, M_w: np.ndarray) -> np.ndarray:
-    """T_w^{-T} M_w T_w^{-1}: a w-block quadratic form seen in v."""
-    Ti = basis.T_w_inv
-    return _sym(Ti @ M_w @ Ti.T)
 
 
 def spectral_factor_regret(phat: NoncausalClosedLoop) -> SpectralFactor:
@@ -285,24 +255,16 @@ def spectral_factor_regret(phat: NoncausalClosedLoop) -> SpectralFactor:
         )
     prob_w = DareProblem(basis.A[n:, n:], basis.B[n:, :], gamma_J**2 * basis.G_w,
                          gamma_d**2 * np.eye(P.n_d), np.zeros((n, P.n_d)))
-    F, internals = _factor_from_dares(prob_w, P.sample_time)
+    F = _factor_from_dares(prob_w, P.sample_time)
     F_inv = schur_realization(invert(F))
-    diagnostics = _factor_diagnostics(F, F_inv, _closed_loop_response(phat))
-    # primal solution and V in the v-coordinates of build_phat, for the
-    # diagnostics only
-    V = _to_v_coordinates(basis, internals["Xhat"])
-    Xhat = gamma_J**2 * basis.xhat_block
-    Xhat[n:, n:] += V
-    Xhat = _sym(Xhat)
-    prob_full = DareProblem.from_output_data(phat.A_hat, phat.B_hat,
-                                             phat.C_hat, phat.D_hat)
-    diagnostics["xhat_dare_residual"] = dare_residual(prob_full, Xhat)
-    diagnostics["cond_X"] = basis.cond_X
-    internals.update(V_w=internals["Xhat"], V=V, Xhat=Xhat)
+    diagnostics = {
+        "freq_identity_error": _freq_identity_error(F, _closed_loop_response(phat)),
+        "cond_X": basis.cond_X,
+    }
     if not diagnostics["freq_identity_error"] <= FACTOR_IDENTITY_TOL:
         raise SpectralFactorInaccurate(
             f"spectral factor misses its frequency identity by "
             f"{diagnostics['freq_identity_error']:.3g} "
             f"(tolerance {FACTOR_IDENTITY_TOL:.1g})"
         )
-    return SpectralFactor(F, F_inv, gamma_d, gamma_J, internals, diagnostics)
+    return SpectralFactor(F, F_inv, gamma_d, gamma_J, diagnostics)

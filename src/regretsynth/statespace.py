@@ -37,11 +37,8 @@ UNIT = "unit"
 _BALANCE_SWEEPS = 8
 
 
-def _as_matrix(value, rows=None, cols=None) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if rows is not None and cols is not None and arr.size == 0:
-        arr = arr.reshape(rows, cols)
-    return arr
+def _as_matrix(value) -> np.ndarray:
+    return np.atleast_2d(np.asarray(value, dtype=float))
 
 
 def _schur_stein(A: np.ndarray, Q: np.ndarray):
@@ -190,8 +187,8 @@ class StateSpace:
             return 0.0
         return float(np.max(np.abs(self.poles())))
 
-    def is_schur(self, tol: float = TOL_STAB) -> bool:
-        return self.spectral_radius() < 1.0 - tol
+    def is_schur(self) -> bool:
+        return self.spectral_radius() < 1.0 - TOL_STAB
 
     @cached_property
     def schur_gramian(self) -> tuple[np.ndarray, np.ndarray]:
@@ -297,16 +294,6 @@ def series(g1: StateSpace, g2: StateSpace) -> StateSpace:
     C = np.hstack([g2.D @ g1.C, g2.C])
     D = g2.D @ g1.D
     return StateSpace(A, B, C, D, ts)
-
-
-def parallel(g1: StateSpace, g2: StateSpace) -> StateSpace:
-    if g1.n_u != g2.n_u or g1.n_y != g2.n_y:
-        raise DimensionError("parallel: dimension mismatch")
-    ts = join_sample_time(g1, g2)
-    A = scipy.linalg.block_diag(g1.A, g2.A)
-    B = np.vstack([g1.B, g2.B])
-    C = np.hstack([g1.C, g2.C])
-    return StateSpace(A, B, C, g1.D + g2.D, ts)
 
 
 def append(g1: StateSpace, g2: StateSpace) -> StateSpace:

@@ -90,7 +90,7 @@ class QPOracle:
 
     def __init__(self, P, K0, rel_tol: float = 1e-8):
         self.P = P
-        self.pad = qp_pad(K0.decay_rate(), rel_tol)
+        self.pad = qp_pad(decay_rate(K0), rel_tol)
         self._lus = {}
 
     def cost(self, d) -> float:
@@ -102,6 +102,37 @@ class QPOracle:
                                  lu=self._lus[T])
 
 
+class NotAFailurePoint(rs.errors.RegretSynthError):
+    """Worst-case uncertainty requested at a frequency that passes the test."""
+
+
+def impulse(dim: int, channel: int = 0) -> rs.Signal:
+    """Unit impulse on one of ``dim`` channels at time 0."""
+    s = np.zeros((1, dim))
+    s[0, channel] = 1.0
+    return rs.Signal(0, s)
+
+
+def matrix_lft_upper(M: np.ndarray, Delta: np.ndarray, n_w: int, n_v: int) -> np.ndarray:
+    """Constant-matrix upper LFT: M22 + M21 Delta (I - M11 Delta)^{-1} M12;
+    raises WellPosednessError where sigma_min(I - M11 Delta) is at most
+    1e-9 max(1, sigma_max), the margin of ``plants.lft_upper``."""
+    M11 = M[:n_v, :n_w]
+    M12 = M[:n_v, n_w:]
+    M21 = M[n_v:, :n_w]
+    M22 = M[n_v:, n_w:]
+    loop = np.eye(n_v) - M11 @ Delta
+    sv = np.linalg.svd(loop, compute_uv=False) if loop.size else np.array([1.0])
+    if loop.size and sv[-1] <= 1e-9 * max(1.0, sv[0]):
+        raise rs.errors.WellPosednessError("I - M11 Delta is singular")
+    return M22 + M21 @ Delta @ np.linalg.solve(loop, M12)
+
+
+def decay_rate(K0) -> float:
+    """Spectral radius of the benchmark closed loop A11 = A - B_u K_x."""
+    return float(np.max(np.abs(np.linalg.eigvals(K0.A11))))
+
+
 def qp_pad(rho: float, rel_tol: float = 1e-8) -> int:
     """Horizon padding so the truncation gap is below rel_tol (energy)."""
     rho = min(max(rho, 1e-6), 1 - 1e-9)
@@ -109,7 +140,7 @@ def qp_pad(rho: float, rel_tol: float = 1e-8) -> int:
 
 
 def qp_oracle_cost(P, K0, d, rel_tol: float = 1e-8) -> float:
-    pad = qp_pad(K0.decay_rate(), rel_tol)
+    pad = qp_pad(decay_rate(K0), rel_tol)
     return finite_horizon_qp(P, d, pad, pad)
 
 
@@ -193,7 +224,7 @@ def para_hermitian_apply(system, ebar, tol: float = 1e-12):
         A, B, C, D = system.A_hat, system.B_hat, system.C_hat, system.D_hat
         n = system.n_x
         K0 = system.K0
-        n_pad = rs.signals.decay_extension(K0.decay_rate(), tol, n)
+        n_pad = rs.signals.decay_extension(decay_rate(K0), tol, n)
         t0, t1 = ebar.t0 - n_pad, ebar.t1 + n_pad
         T = t1 - t0 + 1
         ein = ebar.on_window(t0, t1)
@@ -571,10 +602,10 @@ def spectral_factorize_general(system, *, check: bool = True):
     prob = rs.DareProblem.from_output_data(*mats)
     if check and prob.n:
         _check_factor_assumptions(prob)
-    F, internals = sp._factor_from_dares(prob, ts)
+    F = sp._factor_from_dares(prob, ts)
     F_inv = sp.schur_realization(rs.invert(F))
-    diag = sp._factor_diagnostics(F, F_inv, system_resp)
-    return rs.SpectralFactor(F, F_inv, gamma_d, gamma_J, internals, diag)
+    diag = {"freq_identity_error": sp._freq_identity_error(F, system_resp)}
+    return rs.SpectralFactor(F, F_inv, gamma_d, gamma_J, diag)
 
 
 def _check_factor_assumptions(prob) -> None:
@@ -621,8 +652,14 @@ def verify_factor(factor: rs.SpectralFactor, phat: rs.NoncausalClosedLoop,
 
 def regret_factor_reference(phat):
     """``spectral_factor_regret`` computing everything at every level:
-    (F, F_inv, diagnostics) from :func:`w_realization_reference`, the
-    PBH test, the closed loop's ``freqresp`` and the per-angle loop."""
+    (F, F_inv, diagnostics, primal) from :func:`w_realization_reference`,
+    the PBH test, the closed loop's ``freqresp`` and the per-angle loop.
+
+    ``diagnostics`` has the keys of the package's.  ``primal`` holds the
+    w-block DARE solution in the v-coordinates of ``build_phat`` as
+    ``V``, the primal solution gamma_J^2 [[X, I], [I, X^{-1}]] +
+    diag(0, V) of the 2 n_x-state benchmark DARE as ``Xhat``, and that
+    DARE's residual at ``Xhat`` as ``xhat_dare_residual``."""
     K0 = phat.K0
     P = K0.plant
     n = P.n_x
@@ -632,25 +669,24 @@ def regret_factor_reference(phat):
         raise rs.errors.StabilizabilityFailure("(A11^-T, X B_d) not stabilizable")
     prob_w = rs.DareProblem(A_w, B_w, Q_w, phat.gamma_d**2 * np.eye(P.n_d),
                             np.zeros((n, P.n_d)))
-    F, internals = rs.spectral._factor_from_dares(prob_w, P.sample_time)
+    F = rs.spectral._factor_from_dares(prob_w, P.sample_time)
     F_inv = rs.statespace.schur_realization(rs.invert(F))
     thetas = np.linspace(0.0, np.pi, 64)
     diagnostics = {
         "freq_identity_error": identity_error_loop(F, phat.freqresp(thetas), thetas),
-        "rho_F": F.spectral_radius(),
-        "rho_F_inv": F_inv.spectral_radius(),
+        "cond_X": float(np.linalg.cond(K0.X)),
     }
     Ti = np.linalg.solve(T_w.T, np.eye(n))
-    V = _sym(Ti @ internals["Xhat"] @ Ti.T)
+    V = _sym(Ti @ rs.solve_dare(prob_w).X @ Ti.T)
     X_inv = _sym(Ti @ np.eye(n) @ Ti.T)
     Xhat = phat.gamma_J**2 * np.block([[K0.X, np.eye(n)], [np.eye(n), X_inv]])
     Xhat[n:, n:] += V
     Xhat = _sym(Xhat)
     prob_full = rs.DareProblem.from_output_data(phat.A_hat, phat.B_hat,
                                                 phat.C_hat, phat.D_hat)
-    diagnostics["xhat_dare_residual"] = rs.dare_residual(prob_full, Xhat)
-    diagnostics["cond_X"] = float(np.linalg.cond(K0.X))
-    return F, F_inv, diagnostics
+    primal = dict(V=V, Xhat=Xhat,
+                  xhat_dare_residual=rs.dare_residual(prob_full, Xhat))
+    return F, F_inv, diagnostics, primal
 
 
 def inner(a, b) -> float:
@@ -687,7 +723,7 @@ def noncausal_response(K0: rs.NoncausalController, d: rs.Signal,
     """
     P = K0.plant
     n = K0.A11.shape[0]
-    cap = 7 * decay_extension(K0.decay_rate(), tol, n)
+    cap = 7 * decay_extension(decay_rate(K0), tol, n)
     v_sup = _backward_v(K0, d.samples[None])[0]  # v[d.t0 .. d.t1 + 1]
     pre, _, v_start = free_response(K0.A11.T, K0.A11.T @ v_sup[0],
                                     lambda vs: vs, float(np.vdot(v_sup, v_sup)),
@@ -916,11 +952,11 @@ def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
     """
     M0 = np.real_if_close(np.atleast_2d(M0))
     if np.iscomplexobj(M0):
-        raise rs.errors.NotAFailurePoint("constant witness requires a real matrix "
-                                         "(theta must be 0 or pi)")
+        raise NotAFailurePoint("constant witness requires a real matrix "
+                               "(theta must be 0 or pi)")
     passed, d_opt, val = rs.matrix_rp_test(M0, n_v, n_w)
     if val < 1.0 - 1e-6:
-        raise rs.errors.NotAFailurePoint(f"scaled test passes here (value {val:.4f})")
+        raise NotAFailurePoint(f"scaled test passes here (value {val:.4f})")
     S = M0.copy()
     S[:n_v, n_w:] *= d_opt
     S[n_v:, :n_w] /= d_opt
@@ -936,7 +972,7 @@ def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
         if sd > 1.0 + 1e-9:
             return None
         try:
-            gain = rs.matrix_lft_upper(M0, Delta, n_w, n_v)
+            gain = matrix_lft_upper(M0, Delta, n_w, n_v)
         except rs.errors.WellPosednessError:
             return Delta
         g = np.linalg.svd(gain, compute_uv=False)[0] if gain.size else 0.0
@@ -960,7 +996,7 @@ def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
                 out = witness_from(u, v, 0.5 * (sv[i] + sv[j]))
                 if out is not None:
                     return out
-    raise rs.errors.NotAFailurePoint("no rank-one witness found at this frequency")
+    raise NotAFailurePoint("no rank-one witness found at this frequency")
 
 
 def robust_perf_test_reference(M):
@@ -983,7 +1019,7 @@ def robust_perf_test_reference(M):
 
     pts = run(grid.thetas)
     worst = sorted(pts, key=lambda t: -t[2])[:rs.robust._RP_N_REFINE]
-    fine = grid.refined_near([t[0] for t in worst], rs.robust._RP_REFINE_FACTOR)
+    fine = grid.refined_near([t[0] for t in worst])
     extra_thetas = np.setdiff1d(fine.thetas, grid.thetas)
     pts += run(extra_thetas)
     pts.sort(key=lambda t: t[0])

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +172,38 @@ def test_unreachable_tolerances_raise_before_any_level(tol_abs, tol_rel):
     assert oracle.tried == []
 
 
+_BISECT_IN_CHILD = """
+import sys
+from types import SimpleNamespace
+from regretsynth.hinf import bisect_level
+g_star, tol_abs, tol_rel = (float(arg) for arg in sys.argv[1:4])
+start = None if sys.argv[4] == "None" else float(sys.argv[4])
+lo, hi, _ = bisect_level(lambda g: SimpleNamespace(feasible=g >= g_star),
+                         tol_abs, tol_rel, start=start)
+sys.stdout.write(repr((lo, hi)))
+"""
+
+
+@pytest.mark.parametrize("g_star, tol_abs", [(1.8339, 1e-20), (1e17, 0.5)])
+@pytest.mark.parametrize("with_start", [False, True])
+def test_a_tolerance_below_the_float_spacing_ends_at_adjacent_floats(g_star, tol_abs,
+                                                                     with_start):
+    """With tol_rel 0, an absolute tolerance below the spacing of floats at
+    the answer cannot be met; the search ends where the midpoint no longer
+    splits the bracket.  The search runs in a child process with a
+    timeout, so a search that never ends fails the test."""
+    start = 1.01 * g_star if with_start else None
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(rs.__file__).resolve().parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", _BISECT_IN_CHILD, repr(g_star),
+                          repr(tol_abs), "0.0", repr(start)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    lo, hi = eval(out.stdout)
+    assert lo < g_star <= hi
+    assert not lo < 0.5 * (lo + hi) < hi
+
+
 def test_hinf_optimize_runs_the_reference_search():
     P = random_generalized_plant(2)
     g, res = rs.hinf_optimize(P, 1e-3, 1e-3)
@@ -244,9 +280,17 @@ def test_hinf_search_matches_hinf_optimize_bitwise(seed, monkeypatch):
         verdicts = [verdict for _, verdict in levels]
         # one bracket per undecided level, none for the level returned
         assert len(brackets) == verdicts.count("bracket")
-        g_opt, res_opt = rs.hinf_optimize(P, 1e-4, 1e-4, stop_below)
+        if stop_below is None:
+            g_opt, res_opt = rs.hinf_optimize(P, 1e-4, 1e-4)
+            assert levels == res_opt.metadata["search_levels"]
+        else:
+            # hinf_optimize takes no stop_below: the reference is the
+            # search over synth_hinf that stops where this one does
+            tried = []
+            _, g_opt, res_opt = bisect_loop(
+                lambda x: tried.append(x) or rs.synth_hinf(P, x), 1e-4, 1e-4, stop_below)
+            assert [level for level, _ in levels] == tried
         assert np.float64(g).tobytes() == np.float64(g_opt).tobytes()
-        assert levels == res_opt.metadata["search_levels"]
         assert _controller_bytes(res) == _controller_bytes(res_opt)
         assert res.feasible and dict(levels)[g] in {"below", "bracket"}
 

@@ -1,5 +1,8 @@
-"""Every name a package module imports is used in that module, and no
-package module imports another's private (``_``-prefixed) names.
+"""Every name a package module imports is used in that module, no
+package module reaches another's private (``_``-prefixed) names, every
+name the package exports is the object its module defines, and every
+defaulted parameter is set by some caller in the package or the
+benchmark.
 
 Read from the source with the standard library's ``ast``: a name bound
 by an import counts as used when it appears as a name anywhere else in
@@ -9,9 +12,13 @@ the module, annotations included.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "regretsynth"
+import regretsynth as rs
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "regretsynth"
 
 # (module, name) pairs kept on purpose: cli.hinf_norm is a module-level
 # binding that the benchmark's tracer replaces and checks
@@ -31,15 +38,27 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-def private_imports(source: str) -> list[str]:
+def _private(name: str) -> bool:
+    """``_``-prefixed and not a dunder name such as ``__version__``."""
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(source: str, modules=frozenset()) -> list[str]:
     """``_``-prefixed names imported from sibling package modules (relative
-    imports); dunder names such as ``__version__`` are public."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+    imports), and read as attributes of a sibling module that a relative
+    import binds (``from . import io as rio`` then ``rio._x``).
+    ``modules`` names the package's modules."""
+    tree = ast.parse(source)
+    found, bound = [], set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
-            found += [alias.name for alias in node.names
-                      if alias.name.startswith("_")
-                      and not alias.name.endswith("__")]
+            found += [alias.name for alias in node.names if _private(alias.name)]
+            if node.module is None:
+                bound |= {alias.asname or alias.name for alias in node.names
+                          if alias.name in modules}
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound and _private(node.attr)]
     return sorted(found)
 
 
@@ -64,11 +83,138 @@ def test_package_modules_use_every_import():
 
 def test_detector_finds_private_names():
     source = ("from .a import b, _c\nfrom . import __version__, _d\n"
-              "from numpy import _e\nimport _f\n")
-    assert private_imports(source) == ["_c", "_d"]
+              "from numpy import _e\nimport _f\n"
+              "from . import io as rio, errors\nimport numpy as np\n"
+              "rio._g(np._h, errors._i, errors.__name__, rio.j)\n")
+    assert private_imports(source, {"io", "errors"}) == [
+        "_c", "_d", "errors._i", "rio._g"]
 
 
 def test_package_modules_import_no_private_names():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
     found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
-             for name in private_imports(path.read_text())]
+             for name in private_imports(path.read_text(), modules)]
     assert not found, "private names imported across modules: " + ", ".join(found)
+
+
+def test_package_exports_the_objects_its_modules_define():
+    # import every module first: importing a submodule binds its name on
+    # the package, over any export of the same name
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    for name in modules:
+        importlib.import_module(f"regretsynth.{name}")
+    wrong = []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            if node.module is None:
+                want = importlib.import_module(f"regretsynth.{alias.name}")
+            else:
+                want = getattr(importlib.import_module(f"regretsynth.{node.module}"),
+                               alias.name)
+            if getattr(rs, alias.asname or alias.name) is not want:
+                wrong.append(alias.asname or alias.name)
+    assert not wrong, "exports rebound on the package: " + ", ".join(wrong)
+
+
+# defaulted parameters kept on purpose: the command line's entry point
+# reads sys.argv unless a caller passes argv
+KEPT_DEFAULTS = {"cli.main(argv)"}
+
+
+def _defaulted(tree):
+    """(class or None, function, parameter, positional index or None) of
+    every defaulted parameter, nested functions included.  The index
+    counts the arguments a call passes, so a method's ``self`` or
+    ``cls`` is not counted."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                skip = 1 if cls and not static else 0
+                first = len(positional) - len(args.defaults)
+                out.extend((cls, node.name, positional[i].arg, i - skip)
+                           for i in range(first, len(positional)))
+                out.extend((cls, node.name, arg.arg, None)
+                           for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None)
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return out
+
+
+def _sets(call: ast.Call, name: str, index) -> bool:
+    """Whether a call sets the parameter ``name`` at positional ``index``:
+    by keyword, by ``**``, by a positional argument at the index, or by
+    a starred one at or before it."""
+    for k, arg in enumerate(call.args):
+        if index is not None and (k == index or isinstance(arg, ast.Starred)
+                                  and k <= index):
+            return True
+    return any(kw.arg is None or kw.arg == name for kw in call.keywords)
+
+
+def unset_defaults(package: dict, callers) -> list[str]:
+    """``module.[Class.]function(parameter)`` for every defaulted parameter
+    of the ``package`` sources (module name -> source) that no call in
+    the ``callers`` sources sets.  Calls match by the called name, so
+    ``f(...)`` and ``obj.f(...)`` both count for every function ``f``,
+    a call of a class counts for its ``__init__``, and a call whose first
+    argument names a function counts as a call of it with the rest of
+    the arguments, as a wrapper that forwards them makes."""
+    calls = {}
+
+    def add(func, call):
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        calls.setdefault(name, []).append(call)
+
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                add(node.func, node)
+                if node.args and isinstance(node.args[0], (ast.Name, ast.Attribute)):
+                    # ops(f, *args, **kwargs) forwards the rest of its call to f
+                    add(node.args[0], ast.Call(node.args[0], node.args[1:],
+                                               node.keywords))
+    found = []
+    for module, source in package.items():
+        for cls, func, param, index in _defaulted(ast.parse(source)):
+            called = cls if func == "__init__" else func
+            if not any(_sets(call, param, index) for call in calls.get(called, ())):
+                found.append(f"{module}.{cls + '.' if cls else ''}{func}({param})")
+    return sorted(found)
+
+
+def test_detector_finds_unset_defaults():
+    package = {"m": "def f(a, b=1, *, c=2):\n    pass\n"
+                    "class K:\n"
+                    "    def __init__(self, x=0):\n        pass\n"
+                    "    def g(self, y=0, z=0):\n        pass\n"
+                    "    @staticmethod\n    def s(w=0):\n        pass\n"
+                    "def h(p, q=0, r=0):\n"
+                    "    def inner(t=0):\n        pass\n"
+                    "def k(u=0):\n    pass\n"}
+    callers = ["f(1, c=3)\nK()\nobj.g(1)\nK.s(5)\nrun(h, 0, *rest)\nk(**opts)\n"]
+    assert unset_defaults(package, callers) == [
+        "m.K.__init__(x)", "m.K.g(z)", "m.f(b)", "m.inner(t)"]
+
+
+def test_every_default_is_set_by_a_caller():
+    """A setting that no call in the package or the benchmark varies is a
+    module constant, not a parameter; tests do not count as callers."""
+    package = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))
+             if not path.name.startswith("test_")]
+    found = [name for name in unset_defaults(package, [*package.values(), *bench])
+             if name not in KEPT_DEFAULTS]
+    assert not found, "defaults no caller sets: " + ", ".join(found)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import regretsynth as rs
+import regretsynth.noncausal as noncausal
 from regretsynth.errors import RegretSynthError
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
-from oracles import (noncausal_cost_loop, noncausal_cost_per_trial, noncausal_response,
-                     simulate_ehat)
+from oracles import (decay_rate, noncausal_cost_loop, noncausal_cost_per_trial,
+                     noncausal_response, simulate_ehat)
 
 
 def qp_oracle(P, d, pad=80):
@@ -67,7 +68,7 @@ def test_kd_equals_kv_x_bd():
         P = random_generalized_plant(seed)
         K0 = rs.build_noncausal(P)
         assert np.allclose(K0.K_d, K0.K_v @ K0.X @ P.B_d, atol=1e-12)
-        assert K0.decay_rate() < 1.0
+        assert decay_rate(K0) < 1.0
         assert np.abs(np.linalg.det(K0.A11)) > 0
 
 
@@ -201,7 +202,7 @@ def test_backward_recursion_contracts():
     assert nz[0] <= 1e-10 * (1 + np.max(np.linalg.norm(v, axis=1)))
 
 
-def test_cost_matches_per_step_reference():
+def test_cost_matches_per_step_reference(monkeypatch):
     plants = [scalar_plant()] + [random_generalized_plant(seed, n=n, rho=rho)
                                  for seed, n, rho in ((31, 2, 0.5), (32, 4, 0.9),
                                                       (33, 6, 0.7))]
@@ -212,8 +213,10 @@ def test_cost_matches_per_step_reference():
             d = rs.Signal(0, rng.standard_normal((length, P.n_d)))
             ref = noncausal_cost_loop(K0, d)
             assert abs(rs.eval_noncausal_cost(K0, d) - ref) <= 1e-12 * ref
-        with pytest.raises(RegretSynthError, match="cross-check"):
-            rs.eval_noncausal_cost(K0, d, cross_check_rel=-1.0)
+        with monkeypatch.context() as patch, \
+                pytest.raises(RegretSynthError, match="cross-check"):
+            patch.setattr(noncausal, "_CROSS_CHECK_REL", -1.0)
+            rs.eval_noncausal_cost(K0, d)
 
 
 def test_cost_solves_its_stein_equations_once_per_controller(schur_stein_calls):
@@ -256,17 +259,17 @@ def test_costs_match_per_step_reference_in_mixed_batches():
         assert type(single) is float and single == cost
 
 
-def test_cross_check_raises_from_inside_a_batch():
+def test_cross_check_raises_from_inside_a_batch(monkeypatch):
     P = random_generalized_plant(39, n=3)
     K0 = rs.build_noncausal(P)
     rng = np.random.default_rng(40)
     zero = rs.Signal(0, np.zeros((6, P.n_d)))
     ds = [zero, rs.Signal(0, rng.standard_normal((20, P.n_d))), zero]
+    monkeypatch.setattr(noncausal, "_CROSS_CHECK_REL", -1.0)
     with pytest.raises(RegretSynthError, match="cross-check"):
-        rs.eval_noncausal_cost(K0, ds, cross_check_rel=-1.0)
+        rs.eval_noncausal_cost(K0, ds)
     # zero signals are not simulated, so they pass any cross-check
-    assert list(rs.eval_noncausal_cost(K0, [zero, zero], cross_check_rel=-1.0)) \
-        == [0.0, 0.0]
+    assert list(rs.eval_noncausal_cost(K0, [zero, zero])) == [0.0, 0.0]
 
 
 def test_response_window_ends_when_the_state_is_negligible():
@@ -277,7 +280,7 @@ def test_response_window_ends_when_the_state_is_negligible():
                        [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]], 1.0)
     P = rs.GeneralizedPlant(ss, n_d=1, n_u=1, n_e=2, n_y=1)
     K0 = rs.build_noncausal(P)
-    assert K0.decay_rate() > 1.0 - 2e-4
+    assert decay_rate(K0) > 1.0 - 2e-4
     d = rs.Signal(3, np.random.default_rng(41).standard_normal((50, 1)))
     t0, x, u, e, v = noncausal_response(K0, d)
     assert len(e) < len(d) + 200 and t0 < d.t0

@@ -9,7 +9,7 @@ import regretsynth as rs
 from regretsynth.errors import NonDecaying
 
 from conftest import random_stable_ss
-from oracles import inner, response_energy_loop, response_energy_per_trial
+from oracles import impulse, inner, response_energy_loop, response_energy_per_trial
 
 
 def test_zero_in_zero_out():
@@ -22,7 +22,7 @@ def test_zero_in_zero_out():
 def test_impulse_markov_parameters():
     rng = np.random.default_rng(1)
     g = random_stable_ss(rng, 3, 2, 2, rho=0.6)
-    y = rs.simulate(g, rs.Signal.impulse(2, channel=1))
+    y = rs.simulate(g, impulse(2, channel=1))
     assert np.allclose(y.at(0), g.D[:, 1])
     for t in range(1, 21):
         expect = (g.C @ np.linalg.matrix_power(g.A, t - 1) @ g.B)[:, 1]
@@ -57,7 +57,7 @@ def test_series_composition_property():
 def test_forward_requires_stability():
     g = rs.StateSpace([[1.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     with pytest.raises(NonDecaying):
-        rs.simulate(g, rs.Signal.impulse(1))
+        rs.simulate(g, impulse(1))
 
 
 def test_window_ends_when_the_state_is_negligible():
@@ -79,7 +79,7 @@ def test_window_ends_when_the_state_is_negligible():
 def test_window_never_exceeds_the_spectral_radius_bound(monkeypatch):
     g = rs.StateSpace([[0.9]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     monkeypatch.setattr(rs.signals, "decay_extension", lambda rho, tol, n_x: 3)
-    y = rs.simulate(g, rs.Signal.impulse(1))
+    y = rs.simulate(g, impulse(1))
     assert len(y) == 1 + 7 * 3
     assert y.at(21)[0] == pytest.approx(0.9**20)
 
@@ -207,7 +207,7 @@ def test_response_energy_of_small_sequences():
 def test_response_energy_of_a_sequence_requires_stability():
     g = rs.StateSpace([[1.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     with pytest.raises(NonDecaying):
-        rs.signals.response_energy(g, [rs.Signal.impulse(1)] * 3)
+        rs.signals.response_energy(g, [impulse(1)] * 3)
 
 
 def test_trial_blocks_cover_every_trial_within_the_budget():

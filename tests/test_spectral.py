@@ -8,12 +8,13 @@ import pytest
 import regretsynth as rs
 from regretsynth.errors import GammaDZero, SingularX, StabilizabilityFailure
 from regretsynth.riccati import DareProblem, dare_residual, solve_dare
-from regretsynth.spectral import CHECK_THETAS, _to_v_coordinates, _w_basis
+from regretsynth.spectral import CHECK_THETAS, _w_basis
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
-from oracles import (identity_error_loop, inner, n_e_hat, para_hermitian_apply,
+from oracles import (_sym, identity_error_loop, inner, n_e_hat, para_hermitian_apply,
                      regret_factor_reference, regret_qtilde, simulate_ehat,
-                     spectral_factorize_general, verify_factor)
+                     spectral_factorize_general, verify_factor,
+                     w_realization_reference)
 
 
 def factor_product_error(F, system, thetas):
@@ -96,16 +97,19 @@ def test_regret_factor_scalar_cross_checks():
     phat = rs.build_phat(K0, (1.0, 1.0))
     F = rs.spectral_factor_regret(phat)
     assert F.F.n_x == P.n_x
+    F_ref, _, _, primal = regret_factor_reference(phat)
+    assert all(np.array_equal(got, want)
+               for got, want in zip(_matrices(F.F), _matrices(F_ref)))
     # the closed-form primal solution satisfies the full-size DARE
-    assert F.diagnostics["xhat_dare_residual"] < 1e-10 * (
-        1 + np.max(np.abs(F.internals["Xhat"]))
+    assert primal["xhat_dare_residual"] < 1e-10 * (
+        1 + np.max(np.abs(primal["Xhat"]))
     )
     # V agrees with a direct solve of its own DARE
     Qt = regret_qtilde(K0, 1.0)
     A11iT = np.linalg.inv(K0.A11).T
     prob = DareProblem(A11iT, K0.X @ P.B_d, Qt, np.eye(1), np.zeros((1, 1)))
     V_direct = solve_dare(prob).X
-    assert np.max(np.abs(F.internals["V"] - V_direct)) < 1e-9 * (
+    assert np.max(np.abs(primal["V"] - V_direct)) < 1e-9 * (
         1 + np.max(np.abs(V_direct))
     )
 
@@ -166,9 +170,13 @@ def test_w_block_cost_matches_closed_form():
         P = random_generalized_plant(seed)
         K0 = rs.build_noncausal(P)
         assert np.linalg.cond(K0.X) < 1e5
-        basis = _w_basis(rs.build_phat(K0, (0.5, 1.3)))
+        phat = rs.build_phat(K0, (0.5, 1.3))
+        basis = _w_basis(phat)
+        # T_w^{-T} M_w T_w^{-1} is a w-block form M_w seen in v
+        T_w = w_realization_reference(phat)[5]
+        Ti = np.linalg.solve(T_w.T, np.eye(P.n_x))
         Qt = regret_qtilde(K0, 1.3)
-        err = np.max(np.abs(_to_v_coordinates(basis, 1.3**2 * basis.G_w) - Qt))
+        err = np.max(np.abs(_sym(Ti @ (1.3**2 * basis.G_w) @ Ti.T) - Qt))
         assert err < 1e-10 * (1 + np.max(np.abs(Qt)))
 
 
@@ -205,7 +213,7 @@ def test_regret_factor_matches_per_level_reference_bitwise(store, name):
     for gammas in levels:
         phat = rs.build_phat(K0, gammas)
         F = rs.spectral_factor_regret(phat)
-        F_ref, F_inv_ref, diag_ref = regret_factor_reference(phat)
+        F_ref, F_inv_ref, diag_ref, _ = regret_factor_reference(phat)
         for got, want in zip(_matrices(F.F) + _matrices(F.F_inv),
                              _matrices(F_ref) + _matrices(F_inv_ref)):
             assert np.array_equal(got, want)
@@ -231,14 +239,12 @@ def test_factor_setup_is_computed_once_per_controller_and_read_only(monkeypatch)
                for g in ((0.9, 1.1), (2.0, 0.0), (0.4, 3.0))]
     assert len(fills) == 1
     basis = K0.factor_setup["w_basis"]
-    arrays = [basis.A, basis.B, basis.C_e, basis.G_w, basis.T_w_inv,
-              basis.xhat_block, basis.resolvent]
+    arrays = [basis.A, basis.B, basis.C_e, basis.G_w, basis.resolvent]
     assert all(not arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError):
         basis.G_w[0, 0] = 1.0
     # the levels do not share mutable state through the store
-    assert factors[0].internals["Xhat"] is not factors[1].internals["Xhat"]
-    assert factors[0].internals["Xhat"].flags.writeable
+    assert factors[0].diagnostics is not factors[1].diagnostics
     # a fresh controller with the same matrices fills its own store
     fresh = dataclasses.replace(K0)
     rs.spectral_factor_regret(rs.build_phat(fresh, (0.9, 1.1)))
