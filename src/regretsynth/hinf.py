@@ -18,10 +18,11 @@ controller carries an a-posteriori certificate, the closed-loop spectral
 radius and a certified upper bound on the closed-loop H-infinity norm
 (the upper end of the level-set bracket of :func:`norms.hinf_norm`,
 computed on the discrete loop without this transform).  A level is
-feasible only when that upper bound is below it.  :func:`hinf_search`
-decides the levels of its search by :func:`norms.norm_below`, which
-answers whether that upper bound would be below a level from one
-pencil, and brackets only the levels it cannot decide;
+feasible only when that upper bound is below it.  :func:`decide_level`
+gives the verdict of one level by :func:`norms.norm_below`, which
+answers whether that upper bound would be below the level from one
+pencil, and brackets only a level it cannot decide.
+:func:`hinf_search` decides each level of its search so, and
 :func:`hinf_optimize` brackets the level it returns once more.
 """
 
@@ -549,6 +550,26 @@ class _Decided:
         return self.candidate[1]
 
 
+def decide_level(P: GeneralizedPlant, gamma: float):
+    """The verdict of :func:`synth_hinf` at ``gamma``, bracketing the
+    closed-loop norm only when :func:`norms.norm_below` cannot decide it.
+
+    Returns (verdict, result).  ``verdict`` is the synthesis reason of a
+    candidate that failed, or ``below``, ``above`` or ``bracket``.
+    ``result`` is a :class:`SynthesisResult` when the candidate failed
+    or was bracketed, and otherwise the candidate ``norm_below``
+    decided; both give ``feasible`` and ``controller``.  By the contract
+    of ``norm_below``, ``feasible`` is that of ``synth_hinf(P, gamma)``.
+    """
+    reason, meta, Kd, cl = _candidate(P, gamma)
+    if reason is not None:
+        return reason, _infeasible(gamma, reason, meta)
+    below = norm_below(cl, gamma)
+    if below is None:
+        return "bracket", _certified(gamma, meta, Kd, cl)
+    return ("below" if below else "above"), _Decided(below, (meta, Kd, cl))
+
+
 def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
                 stop_below: float | None = None, start: float | None = None):
     """The level search of :func:`hinf_optimize`, without its final
@@ -560,24 +581,17 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
     otherwise the candidate :func:`norms.norm_below` decided below it.
     Both give the level's controller as ``result.controller``.
     ``search_levels`` holds one (gamma, verdict) per level in the order
-    tried: the synthesis reason of a candidate that failed, or
-    ``below``, ``above`` or ``bracket``.  Callers that read only the
-    level and the controller skip the bracket of :func:`hinf_optimize`.
-    ``stop_below`` and ``start`` are passed on to :func:`bisect_level`.
+    tried, each level decided by :func:`decide_level`.  Callers that
+    read only the level and the controller skip the bracket of
+    :func:`hinf_optimize`.  ``stop_below`` and ``start`` are passed on
+    to :func:`bisect_level`.
     """
     levels = []
 
     def decide(g):
-        reason, meta, Kd, cl = _candidate(P, g)
-        if reason is not None:
-            levels.append((g, reason))
-            return _infeasible(g, reason, meta)
-        below = norm_below(cl, g)
-        if below is None:
-            levels.append((g, "bracket"))
-            return _certified(g, meta, Kd, cl)
-        levels.append((g, "below" if below else "above"))
-        return _Decided(below, (meta, Kd, cl))
+        verdict, result = decide_level(P, g)
+        levels.append((g, verdict))
+        return result
 
     _, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below, start)
     return hi, best, tuple(levels)

@@ -79,7 +79,9 @@ def load_system(path):
             elif key in ("A", "B", "C", "D"):
                 rows, cols = int(fields[1]), int(fields[2])
                 data = []
-                for r in range(rows):
+                # a matrix with no columns has no row lines: save_system
+                # writes them empty, and blank lines are dropped above
+                for r in range(rows if cols else 0):
                     i += 1
                     vals = [float(v) for v in tokens[i].split()]
                     if len(vals) != cols:

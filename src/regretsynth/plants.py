@@ -217,16 +217,23 @@ def lft_lower(P: GeneralizedPlant, K: StateSpace) -> StateSpace:
     C_e, C_y = P.C_e, P.C_y
     D_eu, D_yd = P.D_eu, P.D_yd
     Ak, Bk, Ck, Dk = K.A, K.B, K.C, K.D
-    n, nk = P.n_x, K.n_x
-    # u = Ck xk + Dk y,  y = C_y x + D_yd d  (D_yu = 0)
-    A_cl = np.block([
-        [A + B_u @ Dk @ C_y, B_u @ Ck],
-        [Bk @ C_y, Ak],
-    ])
-    B_cl = np.vstack([B_d + B_u @ Dk @ D_yd, Bk @ D_yd])
-    C_cl = np.hstack([C_e + D_eu @ Dk @ C_y, D_eu @ Ck])
-    D_cl = P.D_ed + D_eu @ Dk @ D_yd
-    return StateSpace(A_cl, B_cl, C_cl, D_cl, ts)
+    n, nx = P.n_x, P.n_x + K.n_x
+    # u = Ck xk + Dk y,  y = C_y x + D_yd d  (D_yu = 0):
+    # A_cl = [[A + B_u Dk C_y, B_u Ck], [Bk C_y, Ak]],
+    # B_cl = [B_d + B_u Dk D_yd; Bk D_yd], C_cl = [C_e + D_eu Dk C_y, D_eu Ck]
+    BuDk, DeuDk = B_u @ Dk, D_eu @ Dk
+    A_cl = np.empty((nx, nx))
+    np.add(A, BuDk @ C_y, out=A_cl[:n, :n])
+    A_cl[:n, n:] = B_u @ Ck
+    A_cl[n:, :n] = Bk @ C_y
+    A_cl[n:, n:] = Ak
+    B_cl = np.empty((nx, P.n_d))
+    np.add(B_d, BuDk @ D_yd, out=B_cl[:n])
+    B_cl[n:] = Bk @ D_yd
+    C_cl = np.empty((P.n_e, nx))
+    np.add(C_e, DeuDk @ C_y, out=C_cl[:, :n])
+    C_cl[:, n:] = D_eu @ Ck
+    return StateSpace(A_cl, B_cl, C_cl, P.D_ed + DeuDk @ D_yd, ts)
 
 
 def lft_upper(M: StateSpace, Delta: StateSpace, n_w: int, n_v: int) -> StateSpace:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import RegretSynthError, UnstableSystem
-from .hinf import SynthesisResult, hinf_search, synth_hinf
+from .hinf import SynthesisResult, decide_level, hinf_search, synth_hinf
 from .noncausal import NoncausalController, build_noncausal, eval_noncausal_cost
 from .norms import FrequencyGrid, hinf_norm, norm_below
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
@@ -479,14 +479,23 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     the level the K-step before it returned, which changes only the
     levels tried while the verdicts are monotone in gamma.
     An ``initial_D`` from a nearby level warm-starts the alternation (any
-    stable minimum-phase D keeps the certificate sound).
+    stable minimum-phase D keeps the certificate sound).  The nominal
+    check at level 1 runs :func:`hinf.synth_hinf`, whose bracketed norm
+    iteration 0 records, only without an ``initial_D``; with one,
+    iteration 0 runs a K-step and the check is
+    :func:`hinf.decide_level`, which brackets only what
+    :func:`norms.norm_below` cannot decide and gives the same verdict.
     """
     if K0 is None:
         K0 = build_noncausal(P.nominal())
     nominal_plant, F = regret_weighted_plant(P.nominal(), K0, level)
     # nominal feasibility is necessary (Delta = 0 belongs to the set);
-    # the nominal controller also seeds the alternation
-    nom_res = synth_hinf(nominal_plant, 1.0)
+    # without an initial D the nominal controller also seeds the
+    # alternation, and its bracketed norm is iteration 0's hinf_value
+    if initial_D is None:
+        nom_res = synth_hinf(nominal_plant, 1.0)
+    else:
+        _, nom_res = decide_level(nominal_plant, 1.0)
     if not nom_res.feasible:
         return SynthesisResult(None, 1.0, False, np.inf, None,
                                metadata={"level": (level.gamma_d, level.gamma_J),

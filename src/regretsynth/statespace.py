@@ -89,23 +89,34 @@ def balance_states(A: np.ndarray, B: np.ndarray, C: np.ndarray):
 
     Returns the scaled (A, B, C); the transfer function is unchanged.
     Including B and C in the sums keeps the input and output maps in
-    scale with A.
+    scale with A.  The row sums of |B| and the column sums of |C| are
+    formed once and rescaled by the same powers of two as B and C on
+    each sweep, which gives the bits of forming them anew as long as
+    every sum stays a normal float.
     """
     n = A.shape[0]
+    b_sums = np.abs(B).sum(axis=1)
+    c_sums = np.abs(C).sum(axis=0)
     for _ in range(_BALANCE_SWEEPS):
         off = np.abs(A)
-        off[np.diag_indices(n)] = 0.0
-        rows = off.sum(axis=1) + np.abs(B).sum(axis=1)
-        cols = off.sum(axis=0) + np.abs(C).sum(axis=0)
+        off.flat[:: n + 1] = 0.0
+        rows = off.sum(axis=1)
+        rows += b_sums
+        cols = off.sum(axis=0)
+        cols += c_sums
         ok = (rows > 0) & (cols > 0)
         expo = np.zeros(n)
-        expo[ok] = np.clip(np.round(0.5 * np.log2(rows[ok] / cols[ok])), -16, 16)
+        expo[ok] = np.minimum(np.maximum(
+            np.rint(0.5 * np.log2(rows[ok] / cols[ok])), -16.0), 16.0)
         if not expo.any():
             break
         f = 2.0 ** expo
-        A = A / f[:, None] * f
+        A = A / f[:, None]
+        A *= f
         B = B / f[:, None]
         C = C * f
+        b_sums /= f
+        c_sums *= f
     return A, B, C
 
 
@@ -219,14 +230,17 @@ class StateSpace:
         if self.n_x == 0:
             out[:] = self.D
             return out
-        eye = np.eye(self.n_x)
-        block = max(1, FREQRESP_BLOCK // self.n_x**2)
+        n = self.n_x
+        neg_A = -self.A
+        block = max(1, FREQRESP_BLOCK // n**2)
         for lo in range(0, thetas.size, block):
             z = np.exp(1j * thetas[lo : lo + block])
-            # built in place: a second block-sized temporary took about as
-            # long as the solve itself
-            resolvent = z[:, None, None] * eye
-            resolvent -= self.A
+            # built in place: -A in every matrix, then z on the diagonals
+            # (a second block-sized temporary took about as long as the
+            # solve itself)
+            resolvent = np.empty((z.size, n, n), dtype=complex)
+            resolvent[...] = neg_A
+            resolvent.reshape(z.size, n * n)[:, :: n + 1] += z[:, None]
             try:
                 # B[None]: numpy 1.x reads a 2-D B next to a 3-D stack as
                 # a stack of vectors, not as one matrix for every angle
@@ -235,7 +249,7 @@ class StateSpace:
                 for k, zk in enumerate(z, start=lo):
                     out[k] = self.at_z(zk)
                 continue
-            out[lo : lo + z.size] = self.C @ X + self.D
+            np.add(self.C @ X, self.D, out=out[lo : lo + z.size])
         return out
 
     def at_z(self, z: complex) -> np.ndarray:
@@ -283,27 +297,34 @@ def series(g1: StateSpace, g2: StateSpace) -> StateSpace:
     if g1.n_y != g2.n_u:
         raise DimensionError(f"series: g1 has {g1.n_y} outputs, g2 takes {g2.n_u}")
     ts = join_sample_time(g1, g2)
-    n1, n2 = g1.n_x, g2.n_x
-    A = np.block(
-        [
-            [g1.A, np.zeros((n1, n2))],
-            [g2.B @ g1.C, g2.A],
-        ]
-    )
-    B = np.vstack([g1.B, g2.B @ g1.D])
-    C = np.hstack([g2.D @ g1.C, g2.C])
-    D = g2.D @ g1.D
-    return StateSpace(A, B, C, D, ts)
+    n1, n = g1.n_x, g1.n_x + g2.n_x
+    # [[A1, 0], [B2 C1, A2]], [B1; B2 D1], [D2 C1, C2]
+    A = np.zeros((n, n))
+    A[:n1, :n1] = g1.A
+    A[n1:, :n1] = g2.B @ g1.C
+    A[n1:, n1:] = g2.A
+    B = np.empty((n, g1.n_u))
+    B[:n1] = g1.B
+    B[n1:] = g2.B @ g1.D
+    C = np.empty((g2.n_y, n))
+    C[:, :n1] = g2.D @ g1.C
+    C[:, n1:] = g2.C
+    return StateSpace(A, B, C, g2.D @ g1.D, ts)
+
+
+def _block_diag(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
+    (r1, c1), (r2, c2) = M1.shape, M2.shape
+    out = np.zeros((r1 + r2, c1 + c2))
+    out[:r1, :c1] = M1
+    out[r1:, c1:] = M2
+    return out
 
 
 def append(g1: StateSpace, g2: StateSpace) -> StateSpace:
     """Block-diagonal stacking diag(g1, g2) of inputs and outputs."""
     ts = join_sample_time(g1, g2)
-    A = scipy.linalg.block_diag(g1.A, g2.A)
-    B = scipy.linalg.block_diag(g1.B, g2.B)
-    C = scipy.linalg.block_diag(g1.C, g2.C)
-    D = scipy.linalg.block_diag(g1.D, g2.D)
-    return StateSpace(A, B, C, D, ts)
+    return StateSpace(_block_diag(g1.A, g2.A), _block_diag(g1.B, g2.B),
+                      _block_diag(g1.C, g2.C), _block_diag(g1.D, g2.D), ts)
 
 
 def invert(g: StateSpace) -> StateSpace:

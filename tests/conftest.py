@@ -20,6 +20,25 @@ def random_stable_ss(rng, n, n_u, n_y, rho=0.7, sample_time=1.0,
     return rs.StateSpace(A, B, C, D, sample_time)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes, equal values and equal signs, signs of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def with_signed_zeros(rng, g, share=0.3):
+    """``g`` with about ``share`` of the entries of A, B, C and D set to
+    +0.0 or -0.0."""
+    mats = []
+    for M in (g.A, g.B, g.C, g.D):
+        M = M.copy()
+        hit = rng.random(M.shape) < share
+        M[hit] = np.where(rng.random(M.shape) < 0.5, 0.0, -0.0)[hit]
+        mats.append(M)
+    return rs.StateSpace(*mats, g.sample_time)
+
+
 def random_plant_with_dscale_pole(rng, n=4):
     """diag(d, 1) G diag(1/d, 1) for a random stable 2 x 2 G and the D-scale
     section d(z) = (z + 0.9999) / (z + 0.99999): real poles at -0.99999

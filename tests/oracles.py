@@ -1028,3 +1028,85 @@ def robust_perf_test_reference(M):
     passed = vmax < 1.0 and m11_norm < 1.0
     return rs.robust.RobustPerfReport(passed, 1.0 - max(vmax, m11_norm), m11_norm,
                                       tuple(pts), worst_theta)
+
+
+# -- references for the state-space kernels ------------------------------
+# Earlier forms of kernels that now write into preallocated arrays; the
+# kernel tests require the same bits from both.
+
+def append_reference(g1, g2):
+    """``statespace.append`` through ``scipy.linalg.block_diag``."""
+    ts = rs.statespace.join_sample_time(g1, g2)
+    return rs.StateSpace(scipy.linalg.block_diag(g1.A, g2.A),
+                         scipy.linalg.block_diag(g1.B, g2.B),
+                         scipy.linalg.block_diag(g1.C, g2.C),
+                         scipy.linalg.block_diag(g1.D, g2.D), ts)
+
+
+def series_reference(g1, g2):
+    """``statespace.series`` through ``np.block``, ``vstack`` and ``hstack``."""
+    ts = rs.statespace.join_sample_time(g1, g2)
+    n1, n2 = g1.n_x, g2.n_x
+    A = np.block([[g1.A, np.zeros((n1, n2))], [g2.B @ g1.C, g2.A]])
+    B = np.vstack([g1.B, g2.B @ g1.D])
+    C = np.hstack([g2.D @ g1.C, g2.C])
+    return rs.StateSpace(A, B, C, g2.D @ g1.D, ts)
+
+
+def lft_lower_reference(P, K):
+    """``plants.lft_lower`` through ``np.block``, ``vstack`` and ``hstack``."""
+    ts = rs.statespace.join_sample_time(P.ss, K)
+    A, B_d, B_u = P.A, P.B_d, P.B_u
+    C_e, C_y = P.C_e, P.C_y
+    D_eu, D_yd = P.D_eu, P.D_yd
+    Ak, Bk, Ck, Dk = K.A, K.B, K.C, K.D
+    A_cl = np.block([[A + B_u @ Dk @ C_y, B_u @ Ck], [Bk @ C_y, Ak]])
+    B_cl = np.vstack([B_d + B_u @ Dk @ D_yd, Bk @ D_yd])
+    C_cl = np.hstack([C_e + D_eu @ Dk @ C_y, D_eu @ Ck])
+    D_cl = P.D_ed + D_eu @ Dk @ D_yd
+    return rs.StateSpace(A_cl, B_cl, C_cl, D_cl, ts)
+
+
+def freqresp_reference(g, thetas):
+    """``StateSpace.freqresp`` with each block's resolvent formed as
+    ``z I`` for every angle, minus A."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    out = np.empty((thetas.size, g.n_y, g.n_u), dtype=complex)
+    if g.n_x == 0:
+        out[:] = g.D
+        return out
+    eye = np.eye(g.n_x)
+    block = max(1, rs.statespace.FREQRESP_BLOCK // g.n_x**2)
+    for lo in range(0, thetas.size, block):
+        z = np.exp(1j * thetas[lo : lo + block])
+        resolvent = z[:, None, None] * eye
+        resolvent -= g.A
+        try:
+            X = np.linalg.solve(resolvent, g.B[None])
+        except np.linalg.LinAlgError:
+            for k, zk in enumerate(z, start=lo):
+                out[k] = g.at_z(zk)
+            continue
+        out[lo : lo + z.size] = g.C @ X + g.D
+    return out
+
+
+def balance_states_reference(A, B, C):
+    """``statespace.balance_states`` forming |A| and the sums of |B| and
+    |C| anew on every sweep."""
+    n = A.shape[0]
+    for _ in range(rs.statespace._BALANCE_SWEEPS):
+        off = np.abs(A)
+        off[np.diag_indices(n)] = 0.0
+        rows = off.sum(axis=1) + np.abs(B).sum(axis=1)
+        cols = off.sum(axis=0) + np.abs(C).sum(axis=0)
+        ok = (rows > 0) & (cols > 0)
+        expo = np.zeros(n)
+        expo[ok] = np.clip(np.round(0.5 * np.log2(rows[ok] / cols[ok])), -16, 16)
+        if not expo.any():
+            break
+        f = 2.0 ** expo
+        A = A / f[:, None] * f
+        B = B / f[:, None]
+        C = C * f
+    return A, B, C

@@ -66,6 +66,44 @@ def test_controller_round_trip(tmp_path):
     assert np.array_equal(K2.A, K.A) and np.array_equal(K2.D, K.D)
 
 
+def _round_trip(tmp_path, ss, name):
+    """save/load/save: equal matrices, shapes and sample time, and the
+    same bytes on the second write."""
+    p, p2 = tmp_path / f"{name}.sys", tmp_path / f"{name}2.sys"
+    save_system(p, ss)
+    loaded, _, _ = load_system(p)
+    for m in "ABCD":
+        assert getattr(loaded, m).shape == getattr(ss, m).shape
+        assert np.array_equal(getattr(loaded, m), getattr(ss, m))
+    assert loaded.sample_time == ss.sample_time
+    save_system(p2, loaded)
+    assert p.read_text() == p2.read_text()
+    return loaded
+
+
+def test_static_gain_round_trip(tmp_path):
+    # no states: C is 2 x 0 and A is 0 x 0, so their rows have no values
+    K = rs.static_gain([[1.5, -0.25], [0.0, 2.0]], 0.01)
+    assert K.C.shape == (2, 0)
+    _round_trip(tmp_path, K, "gain")
+    p = tmp_path / "K.sys"
+    save_controller(p, K)
+    assert np.array_equal(load_controller(p).D, K.D)
+
+
+def test_round_trip_without_inputs_or_outputs(tmp_path):
+    rng = np.random.default_rng(3)
+    A = 0.4 * rng.standard_normal((3, 3))
+    # no inputs: B and D have no columns
+    _round_trip(tmp_path, rs.StateSpace(A, np.zeros((3, 0)),
+                                        rng.standard_normal((2, 3)),
+                                        np.zeros((2, 0)), 0.5), "no_inputs")
+    # no outputs: C and D have no rows
+    _round_trip(tmp_path, rs.StateSpace(A, rng.standard_normal((3, 2)),
+                                        np.zeros((0, 3)), np.zeros((0, 2)),
+                                        rs.UNIT), "no_outputs")
+
+
 def test_malformed_file(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("A 2 2\n1.0 2.0\n")

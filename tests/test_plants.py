@@ -6,8 +6,9 @@ import pytest
 import regretsynth as rs
 from regretsynth.errors import DimensionError, WellPosednessError
 
-from conftest import random_generalized_plant, random_stable_ss
-from oracles import matrix_lft_upper
+from conftest import (random_generalized_plant, random_stable_ss, same_bits,
+                      with_signed_zeros)
+from oracles import lft_lower_reference, matrix_lft_upper
 
 
 def test_partition_invariants_enforced():
@@ -47,6 +48,27 @@ def test_lft_lower_frequency_oracle():
         )
         rel = np.max(np.abs(cl.at_z(z) - oracle)) / max(1, np.max(np.abs(oracle)))
         assert rel < 1e-10
+
+
+def test_lft_lower_matches_block_reference_bitwise():
+    rng = np.random.default_rng(24)
+    # (n, n_d, n_u, n_e, n_y): no plant states, and no d or e channel
+    for n, nd, nu, ne, ny in ((3, 2, 1, 2, 1), (0, 1, 1, 1, 1), (4, 0, 2, 1, 2),
+                              (4, 2, 1, 0, 1), (5, 2, 2, 3, 2)):
+        base = random_stable_ss(rng, n, nd + nu, ne + ny)
+        plants = []
+        for ss in (base, with_signed_zeros(rng, base)):
+            D = ss.D.copy()
+            D[:ne, :nd] = D[ne:, nd:] = 0.0  # the standing zero feedthroughs
+            plants.append(rs.GeneralizedPlant(rs.StateSpace(ss.A, ss.B, ss.C, D, 1.0),
+                                              n_d=nd, n_u=nu, n_e=ne, n_y=ny))
+        for nk in (0, 1, 3):
+            K = random_stable_ss(rng, nk, ny, nu, rho=0.8)
+            for plant in plants:
+                for ctrl in (K, with_signed_zeros(rng, K)):
+                    cl, ref = rs.lft_lower(plant, ctrl), lft_lower_reference(plant, ctrl)
+                    assert all(same_bits(getattr(cl, m), getattr(ref, m))
+                               for m in "ABCD")
 
 
 def test_lft_upper_zero_delta():

@@ -795,3 +795,73 @@ def test_k_step_start_changes_only_the_levels_tried(example, monkeypatch):
     assert without_levels(warm) == without_levels(cold)
     # each run has a K-step after the first, so the start saves levels
     assert levels_tried(warm) < levels_tried(cold)
+
+
+def _count_hinf_norm(monkeypatch):
+    """Count the brackets of every caller: ``hinf`` and ``robust`` each
+    bind ``hinf_norm`` by name."""
+    calls = []
+    bracket = rs.norms.hinf_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return bracket(*args, **kwargs)
+
+    monkeypatch.setattr(rs.hinf, "hinf_norm", counted)
+    monkeypatch.setattr(robust, "hinf_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fitted", [False, True])
+def test_nominal_check_with_an_initial_d_decides_without_a_bracket(fitted,
+                                                                   monkeypatch):
+    unc = scalar_uncertain_plant()
+    K0 = rs.build_noncausal(unc.nominal())
+    if fitted:
+        # the fit of a run that needed one, as the feasibility oracle passes it on
+        first = rs.dk_iteration(unc, rs.RegretLevel(1.2, 1.0), K0=K0)
+        D = first.metadata["final_D"]
+        assert first.feasible and D is not None and D.system.n_x > 0
+    else:
+        D = _unit_dscale()
+    level = rs.RegretLevel(1.1, 1.0)
+    calls = _count_hinf_norm(monkeypatch)
+    checks = []
+    decide = robust.decide_level
+
+    def recorded(P, gamma):
+        before = len(calls)
+        verdict, res = decide(P, gamma)
+        checks.append((gamma, verdict, len(calls) - before))
+        return verdict, res
+
+    monkeypatch.setattr(robust, "decide_level", recorded)
+    decided = rs.dk_iteration(unc, level, K0=K0, initial_D=D)
+    # one nominal check, at level 1, decided by norm_below alone
+    assert checks == [(1.0, "below", 0)]
+    monkeypatch.setattr(robust, "decide_level",
+                        lambda P, gamma: ("bracket", rs.synth_hinf(P, gamma)))
+    bracketed = rs.dk_iteration(unc, level, K0=K0, initial_D=D)
+
+    def digest(res):
+        meta = res.metadata
+        return _digest((res.controller, res.feasible, res.achieved_norm,
+                        meta.get("reason"), meta["iterations"], meta.get("m11_norm"),
+                        meta["dk_trace"]))
+
+    assert decided.metadata["dk_trace"][0]["k_levels"]
+    assert digest(decided) == digest(bracketed)
+
+
+def test_nominal_check_with_an_initial_d_rejects_an_infeasible_level(monkeypatch):
+    # SISO H-infinity at 1.0, below its nominal level of about 1.83
+    unc = rs.build_example("siso")
+    K0 = rs.build_noncausal(unc.nominal())
+    calls = _count_hinf_norm(monkeypatch)
+    monkeypatch.setattr(robust, "synth_hinf", None)  # never reached
+    res = rs.dk_iteration(unc, rs.RegretLevel.hinf(1.0), K0=K0,
+                          initial_D=_unit_dscale())
+    assert not res.feasible and res.controller is None
+    assert res.metadata["reason"] == "nominal_infeasible"
+    assert res.metadata["iterations"] == 0
+    assert not calls

@@ -7,8 +7,10 @@ import regretsynth as rs
 from regretsynth.errors import DimensionError, SampleTimeError
 from regretsynth.hinf import tustin_c2d, tustin_d2c
 
-from conftest import random_stable_ss
-from oracles import dcgain, schur_stein_reference
+from conftest import random_stable_ss, same_bits, with_signed_zeros
+from oracles import (append_reference, balance_states_reference, dcgain,
+                     freqresp_reference, schur_stein_reference,
+                     series_reference)
 
 
 def test_dimension_checks():
@@ -177,3 +179,86 @@ def test_schur_stein_singular_column_raises():
     with pytest.raises(ValueError):
         rs.statespace._schur_stein(0.5 * np.eye(2), np.array([[1.0, np.nan],
                                                              [np.nan, 1.0]]))
+
+
+def _kernel_systems(rng, n_u, n_y):
+    """Random systems with n_u inputs and n_y outputs: no states, one,
+    several, and ones with signed zeros."""
+    for n in (0, 1, 3, 6):
+        g = random_stable_ss(rng, n, n_u, n_y, rho=0.9)
+        yield g
+        yield with_signed_zeros(rng, g)
+
+
+def _same_system(g, h):
+    return (g.sample_time == h.sample_time
+            and all(same_bits(getattr(g, m), getattr(h, m)) for m in "ABCD"))
+
+
+def test_append_and_series_match_block_references_bitwise():
+    rng = np.random.default_rng(21)
+    # (n_u, n_y) pairs with zero-width B or C among them
+    dims = ((1, 1), (2, 3), (0, 2), (2, 0), (0, 0))
+    for n_u1, n_y1 in dims:
+        for n_u2, n_y2 in dims:
+            for g1 in _kernel_systems(rng, n_u1, n_y1):
+                g2 = with_signed_zeros(rng, random_stable_ss(
+                    rng, int(rng.integers(0, 4)), n_u2, n_y2, rho=0.9))
+                assert _same_system(rs.append(g1, g2), append_reference(g1, g2))
+                g2 = random_stable_ss(rng, int(rng.integers(0, 4)), n_y1, n_y2,
+                                      rho=0.9)
+                for h in (g2, with_signed_zeros(rng, g2)):
+                    assert _same_system(rs.series(g1, h), series_reference(g1, h))
+
+
+def test_freqresp_matches_resolvent_reference():
+    rng = np.random.default_rng(22)
+    thetas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 60)])
+    for n, n_u, n_y in ((0, 2, 2), (1, 1, 1), (5, 2, 3), (40, 2, 1), (4, 0, 2),
+                        (4, 2, 0)):
+        g = random_stable_ss(rng, n, n_u, n_y, rho=0.95)
+        if n >= 40:  # several stacked blocks
+            assert rs.statespace.FREQRESP_BLOCK // n**2 < thetas.size
+        for h in (g, with_signed_zeros(rng, g)):
+            resp = h.freqresp(thetas)
+            assert resp.shape == (thetas.size, n_y, n_u)
+            assert np.array_equal(resp, freqresp_reference(h, thetas))
+    # a pole exactly on the circle: the block holding theta = 0 is
+    # evaluated angle by angle
+    g = rs.StateSpace([[1.0, 0.2], [0.0, 0.5]], [[1.0], [1.0]],
+                      [[1.0, 1.0]], [[0.0]], 1.0)
+    thetas = np.array([0.3, 0.0, 1.2, 2.9])
+    resp = g.freqresp(thetas)
+    assert abs(resp[1, 0, 0]) > 1e8
+    assert np.array_equal(resp, freqresp_reference(g, thetas))
+
+
+def test_balance_states_matches_reference_bitwise():
+    rng = np.random.default_rng(23)
+    cases = []
+    for n, n_u, n_y in ((0, 1, 1), (1, 1, 1), (4, 2, 3), (8, 1, 2), (5, 0, 2),
+                        (5, 2, 0), (5, 0, 0)):
+        g = random_stable_ss(rng, n, n_u, n_y, rho=0.9)
+        cases += [g, with_signed_zeros(rng, g, share=0.5)]
+    # states scaled by 2^-60 to 2^60: the first sweep's exponents are
+    # clipped at +-16, and the balancing takes several sweeps
+    g = random_stable_ss(rng, 6, 2, 2, rho=0.9)
+    t = 2.0 ** np.array([-60.0, -30.0, 0.0, 10.0, 40.0, 60.0])
+    clipped = rs.StateSpace(t[:, None] * g.A / t, t[:, None] * g.B, g.C / t, g.D)
+    cases.append(clipped)
+    off = np.abs(clipped.A)
+    np.fill_diagonal(off, 0.0)
+    rows = off.sum(axis=1) + np.abs(clipped.B).sum(axis=1)
+    cols = off.sum(axis=0) + np.abs(clipped.C).sum(axis=0)
+    assert np.max(np.abs(0.5 * np.log2(rows / cols))) > 16
+    # a state with no off-diagonal coupling is left alone
+    A = np.diag([0.5, 0.25, -0.5])
+    A[0, 1] = 1e6
+    cases.append(rs.StateSpace(A, [[1.0], [0.0], [0.0]], [[0.0, 1.0, 0.0]], [[0.0]]))
+    for g in cases:
+        out = rs.statespace.balance_states(g.A, g.B, g.C)
+        ref = balance_states_reference(g.A, g.B, g.C)
+        assert all(same_bits(x, y) for x, y in zip(out, ref))
+    # the clipped case is rescaled
+    A_bal = rs.statespace.balance_states(clipped.A, clipped.B, clipped.C)[0]
+    assert not np.array_equal(A_bal, clipped.A)
