@@ -9,8 +9,9 @@ with K0 the optimal non-causal benchmark.  Feasibility reduces to a
 unit-norm H-infinity problem on the plant weighted by the spectral
 factor inverse on the disturbance channel; the three classical special
 cases are gamma_J = 0 (plain H-infinity), gamma_d = 0 (competitive
-ratio, solved with a small regularization), and gamma_J = 1 (additive
-regret).
+ratio, solved with a small regularization as one H-infinity search on
+the plant weighted by the factor at gamma_J = 1), and gamma_J = 1
+(additive regret).
 """
 
 from __future__ import annotations
@@ -159,11 +160,28 @@ def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
     the ``search_levels`` of the search.  ``feasibility`` overrides the
     per-level oracle (used by the robust designs to swap in
     DK-iteration).
+
+    Without an oracle, the competitive ratio is one H-infinity search.
+    Its level gamma is regularized to (EPS_CR gamma, gamma), so both
+    costs of the factor's DAREs scale by gamma^2 and the factor is
+    exactly gamma times the factor at (EPS_CR, 1).  The level is then
+    met when the loop weighted by that one factor has norm below gamma,
+    and :func:`hinf.hinf_optimize` on the weighted plant gives the
+    ratio.  The result is that of the weighted H-infinity problem, in
+    the ratio's units: ``gamma`` is the ratio, and ``achieved_norm``
+    the certified norm of ``closed_loop``, below it.  Its metadata adds
+    ``level`` (0, gamma), ``kind`` and ``gamma_d_regularized``.
     """
     if kind == KIND_HINF and feasibility is None:
         return hinf_optimize(P, tol_abs, tol_rel)
     if K0 is None:
         K0 = build_noncausal(P)
+    if kind == KIND_COMPETITIVE and feasibility is None:
+        Pw, _ = regret_weighted_plant(P, K0, RegretLevel.competitive_ratio(1.0))
+        gamma, res = hinf_optimize(Pw, tol_abs, tol_rel)
+        return gamma, replace(res, metadata={
+            **res.metadata, "level": (0.0, gamma), "kind": KIND_COMPETITIVE,
+            "gamma_d_regularized": effective_gamma_d(0.0, gamma)})
     if feasibility is None:
         def feasibility(level):
             return synth_regret(P, level, K0=K0)

@@ -55,7 +55,8 @@ def random_generalized_plant(seed, n=3, nd=2, nu=1, ne=2, ny=1, rho=0.7):
     """Random stable plant with the standing zero-feedthrough pattern."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
-    A = rho * A / max(np.abs(np.linalg.eigvals(A)))
+    r = max(np.abs(np.linalg.eigvals(A))) if n else 1.0
+    A = rho * A / r
     B = rng.standard_normal((n, nd + nu))
     C = rng.standard_normal((ne + ny, n))
     D = np.zeros((ne + ny, nd + nu))

@@ -211,6 +211,22 @@ def competitive_ratio_oracle(P, tol_abs: float = 1e-4,
     return rs.hinf_optimize(P_w, tol_abs, tol_rel)[0]
 
 
+def cr_bisection_reference(P, K0, tol_abs: float = 1e-4,
+                           tol_rel: float = 1e-4):
+    """The competitive ratio by a bisection over regret levels.
+
+    ``optimize_special`` searched this way before it ran one H-infinity
+    search on the plant weighted by the factor at gamma = 1: each level
+    gamma builds its own factor at (EPS_CR gamma, gamma) and is decided
+    by ``synth_regret``.  Returns (gamma_upper, result_at_upper).
+    """
+    def feasible_at(gamma):
+        return rs.synth_regret(P, rs.RegretLevel.competitive_ratio(gamma), K0=K0)
+
+    _, hi, best = rs.hinf.bisect_level(feasible_at, tol_abs, tol_rel)
+    return hi, best
+
+
 def para_hermitian_apply(system, ebar, tol: float = 1e-12):
     """Apply the adjoint P~ in the time domain: <P d, e> = <d, P~ e>.
 

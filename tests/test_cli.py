@@ -22,6 +22,11 @@ def test_synth_boeing_cr(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["feasible"]
     assert abs(summary["gamma"] - 1.33) < 0.05
+    # the certificate of the weighted H-infinity problem, in the ratio's units
+    gamma = summary["gamma"]
+    assert summary["achieved_norm"] <= gamma
+    assert summary["metadata"]["level"] == [0, gamma]
+    assert summary["metadata"]["gamma_d_regularized"] == rs.EPS_CR * gamma
     assert (out / "controller.sys").exists()
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["command"] == "synth"

@@ -19,13 +19,15 @@ def test_partition_invariants_enforced():
 
 
 def test_lft_lower_zero_controller():
-    P = random_generalized_plant(0)
-    K = rs.static_gain(np.zeros((P.n_u, P.n_y)), 1.0)
-    cl = rs.lft_lower(P, K)
-    sub = P.ed_subsystem()
-    for th in np.linspace(0, np.pi, 7):
-        z = np.exp(1j * th)
-        assert np.allclose(cl.at_z(z), sub.at_z(z), atol=1e-12)
+    for n in (3, 0):  # n = 0: a static plant
+        P = random_generalized_plant(0, n=n)
+        K = rs.static_gain(np.zeros((P.n_u, P.n_y)), 1.0)
+        cl = rs.lft_lower(P, K)
+        assert cl.n_x == n
+        sub = P.ed_subsystem()
+        for th in np.linspace(0, np.pi, 7):
+            z = np.exp(1j * th)
+            assert np.allclose(cl.at_z(z), sub.at_z(z), atol=1e-12)
 
 
 def test_lft_lower_frequency_oracle():

@@ -7,7 +7,7 @@ import regretsynth as rs
 from regretsynth.regret import KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, KIND_HINF
 
 from conftest import random_generalized_plant, scalar_plant
-from oracles import verify_regret_loop
+from oracles import cr_bisection_reference, verify_regret_loop
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,29 @@ def test_optimize_special_cases(scalar_k0):
     assert g_c >= 1.0  # competitive ratio can never beat the benchmark
     assert g_r <= g_inf + 1e-6  # additive regret never exceeds plain hinf
     assert res_r.metadata["kind"] == KIND_ADDITIVE
+
+
+@pytest.mark.parametrize("name", ["scalar", "siso"])
+def test_competitive_ratio_is_one_weighted_hinf_search(store, scalar_k0, name):
+    if name == "scalar":
+        P, K0 = scalar_k0
+        g_c, res = rs.optimize_special(P, "competitive-ratio", 1e-4, 1e-4, K0=K0)
+    else:
+        P, K0 = store.nominal(name), store.k0(name)
+        g_c, res = store.special(name, "competitive-ratio")
+    g_ref, res_ref = cr_bisection_reference(P, K0)
+    assert res_ref.feasible
+    assert abs(g_c - g_ref) <= 1e-4 + 1e-4 * max(g_c, g_ref)
+    # the certificate is the weighted H-infinity problem's, in the ratio's units
+    assert res.feasible and res.gamma == g_c
+    assert rs.hinf_norm(res.closed_loop) <= res.achieved_norm < g_c
+    gd = res.metadata["gamma_d_regularized"]
+    assert res.metadata["level"] == (0.0, g_c) and gd == rs.EPS_CR * g_c
+    assert res.metadata["kind"] == KIND_COMPETITIVE
+    assert dict(res.metadata["search_levels"])[g_c] in ("below", "bracket")
+    rep = rs.verify_regret(res.controller, P, rs.RegretLevel(gd, g_c),
+                           n_trials=200, seed=5, K0=K0)
+    assert rep.passed, rep
 
 
 def test_optimize_special_records_its_levels(scalar_k0):

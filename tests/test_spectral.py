@@ -7,6 +7,7 @@ import pytest
 
 import regretsynth as rs
 from regretsynth.errors import GammaDZero, SingularX, StabilizabilityFailure
+from regretsynth.regret import regret_weighted_plant
 from regretsynth.riccati import DareProblem, dare_residual, solve_dare
 from regretsynth.spectral import CHECK_THETAS, _w_basis
 
@@ -270,3 +271,32 @@ def test_failed_checks_raise_on_every_call():
     for gammas in ((1.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
         with pytest.raises(StabilizabilityFailure):
             rs.spectral_factor_regret(rs.build_phat(K0, gammas))
+
+
+@pytest.mark.parametrize("name", ["scalar", "siso", "boeing747", "quartercar"])
+def test_competitive_ratio_factor_scales_with_the_level(store, name):
+    # at (EPS_CR gamma, gamma) both DARE costs are gamma^2 times those at
+    # (EPS_CR, 1), so the factor is gamma times the factor at gamma = 1:
+    # the premise of optimize_special's single competitive-ratio search
+    P = scalar_plant() if name == "scalar" else store.nominal(name)
+    K0 = rs.build_noncausal(P) if name == "scalar" else store.k0(name)
+
+    def factor(gamma):
+        level = rs.RegretLevel.competitive_ratio(gamma)
+        return regret_weighted_plant(P, K0, level)[1]
+
+    def rel_error(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    unit = factor(1.0)
+    assert unit.gamma_d == rs.EPS_CR
+    F1 = unit.F.freqresp(CHECK_THETAS)
+    F1_inv = unit.F_inv.freqresp(CHECK_THETAS)
+    # the inverse inherits the factor's error times its conditioning
+    # (about 6e3 on the quarter-car)
+    inv_tol = 1e-9 * np.max(np.linalg.cond(F1))
+    for gamma in (0.5, 3.0, 20.0):
+        scaled = factor(gamma)
+        assert scaled.gamma_d == rs.EPS_CR * gamma
+        assert rel_error(scaled.F.freqresp(CHECK_THETAS), gamma * F1) <= 1e-9
+        assert rel_error(scaled.F_inv.freqresp(CHECK_THETAS), F1_inv / gamma) <= inv_tol
