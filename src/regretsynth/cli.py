@@ -22,7 +22,6 @@ from .examples import (EXAMPLE_NAMES, build_example, example_components,
 from .hinf import check_tolerances
 from .noncausal import build_noncausal
 from .norms import FrequencyGrid, hinf_norm, loop_margins
-from .parallel import thread_count
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import RegretLevel, optimize_special, pareto_front, synth_regret, verify_regret
 from .robust import (DELTA_ORDER, dk_feasibility_oracle, robust_pareto_front,
@@ -91,7 +90,6 @@ def _metadata(args, t0, extra=None):
         "tol_abs": getattr(args, "tol_abs", None),
         "tol_rel": getattr(args, "tol_rel", None),
         "mode": getattr(args, "mode", None),
-        "threads": thread_count(),
         "elapsed_s": time.time() - t0,
     }
     if extra:

@@ -106,6 +106,8 @@ def care_schur(H: np.ndarray):
     residual and on L.
     """
     n = H.shape[0] // 2
+    if n == 0:
+        return np.zeros((0, 0))
     # Diagonal balancing (similarity) before eigenvalue work; the
     # invariant subspace transforms back exactly.
     Hb, T_bal = scipy.linalg.matrix_balance(H)
@@ -224,10 +226,10 @@ def _central_controller(A, B1, B2, C1, C2, D11, gamma):
     X = care_schur(Hx)
     if X is None:
         return None, "X_riccati"
-    x_scale = 1.0 + float(np.max(np.abs(X)))
+    x_scale = 1.0 + float(np.max(np.abs(X), initial=0.0))
     # loose sign gate: marginal roundoff negatives pass through and the
     # a-posteriori closed-loop validation arbitrates
-    if float(np.min(np.linalg.eigvalsh(X))) < -1e-4 * x_scale:
+    if float(np.min(np.linalg.eigvalsh(X), initial=np.inf)) < -1e-4 * x_scale:
         return None, "X_indefinite"
     # Y Hamiltonian (dual)
     top = np.hstack([A.T, np.zeros((n, n))])
@@ -238,10 +240,10 @@ def _central_controller(A, B1, B2, C1, C2, D11, gamma):
     Y = care_schur(Hy)
     if Y is None:
         return None, "Y_riccati"
-    y_scale = 1.0 + float(np.max(np.abs(Y)))
-    if float(np.min(np.linalg.eigvalsh(Y))) < -1e-4 * y_scale:
+    y_scale = 1.0 + float(np.max(np.abs(Y), initial=0.0))
+    if float(np.min(np.linalg.eigvalsh(Y), initial=np.inf)) < -1e-4 * y_scale:
         return None, "Y_indefinite"
-    rho_xy = float(np.max(np.abs(np.linalg.eigvals(X @ Y))))
+    rho_xy = float(np.max(np.abs(np.linalg.eigvals(X @ Y)), initial=0.0))
     if rho_xy >= g2:
         return None, "spectral_radius"
     # gains

@@ -24,7 +24,6 @@ from .hinf import (SynthesisResult, bisect_level, hinf_optimize, hinf_search,
                    synth_hinf)
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
-from .parallel import parallel_map
 from .plants import GeneralizedPlant, lft_lower, weight_disturbance
 from .signals import random_signal, response_energy, sinusoid_signal
 from .spectral import effective_gamma_d, spectral_factor_regret
@@ -130,12 +129,29 @@ def _level_for(kind: str, gamma: float) -> RegretLevel:
     raise ValueError(f"optimize_special kind must be a special case, got {kind!r}")
 
 
-def _traced_bisection(feasible_at, tol_abs: float, tol_rel: float):
+class _Implied:
+    """The verdict on a level that a point at a smaller gamma_d already
+    certified: feasible, with no oracle called."""
+
+    feasible = True
+
+
+_IMPLIED = _Implied()
+
+
+def _traced_bisection(feasible_at, tol_abs: float, tol_rel: float,
+                      implied_from: float = np.inf):
     """:func:`bisect_level` over ``feasible_at``, with the result at the
     upper end carrying ``search_levels``: one (gamma, verdict) per level
     in the order tried, the verdict being ``feasible`` or the result's
     ``reason``, followed by the iteration count for DK-iteration
-    results."""
+    results.
+
+    Levels at or above ``implied_from`` are answered feasible without
+    calling ``feasible_at`` and are not recorded.  An upper end known
+    only that way is evaluated (and recorded) last, so the result at it
+    may be infeasible.
+    """
     levels = []
 
     def decide(g):
@@ -146,7 +162,10 @@ def _traced_bisection(feasible_at, tol_abs: float, tol_rel: float):
         levels.append(entry)
         return res
 
-    lo, hi, best = bisect_level(decide, tol_abs, tol_rel)
+    lo, hi, best = bisect_level(
+        lambda g: _IMPLIED if g >= implied_from else decide(g), tol_abs, tol_rel)
+    if best is _IMPLIED:
+        best = decide(hi)
     return lo, hi, replace(best, metadata={**best.metadata,
                                            "search_levels": tuple(levels)})
 
@@ -219,12 +238,33 @@ class ParetoFront:
         return rows
 
 
-def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float,
-                    tol_rel: float) -> ParetoPoint:
+def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float, tol_rel: float,
+                    implied_from: float = np.inf) -> ParetoPoint:
     """Minimal gamma_J at fixed gamma_d by :func:`bisect_level`, with the
-    ``search_levels`` of :func:`optimize_special` on the result."""
-    return ParetoPoint(gamma_d, *_traced_bisection(
-        lambda g: feasibility(RegretLevel(gamma_d, g)), tol_abs, tol_rel))
+    ``search_levels`` of :func:`optimize_special` on the result.
+
+    ``implied_from`` is the gamma_J that a point at a smaller gamma_d
+    certified.  The regret bound only weakens as gamma_d or gamma_J
+    grows, so every level at or above it is feasible here too, and the
+    search answers so without calling ``feasibility``.  An upper end
+    known only that way is synthesized at this gamma_d.  Should that
+    synthesis fail (numerical verdicts that are not monotone), the
+    point is searched again from cold, with ``implied_refuted`` (the
+    bound, the level) in its metadata.  The result's ``implied_from``
+    is the bound its search ran under (None for a cold search):
+    ``search_levels`` and the cold tree's levels at or above it make up
+    the whole cold tree.
+    """
+    def feasible_at(g):
+        return feasibility(RegretLevel(gamma_d, g))
+
+    lo, hi, best = _traced_bisection(feasible_at, tol_abs, tol_rel, implied_from)
+    meta = {"implied_from": None if implied_from == np.inf else implied_from}
+    if not best.feasible:
+        meta = {"implied_from": None, "implied_refuted": (implied_from, hi)}
+        lo, hi, best = _traced_bisection(feasible_at, tol_abs, tol_rel)
+    return ParetoPoint(gamma_d, lo, hi,
+                       replace(best, metadata={**best.metadata, **meta}))
 
 
 def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
@@ -232,10 +272,14 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
                  gamma_inf: float | None = None, oracle_factory=None) -> ParetoFront:
     """Trade-off front: minimal gamma_J over a grid of gamma_d values.
 
-    The grid spans ``_GRID_SPAN`` times the H-infinity optimum.  Each
-    point bisects with its own oracle from ``oracle_factory()`` (nominal
-    synthesis by default), so points are independent; they run under
-    the parallel-map contract.
+    The grid spans ``_GRID_SPAN`` times the H-infinity optimum.  Points
+    are solved in increasing gamma_d, each bisecting with its own oracle
+    from ``oracle_factory()`` (nominal synthesis by default).  A
+    controller certified at (gamma_d, gamma_J) also certifies every
+    level with a larger gamma_d and gamma_J, so each point's search
+    takes the levels at or above the previous point's upper end as
+    feasible (see :func:`_bisect_gamma_j`); every point's result is
+    still synthesized at its own gamma_d.
     """
     if K0 is None:
         K0 = build_noncausal(P)
@@ -245,11 +289,13 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
         def oracle_factory():
             return lambda level: synth_regret(P, level, K0=K0)
     grid = np.linspace(_GRID_SPAN[0], _GRID_SPAN[1], n_points) * gamma_inf
-
-    def solve_point(gd):
-        return _bisect_gamma_j(oracle_factory(), float(gd), tol_abs, tol_rel)
-
-    points = parallel_map(solve_point, list(grid))
+    points = []
+    implied_from = np.inf
+    for gd in grid:
+        point = _bisect_gamma_j(oracle_factory(), float(gd), tol_abs, tol_rel,
+                                implied_from)
+        points.append(point)
+        implied_from = point.gamma_j_upper
     return ParetoFront(tuple(points), gamma_inf,
                        metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
                                  "grid_span": _GRID_SPAN})

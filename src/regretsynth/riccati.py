@@ -176,7 +176,7 @@ def check_dare_assumptions(p: DareProblem) -> DareAssumptionReport:
     # (iii)
     if conds[0].passed:
         shifted = p.A - p.B @ np.linalg.solve(p.R, p.S.T)
-        m3 = min_sv(shifted) / max(1.0, float(np.max(np.abs(p.A))))
+        m3 = min_sv(shifted) / max(1.0, float(np.max(np.abs(p.A), initial=0.0)))
         conds.append(ConditionResult("A_minus_BRinvS_nonsingular", m3 > _ASSUMPTION_TOL, m3))
     else:
         conds.append(ConditionResult("A_minus_BRinvS_nonsingular", False, 0.0,
@@ -184,7 +184,8 @@ def check_dare_assumptions(p: DareProblem) -> DareAssumptionReport:
     # (iv) pencil full column rank on the unit circle
     C_e, D_eu = p.output_pair()
     thetas = np.linspace(0.0, np.pi, _RANK_GRID)
-    scale = max(1.0, float(np.max(np.abs(p.A))), float(np.max(np.abs(C_e))) if C_e.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(p.A), initial=0.0)),
+                float(np.max(np.abs(C_e), initial=0.0)))
     worst = np.inf
     eye = np.eye(p.n)
     for th in thetas:

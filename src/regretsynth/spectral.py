@@ -160,10 +160,9 @@ def _w_basis(phat: NoncausalClosedLoop) -> _WBasis:
     semidefinite state cost gamma_J^2 (N' N + E' E).
 
     ``build_phat`` forms A_hat and B_hat from K0 alone, so the resolvent
-    of the first closed loop serves every level.  Filling the store is
-    idempotent: two threads of a ``pareto_front`` pool may at worst
-    both compute it.  A K0 whose X is not positive definite stores
-    nothing, so every call raises ``SingularX`` again.
+    of the first closed loop serves every level.  A K0 whose X is not
+    positive definite stores nothing, so every call raises
+    ``SingularX`` again.
     """
     K0 = phat.K0
     setup = K0.factor_setup

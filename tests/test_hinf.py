@@ -28,6 +28,16 @@ def test_random_plants_optimize_and_validate():
         assert g < rs.hinf_norm(P.ed_subsystem()) + 1e-9
 
 
+def test_static_plant_optimizes_and_validates():
+    for seed in range(4):
+        P = random_generalized_plant(seed, n=0)
+        g, res = rs.hinf_optimize(P, 1e-4, 1e-4)
+        assert res.feasible and res.controller.n_x == 0
+        # the static controller's certified norm is below its level
+        assert res.achieved_norm < g
+        assert rs.hinf_norm(rs.lft_lower(P, res.controller)) <= res.achieved_norm
+
+
 def test_synthesis_records_the_norm_bracket(monkeypatch):
     P = random_generalized_plant(1)
     g, res = rs.hinf_optimize(P, 1e-4, 1e-4)

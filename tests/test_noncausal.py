@@ -72,6 +72,17 @@ def test_kd_equals_kv_x_bd():
         assert np.abs(np.linalg.det(K0.A11)) > 0
 
 
+def test_static_plant():
+    # no states: e = D_eu u, so the non-causal optimum costs nothing
+    rng = np.random.default_rng(0)
+    for seed in range(4):
+        P = random_generalized_plant(seed, n=0)
+        K0 = rs.build_noncausal(P)
+        assert K0.X.shape == (0, 0)
+        d = rs.Signal(0, rng.standard_normal((10, P.n_d)))
+        assert rs.eval_noncausal_cost(K0, d) == 0.0
+
+
 def test_decoupled_disturbance():
     # B_d = 0: K_d = 0 and the benchmark cost vanishes
     ss = rs.StateSpace([[0.5]], [[0.0, 1.0]], [[1.0], [0.0], [1.0]],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import regretsynth as rs
-from regretsynth.regret import KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, KIND_HINF
+from regretsynth.regret import (KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, KIND_HINF,
+                                _bisect_gamma_j)
 
 from conftest import random_generalized_plant, scalar_plant
 from oracles import cr_bisection_reference, verify_regret_loop
@@ -141,8 +142,6 @@ def test_pareto_front_scalar(scalar_k0):
     assert gj[0] <= g_c * 1.05 + 2e-3
     assert gj[-1] <= 0.5 * gj[0]
     # independent per-point recomputation matches
-    from regretsynth.regret import _bisect_gamma_j
-
     def feas(level):
         return rs.synth_regret(P, level, K0=K0)
 
@@ -151,6 +150,97 @@ def test_pareto_front_scalar(scalar_k0):
         assert abs(again.gamma_j_upper - p.gamma_j_upper) <= 2 * (
             1e-3 + 1e-3 * p.gamma_j_upper
         )
+
+
+def _counting_factory(P, K0, calls):
+    """Oracle factory of nominal synthesis that appends each level to
+    ``calls``."""
+    def factory():
+        def oracle(level):
+            calls.append((level.gamma_d, level.gamma_J))
+            return rs.synth_regret(P, level, K0=K0)
+        return oracle
+    return factory
+
+
+def _front_against_cold(P, K0, n_points, tol_abs, tol_rel, gamma_inf=None):
+    """Sweeps a front and searches each of its points cold, requiring
+    every point to be the cold one bit for bit; returns the number of
+    levels each synthesized."""
+    swept_calls, cold_calls = [], []
+    front = rs.pareto_front(P, n_points=n_points, tol_abs=tol_abs,
+                            tol_rel=tol_rel, K0=K0, gamma_inf=gamma_inf,
+                            oracle_factory=_counting_factory(P, K0, swept_calls))
+    cold_oracle = _counting_factory(P, K0, cold_calls)
+    cold = [_bisect_gamma_j(cold_oracle(), p.gamma_d, tol_abs, tol_rel)
+            for p in front.points]
+    bound = None
+    for p, c in zip(front.points, cold):
+        assert (p.gamma_d, p.gamma_j_lower, p.gamma_j_upper) == \
+            (c.gamma_d, c.gamma_j_lower, c.gamma_j_upper)
+        assert p.result.feasible and p.result.achieved_norm == c.result.achieved_norm
+        assert p.result.metadata["level"] == (p.gamma_d, p.gamma_j_upper)
+        for name in "ABCD":
+            assert getattr(p.result.controller, name).tobytes() == \
+                getattr(c.result.controller, name).tobytes()
+        # the search ran under the previous point's upper end, and its
+        # levels with the cold tree's levels at or above that bound are
+        # the whole cold tree
+        assert p.result.metadata["implied_from"] == bound
+        swept = [lv[0] for lv in p.result.metadata["search_levels"]]
+        below = [g for g, _ in c.result.metadata["search_levels"]
+                 if bound is None or g < bound]
+        assert swept == below
+        bound = p.gamma_j_upper
+    return len(swept_calls), len(cold_calls)
+
+
+def test_pareto_sweep_matches_cold_searches_scalar(scalar_k0):
+    P, K0 = scalar_k0
+    swept, cold = _front_against_cold(P, K0, 5, 1e-3, 1e-3)
+    assert swept < cold
+
+
+def test_pareto_sweep_matches_cold_searches_boeing(store):
+    P, K0 = store.nominal("boeing747"), store.k0("boeing747")
+    g_inf, _ = store.special("boeing747", "hinf", 1e-2, 1e-3)
+    swept, cold = _front_against_cold(P, K0, 8, 1e-2, 1e-3, gamma_inf=g_inf)
+    assert (swept, cold) == (55, 68)
+
+
+def test_pareto_sweep_searches_cold_when_the_implied_end_fails(scalar_k0):
+    # a front whose minimal gamma_J rises with gamma_d: the second
+    # point's implied upper end is infeasible at its own gamma_d
+    P, K0 = scalar_k0
+    threshold = {0.001: 1.3, 0.999: 1.4}
+    calls = []
+
+    def factory():
+        def oracle(level):
+            calls.append((level.gamma_d, level.gamma_J))
+            ok = level.gamma_J >= threshold[level.gamma_d]
+            meta = {"level": (level.gamma_d, level.gamma_J)}
+            if not ok:
+                meta["reason"] = "fake_infeasible"
+            return rs.SynthesisResult(rs.static_gain([[0.0]], 1.0) if ok else None,
+                                      1.0, ok, 0.5 if ok else np.inf, None, meta)
+        return oracle
+
+    front = rs.pareto_front(P, n_points=2, tol_abs=1e-2, tol_rel=1e-3, K0=K0,
+                            gamma_inf=1.0, oracle_factory=factory)
+    first, second = front.points
+    assert first.gamma_j_upper == 1.3046875
+    assert second.gamma_j_upper == 1.40625 and second.result.feasible
+    assert second.result.metadata["level"] == (0.999, 1.40625)
+    assert second.result.metadata["implied_from"] is None
+    assert second.result.metadata["implied_refuted"] == (1.3046875, 1.3046875)
+    # the bounded search evaluated the levels below the bound and then
+    # the implied end; the cold search that followed is recorded alone
+    at_second = [g for gd, g in calls if gd == 0.999]
+    cold_levels = [lv[0] for lv in second.result.metadata["search_levels"]]
+    assert at_second == [1.0, 1.25, 1.28125, 1.296875, 1.3046875] + cold_levels
+    assert second.result.metadata["search_levels"] == _bisect_gamma_j(
+        factory(), 0.999, 1e-2, 1e-3).result.metadata["search_levels"]
 
 
 def test_pareto_csv_rows(scalar_k0):
