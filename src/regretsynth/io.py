@@ -161,11 +161,12 @@ def write_freqresp_csv(path, sys: StateSpace, thetas):
 
 
 def write_sigma_curve_csv(path, sys: StateSpace, thetas):
-    """Column 2-norm curve ||T(e^{j theta})||_2 against omega."""
-    from .norms import l2_gain_curve
+    """sigma_max(T(e^{j theta})) against omega (the column 2-norm for a
+    single input)."""
+    from .norms import sigma_max_on_grid
 
     thetas = np.asarray(thetas, dtype=float)
-    sig = l2_gain_curve(sys, thetas)
+    sig = sigma_max_on_grid(sys, thetas)
     ts = sys.sample_time
     omega = thetas if ts == UNIT else thetas / ts
     write_csv(path, ["omega", "sigma"],

@@ -24,7 +24,7 @@ from .errors import RegretSynthError
 from .plants import GeneralizedPlant
 from .riccati import DareProblem, solve_dare
 from .signals import Signal, lock_step_view, trial_blocks
-from .statespace import StateSpace, stein
+from .statespace import stein
 
 # largest relative gap between the simulated cost and the
 # completion-of-squares sum that eval_noncausal_cost accepts
@@ -227,14 +227,6 @@ class NoncausalClosedLoop:
     def n_d(self) -> int:
         return self.K0.plant.n_d
 
-    def to_statespace(self) -> StateSpace:
-        """Raw matrices as a StateSpace; only valid for frequency-domain
-        evaluation (the realization is not causal)."""
-        return StateSpace(self.A_hat, self.B_hat, self.C_hat, self.D_hat,
-                          self.K0.plant.sample_time)
-
-    def freqresp(self, thetas) -> np.ndarray:
-        return self.to_statespace().freqresp(thetas)
 
 def build_phat(K0: NoncausalController, gammas) -> NoncausalClosedLoop:
     """Assemble the Eq.-of-motion matrices of the benchmark closed loop."""

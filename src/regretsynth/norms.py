@@ -373,15 +373,6 @@ def hinf_norm(sys: StateSpace, return_theta: bool = False,
     return br.upper
 
 
-def l2_gain_curve(sys: StateSpace, thetas) -> np.ndarray:
-    """Column 2-norm ||G(e^{j theta})||_2 for single-input systems,
-    maximum singular value otherwise."""
-    resp = sys.freqresp(thetas)
-    if sys.n_u == 1:
-        return np.linalg.norm(resp[:, :, 0], axis=1)
-    return np.linalg.svd(resp, compute_uv=False)[:, 0]
-
-
 @dataclass(frozen=True)
 class LoopMargins:
     """Phase margin of a SISO loop at its lowest gain crossover."""
@@ -418,7 +409,7 @@ def loop_margins(L: StateSpace) -> LoopMargins:
         lo, hi = thetas[i], thetas[i + 1]
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            m = abs(L.at_z(np.exp(1j * mid))[0, 0])
+            m = abs(L.freqresp([mid])[0, 0, 0])
             if (m - 1.0) * (mags[i] - 1.0) > 0:
                 lo = mid
             else:
@@ -426,7 +417,7 @@ def loop_margins(L: StateSpace) -> LoopMargins:
             if hi - lo < 1e-14 + 1e-10 * hi:
                 break
         theta_c = 0.5 * (lo + hi)
-    phase = np.angle(L.at_z(np.exp(1j * theta_c))[0, 0])
+    phase = np.angle(L.freqresp([theta_c])[0, 0, 0])
     pm = np.degrees(np.pi + phase)
     # wrap into (-180, 180]
     pm = (pm + 180.0) % 360.0 - 180.0

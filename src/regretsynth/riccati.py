@@ -183,17 +183,22 @@ def check_dare_assumptions(p: DareProblem) -> DareAssumptionReport:
                                      "skipped: R not positive definite"))
     # (iv) pencil full column rank on the unit circle
     C_e, D_eu = p.output_pair()
-    thetas = np.linspace(0.0, np.pi, _RANK_GRID)
+    n, n_e = p.n, C_e.shape[0]
     scale = max(1.0, float(np.max(np.abs(p.A), initial=0.0)),
                 float(np.max(np.abs(C_e), initial=0.0)))
-    worst = np.inf
-    eye = np.eye(p.n)
-    for th in thetas:
-        pencil = np.block([
-            [p.A - np.exp(1j * th) * eye, p.B],
-            [C_e.astype(complex), D_eu.astype(complex)],
-        ])
-        worst = min(worst, min_sv(pencil) / scale)
+    # every angle's pencil in one stack: the constant blocks copied in,
+    # then e^{j theta} subtracted on the leading diagonal
+    pencils = np.empty((_RANK_GRID, n + n_e, n + p.m), dtype=complex)
+    pencils[:, :n, :n] = p.A
+    pencils[:, :n, n:] = p.B
+    pencils[:, n:, :n] = C_e
+    pencils[:, n:, n:] = D_eu
+    z = np.exp(1j * np.linspace(0.0, np.pi, _RANK_GRID))
+    pencils[:, range(n), range(n)] -= z[:, None]
+    if pencils[0].size:
+        worst = float(np.min(np.linalg.svd(pencils, compute_uv=False)[:, -1])) / scale
+    else:
+        worst = np.inf
     conds.append(ConditionResult("unit_circle_rank", worst > _ASSUMPTION_TOL, worst))
     return DareAssumptionReport(tuple(conds), all(c.passed for c in conds))
 

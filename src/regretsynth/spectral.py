@@ -39,7 +39,7 @@ from .errors import (
 )
 from .noncausal import NoncausalClosedLoop
 from .riccati import DareProblem, pbh_stabilizable, solve_dare
-from .statespace import FREQRESP_BLOCK, StateSpace, invert, schur_realization
+from .statespace import StateSpace, invert, schur_realization
 
 # Competitive-ratio regularization: gamma_d = 0 is a singular problem,
 # replaced by gamma_d_eff = EPS_CR * gamma_J (slightly stronger bound).
@@ -132,9 +132,10 @@ class _WBasis:
     diagonal blocks quasi-triangular) and ``C_e`` its error rows at
     gamma_J = 1; ``G_w`` is the state cost of the n_x-state w-block
     problem at gamma_J = 1 in the same basis, ``resolvent`` is
-    (e^{j theta} I - A_hat)^{-1} B_hat on CHECK_THETAS, and
-    ``stabilizability`` the PBH margin of the w-block.  The arrays are
-    read-only.
+    (e^{j theta} I - A_hat)^{-1} B_hat on CHECK_THETAS,
+    ``stabilizability`` the PBH margin of the w-block, and ``cond_X``
+    the condition number of X (1 for a plant with no states).  The
+    arrays are read-only.
     """
 
     A: np.ndarray
@@ -192,29 +193,15 @@ def _w_basis(phat: NoncausalClosedLoop) -> _WBasis:
     A = np.block([[S1, U1.T @ A12 @ U2], [np.zeros((n, n)), S2]])
     B = np.vstack([U1.T @ P.B_d, -U2.T @ L.T @ P.B_d])
     NE = np.vstack([N, E]) @ U2
-    arrays = (A, B, np.hstack([C11 @ U1, C2 @ U2]), _sym(NE.T @ NE),
-              _check_resolvent(phat.A_hat, phat.B_hat))
+    # the response of the system (A_hat, B_hat, I, 0) is the resolvent
+    resolvent = StateSpace(phat.A_hat, phat.B_hat, np.eye(2 * n),
+                           np.zeros((2 * n, P.n_d))).freqresp(CHECK_THETAS)
+    arrays = (A, B, np.hstack([C11 @ U1, C2 @ U2]), _sym(NE.T @ NE), resolvent)
     for arr in arrays:
         arr.flags.writeable = False
-    setup["w_basis"] = _WBasis(*arrays, pbh_stabilizable(A[n:, n:], B[n:, :]),
-                               float(np.linalg.cond(K0.X)))
+    cond_X = float(np.linalg.cond(K0.X)) if n else 1.0
+    setup["w_basis"] = _WBasis(*arrays, pbh_stabilizable(A[n:, n:], B[n:, :]), cond_X)
     return setup["w_basis"]
-
-
-def _check_resolvent(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(e^{j theta} I - A)^{-1} B on CHECK_THETAS, by the stacked solve of
-    ``StateSpace.freqresp`` in its blocks, so that C X + D is that
-    method's response bit for bit.  A_hat has no pole on the circle
-    (A11 is Schur, A11^{-T} anti-Schur), so no angle needs its
-    per-angle fallback."""
-    eye = np.eye(A.shape[0])
-    block = max(1, FREQRESP_BLOCK // A.shape[0]**2)
-    parts = []
-    for lo in range(0, CHECK_THETAS.size, block):
-        resolvent = np.exp(1j * CHECK_THETAS[lo : lo + block])[:, None, None] * eye
-        resolvent -= A
-        parts.append(np.linalg.solve(resolvent, B[None]))
-    return np.concatenate(parts)
 
 
 def _closed_loop_response(phat: NoncausalClosedLoop) -> np.ndarray:

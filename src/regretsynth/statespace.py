@@ -219,11 +219,12 @@ class StateSpace:
         so that the stacked matrices ``e^{j theta} I - A`` of a block
         hold about 1 MB; each block is one stacked solve
         ``(e^{j theta} I - A) X = B`` followed by ``C X + D``.  Every
-        angle gets the same arithmetic as :meth:`at_z`, so the result
+        angle gets the arithmetic of a one-angle call, so the result
         does not depend on the blocking.  A block whose stacked solve
         raises (a pole exactly on the circle at one of its angles) is
-        evaluated angle by angle through :meth:`at_z`, which moves only
-        the singular angles just outside the unit circle.
+        evaluated angle by angle, and an angle whose own solve is
+        singular too is moved to ``z (1 + 1e-9)``, just outside the
+        unit circle.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         out = np.empty((thetas.size, self.n_y, self.n_u), dtype=complex)
@@ -247,20 +248,15 @@ class StateSpace:
                 X = np.linalg.solve(resolvent, self.B[None])
             except np.linalg.LinAlgError:
                 for k, zk in enumerate(z, start=lo):
-                    out[k] = self.at_z(zk)
+                    try:
+                        Xk = np.linalg.solve(zk * np.eye(n) - self.A, self.B)
+                    except np.linalg.LinAlgError:
+                        Xk = np.linalg.solve(zk * (1 + 1e-9) * np.eye(n) - self.A,
+                                             self.B)
+                    out[k] = self.C @ Xk + self.D
                 continue
             np.add(self.C @ X, self.D, out=out[lo : lo + z.size])
         return out
-
-    def at_z(self, z: complex) -> np.ndarray:
-        """Transfer function value at a single complex point."""
-        if self.n_x == 0:
-            return self.D.astype(complex)
-        try:
-            X = np.linalg.solve(z * np.eye(self.n_x) - self.A, self.B)
-        except np.linalg.LinAlgError:
-            X = np.linalg.solve(z * (1 + 1e-9) * np.eye(self.n_x) - self.A, self.B)
-        return self.C @ X + self.D
 
     # -- submatrices -----------------------------------------------------
     def subsystem(self, outputs, inputs) -> "StateSpace":

@@ -579,6 +579,13 @@ def w_realization_reference(phat):
     return A, B, C, phat.D_hat, Q_w, L @ U2
 
 
+def phat_statespace(phat) -> rs.StateSpace:
+    """The matrices of a ``NoncausalClosedLoop`` as a StateSpace; its
+    frequency response is the closed loop's (the realization is not
+    causal, so nothing but the response is meaningful)."""
+    return rs.StateSpace(phat.A_hat, phat.B_hat, phat.C_hat, phat.D_hat)
+
+
 def identity_error_loop(F, system_resp, thetas) -> float:
     """Per-angle reference for the factor's frequency-identity error."""
     Fresp = F.freqresp(thetas)
@@ -688,8 +695,9 @@ def regret_factor_reference(phat):
     F = rs.spectral._factor_from_dares(prob_w, P.sample_time)
     F_inv = rs.statespace.schur_realization(rs.invert(F))
     thetas = np.linspace(0.0, np.pi, 64)
+    resp = phat_statespace(phat).freqresp(thetas)
     diagnostics = {
-        "freq_identity_error": identity_error_loop(F, phat.freqresp(thetas), thetas),
+        "freq_identity_error": identity_error_loop(F, resp, thetas),
         "cond_X": float(np.linalg.cond(K0.X)),
     }
     Ti = np.linalg.solve(T_w.T, np.eye(n))
@@ -775,9 +783,21 @@ def simulate_ehat(phat, d):
     return rs.Signal(t0, np.hstack([phat.gamma_J * e, phat.gamma_d * din]))
 
 
+def at_z(sys, z) -> np.ndarray:
+    """Transfer function value at a single complex point, taken at
+    z (1 + 1e-9) when z I - A is singular."""
+    if sys.n_x == 0:
+        return sys.D.astype(complex)
+    try:
+        X = np.linalg.solve(z * np.eye(sys.n_x) - sys.A, sys.B)
+    except np.linalg.LinAlgError:
+        X = np.linalg.solve(z * (1 + 1e-9) * np.eye(sys.n_x) - sys.A, sys.B)
+    return sys.C @ X + sys.D
+
+
 def dcgain(sys) -> np.ndarray:
     """G(1), the DC gain of a discrete-time system."""
-    return np.real(sys.at_z(1.0))
+    return np.real(at_z(sys, 1.0))
 
 
 def gamma_d_grid(front) -> np.ndarray:
@@ -892,6 +912,24 @@ def qz_dare(p) -> np.ndarray:
     """Reference stabilizing DARE solution from scipy's QZ solver (the
     generalized Schur form of the symplectic pencil)."""
     return scipy.linalg.solve_discrete_are(p.A, p.B, p.Q, p.R, s=p.S)
+
+
+def rank_margin_reference(p) -> float:
+    """The ``unit_circle_rank`` margin of ``check_dare_assumptions``, one
+    ``np.block`` pencil [A - e^{j theta} I, B; C_e, D_eu] and one SVD
+    per angle."""
+    C_e, D_eu = p.output_pair()
+    scale = max(1.0, float(np.max(np.abs(p.A), initial=0.0)),
+                float(np.max(np.abs(C_e), initial=0.0)))
+    worst = np.inf
+    eye = np.eye(p.n)
+    for th in np.linspace(0.0, np.pi, rs.riccati._RANK_GRID):
+        pencil = np.block([
+            [p.A - np.exp(1j * th) * eye, p.B],
+            [C_e.astype(complex), D_eu.astype(complex)],
+        ])
+        worst = min(worst, rs.riccati.min_sv(pencil) / scale)
+    return worst
 
 
 def verify_regret_loop(K, P, level, n_trials: int = 200, seed: int = 0,
@@ -1101,7 +1139,7 @@ def freqresp_reference(g, thetas):
             X = np.linalg.solve(resolvent, g.B[None])
         except np.linalg.LinAlgError:
             for k, zk in enumerate(z, start=lo):
-                out[k] = g.at_z(zk)
+                out[k] = at_z(g, zk)
             continue
         out[lo : lo + z.size] = g.C @ X + g.D
     return out

@@ -10,7 +10,7 @@ import regretsynth.norms as norms
 from regretsynth.norms import norm_grid, sigma_max_on_grid
 
 from conftest import random_plant_with_dscale_pole, random_stable_ss
-from oracles import hinf_norm_dense
+from oracles import at_z, hinf_norm_dense
 
 
 def test_static_norm_is_sigma_max():
@@ -80,7 +80,7 @@ def test_frequency_grid_invariants():
 
 
 def _sigma_at(g, th):
-    return np.linalg.svd(g.at_z(np.exp(1j * th)), compute_uv=False)[0]
+    return np.linalg.svd(at_z(g, np.exp(1j * th)), compute_uv=False)[0]
 
 
 def _golden_max(f, a, b, rel_tol, max_iter=80):
@@ -131,7 +131,6 @@ def test_sigma_max_on_grid_matches_per_angle_svd():
     thetas = np.linspace(0.0, np.pi, 301)
     per_angle = [_sigma_at(g, th) for th in thetas]
     assert np.array_equal(sigma_max_on_grid(g, thetas), per_angle)
-    assert np.array_equal(rs.l2_gain_curve(g, thetas), per_angle)
 
 
 def _second_order(eps, th0, zero_th=None, gain=1.0):

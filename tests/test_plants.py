@@ -8,7 +8,7 @@ from regretsynth.errors import DimensionError, WellPosednessError
 
 from conftest import (random_generalized_plant, random_stable_ss, same_bits,
                       with_signed_zeros)
-from oracles import lft_lower_reference, matrix_lft_upper
+from oracles import at_z, lft_lower_reference, matrix_lft_upper
 
 
 def test_partition_invariants_enforced():
@@ -27,7 +27,7 @@ def test_lft_lower_zero_controller():
         sub = P.ed_subsystem()
         for th in np.linspace(0, np.pi, 7):
             z = np.exp(1j * th)
-            assert np.allclose(cl.at_z(z), sub.at_z(z), atol=1e-12)
+            assert np.allclose(at_z(cl, z), at_z(sub, z), atol=1e-12)
 
 
 def test_lft_lower_frequency_oracle():
@@ -38,8 +38,8 @@ def test_lft_lower_frequency_oracle():
     thetas = np.linspace(0, np.pi, 64)
     for th in thetas:
         z = np.exp(1j * th)
-        Pz = P.ss.at_z(z)
-        Kz = K.at_z(z)
+        Pz = at_z(P.ss, z)
+        Kz = at_z(K, z)
         P11 = Pz[: P.n_e, : P.n_d]
         P12 = Pz[: P.n_e, P.n_d :]
         P21 = Pz[P.n_e :, : P.n_d]
@@ -48,7 +48,7 @@ def test_lft_lower_frequency_oracle():
         oracle = P11 + P12 @ Kz @ np.linalg.solve(
             np.eye(P.n_y) - P22 @ Kz, P21
         )
-        rel = np.max(np.abs(cl.at_z(z) - oracle)) / max(1, np.max(np.abs(oracle)))
+        rel = np.max(np.abs(at_z(cl, z) - oracle)) / max(1, np.max(np.abs(oracle)))
         assert rel < 1e-10
 
 
@@ -81,7 +81,7 @@ def test_lft_upper_zero_delta():
     M22 = M.subsystem([1, 2], [1, 2])
     for th in np.linspace(0, np.pi, 7):
         z = np.exp(1j * th)
-        assert np.allclose(cl.at_z(z), M22.at_z(z), atol=1e-12)
+        assert np.allclose(at_z(cl, z), at_z(M22, z), atol=1e-12)
 
 
 def test_matrix_lft_upper_formula():
@@ -111,8 +111,8 @@ def test_lft_upper_dynamic_oracle():
     cl = rs.lft_upper(M, Delta, n_w=1, n_v=1)
     for th in np.linspace(0, np.pi, 16):
         z = np.exp(1j * th)
-        oracle = matrix_lft_upper(M.at_z(z), Delta.at_z(z), 1, 1)
-        assert np.max(np.abs(cl.at_z(z) - oracle)) < 1e-10
+        oracle = matrix_lft_upper(at_z(M, z), at_z(Delta, z), 1, 1)
+        assert np.max(np.abs(at_z(cl, z) - oracle)) < 1e-10
 
 
 def test_weight_disturbance_frequency_oracle():
@@ -126,7 +126,7 @@ def test_weight_disturbance_frequency_oracle():
     chained = rs.series(W, cl)
     for th in np.linspace(0, np.pi, 9):
         z = np.exp(1j * th)
-        assert np.allclose(cl_w.at_z(z), chained.at_z(z), atol=1e-10)
+        assert np.allclose(at_z(cl_w, z), at_z(chained, z), atol=1e-10)
 
 
 def test_structural_prune_exactness():
@@ -143,4 +143,4 @@ def test_structural_prune_exactness():
     assert pruned.n_x == 3
     for th in np.linspace(0, np.pi, 5):
         z = np.exp(1j * th)
-        assert np.allclose(pruned.at_z(z), big.at_z(z), atol=1e-12)
+        assert np.allclose(at_z(pruned, z), at_z(big, z), atol=1e-12)

@@ -23,9 +23,21 @@ def test_level_kind_tags():
     assert rs.RegretLevel(1.5, 1.0).kind == KIND_ADDITIVE
     assert rs.RegretLevel(1.5, 2.0).kind == KIND_GENERAL
     with pytest.raises(ValueError):
-        rs.RegretLevel(1.0, 1.0, KIND_HINF)
-    with pytest.raises(ValueError):
         rs.RegretLevel(-1.0, 0.0)
+
+
+def test_zero_state_plants_synthesize():
+    for seed in range(4):
+        P = random_generalized_plant(seed, n=0)
+        K0 = rs.build_noncausal(P)
+        g_inf, _ = rs.hinf_optimize(P, 1e-4, 1e-4)
+        results = [rs.synth_regret(P, rs.RegretLevel(0.5 * g_inf, 1.0), K0=K0)]
+        results += [rs.optimize_special(P, kind, K0=K0)[1]
+                    for kind in (KIND_COMPETITIVE, KIND_ADDITIVE)]
+        front = rs.pareto_front(P, n_points=3, K0=K0, gamma_inf=g_inf)
+        results += [point.result for point in front.points]
+        for res in results:
+            assert res.feasible and res.achieved_norm < res.gamma
 
 
 def test_hinf_collapse(scalar_k0):

@@ -8,7 +8,7 @@ from regretsynth.errors import AssumptionViolated
 from regretsynth.riccati import dare_residual
 
 from conftest import random_generalized_plant
-from oracles import qz_dare
+from oracles import qz_dare, rank_margin_reference
 
 
 def value_iteration_oracle(p, tol=1e-14, max_iter=100000):
@@ -98,6 +98,17 @@ def test_assumption_checker_boeing(store):
     assert np.allclose(p.Q, np.eye(4)) and np.allclose(p.R, np.eye(2))
     report = rs.check_dare_assumptions(p)
     assert report.passed
+
+
+def test_unit_circle_rank_matches_per_angle_pencils(store):
+    """The rank condition's stacked SVD gives the margin of one pencil
+    and one SVD per angle, bit for bit."""
+    plants = [store.nominal(name) for name in rs.EXAMPLE_NAMES]
+    plants += [random_generalized_plant(seed, n=n) for seed in range(4) for n in (3, 0)]
+    for P in plants:
+        p = rs.DareProblem.from_output_data(P.A, P.B_u, P.C_e, P.D_eu)
+        margin = rs.check_dare_assumptions(p)["unit_circle_rank"].margin
+        assert margin == rank_margin_reference(p)
 
 
 def test_completion_of_squares_identity():

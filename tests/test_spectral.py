@@ -13,7 +13,7 @@ from regretsynth.spectral import CHECK_THETAS, _w_basis
 
 from conftest import random_generalized_plant, random_stable_ss, scalar_plant
 from oracles import (_sym, identity_error_loop, inner, n_e_hat, para_hermitian_apply,
-                     regret_factor_reference, regret_qtilde, simulate_ehat,
+                     phat_statespace, regret_factor_reference, regret_qtilde, simulate_ehat,
                      spectral_factorize_general, verify_factor,
                      w_realization_reference)
 
@@ -225,7 +225,7 @@ def test_regret_factor_matches_per_level_reference_bitwise(store, name):
         # on the same response
         G = spectral_factorize_general(phat)
         assert G.diagnostics["freq_identity_error"] == identity_error_loop(
-            G.F, phat.freqresp(CHECK_THETAS), CHECK_THETAS)
+            G.F, phat_statespace(phat).freqresp(CHECK_THETAS), CHECK_THETAS)
     assert list(K0.factor_setup) == ["w_basis"]
 
 
