@@ -23,7 +23,8 @@ gives the verdict of one level by :func:`norms.norm_below`, which
 answers whether that upper bound would be below the level from one
 pencil, and brackets only a level it cannot decide.
 :func:`hinf_search` decides each level of its search so, and
-:func:`hinf_optimize` brackets the level it returns once more.
+:func:`hinf_optimize` brackets the level it returns once more
+(:func:`certify_returned`).
 """
 
 from __future__ import annotations
@@ -541,8 +542,7 @@ def bisect_level(feasible_at, tol_abs: float, tol_rel: float,
 @dataclass(frozen=True)
 class _Decided:
     """A search level that :func:`norms.norm_below` decided, with the
-    candidate kept for the one bracket :func:`hinf_optimize` may end
-    with."""
+    candidate kept for the one bracket :func:`certify_returned` may add."""
 
     feasible: bool
     candidate: tuple
@@ -599,6 +599,25 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
     return hi, best, tuple(levels)
 
 
+def certify_returned(gamma: float, result) -> SynthesisResult:
+    """The :class:`SynthesisResult` of the level ``gamma`` a search over
+    :func:`decide_level` returned, with its closed-loop norm bracketed.
+
+    A ``result`` the search bracketed already is returned as it is.  A
+    candidate :func:`norms.norm_below` decided below ``gamma`` is
+    bracketed now; a bracket that contradicts that verdict raises
+    RegretSynthError.
+    """
+    if not isinstance(result, _Decided):
+        return result
+    res = _certified(gamma, *result.candidate)
+    if not res.feasible:
+        raise RegretSynthError(
+            f"the norm bracket contradicts the decided level {gamma!r}: "
+            f"upper end {res.achieved_norm!r}")
+    return res
+
+
 def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
                   tol_rel: float = 1e-4):
     """Minimal achievable closed-loop norm by :func:`bisect_level`.
@@ -616,10 +635,5 @@ def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
     ``search_levels``.
     """
     hi, best, levels = hinf_search(P, tol_abs, tol_rel)
-    if isinstance(best, _Decided):
-        best = _certified(hi, *best.candidate)
-        if not best.feasible:
-            raise RegretSynthError(
-                f"the norm bracket contradicts the decided level {hi!r}: "
-                f"upper end {best.achieved_norm!r}")
+    best = certify_returned(hi, best)
     return hi, replace(best, metadata={**best.metadata, "search_levels": levels})

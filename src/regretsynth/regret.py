@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hinf import (SynthesisResult, bisect_level, hinf_optimize, hinf_search,
-                   synth_hinf)
+from .hinf import (SynthesisResult, bisect_level, certify_returned, decide_level,
+                   hinf_optimize, hinf_search, synth_hinf)
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
 from .plants import GeneralizedPlant, lft_lower, weight_disturbance
@@ -36,7 +36,8 @@ KIND_GENERAL = "general"
 
 # sinusoidal trials of verify_regret, the rest of its trials being noise
 _N_SINUSOIDS = 64
-# pareto_front's gamma_d grid, as fractions of the H-infinity optimum
+# pareto_front's rays cross the segment from (0, gamma_C) to
+# (gamma_inf, 0) at these fractions of its length, evenly spaced
 _GRID_SPAN = (0.001, 0.999)
 
 
@@ -127,7 +128,7 @@ def _level_for(kind: str, gamma: float) -> RegretLevel:
 
 
 class _Implied:
-    """The verdict on a level that a point at a smaller gamma_d already
+    """The verdict on a level that the previous point of a front already
     certified: feasible, with no oracle called."""
 
     feasible = True
@@ -136,35 +137,62 @@ class _Implied:
 _IMPLIED = _Implied()
 
 
-def _traced_bisection(feasible_at, tol_abs: float, tol_rel: float,
-                      implied_from: float = np.inf):
-    """:func:`bisect_level` over ``feasible_at``, with the result at the
-    upper end carrying ``search_levels``: one (gamma, verdict) per level
-    in the order tried, the verdict being ``feasible`` or the result's
-    ``reason``, followed by the iteration count for DK-iteration
-    results.
+def _recorded(feasible_at):
+    """``decide`` for :func:`_traced_bisection` from a per-level oracle:
+    the verdict is ``feasible`` or the result's ``reason``, followed by
+    the iteration count for DK-iteration results."""
+    def decide(g):
+        res = feasible_at(g)
+        verdict = ("feasible" if res.feasible else res.metadata.get("reason"),)
+        if "iterations" in res.metadata:
+            verdict += (res.metadata["iterations"],)
+        return verdict, res
+    return decide
 
-    Levels at or above ``implied_from`` are answered feasible without
-    calling ``feasible_at`` and are not recorded.  An upper end known
-    only that way is evaluated (and recorded) last, so the result at it
-    may be infeasible.
+
+def _traced_bisection(decide, tol_abs: float, tol_rel: float,
+                      implied_from: float = np.inf):
+    """:func:`bisect_level` over ``decide(g)``, which returns (verdict,
+    result) with ``verdict`` a tuple.
+
+    Returns (lo, hi, best, search_levels), ``search_levels`` holding one
+    (gamma, *verdict) per level in the order tried.  Levels at or above
+    ``implied_from`` are answered feasible without calling ``decide``
+    and are not recorded.  An upper end known only that way is
+    evaluated (and recorded) last, so ``best`` may be infeasible.
     """
     levels = []
 
-    def decide(g):
-        res = feasible_at(g)
-        entry = (g, "feasible" if res.feasible else res.metadata.get("reason"))
-        if "iterations" in res.metadata:
-            entry += (res.metadata["iterations"],)
-        levels.append(entry)
+    def at(g):
+        verdict, res = decide(g)
+        levels.append((g, *verdict))
         return res
 
     lo, hi, best = bisect_level(
-        lambda g: _IMPLIED if g >= implied_from else decide(g), tol_abs, tol_rel)
+        lambda g: _IMPLIED if g >= implied_from else at(g), tol_abs, tol_rel)
     if best is _IMPLIED:
-        best = decide(hi)
-    return lo, hi, replace(best, metadata={**best.metadata,
-                                           "search_levels": tuple(levels)})
+        best = at(hi)
+    return lo, hi, best, tuple(levels)
+
+
+def _swept_bisection(decide, tol_abs: float, tol_rel: float, implied_from: float):
+    """:func:`_traced_bisection` under the bound ``implied_from`` that the
+    previous point of a front certified, searched again from cold when
+    the upper end known only from the bound fails (numerical verdicts
+    that are not monotone).
+
+    Returns (lo, hi, best, search_levels, meta).  ``meta`` holds
+    ``implied_from``, the bound the search ran under (None for a cold
+    search): ``search_levels`` and the cold tree's levels at or above it
+    make up the whole cold tree.  After a failed bound it holds
+    ``implied_refuted`` (the bound, the level) instead.
+    """
+    lo, hi, best, levels = _traced_bisection(decide, tol_abs, tol_rel, implied_from)
+    if best.feasible:
+        return lo, hi, best, levels, {
+            "implied_from": None if implied_from == np.inf else implied_from}
+    meta = {"implied_from": None, "implied_refuted": (implied_from, hi)}
+    return (*_traced_bisection(decide, tol_abs, tol_rel), meta)
 
 
 def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
@@ -201,17 +229,30 @@ def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
     if feasibility is None:
         def feasibility(level):
             return synth_regret(P, level, K0=K0)
-    _, hi, best = _traced_bisection(lambda g: feasibility(_level_for(kind, g)),
-                                    tol_abs, tol_rel)
-    return hi, best
+    _, hi, best, levels = _traced_bisection(
+        _recorded(lambda g: feasibility(_level_for(kind, g))), tol_abs, tol_rel)
+    return hi, replace(best, metadata={**best.metadata, "search_levels": levels})
 
 
 @dataclass(frozen=True)
 class ParetoPoint:
+    """A front point whose ``result`` certifies (gamma_d, gamma_j_upper).
+
+    On the nominal front the point lies on the ray gamma_d = ``ray``
+    gamma_J, and its search bracketed gamma_J along that ray:
+    gamma_d is ``ray`` times gamma_j_upper, and gamma_j_lower says that
+    (ray gamma_j_lower, gamma_j_lower) is not met.  It does not say that
+    gamma_j_lower fails at gamma_d, which is larger.  On a front
+    searched by an oracle, ``ray`` is None and gamma_d is fixed:
+    gamma_j_lower is not met at gamma_d.  A lower end of 0 is a search
+    that found no infeasible level.
+    """
+
     gamma_d: float
     gamma_j_lower: float
     gamma_j_upper: float
     result: SynthesisResult
+    ray: float | None
 
     @property
     def controller_order(self) -> int:
@@ -228,11 +269,13 @@ class ParetoFront:
         return np.array([p.gamma_j_upper for p in self.points])
 
     def csv_rows(self):
-        rows = []
-        for p in self.points:
-            rows.append((p.gamma_d, p.gamma_j_lower, p.gamma_j_upper,
-                         p.result.achieved_norm, p.controller_order))
-        return rows
+        """(gamma_d, gamma_J lower, gamma_J upper, weighted-loop norm,
+        controller order) per point.  The norm is in unit-level terms:
+        the certified norm of the weighted loop over the level it was
+        certified at (1 but for the ray points), so below 1."""
+        return [(p.gamma_d, p.gamma_j_lower, p.gamma_j_upper,
+                 p.result.achieved_norm / p.result.gamma, p.controller_order)
+                for p in self.points]
 
 
 def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float, tol_rel: float,
@@ -243,59 +286,112 @@ def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float, tol_rel: float,
     ``implied_from`` is the gamma_J that a point at a smaller gamma_d
     certified.  The regret bound only weakens as gamma_d or gamma_J
     grows, so every level at or above it is feasible here too, and the
-    search answers so without calling ``feasibility``.  An upper end
-    known only that way is synthesized at this gamma_d.  Should that
-    synthesis fail (numerical verdicts that are not monotone), the
-    point is searched again from cold, with ``implied_refuted`` (the
-    bound, the level) in its metadata.  The result's ``implied_from``
-    is the bound its search ran under (None for a cold search):
-    ``search_levels`` and the cold tree's levels at or above it make up
-    the whole cold tree.
+    search answers so without calling ``feasibility``; an upper end
+    known only that way is synthesized at this gamma_d
+    (:func:`_swept_bisection`, whose ``meta`` the result's metadata
+    adds).
     """
-    def feasible_at(g):
-        return feasibility(RegretLevel(gamma_d, g))
+    lo, hi, best, levels, meta = _swept_bisection(
+        _recorded(lambda g: feasibility(RegretLevel(gamma_d, g))), tol_abs,
+        tol_rel, implied_from)
+    return ParetoPoint(gamma_d, lo, hi, replace(best, metadata={
+        **best.metadata, "search_levels": levels, **meta}), None)
 
-    lo, hi, best = _traced_bisection(feasible_at, tol_abs, tol_rel, implied_from)
-    meta = {"implied_from": None if implied_from == np.inf else implied_from}
-    if not best.feasible:
-        meta = {"implied_from": None, "implied_refuted": (implied_from, hi)}
-        lo, hi, best = _traced_bisection(feasible_at, tol_abs, tol_rel)
-    return ParetoPoint(gamma_d, lo, hi,
-                       replace(best, metadata={**best.metadata, **meta}))
+
+def _ray_point(P: GeneralizedPlant, K0: NoncausalController, ray: float,
+               tol_abs: float, tol_rel: float, implied_from: float) -> ParetoPoint:
+    """The front's point on the ray gamma_d = ``ray`` gamma_J, by one
+    H-infinity search.
+
+    Both DARE costs of the regret factor at (ray gamma, gamma) scale by
+    gamma^2, so that factor is gamma times the factor at (ray, 1).  The
+    level is met when the plant weighted by that one factor has a loop
+    of norm below gamma, so the point is that plant's optimal norm.
+    Each level is decided by :func:`hinf.decide_level`, and only the
+    level returned is bracketed.  The search's tolerance on gamma_J is
+    ``tol_abs / max(1, ray)``, so the bracket of gamma_d = ray gamma_J
+    meets ``tol_abs + tol_rel gamma_d`` too.  Levels at or above
+    ``implied_from`` are taken as feasible, as in
+    :func:`_swept_bisection`.
+
+    The result is that of the weighted problem in gamma_J's units:
+    ``gamma`` is gamma_j_upper and ``achieved_norm`` the certified norm
+    of ``closed_loop``, below it.  Its metadata adds ``level``, ``kind``
+    and the search's ``search_levels`` (one (gamma, verdict) per level,
+    the verdicts of ``decide_level``).
+    """
+    Pw, factor = regret_weighted_plant(P, K0, RegretLevel(ray, 1.0))
+    ray = factor.gamma_d  # EPS_CR for a ray below the regularization
+
+    def decide(g):
+        verdict, res = decide_level(Pw, g)
+        return (verdict,), res
+
+    lo, hi, best, levels, meta = _swept_bisection(
+        decide, tol_abs / max(1.0, ray), tol_rel, implied_from)
+    res = certify_returned(hi, best)
+    gamma_d = ray * hi
+    return ParetoPoint(gamma_d, lo, hi, replace(res, metadata={
+        **res.metadata, "level": (gamma_d, hi), "kind": RegretLevel(gamma_d, hi).kind,
+        "search_levels": levels, **meta}), ray)
+
+
+def _sweep(solve, keys) -> tuple:
+    """``solve(key, implied_from)`` per key in order, each point's
+    ``implied_from`` being the previous point's gamma_J upper end."""
+    points = []
+    implied_from = np.inf
+    for key in keys:
+        points.append(solve(key, implied_from))
+        implied_from = points[-1].gamma_j_upper
+    return tuple(points)
 
 
 def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
                  tol_rel: float = 1e-4, K0: NoncausalController | None = None,
                  gamma_inf: float | None = None, oracle_factory=None) -> ParetoFront:
-    """Trade-off front: minimal gamma_J over a grid of gamma_d values.
+    """Trade-off front: minimal gamma_J along gamma_d.
 
-    The grid spans ``_GRID_SPAN`` times the H-infinity optimum.  Points
-    are solved in increasing gamma_d, each bisecting with its own oracle
-    from ``oracle_factory()`` (nominal synthesis by default).  A
-    controller certified at (gamma_d, gamma_J) also certifies every
-    level with a larger gamma_d and gamma_J, so each point's search
-    takes the levels at or above the previous point's upper end as
-    feasible (see :func:`_bisect_gamma_j`); every point's result is
-    still synthesized at its own gamma_d.
+    The nominal front (no ``oracle_factory``) is solved on rays
+    gamma_d = r gamma_J.  gamma_C comes from one search on the
+    competitive-ratio weighted plant, and the rays go through the
+    segment from (0, gamma_C) to (gamma_inf, 0) at ``n_points`` evenly
+    spaced fractions of ``_GRID_SPAN``.  Each point is one regret factor
+    and one H-infinity search (:func:`_ray_point`).  The rays are
+    solved in increasing slope; a level (r' gamma, gamma) with r' > r is
+    weaker than a met (r gamma, gamma), so each search takes the levels
+    at or above the previous point's gamma_J upper end as feasible.
+
+    With an ``oracle_factory`` (DK-iteration levels, which have no ray
+    structure), the points keep the nominal ray front's gamma_d, so that
+    the two fronts sit at equal gamma_d.  Each bisects gamma_J at its
+    fixed gamma_d with its own oracle from ``oracle_factory()``, taking
+    the levels the previous point certified as feasible
+    (:func:`_bisect_gamma_j`).  Every point is certified at its own
+    (gamma_d, gamma_J upper).
     """
     if K0 is None:
         K0 = build_noncausal(P)
     if gamma_inf is None:
         gamma_inf, _, _ = hinf_search(P, tol_abs, tol_rel)
-    if oracle_factory is None:
-        def oracle_factory():
-            return lambda level: synth_regret(P, level, K0=K0)
-    grid = np.linspace(_GRID_SPAN[0], _GRID_SPAN[1], n_points) * gamma_inf
-    points = []
-    implied_from = np.inf
-    for gd in grid:
-        point = _bisect_gamma_j(oracle_factory(), float(gd), tol_abs, tol_rel,
-                                implied_from)
-        points.append(point)
-        implied_from = point.gamma_j_upper
-    return ParetoFront(tuple(points), gamma_inf,
+    Pc, _ = regret_weighted_plant(P, K0, RegretLevel.competitive_ratio(1.0))
+    gamma_c, _, _ = hinf_search(Pc, tol_abs, tol_rel)
+    # gamma_c > 0 is a level the search found feasible.  For every causal
+    # controller sup_d J(K, d) / |d|^2 >= gamma_inf^2, and J0(d) <=
+    # gamma_inf^2 |d|^2, so gamma_inf / gamma_c <= sqrt(EPS_CR^2 +
+    # gamma_inf^2) up to the tolerances: the slopes stay finite, also
+    # with both levels at the search's floor (d never reaching e)
+    fractions = np.linspace(_GRID_SPAN[0], _GRID_SPAN[1], n_points)
+    rays = [float(f / (1.0 - f) * (gamma_inf / gamma_c)) for f in fractions]
+    points = _sweep(lambda r, bound: _ray_point(P, K0, r, tol_abs, tol_rel, bound),
+                    rays)
+    if oracle_factory is not None:
+        points = _sweep(lambda gd, bound: _bisect_gamma_j(
+            oracle_factory(), gd, tol_abs, tol_rel, bound),
+            [p.gamma_d for p in points])
+    return ParetoFront(points, gamma_inf,
                        metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
-                                 "grid_span": _GRID_SPAN})
+                                 "grid_span": _GRID_SPAN, "gamma_c": gamma_c})
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,7 @@ def dare_residual(p: DareProblem, X: np.ndarray) -> float:
     H = p.R + p.B.T @ X @ p.B
     G = p.A.T @ X @ p.B + p.S
     res = X - p.A.T @ X @ p.A - p.Q + G @ np.linalg.solve(H, G.T)
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 def _gain(p: DareProblem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

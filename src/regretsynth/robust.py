@@ -579,10 +579,13 @@ def robust_pareto_front(P: UncertainPlant, n_points: int = 20,
                         tol_abs: float = 1e-2, tol_rel: float = 1e-3) -> ParetoFront:
     """Pareto front with DK-iteration as the feasibility oracle.
 
-    Each grid point gets its own warm-started oracle, and its search
-    takes the levels the previous point certified as feasible, as in
-    :func:`regret.pareto_front`.  Such a level is not evaluated, so it
-    does not update the oracle's warm-start D.
+    The uncertainty channel does not scale with gamma, so DK levels have
+    no ray structure: each point bisects gamma_J at a fixed gamma_d,
+    taken from the points of the nominal ray front, so robust and
+    nominal points sit at equal gamma_d (:func:`regret.pareto_front`).
+    Each point gets its own warm-started oracle, and its search takes
+    the levels the previous point certified as feasible.  Such a level
+    is not evaluated, so it does not update the oracle's warm-start D.
     """
     nominal = P.nominal()
     K0 = build_noncausal(nominal)

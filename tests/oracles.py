@@ -698,7 +698,7 @@ def regret_factor_reference(phat):
     resp = phat_statespace(phat).freqresp(thetas)
     diagnostics = {
         "freq_identity_error": identity_error_loop(F, resp, thetas),
-        "cond_X": float(np.linalg.cond(K0.X)),
+        "cond_X": float(np.linalg.cond(K0.X)) if n else 1.0,
     }
     Ti = np.linalg.solve(T_w.T, np.eye(n))
     V = _sym(Ti @ rs.solve_dare(prob_w).X @ Ti.T)

@@ -5,7 +5,7 @@ import pytest
 
 import regretsynth as rs
 from regretsynth.regret import (KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, KIND_HINF,
-                                _bisect_gamma_j)
+                                _bisect_gamma_j, regret_weighted_plant)
 
 from conftest import random_generalized_plant, scalar_plant
 from oracles import cr_bisection_reference, verify_regret_loop
@@ -38,6 +38,10 @@ def test_zero_state_plants_synthesize():
         results += [point.result for point in front.points]
         for res in results:
             assert res.feasible and res.achieved_norm < res.gamma
+        # d never reaches e: gamma_C and gamma_inf sit at the search's
+        # floor, and the rays through the segment between them are finite
+        assert 0.0 < front.metadata["gamma_c"] <= 1e-4 and g_inf <= 1e-4
+        assert all(np.isfinite([p.ray, p.gamma_d]).all() for p in front.points)
 
 
 def test_hinf_collapse(scalar_k0):
@@ -146,7 +150,8 @@ def test_pareto_front_scalar(scalar_k0):
     front = rs.pareto_front(P, n_points=5, tol_abs=1e-3, tol_rel=1e-3, K0=K0)
     gj = front.gamma_j_values()
     for p in front.points:
-        assert dict(p.result.metadata["search_levels"])[p.gamma_j_upper] == "feasible"
+        assert dict(p.result.metadata["search_levels"])[p.gamma_j_upper] in (
+            "below", "bracket")
     # dominance: non-increasing within bisection slack
     assert np.all(np.diff(gj) <= 1e-6 + 2 * (1e-3 + 1e-3 * gj[:-1]))
     # endpoints approach the special cases
@@ -217,20 +222,19 @@ def test_pareto_sweep_matches_cold_searches_boeing(store):
     P, K0 = store.nominal("boeing747"), store.k0("boeing747")
     g_inf, _ = store.special("boeing747", "hinf", 1e-2, 1e-3)
     swept, cold = _front_against_cold(P, K0, 8, 1e-2, 1e-3, gamma_inf=g_inf)
-    assert (swept, cold) == (55, 68)
+    assert (swept, cold) == (55, 67)
 
 
 def test_pareto_sweep_searches_cold_when_the_implied_end_fails(scalar_k0):
     # a front whose minimal gamma_J rises with gamma_d: the second
     # point's implied upper end is infeasible at its own gamma_d
     P, K0 = scalar_k0
-    threshold = {0.001: 1.3, 0.999: 1.4}
     calls = []
 
-    def factory():
+    def oracle_at(threshold):
         def oracle(level):
             calls.append((level.gamma_d, level.gamma_J))
-            ok = level.gamma_J >= threshold[level.gamma_d]
+            ok = level.gamma_J >= threshold
             meta = {"level": (level.gamma_d, level.gamma_J)}
             if not ok:
                 meta["reason"] = "fake_infeasible"
@@ -238,21 +242,73 @@ def test_pareto_sweep_searches_cold_when_the_implied_end_fails(scalar_k0):
                                       1.0, ok, 0.5 if ok else np.inf, None, meta)
         return oracle
 
+    thresholds = iter((1.3, 1.4))
     front = rs.pareto_front(P, n_points=2, tol_abs=1e-2, tol_rel=1e-3, K0=K0,
-                            gamma_inf=1.0, oracle_factory=factory)
+                            gamma_inf=1.0,
+                            oracle_factory=lambda: oracle_at(next(thresholds)))
     first, second = front.points
+    assert first.gamma_d < second.gamma_d
     assert first.gamma_j_upper == 1.3046875
     assert second.gamma_j_upper == 1.40625 and second.result.feasible
-    assert second.result.metadata["level"] == (0.999, 1.40625)
+    assert second.result.metadata["level"] == (second.gamma_d, 1.40625)
     assert second.result.metadata["implied_from"] is None
     assert second.result.metadata["implied_refuted"] == (1.3046875, 1.3046875)
     # the bounded search evaluated the levels below the bound and then
     # the implied end; the cold search that followed is recorded alone
-    at_second = [g for gd, g in calls if gd == 0.999]
+    at_second = [g for gd, g in calls if gd == second.gamma_d]
     cold_levels = [lv[0] for lv in second.result.metadata["search_levels"]]
     assert at_second == [1.0, 1.25, 1.28125, 1.296875, 1.3046875] + cold_levels
     assert second.result.metadata["search_levels"] == _bisect_gamma_j(
-        factory(), 0.999, 1e-2, 1e-3).result.metadata["search_levels"]
+        oracle_at(1.4), second.gamma_d, 1e-2, 1e-3).result.metadata["search_levels"]
+
+
+@pytest.mark.parametrize("name, n_points, tol", [("siso", 5, (1e-4, 1e-4)),
+                                                 ("boeing747", 8, (1e-2, 1e-3))])
+def test_ray_front_points_are_certified_at_their_own_levels(store, name, n_points, tol):
+    P, K0 = store.nominal(name), store.k0(name)
+    tol_abs, tol_rel = tol
+    g_inf, _ = store.special(name, "hinf", tol_abs, tol_rel)
+    front = rs.pareto_front(P, n_points=n_points, tol_abs=tol_abs, tol_rel=tol_rel,
+                            K0=K0, gamma_inf=g_inf)
+    rays = [p.ray for p in front.points]
+    assert rays == sorted(rays)
+    for p in front.points:
+        lo, hi, r = p.gamma_j_lower, p.gamma_j_upper, p.ray
+        assert p.gamma_d == r * hi and p.result.metadata["level"] == (p.gamma_d, hi)
+        # the weighted problem's certificate, in gamma_J's units
+        assert p.result.feasible and p.result.gamma == hi
+        assert rs.hinf_norm(p.result.closed_loop) <= p.result.achieved_norm < hi
+        # the bracket holds on gamma_d as well as on gamma_J
+        assert r * (hi - lo) <= tol_abs + tol_rel * p.gamma_d
+        # synthesized afresh at its own level, the point is met
+        assert rs.synth_regret(P, rs.RegretLevel(p.gamma_d, hi), K0=K0).feasible
+        # the ray's lower end is not met on the ray's plant, nor by a fresh
+        # synthesis at (r lo, lo), but for a tie: a candidate whose norm
+        # the search found at the level, which the other route may place
+        # a roundoff below it
+        Pw, _ = regret_weighted_plant(P, K0, rs.RegretLevel(r, 1.0))
+        assert 0.0 < lo and not rs.synth_hinf(Pw, lo).feasible
+        fresh = rs.synth_regret(P, rs.RegretLevel(r * lo, lo), K0=K0)
+        if dict(p.result.metadata["search_levels"])[lo] == "above":
+            assert not fresh.feasible or fresh.achieved_norm > 1.0 - 1e-6
+        else:
+            assert not fresh.feasible
+    # the steepest ray ends at gamma_inf, within the search's tolerance
+    assert front.points[-1].gamma_d <= g_inf + tol_abs + tol_rel * g_inf
+
+
+def test_ray_front_builds_one_factor_per_point(store, monkeypatch):
+    # plus the factor of gamma_C's search, and no per-level synthesis
+    P, K0 = store.nominal("boeing747"), store.k0("boeing747")
+    g_inf, _ = store.special("boeing747", "hinf", 1e-2, 1e-3)
+    calls = []
+    for fn in ("spectral_factor_regret", "synth_regret"):
+        def counted(*args, _fn=getattr(rs.regret, fn), _name=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(rs.regret, fn, counted)
+    rs.pareto_front(P, n_points=8, tol_abs=1e-2, tol_rel=1e-3, K0=K0, gamma_inf=g_inf)
+    assert calls == ["spectral_factor_regret"] * 9
 
 
 def test_pareto_csv_rows(scalar_k0):

@@ -698,9 +698,10 @@ def test_robust_front_dominates_nominal_scalar(monkeypatch):
     K0 = rs.build_noncausal(P)
     nom = rs.pareto_front(P, n_points=3, tol_abs=5e-3, tol_rel=5e-3, K0=K0)
     rob = rs.robust_pareto_front(unc, n_points=3, tol_abs=5e-3, tol_rel=5e-3)
-    # both fronts share one gamma_d grid
+    # both fronts share one gamma_d grid, the nominal ray front's points
     assert rob.gamma_inf == nom.gamma_inf
     for pn, pr in zip(nom.points, rob.points):
+        assert pr.gamma_d == pn.gamma_d and pr.ray is None
         assert pr.gamma_j_upper >= pn.gamma_j_upper - 2 * (5e-3 + 5e-3 * pn.gamma_j_upper)
         # each DK level is traced with its verdict and iteration count
         levels = pr.result.metadata["search_levels"]

@@ -204,11 +204,12 @@ def _matrices(F):
     return [F.A, F.B, F.C, F.D]
 
 
-@pytest.mark.parametrize("name", ["siso", "boeing747", "quartercar"])
+@pytest.mark.parametrize("name", ["siso", "boeing747", "quartercar", "zero-state"])
 def test_regret_factor_matches_per_level_reference_bitwise(store, name):
     # hinf, competitive-ratio (regularized gamma_d), additive and general
     # levels; the K0-only half is computed at the first level and reused
-    K0 = rs.build_noncausal(store.nominal(name))
+    P = random_generalized_plant(0, n=0) if name == "zero-state" else store.nominal(name)
+    K0 = rs.build_noncausal(P)
     levels = [(2.5, 0.0), (rs.effective_gamma_d(0.0, 1.6), 1.6), (1.4, 1.0),
               (0.7, 2.2)]
     for gammas in levels:
