@@ -78,12 +78,15 @@ def _outdir(args) -> Path:
 
 
 def _metadata(args, t0, extra=None):
+    import scipy
+
     from . import __version__
 
     meta = {
         "tool": "regretsynth",
         "version": __version__,
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "command": args.command,
         "example": args.example,
         "seed": getattr(args, "seed", None),
@@ -279,6 +282,11 @@ def cmd_margins(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a check with no trials or no samples would pass whatever the controller
+    if args.trials < 1:
+        raise RegretSynthError(f"--trials must be at least 1, got {args.trials}")
+    if args.mode == "robust" and args.samples < 1:
+        raise RegretSynthError(f"--samples must be at least 1, got {args.samples}")
     t0 = time.time()
     out = _outdir(args)
     K = rio.load_controller(args.controller)
@@ -291,7 +299,7 @@ def cmd_verify(args) -> int:
     else:
         unc = _load_uncertain(args)
         rep = verify_robust_regret(K, unc, level, n_delta=args.samples,
-                                   n_dist=max(args.trials // max(args.samples, 1), 1),
+                                   n_dist=max(args.trials // args.samples, 1),
                                    seed=args.seed)
         payload = {"passed": bool(rep.passed), "worst_margin": rep.worst_margin,
                    "n_unstable": rep.n_unstable, "trials": rep.trials}

@@ -412,8 +412,11 @@ def verify_regret(K: StateSpace, P: GeneralizedPlant, level: RegretLevel,
     unweighted closed loop ``lft_lower(P, K)``.  d = 0 is excluded by
     construction.  The trials are costed as one sequence by
     ``response_energy`` and ``eval_noncausal_cost``, whose state
-    recursions run in lock step.
+    recursions run in lock step.  ``n_trials < 1`` raises ValueError: a
+    check with no trials would pass whatever the controller.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if K0 is None:
         K0 = build_noncausal(P)
     cl = lft_lower(P, K)

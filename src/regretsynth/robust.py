@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import RegretSynthError, UnstableSystem
 from .hinf import SynthesisResult, decide_level, hinf_search, synth_hinf
@@ -377,6 +376,8 @@ def fit_dscale(pointwise, sample_time=1.0) -> DScaling:
     whose result depends on memory it reads before writing.  The fit
     error counts the samples only.
     """
+    import scipy.optimize  # at first use: runs that fit no D-scale skip its memory and start-up
+
     pts = [(float(t), float(d)) for t, d in pointwise if not np.isnan(d)]
     thetas = np.array([t for t, _ in pts])
     target = np.log10(np.array([max(d, 1e-12) for _, d in pts]))
@@ -665,7 +666,12 @@ def verify_robust_regret(K: StateSpace, P: UncertainPlant, level: RegretLevel,
     a sampled Delta are drawn only when its loop is stable, and are
     costed as one sequence by ``response_energy`` and
     ``eval_noncausal_cost``, whose state recursions run in lock step.
+    ``n_delta < 1`` or ``n_dist < 1`` raises ValueError: a check with no
+    samples would pass whatever the controller.
     """
+    if n_delta < 1 or n_dist < 1:
+        raise ValueError(f"n_delta and n_dist must be at least 1, "
+                         f"got {n_delta} and {n_dist}")
     if K0 is None:
         K0 = build_noncausal(P.nominal())
     cl_open = lft_lower(P.as_generalized(), K)  # (w, d) -> (v, e)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 import regretsynth as rs
 from regretsynth.cli import main
@@ -30,6 +31,8 @@ def test_synth_boeing_cr(tmp_path):
     assert (out / "controller.sys").exists()
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["command"] == "synth"
+    assert meta["numpy"] == np.__version__
+    assert meta["scipy"] == scipy.__version__
 
 
 def test_synth_infeasible_level_exit_code(tmp_path):
@@ -132,6 +135,32 @@ def test_verify_cli(tmp_path, store):
                 "--trials", "60", "--out", out]) == 0
     rep = json.loads((out / "verify.json").read_text())
     assert rep["passed"]
+
+
+@pytest.mark.parametrize("mode, trials, samples, flag", [
+    ("nominal", "0", "20", "--trials"), ("nominal", "-5", "20", "--trials"),
+    ("robust", "0", "20", "--trials"), ("robust", "200", "0", "--samples")])
+def test_verify_without_trials_exit_code(tmp_path, capsys, store, mode, trials,
+                                         samples, flag):
+    # the H-infinity controller misses gamma_d = 0.01; no trials would pass it
+    _, res = store.special("siso", "hinf")
+    kfile = tmp_path / "K.sys"
+    save_controller(kfile, res.controller)
+    code = run(["verify", "--example", "siso", "--mode", mode, "--controller", kfile,
+                "--gamma-d", "0.01", "--trials", trials, "--samples", samples,
+                "--out", tmp_path / "v"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {flag} must be at least 1") and "\n" not in err
+    assert not (tmp_path / "v").exists()
+
+
+def test_synth_without_trials_skips_verification(tmp_path):
+    out = tmp_path / "s"
+    assert run(["synth", "--example", "siso", "--gamma-d", "5", "--trials", "0",
+                "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["feasible"] and "verified" not in summary["metadata"]
 
 
 def test_plant_file_input(tmp_path, store):

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, no
 package module reaches another's private (``_``-prefixed) names, every
-name the package exports is the object its module defines, and every
+name the package exports is the object its module defines, every
 defaulted parameter is set by some caller in the package or the
-benchmark.
+benchmark, and importing the package loads no SciPy subpackage but
+``scipy.linalg``.
 
 Read from the source with the standard library's ``ast``: a name bound
 by an import counts as used when it appears as a name anywhere else in
@@ -13,6 +14,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import regretsynth as rs
@@ -218,3 +222,77 @@ def test_every_default_is_set_by_a_caller():
     found = [name for name in unset_defaults(package, [*package.values(), *bench])
              if name not in KEPT_DEFAULTS]
     assert not found, "defaults no caller sets: " + ", ".join(found)
+
+
+# what a package module may import at module scope, besides the standard
+# library and the package itself: the rest of SciPy costs memory and
+# start-up time in every run, and is imported by the function that uses it
+MODULE_SCOPE = {"numpy", "scipy.linalg", "scipy.linalg.lapack"}
+
+
+def disallowed_imports(source: str) -> list[str]:
+    """The absolute modules a source imports when it is imported (at
+    module scope and in class bodies, not inside functions) that are
+    neither in the standard library, nor the package, nor in
+    ``MODULE_SCOPE``."""
+    found = set()
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module)
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return sorted(name for name in found
+                  if name.split(".")[0] not in {*sys.stdlib_module_names, "regretsynth"}
+                  and name not in MODULE_SCOPE)
+
+
+def test_detector_finds_module_scope_imports():
+    source = ("from __future__ import annotations\n"
+              "import os, numpy as np\nimport scipy.linalg\nimport scipy.optimize\n"
+              "from scipy.linalg.lapack import ztrtrs\nfrom scipy import sparse\n"
+              "from . import io\nfrom .a import b\nfrom regretsynth import c\n"
+              "try:\n    import yaml\nexcept ImportError:\n    pass\n"
+              "class K:\n    import scipy.special\n"
+              "    def f(self):\n        import scipy.spatial\n"
+              "def g():\n    import scipy.fft\n")
+    assert disallowed_imports(source) == ["scipy", "scipy.optimize", "scipy.special",
+                                          "yaml"]
+
+
+def test_package_modules_import_only_numpy_and_scipy_linalg_at_module_scope():
+    found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in disallowed_imports(path.read_text())]
+    assert not found, "module-scope imports beyond numpy and scipy.linalg: " + \
+        ", ".join(found)
+
+
+# checked in a fresh interpreter: other tests load scipy.optimize in this one
+_HEAVY_IN_CHILD = """
+import sys
+import regretsynth as rs
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
+unc = rs.build_example("siso")
+P = unc.nominal()
+gamma, res = rs.optimize_special(P, "hinf", 1e-1, 1e-1)
+level = rs.RegretLevel.hinf(2.0 * gamma)
+rs.verify_regret(res.controller, P, level, n_trials=4)
+rs.verify_robust_regret(res.controller, unc, level, n_delta=2, n_dist=2)
+print(sorted(name for name in HEAVY if name in sys.modules))
+rs.fit_dscale([(0.5, 1.0), (1.0, 2.0)])
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_optimize_is_loaded_only_by_a_dscale_fit():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", _HEAVY_IN_CHILD], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "True"]

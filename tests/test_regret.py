@@ -76,6 +76,19 @@ def test_tightened_level_fails_verification(scalar_k0):
     assert rep.worst_margin > 0
 
 
+@pytest.mark.parametrize("n_trials", [0, -5])
+def test_verify_regret_rejects_no_trials(scalar_k0, monkeypatch, n_trials):
+    # with no trials the check would pass a controller that misses the level
+    P, K0 = scalar_k0
+    res = rs.synth_regret(P, rs.RegretLevel(1.0, 1.0), K0=K0)
+    built = []
+    monkeypatch.setattr(rs.regret, "build_noncausal", built.append)
+    with pytest.raises(ValueError, match="n_trials"):
+        rs.verify_regret(res.controller, P, rs.RegretLevel(0.5, 0.5),
+                         n_trials=n_trials)
+    assert built == []  # rejected before any work
+
+
 def test_weighted_loop_stabilization_equivalence(scalar_k0):
     # K stabilizes F_L(P, K) iff it stabilizes the weighted loop
     P, K0 = scalar_k0

@@ -726,6 +726,19 @@ def test_verify_robust_regret_matches_per_trial_loop():
     assert (rep.n_unstable, rep.trials) == (6, 24)
 
 
+@pytest.mark.parametrize("n_delta, n_dist", [(0, 4), (12, 0), (-1, 4)])
+def test_verify_robust_regret_rejects_no_samples(monkeypatch, n_delta, n_dist):
+    # the static gain -1.4 fails the check, which no samples would pass
+    unc = scalar_uncertain_plant()
+    K = rs.static_gain([[-1.4]], 1.0)
+    built = []
+    monkeypatch.setattr(robust, "build_noncausal", built.append)
+    with pytest.raises(ValueError, match="n_delta and n_dist"):
+        rs.verify_robust_regret(K, unc, rs.RegretLevel(2.0, 1.0),
+                                n_delta=n_delta, n_dist=n_dist)
+    assert built == []  # rejected before any work
+
+
 def _unit_dscale():
     return robust.DScaling(pointwise=(), system=rs.static_gain([[1.0]], 1.0),
                            order=0, fit_error=0.0)
