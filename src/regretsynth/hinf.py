@@ -22,9 +22,17 @@ feasible only when that upper bound is below it.  :func:`decide_level`
 gives the verdict of one level by :func:`norms.norm_below`, which
 answers whether that upper bound would be below the level from one
 pencil, and brackets only a level it cannot decide.
-:func:`hinf_search` decides each level of its search so, and
-:func:`hinf_optimize` brackets the level it returns once more
-(:func:`certify_returned`).
+
+:func:`hinf_search` decides the levels of its search by the candidate
+alone: the Riccati tests pass and the closed loop is stable.  Exact
+two-Riccati synthesis then meets the level (Doyle, Glover, Khargonekar
+and Francis 1989), but in floating point a candidate near the optimum
+can pass the tests and miss the level.  So only the level returned is
+decided by :func:`decide_level`, and if it fails, the search runs again
+with every level decided so, reusing the candidates it has.  Every
+returned controller thus carries the certificate a search over
+:func:`synth_hinf` would give it.  :func:`hinf_optimize` brackets the
+level it returns once more (:func:`certify_returned`).
 """
 
 from __future__ import annotations
@@ -552,6 +560,23 @@ class _Decided:
         return self.candidate[1]
 
 
+@dataclass(frozen=True)
+class _Riccati:
+    """A search level decided by its candidate alone."""
+
+    feasible: bool
+
+
+def _decide(gamma: float, reason, meta: dict, Kd, cl):
+    """:func:`decide_level` on the candidate ``_candidate`` gave."""
+    if reason is not None:
+        return reason, _infeasible(gamma, reason, meta)
+    below = norm_below(cl, gamma)
+    if below is None:
+        return "bracket", _certified(gamma, meta, Kd, cl)
+    return ("below" if below else "above"), _Decided(below, (meta, Kd, cl))
+
+
 def decide_level(P: GeneralizedPlant, gamma: float):
     """The verdict of :func:`synth_hinf` at ``gamma``, bracketing the
     closed-loop norm only when :func:`norms.norm_below` cannot decide it.
@@ -562,14 +587,10 @@ def decide_level(P: GeneralizedPlant, gamma: float):
     or was bracketed, and otherwise the candidate ``norm_below``
     decided; both give ``feasible`` and ``controller``.  By the contract
     of ``norm_below``, ``feasible`` is that of ``synth_hinf(P, gamma)``.
+    The searches that decide every level so are :func:`hinf_search`'s
+    fallback, the front's ray points and DK-iteration's nominal check.
     """
-    reason, meta, Kd, cl = _candidate(P, gamma)
-    if reason is not None:
-        return reason, _infeasible(gamma, reason, meta)
-    below = norm_below(cl, gamma)
-    if below is None:
-        return "bracket", _certified(gamma, meta, Kd, cl)
-    return ("below" if below else "above"), _Decided(below, (meta, Kd, cl))
+    return _decide(gamma, *_candidate(P, gamma))
 
 
 def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
@@ -577,31 +598,72 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
     """The level search of :func:`hinf_optimize`, without its final
     bracket.
 
+    Each level is decided by its candidate alone: feasible when the
+    Riccati tests pass and the closed loop is stable, which an exact
+    central controller turns into a norm below the level.  Only the
+    level the search returns gets the verdict of :func:`decide_level`
+    on its candidate.  When that verdict is infeasible, the search runs
+    again with every level decided by ``decide_level``, as a search over
+    :func:`synth_hinf` would, and returns that search's level.  No
+    level's candidate is synthesized twice, and no level's norm is
+    decided twice.  When the levels the candidates pass are those whose
+    norms are below them, the first search takes the same path as the
+    second would, so the result does not depend on the fallback.
+
     Returns (gamma_upper, result, search_levels).  ``result`` is the one
     at the feasible upper end of the final bracket: a bracketed
     :class:`SynthesisResult` when the bracket decided that level, and
     otherwise the candidate :func:`norms.norm_below` decided below it.
     Both give the level's controller as ``result.controller``.
     ``search_levels`` holds one (gamma, verdict) per level in the order
-    tried, each level decided by :func:`decide_level`.  Callers that
-    read only the level and the controller skip the bracket of
-    :func:`hinf_optimize`.  ``stop_below`` and ``start`` are passed on
-    to :func:`bisect_level`.
+    tried: the first search's verdicts (a failed candidate's reason, or
+    ``riccati_ok``), then the verdict of ``decide_level`` on the level
+    returned, and after a fallback (:func:`fell_back`) the fallback
+    search's ``decide_level`` verdicts.  Callers that read only the
+    level and the controller skip the bracket of :func:`hinf_optimize`.
+    ``stop_below`` and ``start`` are passed on to :func:`bisect_level`.
     """
     levels = []
+    candidates = {}
+
+    def riccati(g):
+        candidates[g] = _candidate(P, g)
+        reason = candidates[g][0]
+        levels.append((g, reason or "riccati_ok"))
+        return _Riccati(reason is None)
+
+    _, hi, _ = bisect_level(riccati, tol_abs, tol_rel, stop_below, start)
+    decided = {hi: _decide(hi, *candidates[hi])}
+    verdict, best = decided[hi]
+    levels.append((hi, verdict))
+    if best.feasible:
+        return hi, best, tuple(levels)
 
     def decide(g):
-        verdict, result = decide_level(P, g)
-        levels.append((g, verdict))
-        return result
+        if g not in decided:
+            decided[g] = _decide(g, *(candidates[g] if g in candidates
+                                      else _candidate(P, g)))
+        levels.append((g, decided[g][0]))
+        return decided[g][1]
 
     _, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below, start)
     return hi, best, tuple(levels)
 
 
+def fell_back(search_levels) -> bool:
+    """Whether the :func:`hinf_search` that recorded ``search_levels``
+    searched again because its returned level failed: its record goes on
+    after the verdict of :func:`decide_level` on that level, the first
+    ``below``, ``above`` or ``bracket`` in it."""
+    verdicts = [verdict for _, verdict in search_levels]
+    return next(i for i, v in enumerate(verdicts)
+                if v in ("below", "above", "bracket")) < len(verdicts) - 1
+
+
 def certify_returned(gamma: float, result) -> SynthesisResult:
-    """The :class:`SynthesisResult` of the level ``gamma`` a search over
-    :func:`decide_level` returned, with its closed-loop norm bracketed.
+    """The :class:`SynthesisResult` of the level ``gamma`` that
+    :func:`hinf_search`, or a search over :func:`decide_level`, returned,
+    with its closed-loop norm bracketed.
 
     A ``result`` the search bracketed already is returned as it is.  A
     candidate :func:`norms.norm_below` decided below ``gamma`` is
@@ -625,14 +687,14 @@ def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
     Returns (gamma_upper, result) where result holds the controller
     synthesized at the feasible upper end of the final bracket.
 
-    The levels come from :func:`hinf_search`: each level gets the
-    candidate of :func:`synth_hinf`, and :func:`norms.norm_below`
-    decides whether its closed-loop bracket would be below the level;
-    only a level it cannot decide is bracketed during the search.  The
-    level the search returns is bracketed once at the end, so the
-    levels, the controller and the certificate are those of a search
-    over :func:`synth_hinf`.  The metadata adds the search's
-    ``search_levels``.
+    The level comes from :func:`hinf_search`: its levels are decided by
+    the candidate of :func:`synth_hinf` alone, the level it returns by
+    :func:`norms.norm_below` (bracketed only if that cannot decide), and
+    a returned level that fails sends it to the search over
+    ``decide_level``.  That level is bracketed once more at the end
+    (:func:`certify_returned`), so the controller and the certificate
+    are those :func:`synth_hinf` gives at the level.  The metadata adds
+    the search's ``search_levels``.
     """
     hi, best, levels = hinf_search(P, tol_abs, tol_rel)
     best = certify_returned(hi, best)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegretSynthError, UnstableSystem
-from .hinf import SynthesisResult, decide_level, hinf_search, synth_hinf
+from .hinf import SynthesisResult, decide_level, fell_back, hinf_search, synth_hinf
 from .noncausal import NoncausalController, build_noncausal, eval_noncausal_cost
 from .norms import FrequencyGrid, hinf_norm, norm_below
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
@@ -475,10 +475,14 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     K-step: ``d_order`` and ``d_fit_error`` (0 and None without one).
     Each K-step runs :func:`hinf.hinf_search` with ``stop_below=1`` and
     keeps the controller of the level it returns, with no final
-    bracket; its entry records the search's ``(gamma, verdict)`` pairs
-    as ``k_levels``.  Every K-step after the first starts its search at
-    the level the K-step before it returned, which changes only the
-    levels tried while the verdicts are monotone in gamma.
+    bracket: the search decides its levels by the Riccati tests and
+    certifies the level it returns by :func:`norms.norm_below`, falling
+    back to a search over :func:`hinf.decide_level` when that level
+    fails.  The K-step's entry records the search's ``(gamma, verdict)``
+    pairs as ``k_levels`` and whether it fell back as ``k_fallback``.
+    Every K-step after the first starts its search at the level the
+    K-step before it returned, which changes only the levels tried while
+    the verdicts are monotone in gamma.
     An ``initial_D`` from a nearby level warm-starts the alternation (any
     stable minimum-phase D keeps the certificate sound).  The nominal
     check at level 1 runs :func:`hinf.synth_hinf`, whose bracketed norm
@@ -523,7 +527,7 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
                 trace.append({"iter": it, "error": str(exc)})
                 break
             K, k_start = res.controller, gamma_val
-            k_step = {"k_levels": k_levels}
+            k_step = {"k_levels": k_levels, "k_fallback": fell_back(k_levels)}
         M = build_M(P, K, F)
         if not M.M.is_schur():
             trace.append({"iter": it, "hinf_value": gamma_val, **k_step,

@@ -221,9 +221,34 @@ def _controller_bytes(res):
 # seed -> a level the search visits whose closed-loop norm lies within the
 # bracket's width under it: the bracket there says infeasible
 AT_THE_NORM = {0: 3.879150390625, 3: 16.435546875, 6: 3.185302734375}
-VERDICTS = {"below", "above", "bracket", "parrott", "R_singular", "X_riccati",
-            "X_indefinite", "Y_riccati", "Y_indefinite", "spectral_radius",
-            "feedthrough_factorization", "closed_loop_unstable"}
+NORM_VERDICTS = {"below", "above", "bracket"}
+CANDIDATE_VERDICTS = {"parrott", "R_singular", "X_riccati", "X_indefinite", "Y_riccati",
+                      "Y_indefinite", "spectral_radius", "feedthrough_factorization",
+                      "closed_loop_unstable"}
+VERDICTS = NORM_VERDICTS | CANDIDATE_VERDICTS
+
+
+def _split(levels):
+    """A hinf_search record as (the first search's entries, the entry of
+    the level it returned, the fallback's entries)."""
+    k = next(i for i, (_, verdict) in enumerate(levels) if verdict in NORM_VERDICTS)
+    return levels[:k], levels[k], levels[k + 1:]
+
+
+def _check_record(levels, g):
+    """The record's parts hold the verdicts of their searches; returns the
+    levels of the search that gave ``g``."""
+    first, (returned, verdict), fallback = _split(levels)
+    assert {v for _, v in first} <= CANDIDATE_VERDICTS | {"riccati_ok"}
+    assert (returned, "riccati_ok") in first
+    assert {v for _, v in fallback} <= VERDICTS
+    assert rs.hinf.fell_back(levels) == bool(fallback)
+    if not fallback:
+        assert returned == g and verdict in {"below", "bracket"}
+        return [level for level, _ in first]
+    assert verdict in {"above", "bracket"}
+    assert dict(fallback)[g] in {"below", "bracket"}
+    return [level for level, _ in fallback]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -235,8 +260,13 @@ def test_decided_search_matches_the_search_over_synth_hinf_bitwise(seed):
     _, hi, best = bisect_loop(lambda x: tried.append(x) or rs.synth_hinf(reference, x),
                               1e-4, 1e-4)
     levels = res.metadata["search_levels"]
-    assert [level for level, _ in levels] == tried
-    assert {verdict for _, verdict in levels} <= VERDICTS
+    assert _check_record(levels, g) == tried
+    # a level passes the Riccati tests exactly when synth_hinf gets a
+    # stable candidate to bracket, and fails with synth_hinf's reason
+    for level, verdict in _split(levels)[0]:
+        reason = rs.synth_hinf(reference, level).metadata["reason"]
+        assert verdict == ("riccati_ok" if reason in (
+            "ok", "norm_at_level", "norm_uncertified") else reason)
     assert np.float64(g).tobytes() == np.float64(hi).tobytes()
     assert _controller_bytes(res) == _controller_bytes(best)
     assert np.float64(res.achieved_norm).tobytes() == \
@@ -251,35 +281,74 @@ def test_decided_search_matches_the_search_over_synth_hinf_bitwise(seed):
         assert at.metadata["norm_bracket"][0] < level
 
 
+def _count_calls(monkeypatch, name):
+    """Arguments of every call of ``hinf.<name>`` from now on."""
+    calls = []
+    func = getattr(rs.hinf, name)
+    monkeypatch.setattr(rs.hinf, name, lambda *a, **k: calls.append(a) or func(*a, **k))
+    return calls
+
+
 def test_search_brackets_only_undecided_levels_and_the_result(monkeypatch):
     P = random_generalized_plant(1)
-    brackets = []
-    hinf_norm = rs.hinf.hinf_norm
-    monkeypatch.setattr(rs.hinf, "hinf_norm",
-                        lambda *a, **k: brackets.append(a[0]) or hinf_norm(*a, **k))
+    brackets = _count_calls(monkeypatch, "hinf_norm")
     g, res = rs.hinf_optimize(P, 1e-4, 1e-4)
     levels = res.metadata["search_levels"]
-    verdicts = [verdict for _, verdict in levels]
-    assert dict(levels)[g] == "below"
-    assert len(brackets) == verdicts.count("bracket") + 1
-    assert brackets[-1] is res.closed_loop
+    # no level of the first search is bracketed, and its returned level
+    # is decided by norm_below, so the one bracket is hinf_optimize's
+    first, returned, fallback = _split(levels)
+    assert returned == (g, "below") and not fallback
+    assert {v for _, v in first} <= CANDIDATE_VERDICTS | {"riccati_ok"}
+    assert len(brackets) == 1
+    assert brackets[-1][0] is res.closed_loop
     assert res.feasible and res.achieved_norm < g
+
+
+def test_a_search_without_fallback_decides_one_norm(monkeypatch):
+    P = random_generalized_plant(1)
+    below = _count_calls(monkeypatch, "norm_below")
+    brackets = _count_calls(monkeypatch, "hinf_norm")
+    g, res, levels = rs.hinf_search(P, 1e-4, 1e-4)
+    assert not rs.hinf.fell_back(levels)
+    assert len(below) == 1 and below[0][1] == g
+    assert not brackets
+    assert isinstance(res, rs.hinf._Decided) and res.feasible
+
+
+def test_a_returned_level_that_fails_falls_back_to_the_decided_search(monkeypatch):
+    P = random_generalized_plant(0)
+    candidates = _count_calls(monkeypatch, "_candidate")
+    g, res, levels = rs.hinf_search(P, 1e-4, 1e-4)
+    first, (returned, verdict), fallback = _split(levels)
+    # the first search returned a level whose norm is not below it
+    assert rs.hinf.fell_back(levels) and fallback
+    assert (returned, "riccati_ok") in first and verdict in {"above", "bracket"}
+    # no level is synthesized twice
+    assert [a[1] for a in candidates] == list(dict.fromkeys(level for level, _ in levels))
+    assert not rs.synth_hinf(random_generalized_plant(0), returned).feasible
+    # the fallback is the search over synth_hinf, bit for bit
+    tried = []
+    reference = random_generalized_plant(0)
+    _, hi, best = bisect_loop(lambda x: tried.append(x) or rs.synth_hinf(reference, x),
+                              1e-4, 1e-4)
+    assert [level for level, _ in fallback] == tried
+    assert np.float64(g).tobytes() == np.float64(hi).tobytes() and g > returned
+    assert _controller_bytes(res) == _controller_bytes(best)
+    br = rs.hinf_norm(rs.lft_lower(P, res.controller), return_bracket=True)
+    assert br.certified and br.upper < g
+    assert rs.hinf.certify_returned(g, res).achieved_norm == best.achieved_norm
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_hinf_search_matches_hinf_optimize_bitwise(seed, monkeypatch):
     P = random_generalized_plant(seed)
-    brackets = []
-    hinf_norm = rs.hinf.hinf_norm
-    monkeypatch.setattr(rs.hinf, "hinf_norm",
-                        lambda *a, **k: brackets.append(a[0]) or hinf_norm(*a, **k))
+    brackets = _count_calls(monkeypatch, "hinf_norm")
     # the norms of these plants are above 1, so only 64 ends a search early
     for stop_below in (None, 1.0, 64.0):
         brackets.clear()
         g, res, levels = rs.hinf_search(P, 1e-4, 1e-4, stop_below)
-        verdicts = [verdict for _, verdict in levels]
         # one bracket per undecided level, none for the level returned
-        assert len(brackets) == verdicts.count("bracket")
+        assert len(brackets) == len({level for level, v in levels if v == "bracket"})
         if stop_below is None:
             g_opt, res_opt = rs.hinf_optimize(P, 1e-4, 1e-4)
             assert levels == res_opt.metadata["search_levels"]
@@ -289,10 +358,10 @@ def test_hinf_search_matches_hinf_optimize_bitwise(seed, monkeypatch):
             tried = []
             _, g_opt, res_opt = bisect_loop(
                 lambda x: tried.append(x) or rs.synth_hinf(P, x), 1e-4, 1e-4, stop_below)
-            assert [level for level, _ in levels] == tried
+            assert _check_record(levels, g) == tried
         assert np.float64(g).tobytes() == np.float64(g_opt).tobytes()
         assert _controller_bytes(res) == _controller_bytes(res_opt)
-        assert res.feasible and dict(levels)[g] in {"below", "bracket"}
+        assert res.feasible
 
 
 def test_a_decision_the_bracket_contradicts_raises(monkeypatch):

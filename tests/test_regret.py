@@ -126,7 +126,14 @@ def test_competitive_ratio_is_one_weighted_hinf_search(store, scalar_k0, name):
     gd = res.metadata["gamma_d_regularized"]
     assert res.metadata["level"] == (0.0, g_c) and gd == rs.EPS_CR * g_c
     assert res.metadata["kind"] == KIND_COMPETITIVE
-    assert dict(res.metadata["search_levels"])[g_c] in ("below", "bracket")
+    # g_c's own verdict closes the record, unless the search fell back
+    # and the search over decide_level certified g_c
+    levels = res.metadata["search_levels"]
+    if rs.hinf.fell_back(levels):
+        assert dict(levels)[g_c] in ("below", "bracket")
+    else:
+        assert levels[-1] in ((g_c, "below"), (g_c, "bracket"))
+        assert (g_c, "riccati_ok") in levels
     rep = rs.verify_regret(res.controller, P, rs.RegretLevel(gd, g_c),
                            n_trials=200, seed=5, K0=K0)
     assert rep.passed, rep

@@ -623,8 +623,12 @@ def test_dk_k_steps_keep_a_bracket_below_their_level(monkeypatch):
     k_steps = [t for t in res.metadata["dk_trace"] if "k_levels" in t]
     assert [t["k_levels"] for t in k_steps] == [levels for *_, levels in searches]
     assert [t["hinf_value"] for t in k_steps] == [g for _, g, *_ in searches]
-    for P, g, best, levels in searches:
-        assert dict(levels)[g] in {"below", "bracket"}
+    for (P, g, best, levels), t in zip(searches, k_steps):
+        assert t["k_fallback"] == rs.hinf.fell_back(levels)
+        # the level returned is certified by its own entry, the record's
+        # last unless the search fell back
+        assert [v for level, v in levels if level == g][-1] in {"below", "bracket"}
+        assert t["k_fallback"] or levels[-1][0] == g
         br = rs.hinf_norm(rs.lft_lower(P, best.controller), return_bracket=True)
         assert br.certified and br.upper < g
 
