@@ -164,6 +164,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    if args.points < 1:
+        raise RegretSynthError(f"--points must be at least 1, got {args.points}")
     t0 = time.time()
     out = _outdir(args)
     if args.mode == "nominal":
@@ -235,6 +237,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_freqresp(args) -> int:
+    if args.points < 1:
+        raise RegretSynthError(f"--points must be at least 1, got {args.points}")
     t0 = time.time()
     out = _outdir(args)
     P = _load_nominal(args)

@@ -587,8 +587,8 @@ def decide_level(P: GeneralizedPlant, gamma: float):
     or was bracketed, and otherwise the candidate ``norm_below``
     decided; both give ``feasible`` and ``controller``.  By the contract
     of ``norm_below``, ``feasible`` is that of ``synth_hinf(P, gamma)``.
-    The searches that decide every level so are :func:`hinf_search`'s
-    fallback, the front's ray points and DK-iteration's nominal check.
+    Its callers are :func:`hinf_search`, on the level it returns and in
+    its fallback, and DK-iteration's nominal check.
     """
     return _decide(gamma, *_candidate(P, gamma))
 
@@ -610,8 +610,11 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
     norms are below them, the first search takes the same path as the
     second would, so the result does not depend on the fallback.
 
-    Returns (gamma_upper, result, search_levels).  ``result`` is the one
-    at the feasible upper end of the final bracket: a bracketed
+    Returns (lo, gamma_upper, result, search_levels), in the order of
+    :func:`bisect_level`'s (lo, hi, best).  ``lo`` is the lower end of
+    the bracket that gave ``gamma_upper``, the fallback's after a
+    fallback.  ``result`` is the one at the feasible upper end of the
+    final bracket: a bracketed
     :class:`SynthesisResult` when the bracket decided that level, and
     otherwise the candidate :func:`norms.norm_below` decided below it.
     Both give the level's controller as ``result.controller``.
@@ -632,12 +635,12 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
         levels.append((g, reason or "riccati_ok"))
         return _Riccati(reason is None)
 
-    _, hi, _ = bisect_level(riccati, tol_abs, tol_rel, stop_below, start)
+    lo, hi, _ = bisect_level(riccati, tol_abs, tol_rel, stop_below, start)
     decided = {hi: _decide(hi, *candidates[hi])}
     verdict, best = decided[hi]
     levels.append((hi, verdict))
     if best.feasible:
-        return hi, best, tuple(levels)
+        return lo, hi, best, tuple(levels)
 
     def decide(g):
         if g not in decided:
@@ -646,8 +649,8 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
         levels.append((g, decided[g][0]))
         return decided[g][1]
 
-    _, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below, start)
-    return hi, best, tuple(levels)
+    lo, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below, start)
+    return lo, hi, best, tuple(levels)
 
 
 def fell_back(search_levels) -> bool:
@@ -662,8 +665,7 @@ def fell_back(search_levels) -> bool:
 
 def certify_returned(gamma: float, result) -> SynthesisResult:
     """The :class:`SynthesisResult` of the level ``gamma`` that
-    :func:`hinf_search`, or a search over :func:`decide_level`, returned,
-    with its closed-loop norm bracketed.
+    :func:`hinf_search` returned, with its closed-loop norm bracketed.
 
     A ``result`` the search bracketed already is returned as it is.  A
     candidate :func:`norms.norm_below` decided below ``gamma`` is
@@ -696,6 +698,6 @@ def hinf_optimize(P: GeneralizedPlant, tol_abs: float = 1e-4,
     are those :func:`synth_hinf` gives at the level.  The metadata adds
     the search's ``search_levels``.
     """
-    hi, best, levels = hinf_search(P, tol_abs, tol_rel)
+    _, hi, best, levels = hinf_search(P, tol_abs, tol_rel)
     best = certify_returned(hi, best)
     return hi, replace(best, metadata={**best.metadata, "search_levels": levels})

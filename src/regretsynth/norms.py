@@ -70,7 +70,8 @@ _SEARCH_MIN = 1e-8
 _SEARCH_ZOOMS = 4
 # smallest positive angle of FrequencyGrid.default's log-spaced part
 _THETA_MIN = 1e-5
-# extra points that FrequencyGrid.refined_near puts per grid cell
+# extra points that FrequencyGrid.refined_near puts per grid cell; its
+# 4 _REFINE_FACTOR + 2 points also make each loop_margins sub-grid
 _REFINE_FACTOR = 4
 # points of norm_grid's base grid; loop_margins adds half as many
 # linearly spaced ones
@@ -407,15 +408,13 @@ def loop_margins(L: StateSpace) -> LoopMargins:
     else:
         i = crossings[0]
         lo, hi = thetas[i], thetas[i + 1]
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            m = abs(L.freqresp([mid])[0, 0, 0])
-            if (m - 1.0) * (mags[i] - 1.0) > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 + 1e-10 * hi:
-                break
+        # each pass keeps the cell of the first sign change on an evenly
+        # spaced sub-grid of the bracket, one freqresp call per pass
+        while hi - lo >= 1e-14 + 1e-10 * hi:
+            sub = np.linspace(lo, hi, 4 * _REFINE_FACTOR + 2)
+            changed = (np.abs(L.freqresp(sub[1:-1])[:, 0, 0]) - 1.0) * (mags[i] - 1.0) <= 0
+            k = int(np.argmax(changed)) + 1 if changed.any() else sub.size - 1
+            lo, hi = sub[k - 1], sub[k]
         theta_c = 0.5 * (lo + hi)
     phase = np.angle(L.freqresp([theta_c])[0, 0, 0])
     pm = np.degrees(np.pi + phase)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hinf import (SynthesisResult, bisect_level, certify_returned, decide_level,
-                   hinf_optimize, hinf_search, synth_hinf)
+from .hinf import (SynthesisResult, bisect_level, certify_returned, hinf_optimize,
+                   hinf_search, synth_hinf)
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
 from .plants import GeneralizedPlant, lft_lower, weight_disturbance
@@ -239,10 +239,12 @@ class ParetoPoint:
     """A front point whose ``result`` certifies (gamma_d, gamma_j_upper).
 
     On the nominal front the point lies on the ray gamma_d = ``ray``
-    gamma_J, and its search bracketed gamma_J along that ray:
-    gamma_d is ``ray`` times gamma_j_upper, and gamma_j_lower says that
-    (ray gamma_j_lower, gamma_j_lower) is not met.  It does not say that
-    gamma_j_lower fails at gamma_d, which is larger.  On a front
+    gamma_J, and its :func:`hinf.hinf_search` bracketed gamma_J along
+    that ray: gamma_d is ``ray`` times gamma_j_upper, and gamma_j_lower
+    says that (ray gamma_j_lower, gamma_j_lower) is not met, its
+    candidate failing the Riccati tests or, after a fallback, its norm
+    not certified below the level.  It does not say that gamma_j_lower
+    fails at gamma_d, which is larger.  On a front
     searched by an oracle, ``ray`` is None and gamma_d is fixed:
     gamma_j_lower is not met at gamma_d.  A lower end of 0 is a search
     that found no infeasible level.
@@ -299,52 +301,32 @@ def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float, tol_rel: float,
 
 
 def _ray_point(P: GeneralizedPlant, K0: NoncausalController, ray: float,
-               tol_abs: float, tol_rel: float, implied_from: float) -> ParetoPoint:
+               tol_abs: float, tol_rel: float) -> ParetoPoint:
     """The front's point on the ray gamma_d = ``ray`` gamma_J, by one
     H-infinity search.
 
     Both DARE costs of the regret factor at (ray gamma, gamma) scale by
     gamma^2, so that factor is gamma times the factor at (ray, 1).  The
     level is met when the plant weighted by that one factor has a loop
-    of norm below gamma, so the point is that plant's optimal norm.
-    Each level is decided by :func:`hinf.decide_level`, and only the
-    level returned is bracketed.  The search's tolerance on gamma_J is
-    ``tol_abs / max(1, ray)``, so the bracket of gamma_d = ray gamma_J
-    meets ``tol_abs + tol_rel gamma_d`` too.  Levels at or above
-    ``implied_from`` are taken as feasible, as in
-    :func:`_swept_bisection`.
+    of norm below gamma, so the point is that plant's optimal norm, from
+    a cold :func:`hinf.hinf_search` whose returned level is bracketed
+    (:func:`hinf.certify_returned`).  The search's tolerance on gamma_J
+    is ``tol_abs / max(1, ray)``, so the bracket of gamma_d = ray
+    gamma_J meets ``tol_abs + tol_rel gamma_d`` too.
 
     The result is that of the weighted problem in gamma_J's units:
     ``gamma`` is gamma_j_upper and ``achieved_norm`` the certified norm
     of ``closed_loop``, below it.  Its metadata adds ``level``, ``kind``
-    and the search's ``search_levels`` (one (gamma, verdict) per level,
-    the verdicts of ``decide_level``).
+    and the search's ``search_levels``.
     """
     Pw, factor = regret_weighted_plant(P, K0, RegretLevel(ray, 1.0))
     ray = factor.gamma_d  # EPS_CR for a ray below the regularization
-
-    def decide(g):
-        verdict, res = decide_level(Pw, g)
-        return (verdict,), res
-
-    lo, hi, best, levels, meta = _swept_bisection(
-        decide, tol_abs / max(1.0, ray), tol_rel, implied_from)
+    lo, hi, best, levels = hinf_search(Pw, tol_abs / max(1.0, ray), tol_rel)
     res = certify_returned(hi, best)
     gamma_d = ray * hi
     return ParetoPoint(gamma_d, lo, hi, replace(res, metadata={
         **res.metadata, "level": (gamma_d, hi), "kind": RegretLevel(gamma_d, hi).kind,
-        "search_levels": levels, **meta}), ray)
-
-
-def _sweep(solve, keys) -> tuple:
-    """``solve(key, implied_from)`` per key in order, each point's
-    ``implied_from`` being the previous point's gamma_J upper end."""
-    points = []
-    implied_from = np.inf
-    for key in keys:
-        points.append(solve(key, implied_from))
-        implied_from = points[-1].gamma_j_upper
-    return tuple(points)
+        "search_levels": levels}), ray)
 
 
 def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
@@ -356,11 +338,9 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     gamma_d = r gamma_J.  gamma_C comes from one search on the
     competitive-ratio weighted plant, and the rays go through the
     segment from (0, gamma_C) to (gamma_inf, 0) at ``n_points`` evenly
-    spaced fractions of ``_GRID_SPAN``.  Each point is one regret factor
-    and one H-infinity search (:func:`_ray_point`).  The rays are
-    solved in increasing slope; a level (r' gamma, gamma) with r' > r is
-    weaker than a met (r gamma, gamma), so each search takes the levels
-    at or above the previous point's gamma_J upper end as feasible.
+    spaced fractions of ``_GRID_SPAN``, in increasing slope.  Each point
+    is one regret factor and one cold H-infinity search
+    (:func:`_ray_point`).
 
     With an ``oracle_factory`` (DK-iteration levels, which have no ray
     structure), the points keep the nominal ray front's gamma_d, so that
@@ -368,14 +348,16 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     fixed gamma_d with its own oracle from ``oracle_factory()``, taking
     the levels the previous point certified as feasible
     (:func:`_bisect_gamma_j`).  Every point is certified at its own
-    (gamma_d, gamma_J upper).
+    (gamma_d, gamma_J upper).  ``n_points < 1`` raises ValueError.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     if K0 is None:
         K0 = build_noncausal(P)
     if gamma_inf is None:
-        gamma_inf, _, _ = hinf_search(P, tol_abs, tol_rel)
+        _, gamma_inf, _, _ = hinf_search(P, tol_abs, tol_rel)
     Pc, _ = regret_weighted_plant(P, K0, RegretLevel.competitive_ratio(1.0))
-    gamma_c, _, _ = hinf_search(Pc, tol_abs, tol_rel)
+    _, gamma_c, _, _ = hinf_search(Pc, tol_abs, tol_rel)
     # gamma_c > 0 is a level the search found feasible.  For every causal
     # controller sup_d J(K, d) / |d|^2 >= gamma_inf^2, and J0(d) <=
     # gamma_inf^2 |d|^2, so gamma_inf / gamma_c <= sqrt(EPS_CR^2 +
@@ -383,12 +365,13 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     # with both levels at the search's floor (d never reaching e)
     fractions = np.linspace(_GRID_SPAN[0], _GRID_SPAN[1], n_points)
     rays = [float(f / (1.0 - f) * (gamma_inf / gamma_c)) for f in fractions]
-    points = _sweep(lambda r, bound: _ray_point(P, K0, r, tol_abs, tol_rel, bound),
-                    rays)
+    points = tuple(_ray_point(P, K0, r, tol_abs, tol_rel) for r in rays)
     if oracle_factory is not None:
-        points = _sweep(lambda gd, bound: _bisect_gamma_j(
-            oracle_factory(), gd, tol_abs, tol_rel, bound),
-            [p.gamma_d for p in points])
+        swept = []  # each search bounded by the previous point's upper end
+        for p in points:
+            swept.append(_bisect_gamma_j(oracle_factory(), p.gamma_d, tol_abs, tol_rel,
+                                         swept[-1].gamma_j_upper if swept else np.inf))
+        points = tuple(swept)
     return ParetoFront(points, gamma_inf,
                        metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
                                  "grid_span": _GRID_SPAN, "gamma_c": gamma_c})

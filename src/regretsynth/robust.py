@@ -520,7 +520,7 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
         else:
             P_syn = dk_scaled_plant(P, F, D)
             try:
-                gamma_val, res, k_levels = hinf_search(
+                _, gamma_val, res, k_levels = hinf_search(
                     P_syn, _DK_TOL_ABS, _DK_TOL_REL, stop_below=1.0,
                     start=k_start)
             except (RegretSynthError, np.linalg.LinAlgError) as exc:
@@ -591,7 +591,10 @@ def robust_pareto_front(P: UncertainPlant, n_points: int = 20,
     Each point gets its own warm-started oracle, and its search takes
     the levels the previous point certified as feasible.  Such a level
     is not evaluated, so it does not update the oracle's warm-start D.
+    ``n_points < 1`` raises ValueError.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     nominal = P.nominal()
     K0 = build_noncausal(nominal)
     return pareto_front(nominal, n_points, tol_abs, tol_rel, K0=K0,

@@ -227,6 +227,22 @@ def cr_bisection_reference(P, K0, tol_abs: float = 1e-4,
     return hi, best
 
 
+def ray_point_reference(P, K0, ray: float, tol_abs: float, tol_rel: float):
+    """A nominal front's point on the ray gamma_d = ``ray`` gamma_J by a
+    cold search over ``decide_level``.
+
+    ``pareto_front`` searched each ray this way before its ray points ran
+    ``hinf_search``: every level decided by ``norm_below`` (bracketed
+    only if that cannot decide) on the plant weighted by the factor at
+    (ray, 1), at the tolerance ``tol_abs / max(1, ray)``, and the level
+    returned bracketed.  Returns (gamma_lower, gamma_upper, result).
+    """
+    Pw, _ = rs.regret.regret_weighted_plant(P, K0, rs.RegretLevel(ray, 1.0))
+    lo, hi, best = rs.hinf.bisect_level(
+        lambda g: rs.hinf.decide_level(Pw, g)[1], tol_abs / max(1.0, ray), tol_rel)
+    return lo, hi, rs.hinf.certify_returned(hi, best)
+
+
 def para_hermitian_apply(system, ebar, tol: float = 1e-12):
     """Apply the adjoint P~ in the time domain: <P d, e> = <d, P~ e>.
 
@@ -837,6 +853,27 @@ def bisect_loop(feasible_at, tol_abs: float, tol_rel: float,
         else:
             lo = mid
     return lo, hi, best
+
+
+def crossover_bisection_reference(L, lo: float, hi: float) -> float:
+    """The gain crossover of a SISO loop in [lo, hi] by scalar bisection,
+    one angle per evaluation, as ``loop_margins`` refined it before its
+    batched sub-grids: bisect on the side of |L| - 1 at ``lo`` until the
+    bracket is narrower than ``1e-14 + 1e-10 hi``, and return its
+    midpoint."""
+    def gap(theta):
+        return abs(at_z(L, np.exp(1j * theta))[0, 0]) - 1.0
+
+    side = gap(lo)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) * side > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14 + 1e-10 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def care_sign_reference(H: np.ndarray):

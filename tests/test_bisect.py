@@ -308,8 +308,10 @@ def test_a_search_without_fallback_decides_one_norm(monkeypatch):
     P = random_generalized_plant(1)
     below = _count_calls(monkeypatch, "norm_below")
     brackets = _count_calls(monkeypatch, "hinf_norm")
-    g, res, levels = rs.hinf_search(P, 1e-4, 1e-4)
+    lo, g, res, levels = rs.hinf_search(P, 1e-4, 1e-4)
     assert not rs.hinf.fell_back(levels)
+    # the bracket's lower end is a level whose candidate failed
+    assert 0.0 < lo < g and dict(levels)[lo] in CANDIDATE_VERDICTS
     assert len(below) == 1 and below[0][1] == g
     assert not brackets
     assert isinstance(res, rs.hinf._Decided) and res.feasible
@@ -318,7 +320,7 @@ def test_a_search_without_fallback_decides_one_norm(monkeypatch):
 def test_a_returned_level_that_fails_falls_back_to_the_decided_search(monkeypatch):
     P = random_generalized_plant(0)
     candidates = _count_calls(monkeypatch, "_candidate")
-    g, res, levels = rs.hinf_search(P, 1e-4, 1e-4)
+    lo, g, res, levels = rs.hinf_search(P, 1e-4, 1e-4)
     first, (returned, verdict), fallback = _split(levels)
     # the first search returned a level whose norm is not below it
     assert rs.hinf.fell_back(levels) and fallback
@@ -329,10 +331,12 @@ def test_a_returned_level_that_fails_falls_back_to_the_decided_search(monkeypatc
     # the fallback is the search over synth_hinf, bit for bit
     tried = []
     reference = random_generalized_plant(0)
-    _, hi, best = bisect_loop(lambda x: tried.append(x) or rs.synth_hinf(reference, x),
-                              1e-4, 1e-4)
+    lo_ref, hi, best = bisect_loop(
+        lambda x: tried.append(x) or rs.synth_hinf(reference, x), 1e-4, 1e-4)
     assert [level for level, _ in fallback] == tried
     assert np.float64(g).tobytes() == np.float64(hi).tobytes() and g > returned
+    # the lower end is the fallback's
+    assert lo == lo_ref
     assert _controller_bytes(res) == _controller_bytes(best)
     br = rs.hinf_norm(rs.lft_lower(P, res.controller), return_bracket=True)
     assert br.certified and br.upper < g
@@ -346,7 +350,7 @@ def test_hinf_search_matches_hinf_optimize_bitwise(seed, monkeypatch):
     # the norms of these plants are above 1, so only 64 ends a search early
     for stop_below in (None, 1.0, 64.0):
         brackets.clear()
-        g, res, levels = rs.hinf_search(P, 1e-4, 1e-4, stop_below)
+        lo, g, res, levels = rs.hinf_search(P, 1e-4, 1e-4, stop_below)
         # one bracket per undecided level, none for the level returned
         assert len(brackets) == len({level for level, v in levels if v == "bracket"})
         if stop_below is None:
@@ -356,9 +360,10 @@ def test_hinf_search_matches_hinf_optimize_bitwise(seed, monkeypatch):
             # hinf_optimize takes no stop_below: the reference is the
             # search over synth_hinf that stops where this one does
             tried = []
-            _, g_opt, res_opt = bisect_loop(
+            lo_opt, g_opt, res_opt = bisect_loop(
                 lambda x: tried.append(x) or rs.synth_hinf(P, x), 1e-4, 1e-4, stop_below)
             assert _check_record(levels, g) == tried
+            assert lo == lo_opt
         assert np.float64(g).tobytes() == np.float64(g_opt).tobytes()
         assert _controller_bytes(res) == _controller_bytes(res_opt)
         assert res.feasible

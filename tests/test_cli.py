@@ -155,6 +155,18 @@ def test_verify_without_trials_exit_code(tmp_path, capsys, store, mode, trials,
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("command, mode, points", [
+    ("pareto", "nominal", "0"), ("pareto", "nominal", "-3"), ("pareto", "robust", "0"),
+    ("freqresp", "nominal", "0"), ("freqresp", "nominal", "-3")])
+def test_points_below_one_exit_code(tmp_path, capsys, command, mode, points):
+    code = run([command, "--example", "siso", "--mode", mode, "--points", points,
+                "--out", tmp_path / "o"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: --points must be at least 1, got {points}"
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_without_trials_skips_verification(tmp_path):
     out = tmp_path / "s"
     assert run(["synth", "--example", "siso", "--gamma-d", "5", "--trials", "0",

@@ -10,7 +10,7 @@ import regretsynth.norms as norms
 from regretsynth.norms import norm_grid, sigma_max_on_grid
 
 from conftest import random_plant_with_dscale_pole, random_stable_ss
-from oracles import at_z, hinf_norm_dense
+from oracles import at_z, crossover_bisection_reference, hinf_norm_dense
 
 
 def test_static_norm_is_sigma_max():
@@ -68,6 +68,28 @@ def test_margins_integrator():
     assert m.has_crossover
     assert abs(m.phase_margin_deg - 90.0) < 1.0
     assert abs(m.crossover_rad_s - k) < 0.05 * k
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_margins_crossover_matches_scalar_bisection(seed, monkeypatch):
+    # the batched sub-grid refinement lands within the scalar
+    # bisection's tolerance of it, in a few freqresp calls
+    rng = np.random.default_rng(seed)
+    L = random_stable_ss(rng, 1 + seed, 1, 1, rho=0.95, feedthrough=False)
+    # a peak of 2 puts |L| = 1 on the way to and from it
+    L = rs.StateSpace(L.A, L.B, 2.0 * L.C / rs.hinf_norm(L), L.D, 1.0)
+    thetas = np.union1d(norm_grid(L), np.linspace(1e-7, np.pi, norms._MARGIN_GRID // 2))
+    gap = np.abs(L.freqresp(thetas)[:, 0, 0]) - 1.0
+    crossings = np.nonzero(gap[:-1] * gap[1:] < 0)[0]
+    calls = []
+    freqresp = rs.StateSpace.freqresp
+    monkeypatch.setattr(rs.StateSpace, "freqresp",
+                        lambda self, th: calls.append(th) or freqresp(self, th))
+    m = rs.loop_margins(L)
+    i = crossings[0]
+    ref = crossover_bisection_reference(L, thetas[i], thetas[i + 1])
+    assert abs(m.crossover_theta - ref) <= 1e-14 + 1e-10 * ref
+    assert len(calls) <= 10
 
 
 def test_frequency_grid_invariants():

@@ -8,7 +8,7 @@ from regretsynth.regret import (KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, K
                                 _bisect_gamma_j, regret_weighted_plant)
 
 from conftest import random_generalized_plant, scalar_plant
-from oracles import cr_bisection_reference, verify_regret_loop
+from oracles import cr_bisection_reference, ray_point_reference, verify_regret_loop
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +283,8 @@ def test_pareto_sweep_searches_cold_when_the_implied_end_fails(scalar_k0):
 
 
 @pytest.mark.parametrize("name, n_points, tol", [("siso", 5, (1e-4, 1e-4)),
-                                                 ("boeing747", 8, (1e-2, 1e-3))])
+                                                 ("boeing747", 8, (1e-2, 1e-3)),
+                                                 ("quartercar", 6, (1e-4, 1e-4))])
 def test_ray_front_points_are_certified_at_their_own_levels(store, name, n_points, tol):
     P, K0 = store.nominal(name), store.k0(name)
     tol_abs, tol_rel = tol
@@ -295,6 +296,8 @@ def test_ray_front_points_are_certified_at_their_own_levels(store, name, n_point
     for p in front.points:
         lo, hi, r = p.gamma_j_lower, p.gamma_j_upper, p.ray
         assert p.gamma_d == r * hi and p.result.metadata["level"] == (p.gamma_d, hi)
+        # a cold search: no bound from the previous point
+        assert not {"implied_from", "implied_refuted"} & p.result.metadata.keys()
         # the weighted problem's certificate, in gamma_J's units
         assert p.result.feasible and p.result.gamma == hi
         assert rs.hinf_norm(p.result.closed_loop) <= p.result.achieved_norm < hi
@@ -302,23 +305,36 @@ def test_ray_front_points_are_certified_at_their_own_levels(store, name, n_point
         assert r * (hi - lo) <= tol_abs + tol_rel * p.gamma_d
         # synthesized afresh at its own level, the point is met
         assert rs.synth_regret(P, rs.RegretLevel(p.gamma_d, hi), K0=K0).feasible
+        # the point is the one a cold search over decide_level gives
+        ref_lo, ref_hi, ref = ray_point_reference(P, K0, r, tol_abs, tol_rel)
+        assert (lo, hi) == (ref_lo, ref_hi)
+        assert p.result.achieved_norm == ref.achieved_norm
+        for m in "ABCD":
+            assert getattr(p.result.controller, m).tobytes() == \
+                getattr(ref.controller, m).tobytes()
         # the ray's lower end is not met on the ray's plant, nor by a fresh
         # synthesis at (r lo, lo), but for a tie: a candidate whose norm
-        # the search found at the level, which the other route may place
-        # a roundoff below it
+        # the fallback found at the level, which the other route may
+        # place a roundoff below it.  Without a fallback the lower end's
+        # candidate failed the Riccati tests.
         Pw, _ = regret_weighted_plant(P, K0, rs.RegretLevel(r, 1.0))
         assert 0.0 < lo and not rs.synth_hinf(Pw, lo).feasible
         fresh = rs.synth_regret(P, rs.RegretLevel(r * lo, lo), K0=K0)
-        if dict(p.result.metadata["search_levels"])[lo] == "above":
+        levels = p.result.metadata["search_levels"]
+        verdict = dict(levels)[lo]
+        assert verdict not in ("riccati_ok", "below")
+        if rs.hinf.fell_back(levels) and verdict in ("above", "bracket"):
             assert not fresh.feasible or fresh.achieved_norm > 1.0 - 1e-6
         else:
-            assert not fresh.feasible
+            assert verdict not in ("above", "bracket") and not fresh.feasible
     # the steepest ray ends at gamma_inf, within the search's tolerance
     assert front.points[-1].gamma_d <= g_inf + tol_abs + tol_rel * g_inf
 
 
 def test_ray_front_builds_one_factor_per_point(store, monkeypatch):
-    # plus the factor of gamma_C's search, and no per-level synthesis
+    # plus the factor of gamma_C's search, and no per-level synthesis:
+    # one hinf_search per ray and one for gamma_C, each deciding by
+    # norm_below only the level it returns and its fallback's levels
     P, K0 = store.nominal("boeing747"), store.k0("boeing747")
     g_inf, _ = store.special("boeing747", "hinf", 1e-2, 1e-3)
     calls = []
@@ -327,8 +343,37 @@ def test_ray_front_builds_one_factor_per_point(store, monkeypatch):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(rs.regret, fn, counted)
-    rs.pareto_front(P, n_points=8, tol_abs=1e-2, tol_rel=1e-3, K0=K0, gamma_inf=g_inf)
+    searches, below = [], []
+    search, norm_below = rs.regret.hinf_search, rs.hinf.norm_below
+    monkeypatch.setattr(rs.regret, "hinf_search",
+                        lambda *a, **k: searches.append(search(*a, **k)) or searches[-1])
+    monkeypatch.setattr(rs.hinf, "norm_below",
+                        lambda *a, **k: below.append(a) or norm_below(*a, **k))
+    front = rs.pareto_front(P, n_points=8, tol_abs=1e-2, tol_rel=1e-3, K0=K0,
+                            gamma_inf=g_inf)
     assert calls == ["spectral_factor_regret"] * 9
+    assert len(searches) == 9
+    assert [p.result.metadata["search_levels"] for p in front.points] == \
+        [levels for *_, levels in searches[1:]]
+    # norm_below decides at most the levels a record gives a norm
+    # verdict: the level returned, and the fallback's levels after one
+    decided = [v for *_, levels in searches for _, v in levels
+               if v in ("below", "above", "bracket")]
+    assert len(below) <= len(decided)
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_fronts_reject_fewer_than_one_point(scalar_k0, monkeypatch, n_points):
+    # an empty front has no point to report
+    P, K0 = scalar_k0
+    built = []
+    monkeypatch.setattr(rs.regret, "build_noncausal", built.append)
+    monkeypatch.setattr(rs.robust, "build_noncausal", built.append)
+    with pytest.raises(ValueError, match="n_points"):
+        rs.pareto_front(P, n_points=n_points)
+    with pytest.raises(ValueError, match="n_points"):
+        rs.robust_pareto_front(rs.build_example("siso"), n_points=n_points)
+    assert built == []  # rejected before any work
 
 
 def test_pareto_csv_rows(scalar_k0):

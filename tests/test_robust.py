@@ -622,8 +622,9 @@ def test_dk_k_steps_keep_a_bracket_below_their_level(monkeypatch):
     assert res.feasible and searches
     k_steps = [t for t in res.metadata["dk_trace"] if "k_levels" in t]
     assert [t["k_levels"] for t in k_steps] == [levels for *_, levels in searches]
-    assert [t["hinf_value"] for t in k_steps] == [g for _, g, *_ in searches]
-    for (P, g, best, levels), t in zip(searches, k_steps):
+    assert [t["hinf_value"] for t in k_steps] == [g for _, _, g, *_ in searches]
+    for (P, lo, g, best, levels), t in zip(searches, k_steps):
+        assert lo < g
         assert t["k_fallback"] == rs.hinf.fell_back(levels)
         # the level returned is certified by its own entry, the record's
         # last unless the search fell back
