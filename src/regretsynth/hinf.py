@@ -32,7 +32,9 @@ decided by :func:`decide_level`, and if it fails, the search runs again
 with every level decided so, reusing the candidates it has.  Every
 returned controller thus carries the certificate a search over
 :func:`synth_hinf` would give it.  :func:`hinf_optimize` brackets the
-level it returns once more (:func:`certify_returned`).
+level it returns once more (:func:`certify_returned`).  The nominal
+additive-regret search runs the same rule on a family of weighted
+plants (:func:`family_search`).
 """
 
 from __future__ import annotations
@@ -593,6 +595,49 @@ def decide_level(P: GeneralizedPlant, gamma: float):
     return _decide(gamma, *_candidate(P, gamma))
 
 
+def family_search(plant_at, tol_abs: float, tol_rel: float,
+                  stop_below: float | None = None, start: float | None = None):
+    """:func:`hinf_search`'s rule on a family of plants.
+
+    ``plant_at(g)`` returns (plant, level): the search level g is
+    decided on the candidate of :func:`synth_hinf` for that plant at
+    that H-infinity level.  :func:`hinf_search` is the family (P, g).
+    A regret level is a unit-level problem on the plant weighted by its
+    own factor (Goel and Hassibi, "Competitive Control", IEEE TAC 2023),
+    so the additive-regret search is a family at level 1.  Returns what
+    ``hinf_search`` returns, its ``search_levels`` in the levels g.
+    """
+    levels = []
+    candidates = {}
+
+    def candidate_at(g):
+        plant, level = plant_at(g)
+        return level, *_candidate(plant, level)
+
+    def riccati(g):
+        candidates[g] = candidate_at(g)
+        reason = candidates[g][1]
+        levels.append((g, reason or "riccati_ok"))
+        return _Riccati(reason is None)
+
+    lo, hi, _ = bisect_level(riccati, tol_abs, tol_rel, stop_below, start)
+    decided = {hi: _decide(*candidates[hi])}
+    verdict, best = decided[hi]
+    levels.append((hi, verdict))
+    if best.feasible:
+        return lo, hi, best, tuple(levels)
+
+    def decide(g):
+        if g not in decided:
+            decided[g] = _decide(*(candidates[g] if g in candidates
+                                   else candidate_at(g)))
+        levels.append((g, decided[g][0]))
+        return decided[g][1]
+
+    lo, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below, start)
+    return lo, hi, best, tuple(levels)
+
+
 def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
                 stop_below: float | None = None, start: float | None = None):
     """The level search of :func:`hinf_optimize`, without its final
@@ -625,32 +670,12 @@ def hinf_search(P: GeneralizedPlant, tol_abs: float, tol_rel: float,
     search's ``decide_level`` verdicts.  Callers that read only the
     level and the controller skip the bracket of :func:`hinf_optimize`.
     ``stop_below`` and ``start`` are passed on to :func:`bisect_level`.
+
+    This is :func:`family_search` on the family (P, g).  The nominal
+    additive-regret point runs the same rule on the plants weighted by
+    each level's regret factor, at H-infinity level 1.
     """
-    levels = []
-    candidates = {}
-
-    def riccati(g):
-        candidates[g] = _candidate(P, g)
-        reason = candidates[g][0]
-        levels.append((g, reason or "riccati_ok"))
-        return _Riccati(reason is None)
-
-    lo, hi, _ = bisect_level(riccati, tol_abs, tol_rel, stop_below, start)
-    decided = {hi: _decide(hi, *candidates[hi])}
-    verdict, best = decided[hi]
-    levels.append((hi, verdict))
-    if best.feasible:
-        return lo, hi, best, tuple(levels)
-
-    def decide(g):
-        if g not in decided:
-            decided[g] = _decide(g, *(candidates[g] if g in candidates
-                                      else _candidate(P, g)))
-        levels.append((g, decided[g][0]))
-        return decided[g][1]
-
-    lo, hi, best = bisect_level(decide, tol_abs, tol_rel, stop_below, start)
-    return lo, hi, best, tuple(levels)
+    return family_search(lambda g: (P, g), tol_abs, tol_rel, stop_below, start)
 
 
 def fell_back(search_levels) -> bool:

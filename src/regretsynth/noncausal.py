@@ -26,9 +26,10 @@ from .riccati import DareProblem, solve_dare
 from .signals import Signal, lock_step_view, trial_blocks
 from .statespace import stein
 
-# largest relative gap between the simulated cost and the
-# completion-of-squares sum that eval_noncausal_cost accepts
-_CROSS_CHECK_REL = 1e-8
+# largest gap between the simulated cost and the completion-of-squares
+# sum that eval_noncausal_cost accepts, relative to the sum of the
+# magnitudes of that sum's four terms
+_CROSS_CHECK_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,10 @@ def eval_noncausal_cost(K0: NoncausalController, d):
     backward variable through a Stein-equation particular solution, and
     after it ends the cost-to-go is the Riccati value x' X x.  The
     simulated energy must agree with the completion-of-squares sum to
-    ``_CROSS_CHECK_REL`` relative, or the call raises.
+    ``_CROSS_CHECK_REL`` times the sum of the magnitudes of its four
+    terms, or the call raises.  The sum cancels terms far larger than
+    the cost, and that is the scale of its roundoff (Higham 2002,
+    ch. 4), which a gate relative to the cost outgrows on long inputs.
 
     The backward and forward recursions of a sequence run in lock step
     over zero-padded inputs, in blocks of ``signals.trial_blocks``, each
@@ -191,9 +195,10 @@ def _lock_step_costs(K0: NoncausalController, ds) -> np.ndarray:
         j_sim = float(v0 @ K0.G_pre @ v0) + float(np.vdot(e, e)) \
             + float(x_end @ K0.X @ x_end)
         # completion-of-squares sum (window terms plus its own pre-tail)
-        j_cf = (float(np.vdot(din_b @ BdX, din_b)) + 2.0 * float(np.vdot(v_next, Bd_d))
-                - float(np.vdot(w @ K0.H, w)) - float(v0 @ K0.G_cf @ v0))
-        if abs(j_sim - j_cf) > _CROSS_CHECK_REL * (1.0 + abs(j_sim)):
+        terms = (float(np.vdot(din_b @ BdX, din_b)), 2.0 * float(np.vdot(v_next, Bd_d)),
+                 -float(np.vdot(w @ K0.H, w)), -float(v0 @ K0.G_cf @ v0))
+        j_cf = sum(terms)
+        if abs(j_sim - j_cf) > _CROSS_CHECK_REL * sum(map(abs, terms)):
             raise RegretSynthError(
                 f"noncausal cost cross-check failed: simulated {j_sim:.12g} "
                 f"vs closed form {j_cf:.12g}"

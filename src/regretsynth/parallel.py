@@ -1,7 +1,5 @@
-"""Empty: the Pareto front is solved in one loop.
+"""Empty.
 
-The front's points run in increasing gamma_d, each search taking the
-levels the previous point certified as feasible, so they are no longer
-independent and no thread pool is left.  The module stays importable
-because the benchmark's tracer imports every package module by name.
+The module stays importable because the benchmark's tracer imports every
+package module by name.
 """

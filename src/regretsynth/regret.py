@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hinf import (SynthesisResult, bisect_level, certify_returned, hinf_optimize,
-                   hinf_search, synth_hinf)
+from .errors import RegretSynthError
+from .hinf import (SynthesisResult, bisect_level, certify_returned, family_search,
+                   hinf_optimize, hinf_search, synth_hinf)
 from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
 from .plants import GeneralizedPlant, lft_lower, weight_disturbance
@@ -127,72 +128,26 @@ def _level_for(kind: str, gamma: float) -> RegretLevel:
     raise ValueError(f"optimize_special kind must be a special case, got {kind!r}")
 
 
-class _Implied:
-    """The verdict on a level that the previous point of a front already
-    certified: feasible, with no oracle called."""
-
-    feasible = True
-
-
-_IMPLIED = _Implied()
-
-
-def _recorded(feasible_at):
-    """``decide`` for :func:`_traced_bisection` from a per-level oracle:
-    the verdict is ``feasible`` or the result's ``reason``, followed by
-    the iteration count for DK-iteration results."""
-    def decide(g):
-        res = feasible_at(g)
-        verdict = ("feasible" if res.feasible else res.metadata.get("reason"),)
-        if "iterations" in res.metadata:
-            verdict += (res.metadata["iterations"],)
-        return verdict, res
-    return decide
-
-
-def _traced_bisection(decide, tol_abs: float, tol_rel: float,
-                      implied_from: float = np.inf):
-    """:func:`bisect_level` over ``decide(g)``, which returns (verdict,
-    result) with ``verdict`` a tuple.
+def _traced_bisection(feasible_at, tol_abs: float, tol_rel: float):
+    """:func:`bisect_level` over a per-level oracle ``feasible_at(g)``.
 
     Returns (lo, hi, best, search_levels), ``search_levels`` holding one
-    (gamma, *verdict) per level in the order tried.  Levels at or above
-    ``implied_from`` are answered feasible without calling ``decide``
-    and are not recorded.  An upper end known only that way is
-    evaluated (and recorded) last, so ``best`` may be infeasible.
+    (gamma, verdict) per level in the order tried: ``feasible`` or the
+    result's ``reason``, followed by the iteration count for
+    DK-iteration results, (gamma, verdict, iterations).
     """
     levels = []
 
     def at(g):
-        verdict, res = decide(g)
+        res = feasible_at(g)
+        verdict = ("feasible" if res.feasible else res.metadata.get("reason"),)
+        if "iterations" in res.metadata:
+            verdict += (res.metadata["iterations"],)
         levels.append((g, *verdict))
         return res
 
-    lo, hi, best = bisect_level(
-        lambda g: _IMPLIED if g >= implied_from else at(g), tol_abs, tol_rel)
-    if best is _IMPLIED:
-        best = at(hi)
+    lo, hi, best = bisect_level(at, tol_abs, tol_rel)
     return lo, hi, best, tuple(levels)
-
-
-def _swept_bisection(decide, tol_abs: float, tol_rel: float, implied_from: float):
-    """:func:`_traced_bisection` under the bound ``implied_from`` that the
-    previous point of a front certified, searched again from cold when
-    the upper end known only from the bound fails (numerical verdicts
-    that are not monotone).
-
-    Returns (lo, hi, best, search_levels, meta).  ``meta`` holds
-    ``implied_from``, the bound the search ran under (None for a cold
-    search): ``search_levels`` and the cold tree's levels at or above it
-    make up the whole cold tree.  After a failed bound it holds
-    ``implied_refuted`` (the bound, the level) instead.
-    """
-    lo, hi, best, levels = _traced_bisection(decide, tol_abs, tol_rel, implied_from)
-    if best.feasible:
-        return lo, hi, best, levels, {
-            "implied_from": None if implied_from == np.inf else implied_from}
-    meta = {"implied_from": None, "implied_refuted": (implied_from, hi)}
-    return (*_traced_bisection(decide, tol_abs, tol_rel), meta)
 
 
 def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
@@ -201,11 +156,18 @@ def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
     """Bisect the scalar gamma of a special regret kind.
 
     Returns (gamma_upper, result_at_upper); the result's metadata holds
-    the ``search_levels`` of the search.  ``feasibility`` overrides the
-    per-level oracle (used by the robust designs to swap in
-    DK-iteration).
+    the ``search_levels`` of the search.  ``feasibility`` is a per-level
+    oracle (used by the robust designs to swap in DK-iteration), called
+    at every level tried (:func:`_traced_bisection`).
 
-    Without an oracle, the competitive ratio is one H-infinity search.
+    Without an oracle, every kind runs the rule of
+    :func:`hinf.hinf_search`.  The H-infinity kind is
+    :func:`hinf.hinf_optimize`.  The additive-regret level g is met when
+    the plant weighted by the factor at (g, 1) has a loop of norm below
+    1, so its search is :func:`hinf.family_search` over those plants,
+    and its result :func:`synth_regret` at the level returned.
+
+    The competitive ratio is one H-infinity search.
     Its level gamma is regularized to (EPS_CR gamma, gamma), so both
     costs of the factor's DAREs scale by gamma^2 and the factor is
     exactly gamma times the factor at (EPS_CR, 1).  The level is then
@@ -216,22 +178,28 @@ def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
     the certified norm of ``closed_loop``, below it.  Its metadata adds
     ``level`` (0, gamma), ``kind`` and ``gamma_d_regularized``.
     """
-    if kind == KIND_HINF and feasibility is None:
+    _level_for(kind, 1.0)  # a kind that is not special raises ValueError
+    if feasibility is not None:
+        _, hi, best, levels = _traced_bisection(
+            lambda g: feasibility(_level_for(kind, g)), tol_abs, tol_rel)
+        return hi, replace(best, metadata={**best.metadata, "search_levels": levels})
+    if kind == KIND_HINF:
         return hinf_optimize(P, tol_abs, tol_rel)
     if K0 is None:
         K0 = build_noncausal(P)
-    if kind == KIND_COMPETITIVE and feasibility is None:
+    if kind == KIND_COMPETITIVE:
         Pw, _ = regret_weighted_plant(P, K0, RegretLevel.competitive_ratio(1.0))
         gamma, res = hinf_optimize(Pw, tol_abs, tol_rel)
         return gamma, replace(res, metadata={
             **res.metadata, "level": (0.0, gamma), "kind": KIND_COMPETITIVE,
             "gamma_d_regularized": effective_gamma_d(0.0, gamma)})
-    if feasibility is None:
-        def feasibility(level):
-            return synth_regret(P, level, K0=K0)
-    _, hi, best, levels = _traced_bisection(
-        _recorded(lambda g: feasibility(_level_for(kind, g))), tol_abs, tol_rel)
-    return hi, replace(best, metadata={**best.metadata, "search_levels": levels})
+    _, hi, _, levels = family_search(
+        lambda g: (regret_weighted_plant(P, K0, RegretLevel.additive(g))[0], 1.0),
+        tol_abs, tol_rel)
+    res = synth_regret(P, RegretLevel.additive(hi), K0=K0)
+    if not res.feasible:
+        raise RegretSynthError(f"synth_regret contradicts the decided level {hi!r}")
+    return hi, replace(res, metadata={**res.metadata, "search_levels": levels})
 
 
 @dataclass(frozen=True)
@@ -245,9 +213,11 @@ class ParetoPoint:
     candidate failing the Riccati tests or, after a fallback, its norm
     not certified below the level.  It does not say that gamma_j_lower
     fails at gamma_d, which is larger.  On a front
-    searched by an oracle, ``ray`` is None and gamma_d is fixed:
-    gamma_j_lower is not met at gamma_d.  A lower end of 0 is a search
-    that found no infeasible level.
+    searched by an oracle, ``ray`` is None and gamma_d is fixed: the
+    point is one cold search of gamma_J with its own oracle
+    (:func:`_bisect_gamma_j`), and gamma_j_lower is a level the oracle
+    found not met at gamma_d.  A lower end of 0 is a search that found
+    no infeasible level.
     """
 
     gamma_d: float
@@ -280,24 +250,15 @@ class ParetoFront:
                 for p in self.points]
 
 
-def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float, tol_rel: float,
-                    implied_from: float = np.inf) -> ParetoPoint:
-    """Minimal gamma_J at fixed gamma_d by :func:`bisect_level`, with the
-    ``search_levels`` of :func:`optimize_special` on the result.
-
-    ``implied_from`` is the gamma_J that a point at a smaller gamma_d
-    certified.  The regret bound only weakens as gamma_d or gamma_J
-    grows, so every level at or above it is feasible here too, and the
-    search answers so without calling ``feasibility``; an upper end
-    known only that way is synthesized at this gamma_d
-    (:func:`_swept_bisection`, whose ``meta`` the result's metadata
-    adds).
-    """
-    lo, hi, best, levels, meta = _swept_bisection(
-        _recorded(lambda g: feasibility(RegretLevel(gamma_d, g))), tol_abs,
-        tol_rel, implied_from)
+def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float,
+                    tol_rel: float) -> ParetoPoint:
+    """Minimal gamma_J at fixed gamma_d by one cold search over the
+    oracle ``feasibility``, with the ``search_levels`` of
+    :func:`_traced_bisection` on the result."""
+    lo, hi, best, levels = _traced_bisection(
+        lambda g: feasibility(RegretLevel(gamma_d, g)), tol_abs, tol_rel)
     return ParetoPoint(gamma_d, lo, hi, replace(best, metadata={
-        **best.metadata, "search_levels": levels, **meta}), None)
+        **best.metadata, "search_levels": levels}), None)
 
 
 def _ray_point(P: GeneralizedPlant, K0: NoncausalController, ray: float,
@@ -344,10 +305,10 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
 
     With an ``oracle_factory`` (DK-iteration levels, which have no ray
     structure), the points keep the nominal ray front's gamma_d, so that
-    the two fronts sit at equal gamma_d.  Each bisects gamma_J at its
-    fixed gamma_d with its own oracle from ``oracle_factory()``, taking
-    the levels the previous point certified as feasible
-    (:func:`_bisect_gamma_j`).  Every point is certified at its own
+    the two fronts sit at equal gamma_d.  Each is one cold search of
+    gamma_J at its fixed gamma_d with its own oracle from
+    ``oracle_factory()`` (:func:`_bisect_gamma_j`), so the points do not
+    depend on one another.  Every point is certified at its own
     (gamma_d, gamma_J upper).  ``n_points < 1`` raises ValueError.
     """
     if n_points < 1:
@@ -367,11 +328,8 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     rays = [float(f / (1.0 - f) * (gamma_inf / gamma_c)) for f in fractions]
     points = tuple(_ray_point(P, K0, r, tol_abs, tol_rel) for r in rays)
     if oracle_factory is not None:
-        swept = []  # each search bounded by the previous point's upper end
-        for p in points:
-            swept.append(_bisect_gamma_j(oracle_factory(), p.gamma_d, tol_abs, tol_rel,
-                                         swept[-1].gamma_j_upper if swept else np.inf))
-        points = tuple(swept)
+        points = tuple(_bisect_gamma_j(oracle_factory(), p.gamma_d, tol_abs, tol_rel)
+                       for p in points)
     return ParetoFront(points, gamma_inf,
                        metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
                                  "grid_span": _GRID_SPAN, "gamma_c": gamma_c})

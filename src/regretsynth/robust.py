@@ -588,9 +588,8 @@ def robust_pareto_front(P: UncertainPlant, n_points: int = 20,
     no ray structure: each point bisects gamma_J at a fixed gamma_d,
     taken from the points of the nominal ray front, so robust and
     nominal points sit at equal gamma_d (:func:`regret.pareto_front`).
-    Each point gets its own warm-started oracle, and its search takes
-    the levels the previous point certified as feasible.  Such a level
-    is not evaluated, so it does not update the oracle's warm-start D.
+    Each point is one cold search with its own warm-started oracle,
+    whose D follows the levels that search evaluates.
     ``n_points < 1`` raises ValueError.
     """
     if n_points < 1:

@@ -227,6 +227,23 @@ def cr_bisection_reference(P, K0, tol_abs: float = 1e-4,
     return hi, best
 
 
+def additive_bisection_reference(P, K0, tol_abs: float = 1e-4,
+                                 tol_rel: float = 1e-4):
+    """The additive-regret level by a bisection over ``synth_regret``.
+
+    ``optimize_special`` searched this way before it decided each level
+    gamma by the Riccati tests on the plant weighted by the factor at
+    (gamma, 1) and certified only the level it returned: each level is
+    decided by ``synth_regret``, which brackets the norm of every
+    candidate that passes.  Returns (gamma_upper, result_at_upper).
+    """
+    def feasible_at(gamma):
+        return rs.synth_regret(P, rs.RegretLevel.additive(gamma), K0=K0)
+
+    _, hi, best = rs.hinf.bisect_level(feasible_at, tol_abs, tol_rel)
+    return hi, best
+
+
 def ray_point_reference(P, K0, ray: float, tol_abs: float, tol_rel: float):
     """A nominal front's point on the ray gamma_d = ``ray`` gamma_J by a
     cold search over ``decide_level``.

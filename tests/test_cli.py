@@ -35,6 +35,22 @@ def test_synth_boeing_cr(tmp_path):
     assert meta["scipy"] == scipy.__version__
 
 
+def test_synth_additive_regret_writes_the_api_controller(tmp_path, store):
+    out = tmp_path / "o"
+    assert run(["synth", "--example", "siso", "--kind", "additive-regret",
+                "--out", out]) == 0
+    gamma, res = store.special("siso", "additive-regret")  # the CLI's tolerances
+    save_controller(tmp_path / "K.sys", res.controller)
+    assert (out / "controller.sys").read_bytes() == (tmp_path / "K.sys").read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["gamma"] == gamma
+    # the record of hinf_search: Riccati verdicts, then the returned level's
+    levels = summary["metadata"]["search_levels"]
+    assert [gamma, "riccati_ok"] in levels[:-1]
+    assert levels[-1] in ([gamma, "below"], [gamma, "bracket"])
+    assert not {v for _, v in levels[:-1]} & {"below", "above", "bracket", "feasible"}
+
+
 def test_synth_infeasible_level_exit_code(tmp_path):
     code = run(["synth", "--example", "boeing747", "--gamma-d", "5.0",
                 "--gamma-j", "0.0", "--out", tmp_path / "x"])

@@ -283,6 +283,35 @@ def test_cross_check_raises_from_inside_a_batch(monkeypatch):
     assert list(rs.eval_noncausal_cost(K0, [zero, zero])) == [0.0, 0.0]
 
 
+# a unit step long enough that the simulated cost and the
+# completion-of-squares sum differed by 1.2e-8 of 1 + |cost|
+_LONG_STEP = 400_000
+
+
+def _siso_input(kind, length, n_d):
+    if kind == "step":
+        return rs.Signal(0, np.ones((length, n_d)))
+    return rs.Signal(0, np.random.default_rng(42).standard_normal((length, n_d)))
+
+
+def test_cross_check_holds_on_a_long_step(store):
+    K0 = store.k0("siso")
+    d = _siso_input("step", _LONG_STEP, K0.plant.n_d)
+    assert 0.0 < rs.eval_noncausal_cost(K0, d) < np.inf
+
+
+@pytest.mark.parametrize("gain, factor", [("K_v", 1 + 1e-9), ("K_x", 1 + 1e-9),
+                                          ("K_v", 1 + 1e-7)])
+@pytest.mark.parametrize("kind, length", [("white", 60), ("step", _LONG_STEP)])
+def test_cross_check_catches_wrong_gains(store, gain, factor, kind, length):
+    # the gate scales with the terms of the sum, not with the cost, so a
+    # gain off by 1e-9 shows on short and on long inputs alike
+    K0 = store.k0("siso")
+    wrong = dataclasses.replace(K0, **{gain: getattr(K0, gain) * factor})
+    with pytest.raises(RegretSynthError, match="cross-check"):
+        rs.eval_noncausal_cost(wrong, _siso_input(kind, length, K0.plant.n_d))
+
+
 def test_response_window_ends_when_the_state_is_negligible():
     # the mode at 1 - 1e-4 is neither driven nor weighted: a window sized
     # from the decay rate would pad 276,000 steps on each side

@@ -8,7 +8,8 @@ from regretsynth.regret import (KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, K
                                 _bisect_gamma_j, regret_weighted_plant)
 
 from conftest import random_generalized_plant, scalar_plant
-from oracles import cr_bisection_reference, ray_point_reference, verify_regret_loop
+from oracles import (additive_bisection_reference, cr_bisection_reference,
+                     ray_point_reference, verify_regret_loop)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +166,63 @@ def test_optimize_special_records_its_levels(scalar_k0):
     assert res.achieved_norm == best.achieved_norm
 
 
+@pytest.mark.parametrize("name, tol, falls_back", [
+    # the scalar plant's candidate at 0.82080078125 passes the Riccati
+    # tests with a norm at the level
+    ("scalar", (1e-4, 1e-4), True), ("siso", (1e-4, 1e-4), False),
+    ("boeing747", (1e-2, 1e-3), False), ("quartercar", (1e-4, 1e-4), False)])
+def test_additive_point_matches_the_bisection_over_synth_regret(
+        store, scalar_k0, monkeypatch, name, tol, falls_back):
+    P, K0 = scalar_k0 if name == "scalar" else (store.nominal(name), store.k0(name))
+    calls = []
+    for module, fn in ((rs.hinf, "norm_below"), (rs.regret, "synth_regret")):
+        def counted(*args, _fn=getattr(module, fn), _name=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, fn, counted)
+    g, res = rs.optimize_special(P, "additive-regret", *tol, K0=K0)
+    monkeypatch.undo()
+    levels = res.metadata["search_levels"]
+    assert rs.hinf.fell_back(levels) == falls_back
+    assert dict(levels)[g] in ("below", "bracket") and calls.count("synth_regret") == 1
+    if not falls_back:
+        # the Riccati tests decide the search, and norm_below only the
+        # level returned
+        assert calls.count("norm_below") == 1 and levels[-1][0] == g
+        assert not {verdict for _, verdict in levels[:-1]} & {
+            "below", "above", "bracket", "feasible"}
+    # the point is the bisection's over synth_regret, bit for bit
+    g_ref, ref = additive_bisection_reference(P, K0, *tol)
+    assert g == g_ref and res.feasible and res.achieved_norm == ref.achieved_norm
+    assert {k: v for k, v in res.metadata.items() if k != "search_levels"} == ref.metadata
+    for m in "ABCD":
+        assert getattr(res.controller, m).tobytes() == getattr(ref.controller, m).tobytes()
+
+
+def test_additive_point_falls_back_when_its_returned_level_fails(scalar_k0, monkeypatch):
+    # the first level returned reads above: the search runs again over
+    # decide_level and returns a level certified on its own
+    P, K0 = scalar_k0
+    norm_below, seen = rs.hinf.norm_below, []
+
+    def first_above(cl, gamma):
+        seen.append(gamma)
+        return False if len(seen) == 1 else norm_below(cl, gamma)
+
+    monkeypatch.setattr(rs.hinf, "norm_below", first_above)
+    g, res = rs.optimize_special(P, "additive-regret", 1e-3, 1e-3, K0=K0)
+    monkeypatch.undo()
+    levels = res.metadata["search_levels"]
+    assert rs.hinf.fell_back(levels)
+    first = next(lv for lv in levels if lv[1] in ("below", "above", "bracket"))
+    assert first[1] == "above" and first[0] != g
+    assert dict(levels)[g] in ("below", "bracket")
+    assert res.feasible and res.gamma == 1.0 and res.achieved_norm < 1.0
+    assert res.metadata["level"] == (g, 1.0)
+    again = rs.synth_regret(P, rs.RegretLevel.additive(g), K0=K0)
+    assert again.feasible and again.achieved_norm == res.achieved_norm
+
+
 def test_pareto_front_scalar(scalar_k0):
     P, K0 = scalar_k0
     front = rs.pareto_front(P, n_points=5, tol_abs=1e-3, tol_rel=1e-3, K0=K0)
@@ -189,97 +247,45 @@ def test_pareto_front_scalar(scalar_k0):
         )
 
 
-def _counting_factory(P, K0, calls):
-    """Oracle factory of nominal synthesis that appends each level to
-    ``calls``."""
+@pytest.mark.parametrize("name, n_points, tol", [("scalar", 5, (1e-3, 1e-3)),
+                                                 ("boeing747", 8, (1e-2, 1e-3))])
+def test_oracle_front_points_are_cold_searches(store, scalar_k0, name, n_points, tol):
+    # each point of an oracle front is _bisect_gamma_j with a fresh oracle
+    if name == "scalar":
+        (P, K0), g_inf = scalar_k0, None
+    else:
+        P, K0 = store.nominal(name), store.k0(name)
+        g_inf, _ = store.special(name, "hinf", *tol)
+    calls = []  # (gamma_d, gamma_J, result) of each call, one list per oracle
+
     def factory():
-        def oracle(level):
-            calls.append((level.gamma_d, level.gamma_J))
-            return rs.synth_regret(P, level, K0=K0)
-        return oracle
-    return factory
+        calls.append([])
 
-
-def _front_against_cold(P, K0, n_points, tol_abs, tol_rel, gamma_inf=None):
-    """Sweeps a front and searches each of its points cold, requiring
-    every point to be the cold one bit for bit; returns the number of
-    levels each synthesized."""
-    swept_calls, cold_calls = [], []
-    front = rs.pareto_front(P, n_points=n_points, tol_abs=tol_abs,
-                            tol_rel=tol_rel, K0=K0, gamma_inf=gamma_inf,
-                            oracle_factory=_counting_factory(P, K0, swept_calls))
-    cold_oracle = _counting_factory(P, K0, cold_calls)
-    cold = [_bisect_gamma_j(cold_oracle(), p.gamma_d, tol_abs, tol_rel)
-            for p in front.points]
-    bound = None
-    for p, c in zip(front.points, cold):
-        assert (p.gamma_d, p.gamma_j_lower, p.gamma_j_upper) == \
-            (c.gamma_d, c.gamma_j_lower, c.gamma_j_upper)
-        assert p.result.feasible and p.result.achieved_norm == c.result.achieved_norm
-        assert p.result.metadata["level"] == (p.gamma_d, p.gamma_j_upper)
-        for name in "ABCD":
-            assert getattr(p.result.controller, name).tobytes() == \
-                getattr(c.result.controller, name).tobytes()
-        # the search ran under the previous point's upper end, and its
-        # levels with the cold tree's levels at or above that bound are
-        # the whole cold tree
-        assert p.result.metadata["implied_from"] == bound
-        swept = [lv[0] for lv in p.result.metadata["search_levels"]]
-        below = [g for g, _ in c.result.metadata["search_levels"]
-                 if bound is None or g < bound]
-        assert swept == below
-        bound = p.gamma_j_upper
-    return len(swept_calls), len(cold_calls)
-
-
-def test_pareto_sweep_matches_cold_searches_scalar(scalar_k0):
-    P, K0 = scalar_k0
-    swept, cold = _front_against_cold(P, K0, 5, 1e-3, 1e-3)
-    assert swept < cold
-
-
-def test_pareto_sweep_matches_cold_searches_boeing(store):
-    P, K0 = store.nominal("boeing747"), store.k0("boeing747")
-    g_inf, _ = store.special("boeing747", "hinf", 1e-2, 1e-3)
-    swept, cold = _front_against_cold(P, K0, 8, 1e-2, 1e-3, gamma_inf=g_inf)
-    assert (swept, cold) == (55, 67)
-
-
-def test_pareto_sweep_searches_cold_when_the_implied_end_fails(scalar_k0):
-    # a front whose minimal gamma_J rises with gamma_d: the second
-    # point's implied upper end is infeasible at its own gamma_d
-    P, K0 = scalar_k0
-    calls = []
-
-    def oracle_at(threshold):
-        def oracle(level):
-            calls.append((level.gamma_d, level.gamma_J))
-            ok = level.gamma_J >= threshold
-            meta = {"level": (level.gamma_d, level.gamma_J)}
-            if not ok:
-                meta["reason"] = "fake_infeasible"
-            return rs.SynthesisResult(rs.static_gain([[0.0]], 1.0) if ok else None,
-                                      1.0, ok, 0.5 if ok else np.inf, None, meta)
+        def oracle(level, mine=calls[-1]):
+            res = rs.synth_regret(P, level, K0=K0)
+            mine.append((level.gamma_d, level.gamma_J, res))
+            return res
         return oracle
 
-    thresholds = iter((1.3, 1.4))
-    front = rs.pareto_front(P, n_points=2, tol_abs=1e-2, tol_rel=1e-3, K0=K0,
-                            gamma_inf=1.0,
-                            oracle_factory=lambda: oracle_at(next(thresholds)))
-    first, second = front.points
-    assert first.gamma_d < second.gamma_d
-    assert first.gamma_j_upper == 1.3046875
-    assert second.gamma_j_upper == 1.40625 and second.result.feasible
-    assert second.result.metadata["level"] == (second.gamma_d, 1.40625)
-    assert second.result.metadata["implied_from"] is None
-    assert second.result.metadata["implied_refuted"] == (1.3046875, 1.3046875)
-    # the bounded search evaluated the levels below the bound and then
-    # the implied end; the cold search that followed is recorded alone
-    at_second = [g for gd, g in calls if gd == second.gamma_d]
-    cold_levels = [lv[0] for lv in second.result.metadata["search_levels"]]
-    assert at_second == [1.0, 1.25, 1.28125, 1.296875, 1.3046875] + cold_levels
-    assert second.result.metadata["search_levels"] == _bisect_gamma_j(
-        oracle_at(1.4), second.gamma_d, 1e-2, 1e-3).result.metadata["search_levels"]
+    front = rs.pareto_front(P, n_points=n_points, tol_abs=tol[0], tol_rel=tol[1],
+                            K0=K0, gamma_inf=g_inf, oracle_factory=factory)
+    assert len(calls) == n_points
+    for p, called in zip(front.points, calls):
+        cold = _bisect_gamma_j(lambda level: rs.synth_regret(P, level, K0=K0),
+                               p.gamma_d, *tol)
+        assert (p.gamma_d, p.gamma_j_lower, p.gamma_j_upper, p.ray) == \
+            (cold.gamma_d, cold.gamma_j_lower, cold.gamma_j_upper, None)
+        assert p.result.feasible and p.result.achieved_norm == cold.result.achieved_norm
+        for m in "ABCD":
+            assert getattr(p.result.controller, m).tobytes() == \
+                getattr(cold.result.controller, m).tobytes()
+        levels = p.result.metadata["search_levels"]
+        assert levels == cold.result.metadata["search_levels"]
+        # the oracle was called once per recorded level, and only at gamma_d
+        assert [(gd, gj) for gd, gj, _ in called] == [(p.gamma_d, g) for g, _ in levels]
+        # the metadata is the oracle's at the upper end plus the record
+        at_upper = [res for _, gj, res in called if gj == p.gamma_j_upper]
+        assert p.result.metadata == {**at_upper[-1].metadata, "search_levels": levels}
 
 
 @pytest.mark.parametrize("name, n_points, tol", [("siso", 5, (1e-4, 1e-4)),
@@ -296,8 +302,6 @@ def test_ray_front_points_are_certified_at_their_own_levels(store, name, n_point
     for p in front.points:
         lo, hi, r = p.gamma_j_lower, p.gamma_j_upper, p.ray
         assert p.gamma_d == r * hi and p.result.metadata["level"] == (p.gamma_d, hi)
-        # a cold search: no bound from the previous point
-        assert not {"implied_from", "implied_refuted"} & p.result.metadata.keys()
         # the weighted problem's certificate, in gamma_J's units
         assert p.result.feasible and p.result.gamma == hi
         assert rs.hinf_norm(p.result.closed_loop) <= p.result.achieved_norm < hi
