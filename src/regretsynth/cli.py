@@ -142,14 +142,11 @@ def cmd_synth(args) -> int:
         "feasible": bool(res.feasible),
         "gamma": gamma,
         "kind": args.kind if level is None else "level",
-        "level": [res.metadata.get("level", (None, None))[0],
-                  res.metadata.get("level", (None, None))[1]] if level else None,
+        "level": None if level is None else [level.gamma_d, level.gamma_J],
         "achieved_norm": float(res.achieved_norm) if np.isfinite(res.achieved_norm) else None,
         "controller_order": res.controller.n_x if res.controller else None,
         "metadata": _clean_meta(res.metadata),
     }
-    if level is not None:
-        summary["level"] = [level.gamma_d, level.gamma_J]
     rio.write_json(out / "summary.json", summary)
     rio.write_json(out / "metadata.json", _metadata(args, t0))
     if res.controller is not None:

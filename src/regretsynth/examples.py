@@ -2,8 +2,20 @@
 
 Each builder returns an :class:`UncertainPlant` with channel order
 (w, d, u) -> (v, e, y); the nominal view drops the uncertainty
-channels.  Continuous weights are discretized by zero-order hold at the
-example's sample time.
+channels.  :func:`example_components` is the one place that discretizes
+an example's continuous blocks (zero-order hold at the example's sample
+time), and ``_assemble`` the one place that wires them.  The wiring,
+with the uncertainty w entering at the actuator input:
+
+- siso, (w, d, u): A0 <- u + w, G <- A0; v = W_unc u,
+  e = (W_e (W_d d - G), W_u u), y = W_d d - G.
+- quartercar, (w, d1, d2, d3, u): A0 <- u + w, car <- (w_road d1, A0)
+  with car outputs (a_b, s_d); v = W_unc u,
+  e = (W_act u, W_ab a_b, W_sd s_d), y = (s_d + w_d2 d2, a_b + w_d3 d3).
+- quartercar response plant, (w, r, u): as quartercar with car <- (r, A0);
+  outputs (W_unc u, a_b, s_d, s_d, a_b).
+
+The Boeing 747 model is discrete already and is written out directly.
 """
 
 from __future__ import annotations
@@ -31,10 +43,6 @@ class ExampleSpec:
     name: str
     sample_time: float | str
     data: dict
-
-
-def _zoh_tf1(num1, num0, den1, den0, Ts) -> StateSpace:
-    return zoh_discretize(*tf1_to_ss(num1, num0, den1, den0), Ts)
 
 
 def example_spec(name: str) -> ExampleSpec:
@@ -102,88 +110,72 @@ def example_spec(name: str) -> ExampleSpec:
     raise UnknownExample(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
 
 
-def _assemble(blocks, wiring, n_inputs, sample_time):
-    """Assemble subsystems into one state-space model.
+def _assemble(blocks, wiring, outputs, n_inputs):
+    """Wire discretized blocks into one model; returns (A, B, C, D).
 
-    blocks: ordered dict name -> StateSpace (static gains allowed).
-    wiring: block input = sum of entries (source, gain) where source is
-    "ext:<k>" for external input k or "<block>" for a block output.
-    Every block must be expressible with inputs that are feedthrough-
-    acyclic in block order (checked implicitly by construction order).
+    blocks: ordered dict name -> StateSpace; its order is the state
+    order.  wiring[name] holds one list of (source, gain) terms per
+    input of the block, the input being their sum; outputs holds one
+    such list per output of the model.  A source is "ext:<k>" for
+    external input k, "<block>" for the block's output and
+    "<block>:<row>" for one of its output rows.  A block's inputs may
+    only read blocks before it, so feedthrough chains are acyclic.
     """
-    names = list(blocks)
     offs = {}
     n = 0
-    for name in names:
+    for name, g in blocks.items():
         offs[name] = n
-        n += blocks[name].n_x
-    # Each block output is an affine map of (global state, external
-    # input); inputs are resolved in block order, so feedthrough chains
-    # must be acyclic in that order.
-    block_in_x = {}
-    block_in_u = {}
-    block_out_x = {}
-    block_out_u = {}
-    for name in names:
-        g = blocks[name]
-        mx = np.zeros((g.n_u, n))
-        mu = np.zeros((g.n_u, n_inputs))
-        for row, terms in enumerate(wiring[name]):
+        n += g.n_x
+    # each block output is an affine map of (global state, external input)
+    out_x = {}
+    out_u = {}
+
+    def resolve(rows):
+        mx = np.zeros((len(rows), n))
+        mu = np.zeros((len(rows), n_inputs))
+        for row, terms in enumerate(rows):
             for source, gain in terms:
-                if source.startswith("ext:"):
-                    k = int(source.split(":", 1)[1])
-                    mu[row, k] += gain
-                else:
-                    if source not in block_out_x:
-                        raise ValueError(f"{name} depends on {source} not yet built")
-                    mx[row] += gain * block_out_x[source][0]
-                    mu[row] += gain * block_out_u[source][0]
-        block_in_x[name] = mx
-        block_in_u[name] = mu
-        o = offs[name]
-        cx = np.zeros((g.n_y, n))
-        cx[:, o : o + g.n_x] = g.C
-        block_out_x[name] = cx + g.D @ mx if g.n_u else cx
-        block_out_u[name] = g.D @ mu if g.n_u else np.zeros((g.n_y, n_inputs))
+                name, _, k = source.partition(":")
+                if name == "ext":
+                    mu[row, int(k)] += gain
+                    continue
+                if name not in out_x:
+                    raise ValueError(f"{source} is read before it is built")
+                mx[row] += gain * out_x[name][int(k or 0)]
+                mu[row] += gain * out_u[name][int(k or 0)]
+        return mx, mu
+
     A = np.zeros((n, n))
     B = np.zeros((n, n_inputs))
-    for name in names:
-        g = blocks[name]
-        o = offs[name]
-        A[o : o + g.n_x, o : o + g.n_x] = g.A
-        if g.n_u:
-            A[o : o + g.n_x, :] += g.B @ block_in_x[name]
-            B[o : o + g.n_x, :] = g.B @ block_in_u[name]
-    return A, B, block_out_x, block_out_u, sample_time
+    for name, g in blocks.items():
+        mx, mu = resolve(wiring[name])
+        states = slice(offs[name], offs[name] + g.n_x)
+        A[states, states] = g.A
+        A[states] += g.B @ mx
+        B[states] = g.B @ mu
+        cx = np.zeros((g.n_y, n))
+        cx[:, states] = g.C
+        out_x[name] = cx + g.D @ mx
+        out_u[name] = g.D @ mu
+    return (A, B, *resolve(outputs))
 
 
 def _siso_plant() -> UncertainPlant:
-    spec = example_spec("siso")
-    Ts = spec.sample_time
-    d = spec.data
-    G = _zoh_tf1(*d["plant"], Ts)
-    A0 = _zoh_tf1(*d["actuator"], Ts)
-    Wunc = _zoh_tf1(*d["w_unc"], Ts)
-    Wd = _zoh_tf1(*d["w_d"], Ts)
-    We = _zoh_tf1(*d["w_e"], Ts)
-    Wu = _zoh_tf1(*d["w_u"], Ts)
-    blocks = {"Wunc": Wunc, "Wd": Wd, "A0": A0, "G": G, "We": We, "Wu": Wu}
+    blocks = example_components("siso")
     # inputs: w=0, d=1, u=2; the uncertainty perturbs the actuator input
     wiring = {
-        "Wunc": [[("ext:2", 1.0)]],
-        "Wd": [[("ext:1", 1.0)]],
+        "W_unc": [[("ext:2", 1.0)]],
+        "W_d": [[("ext:1", 1.0)]],
         "A0": [[("ext:2", 1.0), ("ext:0", 1.0)]],
         "G": [[("A0", 1.0)]],
-        "We": [[("Wd", 1.0), ("G", -1.0)]],
-        "Wu": [[("ext:2", 1.0)]],
+        "W_e": [[("W_d", 1.0), ("G", -1.0)]],
+        "W_u": [[("ext:2", 1.0)]],
     }
-    A, B, out_x, out_u, _ = _assemble(blocks, wiring, 3, Ts)
-    # outputs: v = Wunc, e1 = We, e2 = Wu, y = Wd - G
-    C = np.vstack([out_x["Wunc"], out_x["We"], out_x["Wu"],
-                   out_x["Wd"] - out_x["G"]])
-    D = np.vstack([out_u["Wunc"], out_u["We"], out_u["Wu"],
-                   out_u["Wd"] - out_u["G"]])
-    ss = StateSpace(A, B, C, D, Ts)
+    # outputs: v = W_unc, e = (W_e, W_u), y = W_d - G
+    outputs = [[("W_unc", 1.0)], [("W_e", 1.0)], [("W_u", 1.0)],
+               [("W_d", 1.0), ("G", -1.0)]]
+    A, B, C, D = _assemble(blocks, wiring, outputs, 3)
+    ss = StateSpace(A, B, C, D, example_spec("siso").sample_time)
     return UncertainPlant(ss, n_w=1, n_d=1, n_u=1, n_v=1, n_e=2, n_y=1)
 
 
@@ -212,60 +204,23 @@ def _boeing_plant() -> UncertainPlant:
 
 def _quartercar_plant() -> UncertainPlant:
     spec = example_spec("quartercar")
-    Ts = spec.sample_time
     d = spec.data
-    car = zoh_discretize(*d["car"], Ts)          # inputs (r, f_s) -> (a_b, s_d)
-    act = _zoh_tf1(*d["actuator"], Ts)
-    Wunc = _zoh_tf1(*d["w_unc"], Ts)
-    Wact = _zoh_tf1(*d["w_act"], Ts)
-    Wsd = _zoh_tf1(*d["w_sd"], Ts)
-    Wab = _zoh_tf1(*d["w_ab"], Ts)
-    w_road, w_d2, w_d3 = d["w_road"], d["w_d2"], d["w_d3"]
-    # inputs: w=0, d1=1, d2=2, d3=3, u=4
+    # inputs: w=0, d1=1, d2=2, d3=3, u=4; car inputs (r, f_s) and
+    # outputs (a_b, s_d)
     wiring = {
-        "act": [[("ext:4", 1.0), ("ext:0", 1.0)]],
-        "car": [[("ext:1", w_road)], [("act", 1.0)]],
+        "A0": [[("ext:4", 1.0), ("ext:0", 1.0)]],
+        "car": [[("ext:1", d["w_road"])], [("A0", 1.0)]],
+        "W_unc": [[("ext:4", 1.0)]],
+        "W_act": [[("ext:4", 1.0)]],
+        "W_ab": [[("car:0", 1.0)]],
+        "W_sd": [[("car:1", 1.0)]],
     }
-    # assemble the act/car core, then hang the single-input weights off
-    # individual car output rows
-    A0, B0, out_x, out_u, _ = _assemble({"act": act, "car": car}, wiring, 5, Ts)
-    ab_x, ab_u = out_x["car"][0:1], out_u["car"][0:1]
-    sd_x, sd_u = out_x["car"][1:2], out_u["car"][1:2]
-    n0 = A0.shape[0]
-    extra = {"Wunc": Wunc, "Wact": Wact, "Wab": Wab, "Wsd": Wsd}
-    ins = {
-        "Wunc": (np.zeros((1, n0)), np.eye(1, 5, 4)),
-        "Wact": (np.zeros((1, n0)), np.eye(1, 5, 4)),
-        "Wab": (ab_x, ab_u),
-        "Wsd": (sd_x, sd_u),
-    }
-    n = n0 + sum(g.n_x for g in extra.values())
-    A = np.zeros((n, n))
-    B = np.zeros((n, 5))
-    A[:n0, :n0] = A0
-    B[:n0] = B0
-    o = n0
-    outs = {}
-    for name, g in extra.items():
-        mx, mu = ins[name]
-        A[o : o + g.n_x, :n0] = g.B @ mx
-        A[o : o + g.n_x, o : o + g.n_x] = g.A
-        B[o : o + g.n_x] = g.B @ mu
-        cx = np.zeros((1, n))
-        cx[:, o : o + g.n_x] = g.C
-        cx[:, :n0] += g.D @ mx
-        outs[name] = (cx, g.D @ mu)
-        o += g.n_x
-    pad = np.zeros((1, n - n0))
-    y1_x = np.hstack([sd_x, pad])
-    y1_u = sd_u + w_d2 * np.eye(1, 5, 2)
-    y2_x = np.hstack([ab_x, pad])
-    y2_u = ab_u + w_d3 * np.eye(1, 5, 3)
-    C = np.vstack([outs["Wunc"][0], outs["Wact"][0], outs["Wab"][0],
-                   outs["Wsd"][0], y1_x, y2_x])
-    D = np.vstack([outs["Wunc"][1], outs["Wact"][1], outs["Wab"][1],
-                   outs["Wsd"][1], y1_u, y2_u])
-    ss = StateSpace(A, B, C, D, Ts)
+    # outputs: v = W_unc, e = (W_act, W_ab, W_sd), y = (s_d, a_b) + noise
+    outputs = [[("W_unc", 1.0)], [("W_act", 1.0)], [("W_ab", 1.0)],
+               [("W_sd", 1.0)], [("car:1", 1.0), ("ext:2", d["w_d2"])],
+               [("car:0", 1.0), ("ext:3", d["w_d3"])]]
+    A, B, C, D = _assemble(example_components("quartercar"), wiring, outputs, 5)
+    ss = StateSpace(A, B, C, D, spec.sample_time)
     return UncertainPlant(ss, n_w=1, n_d=3, n_u=1, n_v=1, n_e=3, n_y=2)
 
 
@@ -289,24 +244,17 @@ def quartercar_response_plant() -> UncertainPlant:
     in m/s^2 and m.  Measurements are noise-free copies of (s_d, a_b),
     matching what the synthesis plant feeds the controller.
     """
-    spec = example_spec("quartercar")
-    Ts = spec.sample_time
-    d = spec.data
-    car = zoh_discretize(*d["car"], Ts)
-    act = _zoh_tf1(*d["actuator"], Ts)
-    Wunc = _zoh_tf1(*d["w_unc"], Ts)
     wiring = {
-        "act": [[("ext:2", 1.0), ("ext:0", 1.0)]],
-        "car": [[("ext:1", 1.0)], [("act", 1.0)]],
-        "Wunc": [[("ext:2", 1.0)]],
+        "A0": [[("ext:2", 1.0), ("ext:0", 1.0)]],
+        "car": [[("ext:1", 1.0)], [("A0", 1.0)]],
+        "W_unc": [[("ext:2", 1.0)]],
     }
-    A, B, out_x, out_u, _ = _assemble({"act": act, "car": car, "Wunc": Wunc},
-                                      wiring, 3, Ts)
-    ab_x, ab_u = out_x["car"][0:1], out_u["car"][0:1]
-    sd_x, sd_u = out_x["car"][1:2], out_u["car"][1:2]
-    C = np.vstack([out_x["Wunc"], ab_x, sd_x, sd_x, ab_x])
-    D = np.vstack([out_u["Wunc"], ab_u, sd_u, sd_u, ab_u])
-    ss = StateSpace(A, B, C, D, Ts)
+    outputs = [[("W_unc", 1.0)], [("car:0", 1.0)], [("car:1", 1.0)],
+               [("car:1", 1.0)], [("car:0", 1.0)]]
+    comp = example_components("quartercar")
+    A, B, C, D = _assemble({name: comp[name] for name in wiring}, wiring,
+                           outputs, 3)
+    ss = StateSpace(A, B, C, D, example_spec("quartercar").sample_time)
     return UncertainPlant(ss, n_w=1, n_d=1, n_u=1, n_v=1, n_e=2, n_y=2)
 
 
@@ -324,28 +272,19 @@ def road_pulse(Ts: float = 0.002):
 
 
 def example_components(name: str) -> dict:
-    """Discretized pieces (plant, actuator, weights) for loop analysis."""
+    """The example's blocks (plant, actuator, weights), discretized by
+    zero-order hold, in the state order of its plant.  The Boeing 747
+    model is given in discrete time and has none."""
     spec = example_spec(name)
-    Ts = spec.sample_time
     d = spec.data
     if name == "siso":
-        return {
-            "G": _zoh_tf1(*d["plant"], Ts),
-            "A0": _zoh_tf1(*d["actuator"], Ts),
-            "W_unc": _zoh_tf1(*d["w_unc"], Ts),
-            "W_d": _zoh_tf1(*d["w_d"], Ts),
-            "W_e": _zoh_tf1(*d["w_e"], Ts),
-            "W_u": _zoh_tf1(*d["w_u"], Ts),
-        }
-    if name == "boeing747":
-        return {"ss": StateSpace(d["A"], d["B"], np.eye(4), np.zeros((4, 2)), UNIT)}
-    if name == "quartercar":
-        return {
-            "car": zoh_discretize(*d["car"], Ts),
-            "A0": _zoh_tf1(*d["actuator"], Ts),
-            "W_unc": _zoh_tf1(*d["w_unc"], Ts),
-            "W_act": _zoh_tf1(*d["w_act"], Ts),
-            "W_sd": _zoh_tf1(*d["w_sd"], Ts),
-            "W_ab": _zoh_tf1(*d["w_ab"], Ts),
-        }
-    raise UnknownExample(name)
+        keys = dict(W_unc="w_unc", W_d="w_d", A0="actuator", G="plant",
+                    W_e="w_e", W_u="w_u")
+    elif name == "quartercar":
+        keys = dict(A0="actuator", car="car", W_unc="w_unc", W_act="w_act",
+                    W_ab="w_ab", W_sd="w_sd")
+    else:
+        return {}
+    return {block: zoh_discretize(*(d[k] if k == "car" else tf1_to_ss(*d[k])),
+                                  spec.sample_time)
+            for block, k in keys.items()}

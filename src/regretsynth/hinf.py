@@ -690,7 +690,8 @@ def fell_back(search_levels) -> bool:
 
 def certify_returned(gamma: float, result) -> SynthesisResult:
     """The :class:`SynthesisResult` of the level ``gamma`` that
-    :func:`hinf_search` returned, with its closed-loop norm bracketed.
+    :func:`hinf_search` returned or :func:`decide_level` found feasible,
+    with its closed-loop norm bracketed.
 
     A ``result`` the search bracketed already is returned as it is.  A
     candidate :func:`norms.norm_below` decided below ``gamma`` is

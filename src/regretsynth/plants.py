@@ -30,6 +30,15 @@ def _check_zero(block: np.ndarray, name: str):
                              f"{np.max(np.abs(block)):.3g})")
 
 
+def _check_sizes(plant):
+    """Raise DimensionError unless every channel count of ``plant`` is
+    non-negative; a negative count would slice the wrong rows."""
+    negative = {k: v for k, v in vars(plant).items()
+                if k.startswith("n_") and v < 0}
+    if negative:
+        raise DimensionError(f"channel counts must be non-negative, got {negative}")
+
+
 @dataclass(frozen=True)
 class GeneralizedPlant:
     """Plant with inputs (d, u) and outputs (e, y); D_yu = 0, D_ed = 0."""
@@ -41,6 +50,7 @@ class GeneralizedPlant:
     n_y: int
 
     def __post_init__(self):
+        _check_sizes(self)
         if self.n_d + self.n_u != self.ss.n_u:
             raise DimensionError("input partition does not sum to n_u of ss")
         if self.n_e + self.n_y != self.ss.n_y:
@@ -123,6 +133,7 @@ class UncertainPlant:
     n_y: int
 
     def __post_init__(self):
+        _check_sizes(self)
         if self.n_w + self.n_d + self.n_u != self.ss.n_u:
             raise DimensionError("input partition does not sum to n_u of ss")
         if self.n_v + self.n_e + self.n_y != self.ss.n_y:

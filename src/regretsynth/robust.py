@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegretSynthError, UnstableSystem
-from .hinf import SynthesisResult, decide_level, fell_back, hinf_search, synth_hinf
+from .hinf import (SynthesisResult, certify_returned, decide_level, fell_back,
+                   hinf_search)
 from .noncausal import NoncausalController, build_noncausal, eval_noncausal_cost
 from .norms import FrequencyGrid, hinf_norm, norm_below
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
@@ -71,14 +72,6 @@ class AugmentedOpenLoop:
     M: StateSpace
     n_w: int
     n_v: int
-
-    @property
-    def n_d(self) -> int:
-        return self.M.n_u - self.n_w
-
-    @property
-    def n_e(self) -> int:
-        return self.M.n_y - self.n_v
 
     def m11(self) -> StateSpace:
         return self.M.subsystem(np.arange(self.n_v), np.arange(self.n_w))
@@ -485,28 +478,27 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     the verdicts are monotone in gamma.
     An ``initial_D`` from a nearby level warm-starts the alternation (any
     stable minimum-phase D keeps the certificate sound).  The nominal
-    check at level 1 runs :func:`hinf.synth_hinf`, whose bracketed norm
-    iteration 0 records, only without an ``initial_D``; with one,
-    iteration 0 runs a K-step and the check is
-    :func:`hinf.decide_level`, which brackets only what
-    :func:`norms.norm_below` cannot decide and gives the same verdict.
+    check at level 1 is :func:`hinf.decide_level`, which brackets only
+    what :func:`norms.norm_below` cannot decide.  Without an
+    ``initial_D``, iteration 0 keeps the nominal controller and records
+    its norm, bracketed by :func:`hinf.certify_returned`; with one,
+    iteration 0 runs a K-step.
     """
     if K0 is None:
         K0 = build_noncausal(P.nominal())
     nominal_plant, F = regret_weighted_plant(P.nominal(), K0, level)
-    # nominal feasibility is necessary (Delta = 0 belongs to the set);
-    # without an initial D the nominal controller also seeds the
-    # alternation, and its bracketed norm is iteration 0's hinf_value
-    if initial_D is None:
-        nom_res = synth_hinf(nominal_plant, 1.0)
-    else:
-        _, nom_res = decide_level(nominal_plant, 1.0)
+    # nominal feasibility is necessary (Delta = 0 belongs to the set)
+    _, nom_res = decide_level(nominal_plant, 1.0)
     if not nom_res.feasible:
         return SynthesisResult(None, 1.0, False, np.inf, None,
                                metadata={"level": (level.gamma_d, level.gamma_J),
                                          "kind": level.kind,
                                          "reason": "nominal_infeasible",
                                          "iterations": 0})
+    # without an initial D the nominal controller also seeds the
+    # alternation, and its bracketed norm is iteration 0's hinf_value
+    if initial_D is None:
+        nom_res = certify_returned(1.0, nom_res)
     D = initial_D
     best = None
     best_val = np.inf

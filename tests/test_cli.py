@@ -8,7 +8,7 @@ import scipy
 
 import regretsynth as rs
 from regretsynth.cli import main
-from regretsynth.io import save_controller, save_plant
+from regretsynth.io import save_controller, save_plant, save_system
 
 
 def run(args):
@@ -200,3 +200,27 @@ def test_plant_file_input(tmp_path, store):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["gamma"] - 28.47) / 28.47 < 0.05
+
+
+@pytest.mark.parametrize("mode", ["nominal", "robust"])
+def test_negative_partition_exit_code(tmp_path, capsys, mode):
+    # the siso nominal plant with its output partition (0, 2, 1) given as
+    # (-1, 3, 1): the sizes still sum to the outputs
+    pfile = tmp_path / "plant.sys"
+    nom = rs.build_example("siso").nominal()
+    save_system(pfile, nom.ss, (0, 1, 1), (-1, 3, 1))
+    code = run(["synth", "--plant-file", pfile, "--mode", mode,
+                "--tol-abs", "1e-2", "--tol-rel", "1e-2", "--out", tmp_path / "o"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "non-negative" in err and "\n" not in err
+
+
+@pytest.mark.parametrize("example", ["boeing747", "quartercar"])
+def test_margins_needs_a_siso_loop(tmp_path, capsys, example):
+    kfile = tmp_path / "K.sys"
+    save_controller(kfile, rs.static_gain(np.eye(1), 1.0))
+    code = run(["margins", "--example", example, "--controller", kfile,
+                "--out", tmp_path / "m"])
+    assert code == 4
+    assert "margins needs a SISO loop" in capsys.readouterr().err

@@ -65,6 +65,71 @@ def test_quartercar_structure():
     assert sv[-1] > 1e-6
 
 
+# angles for the wiring checks: low, middle and near-Nyquist frequencies
+_WIRING_THETAS = np.array([1e-3, 0.05, 0.7, 3.0])
+
+
+def _block_responses(name):
+    """Each example block's response on _WIRING_THETAS; SISO blocks as
+    1-d arrays, the car as (angle, a_b/s_d, r/f_s)."""
+    return {k: (g.freqresp(_WIRING_THETAS) if k == "car"
+                else g.freqresp(_WIRING_THETAS)[:, 0, 0])
+            for k, g in rs.example_components(name).items()}
+
+
+def _assert_same_response(ss, rows):
+    T = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    got = ss.freqresp(_WIRING_THETAS)
+    assert got.shape == T.shape
+    assert np.allclose(got, T, rtol=1e-9, atol=1e-12 * np.abs(T).max())
+
+
+def test_siso_wiring():
+    b = _block_responses("siso")
+    zero = np.zeros_like(b["G"])
+    GA = b["G"] * b["A0"]                  # actuator then plant, from u + w
+    y = [-GA, b["W_d"], -GA]               # y = W_d d - G
+    _assert_same_response(rs.build_example("siso").ss, [
+        [zero, zero, b["W_unc"]],          # v = W_unc u
+        [b["W_e"] * y_k for y_k in y],     # e1 = W_e y
+        [zero, zero, b["W_u"]],            # e2 = W_u u
+        y,
+    ])
+
+
+def _car_outputs(b, road_gain, n_noise):
+    """(a_b, s_d) rows over the inputs (w, r, noise..., u)."""
+    car, A0 = b["car"], b["A0"]
+    noise = [np.zeros_like(A0)] * n_noise
+    return [[car[:, k, 1] * A0, road_gain * car[:, k, 0], *noise,
+             car[:, k, 1] * A0] for k in (0, 1)]
+
+
+def test_quartercar_wiring():
+    spec = rs.example_spec("quartercar").data
+    b = _block_responses("quartercar")
+    zero, one = np.zeros_like(b["A0"]), np.ones_like(b["A0"])
+    ab, sd = _car_outputs(b, spec["w_road"], 2)
+    # inputs (w, d1, d2, d3, u)
+    _assert_same_response(rs.build_example("quartercar").ss, [
+        [zero, zero, zero, zero, b["W_unc"]],
+        [zero, zero, zero, zero, b["W_act"]],
+        [b["W_ab"] * x for x in ab],
+        [b["W_sd"] * x for x in sd],
+        [sd[0], sd[1], spec["w_d2"] * one, zero, sd[4]],
+        [ab[0], ab[1], zero, spec["w_d3"] * one, ab[4]],
+    ])
+
+
+def test_response_plant_wiring():
+    b = _block_responses("quartercar")
+    zero = np.zeros_like(b["A0"])
+    ab, sd = _car_outputs(b, 1.0, 0)
+    # inputs (w, r, u); outputs (v, a_b, s_d, y1 = s_d, y2 = a_b)
+    _assert_same_response(rs.quartercar_response_plant().ss,
+                          [[zero, zero, b["W_unc"]], ab, sd, sd, ab])
+
+
 def test_quartercar_continuous_poles_match():
     spec = rs.example_spec("quartercar")
     A = spec.data["car"][0]

@@ -18,6 +18,16 @@ def test_partition_invariants_enforced():
         rs.GeneralizedPlant(ss, n_d=1, n_u=1, n_e=1, n_y=1)
 
 
+def test_negative_channel_counts_rejected():
+    # each partition sums to the system's size, so only the sign is wrong
+    ss = rs.StateSpace([[0.5]], [[1.0, 1.0]], [[1.0], [1.0]],
+                       np.zeros((2, 2)), 1.0)
+    with pytest.raises(DimensionError, match="non-negative"):
+        rs.GeneralizedPlant(ss, n_d=3, n_u=-1, n_e=1, n_y=1)
+    with pytest.raises(DimensionError, match="non-negative"):
+        rs.UncertainPlant(ss, n_w=0, n_d=1, n_u=1, n_v=-1, n_e=2, n_y=1)
+
+
 def test_lft_lower_zero_controller():
     for n in (3, 0):  # n = 0: a static plant
         P = random_generalized_plant(0, n=n)

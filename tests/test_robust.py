@@ -877,10 +877,29 @@ def test_nominal_check_with_an_initial_d_rejects_an_infeasible_level(monkeypatch
     unc = rs.build_example("siso")
     K0 = rs.build_noncausal(unc.nominal())
     calls = _count_hinf_norm(monkeypatch)
-    monkeypatch.setattr(robust, "synth_hinf", None)  # never reached
     res = rs.dk_iteration(unc, rs.RegretLevel.hinf(1.0), K0=K0,
                           initial_D=_unit_dscale())
     assert not res.feasible and res.controller is None
     assert res.metadata["reason"] == "nominal_infeasible"
     assert res.metadata["iterations"] == 0
     assert not calls
+
+
+@pytest.mark.parametrize("example", ["scalar", "quartercar"])
+def test_cold_iteration_zero_is_the_bracketed_nominal_design(example, monkeypatch):
+    # without an initial D, iteration 0 closes the nominal controller and
+    # records its bracketed norm: what synth_hinf gives at level 1
+    if example == "scalar":
+        unc, level = scalar_uncertain_plant(), rs.RegretLevel(2.0, 1.0)
+    else:
+        unc, level = rs.build_example("quartercar"), rs.RegretLevel.additive(0.8)
+    K0 = rs.build_noncausal(unc.nominal())
+    closed = []
+    build_M = robust.build_M
+    monkeypatch.setattr(robust, "build_M",
+                        lambda P, K, F: closed.append(K) or build_M(P, K, F))
+    res = rs.dk_iteration(unc, level, K0=K0)
+    ref = rs.synth_hinf(rs.regret.regret_weighted_plant(unc.nominal(), K0, level)[0], 1.0)
+    assert ref.feasible
+    assert res.metadata["dk_trace"][0]["hinf_value"] == ref.achieved_norm
+    assert _digest(closed[0]) == _digest(ref.controller)
