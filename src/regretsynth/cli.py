@@ -247,7 +247,6 @@ def cmd_freqresp(args) -> int:
             print("closed loop unstable", file=sys.stderr)
             return EXIT_INFEASIBLE
         rio.write_freqresp_csv(out / "closed_loop_freqresp.csv", cl, thetas)
-        rio.write_sigma_curve_csv(out / "closed_loop_sigma.csv", cl, thetas)
         rio.write_freqresp_csv(out / "controller_freqresp.csv", K, thetas)
     else:
         rio.write_freqresp_csv(out / "open_loop_freqresp.csv",

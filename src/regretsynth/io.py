@@ -54,7 +54,11 @@ def save_system(path, ss: StateSpace, partition_inputs=None,
 
 
 def load_system(path):
-    """Returns (StateSpace, partition_inputs | None, partition_outputs | None)."""
+    """Returns (StateSpace, partition_inputs | None, partition_outputs | None).
+
+    A matrix entry that is not finite, or a ``sample_time`` that is
+    neither ``unit`` nor a finite positive number, raises PlantFileError.
+    """
     text = Path(path).read_text()
     tokens = [ln.strip() for ln in text.splitlines()
               if ln.strip() and not ln.strip().startswith("#")]
@@ -99,6 +103,13 @@ def load_system(path):
     missing = {"A", "B", "C", "D"} - set(mats)
     if missing or ts is None:
         raise PlantFileError(f"system file {path} missing {missing or 'sample_time'}")
+    if ts != UNIT and not 0.0 < ts < np.inf:
+        raise PlantFileError(f"system file {path}: sample_time must be 'unit' or "
+                             f"a finite positive number, got {ts!r}")
+    for key in ("A", "B", "C", "D"):
+        if not np.all(np.isfinite(mats[key])):
+            raise PlantFileError(f"system file {path}: matrix {key} has a "
+                                 f"non-finite entry")
     ss = StateSpace(mats["A"], mats["B"], mats["C"], mats["D"], ts)
     return ss, parts_in, parts_out
 
@@ -158,19 +169,6 @@ def write_freqresp_csv(path, sys: StateSpace, thetas):
     rows = [(float(t), float(w), float(s))
             for t, w, s in zip(thetas, omega, sig)]
     write_csv(path, ["theta_rad_per_sample", "omega_rad_per_s", "sigma_max"], rows)
-
-
-def write_sigma_curve_csv(path, sys: StateSpace, thetas):
-    """sigma_max(T(e^{j theta})) against omega (the column 2-norm for a
-    single input)."""
-    from .norms import sigma_max_on_grid
-
-    thetas = np.asarray(thetas, dtype=float)
-    sig = sigma_max_on_grid(sys, thetas)
-    ts = sys.sample_time
-    omega = thetas if ts == UNIT else thetas / ts
-    write_csv(path, ["omega", "sigma"],
-               [(float(w), float(s)) for w, s in zip(omega, sig)])
 
 
 def write_timeresp_csv(path, signal, sample_time):

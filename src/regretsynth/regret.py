@@ -244,7 +244,9 @@ class ParetoFront:
         """(gamma_d, gamma_J lower, gamma_J upper, weighted-loop norm,
         controller order) per point.  The norm is in unit-level terms:
         the certified norm of the weighted loop over the level it was
-        certified at (1 but for the ray points), so below 1."""
+        certified at (1 but for the ray points), so below 1.  A robust
+        point's is the certified norm of its last K-step's D-scaled
+        loop (:func:`robust.dk_iteration`)."""
         return [(p.gamma_d, p.gamma_j_lower, p.gamma_j_upper,
                  p.result.achieved_norm / p.result.gamma, p.controller_order)
                 for p in self.points]

@@ -9,7 +9,11 @@ frequency scaling D(theta) renders
 at every angle.  The per-angle value is convex in log D, so a search on
 its slope finds the minimum; the pointwise optimum is fitted by a
 stable minimum-phase SISO system and alternated with H-infinity
-synthesis (DK-iteration, a sufficient procedure only).
+synthesis (DK-iteration, a sufficient procedure only).  A K-step that
+meets level 1 on the plant scaled by that system certifies the level:
+the scaled closed loop's bracketed norm is below 1 at every angle, not
+only on a grid (Packard and Doyle 1993).  The grid values feed the
+D-fit and nothing else.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import RegretSynthError, UnstableSystem
 from .hinf import (SynthesisResult, certify_returned, decide_level, fell_back,
                    hinf_search)
 from .noncausal import NoncausalController, build_noncausal, eval_noncausal_cost
-from .norms import FrequencyGrid, hinf_norm, norm_below
+from .norms import FrequencyGrid, hinf_norm
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import ParetoFront, RegretLevel, pareto_front, regret_weighted_plant
 from .signals import Signal, response_energy
@@ -72,9 +76,6 @@ class AugmentedOpenLoop:
     M: StateSpace
     n_w: int
     n_v: int
-
-    def m11(self) -> StateSpace:
-        return self.M.subsystem(np.arange(self.n_v), np.arange(self.n_w))
 
 
 def build_M(P: UncertainPlant, K: StateSpace, F: SpectralFactor) -> AugmentedOpenLoop:
@@ -206,33 +207,26 @@ def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int):
 
 @dataclass(frozen=True)
 class RobustPerfReport:
-    """Verdict of :func:`robust_perf_test`.
+    """The scaled grid test of :func:`robust_perf_test`: each angle's
+    ``(theta, d_opt, value)`` and the largest value."""
 
-    ``m11_norm`` is the certified H-infinity norm of M11, or NaN when
-    the scaled peak is at least 1 and M11's norm is decided below it:
-    the test fails then whatever that norm is, and the margin is
-    ``1 - peak`` either way.
-    """
-
-    passed: bool
-    margin: float               # 1 - max scaled value (negative = fail)
-    m11_norm: float
+    peak: float
     pointwise: tuple            # (theta, d_opt, value) triples
-    worst_theta: float
 
     def pointwise_scalings(self):
         return [(th, d) for th, d, _ in self.pointwise]
 
 
 def robust_perf_test(M: AugmentedOpenLoop) -> RobustPerfReport:
-    """Frequency-wise scaled test plus the small-gain prerequisite.
+    """The frequency-wise scaled test on a grid, the D-step's data.
 
-    The scaled grid test runs first.  When its peak ``vmax`` is at least
-    1 the test fails whatever M11's norm is, so :func:`norms.norm_below`
-    decides whether that norm is below ``vmax``; if it is, the margin is
-    ``1 - vmax`` and ``m11_norm`` is NaN.  Otherwise M11's norm is
-    bracketed by :func:`norms.hinf_norm`, so every passing report holds
-    the certified norm.
+    :func:`matrix_rp_test` runs on the 256 angles of ``_RP_GRID``, and
+    again on the refined grid near its ``_RP_N_REFINE`` worst angles.
+    The peak holds only on those angles, so it certifies nothing:
+    :func:`dk_iteration` reads it to fit the next D-scale and to pick
+    its best controller when it fails.  M11 needs no test of its own:
+    D is scalar and commutes with it, so its norm is at most that of
+    any D-scaled loop.
     """
     if not M.M.is_schur():
         raise UnstableSystem("robust performance test requires stable M")
@@ -249,18 +243,7 @@ def robust_perf_test(M: AugmentedOpenLoop) -> RobustPerfReport:
     extra_thetas = np.setdiff1d(fine.thetas, grid.thetas)
     pts += run(extra_thetas)
     pts.sort(key=lambda t: t[0])
-    vmax = max(t[2] for t in pts)
-    worst_theta = max(pts, key=lambda t: t[2])[0]
-    if not (M.n_w and M.n_v):
-        m11_norm = 0.0
-    elif vmax >= 1.0 and norm_below(M.m11(), vmax):
-        # failed, and max(vmax, M11's norm) is vmax
-        return RobustPerfReport(False, 1.0 - vmax, np.nan, tuple(pts), worst_theta)
-    else:
-        m11_norm = hinf_norm(M.m11())
-    passed = vmax < 1.0 and m11_norm < 1.0
-    return RobustPerfReport(passed, 1.0 - max(vmax, m11_norm), m11_norm,
-                            tuple(pts), worst_theta)
+    return RobustPerfReport(max(t[2] for t in pts), tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -456,23 +439,31 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
                  initial_D: DScaling | None = None) -> SynthesisResult:
     """Alternate H-infinity synthesis (K-step) and D-scale fitting.
 
-    Terminates successfully when the frequency-wise scaled test passes;
-    success certifies the robust level (sufficient only).  Stalls or
-    the iteration cap end with an infeasible result whose reason is
-    ``dk_did_not_converge``, and so does a K-step that raises a
+    A K-step whose search returns level 1 ends the run with success: the
+    plant scaled by a stable minimum-phase D then has a closed loop of
+    certified norm below 1, which certifies the robust level (sufficient
+    only).  :func:`hinf.certify_returned` brackets that norm; its upper
+    end is ``achieved_norm``, and the metadata holds the bracket as
+    ``norm_bracket`` and that D as ``final_D``.  Every other iteration
+    runs :func:`robust_perf_test`, whose pointwise scalings give the next
+    D.  Stalls or the iteration cap end with an infeasible result whose
+    reason is ``dk_did_not_converge``, holding the controller of lowest
+    scaled peak, and so does a K-step that raises a
     :class:`RegretSynthError` (no feasible level within the doubling
-    limit, say) or a ``LinAlgError``: its message is the trace entry's
-    ``error``.  Any other exception propagates.  Every result's metadata
-    holds ``iterations``, the number of trace entries.  An entry of an
-    iteration that ran its scaled test also records the D-scale of its
-    K-step: ``d_order`` and ``d_fit_error`` (0 and None without one).
-    Each K-step runs :func:`hinf.hinf_search` with ``stop_below=1`` and
-    keeps the controller of the level it returns, with no final
-    bracket: the search decides its levels by the Riccati tests and
-    certifies the level it returns by :func:`norms.norm_below`, falling
-    back to a search over :func:`hinf.decide_level` when that level
-    fails.  The K-step's entry records the search's ``(gamma, verdict)``
-    pairs as ``k_levels`` and whether it fell back as ``k_fallback``.
+    limit, say, or a bracket that contradicts the level) or a
+    ``LinAlgError``: its message is the trace entry's ``error``.  Any
+    other exception propagates.  Every result's metadata holds
+    ``iterations``, the number of trace entries.  An entry that ran the
+    scaled test records ``scaled_peak``; it and a success's entry record
+    the D-scale of the K-step: ``d_order`` and ``d_fit_error`` (0 and
+    None without one).
+    Each K-step runs :func:`hinf.hinf_search` with ``stop_below=1``: the
+    search decides its levels by the Riccati tests and certifies the
+    level it returns by :func:`norms.norm_below`, falling back to a
+    search over :func:`hinf.decide_level` when that level fails.  It
+    tries level 1 first, so a level at or below 1 is 1.  The K-step's
+    entry records the search's ``(gamma, verdict)`` pairs as
+    ``k_levels`` and whether it fell back as ``k_fallback``.
     Every K-step after the first starts its search at the level the
     K-step before it returned, which changes only the levels tried while
     the verdicts are monotone in gamma.
@@ -480,8 +471,9 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     stable minimum-phase D keeps the certificate sound).  The nominal
     check at level 1 is :func:`hinf.decide_level`, which brackets only
     what :func:`norms.norm_below` cannot decide.  Without an
-    ``initial_D``, iteration 0 keeps the nominal controller and records
-    its norm, bracketed by :func:`hinf.certify_returned`; with one,
+    ``initial_D``, iteration 0 keeps the nominal controller, records its
+    norm, bracketed by :func:`hinf.certify_returned`, and runs the scaled
+    test that seeds the first D-fit; it cannot succeed.  With one,
     iteration 0 runs a K-step.
     """
     if K0 is None:
@@ -505,6 +497,8 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     trace = []
     k_start = None
     for it in range(_DK_MAX_ITER):
+        d_fit = {"d_order": D.order if D else 0,
+                 "d_fit_error": D.fit_error if D else None}
         if it == 0 and D is None:
             K = nom_res.controller
             gamma_val = nom_res.achieved_norm
@@ -515,33 +509,33 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
                 _, gamma_val, res, k_levels = hinf_search(
                     P_syn, _DK_TOL_ABS, _DK_TOL_REL, stop_below=1.0,
                     start=k_start)
+                if gamma_val <= 1.0:
+                    res = certify_returned(1.0, res)
             except (RegretSynthError, np.linalg.LinAlgError) as exc:
                 trace.append({"iter": it, "error": str(exc)})
                 break
             K, k_start = res.controller, gamma_val
             k_step = {"k_levels": k_levels, "k_fallback": fell_back(k_levels)}
+            if gamma_val <= 1.0:
+                trace.append({"iter": it, "hinf_value": gamma_val, **k_step, **d_fit})
+                meta = {"level": (level.gamma_d, level.gamma_J),
+                        "kind": level.kind, "iterations": it + 1,
+                        "dk_trace": trace, "final_D": D,
+                        "norm_bracket": res.metadata["norm_bracket"]}
+                if F.gamma_d != level.gamma_d:
+                    meta["gamma_d_regularized"] = F.gamma_d
+                return SynthesisResult(K, 1.0, True, res.achieved_norm,
+                                       lft_lower(P.nominal(), K), meta)
         M = build_M(P, K, F)
         if not M.M.is_schur():
             trace.append({"iter": it, "hinf_value": gamma_val, **k_step,
                           "note": "M unstable"})
             break
         rp = robust_perf_test(M)
-        peak = 1.0 - rp.margin
         trace.append({"iter": it, "hinf_value": gamma_val, **k_step,
-                      "scaled_peak": peak,
-                      "d_order": D.order if D else 0,
-                      "d_fit_error": D.fit_error if D else None})
-        if peak < best_val:
-            best_val, best = peak, K
-        if rp.passed:
-            meta = {"level": (level.gamma_d, level.gamma_J),
-                    "kind": level.kind, "iterations": it + 1,
-                    "dk_trace": trace, "scaled_peak": peak,
-                    "m11_norm": rp.m11_norm, "final_D": D}
-            if F.gamma_d != level.gamma_d:
-                meta["gamma_d_regularized"] = F.gamma_d
-            return SynthesisResult(K, 1.0, True, peak,
-                                   lft_lower(P.nominal(), K), meta)
+                      "scaled_peak": rp.peak, **d_fit})
+        if rp.peak < best_val:
+            best_val, best = rp.peak, K
         if len(trace) > _DK_STALL_ITERS:
             recent = [t.get("scaled_peak", np.inf)
                       for t in trace[-_DK_STALL_ITERS - 1 :]]

@@ -59,11 +59,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def at(self, t: int) -> np.ndarray:
-        if self.t0 <= t <= self.t1:
-            return self.samples[t - self.t0]
-        return np.zeros(self.dim)
-
     def norm_sq(self) -> float:
         return float(np.sum(self.samples * self.samples))
 

@@ -116,7 +116,13 @@ def test_freqresp_and_margins(tmp_path, store):
     out = tmp_path / "fr"
     assert run(["freqresp", "--example", "siso", "--controller", kfile,
                 "--points", "64", "--out", out]) == 0
-    assert (out / "closed_loop_sigma.csv").exists()
+    # sigma_max of the closed loop is the last column of its response
+    lines = (out / "closed_loop_freqresp.csv").read_text().strip().splitlines()
+    assert lines[0] == "theta_rad_per_sample,omega_rad_per_s,sigma_max"
+    thetas, sigma = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 2)).T
+    P = rs.build_example("siso").nominal()
+    assert np.array_equal(sigma, rs.norms.sigma_max_on_grid(rs.lft_lower(P, res.controller), thetas))
+    assert not (out / "closed_loop_sigma.csv").exists()
     out2 = tmp_path / "m"
     assert run(["margins", "--example", "siso", "--controller", kfile,
                 "--out", out2]) == 0
@@ -224,3 +230,52 @@ def test_margins_needs_a_siso_loop(tmp_path, capsys, example):
                 "--out", tmp_path / "m"])
     assert code == 4
     assert "margins needs a SISO loop" in capsys.readouterr().err
+
+
+def _one_line_error(capsys, words):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and words in err and "\n" not in err
+
+
+@pytest.mark.parametrize("where", ["A", "D"])
+def test_non_finite_plant_entry_exit_code(tmp_path, capsys, where):
+    # a NaN in the first state of A (the uncertainty weight's, which the
+    # nominal plant drops), or in the y row of D, of the siso plant
+    unc = rs.build_example("siso")
+    mats = {name: np.array(getattr(unc.ss, name)) for name in "ABCD"}
+    mats[where][0 if where == "A" else -1, 0] = np.nan
+    pfile = tmp_path / "plant.sys"
+    save_plant(pfile, rs.UncertainPlant(
+        rs.StateSpace(*(mats[name] for name in "ABCD"), unc.ss.sample_time),
+        n_w=unc.n_w, n_d=unc.n_d, n_u=unc.n_u, n_v=unc.n_v, n_e=unc.n_e, n_y=unc.n_y))
+    code = run(["synth", "--plant-file", pfile, "--tol-abs", "1e-2",
+                "--tol-rel", "1e-2", "--out", tmp_path / "o"])
+    assert code == 4
+    _one_line_error(capsys, f"matrix {where} has a non-finite entry")
+
+
+@pytest.mark.parametrize("sample_time", ["inf", "nan", "0.0", "-1.0"])
+def test_bad_sample_time_exit_code(tmp_path, capsys, sample_time):
+    nom = rs.build_example("siso").nominal()
+    pfile = tmp_path / "plant.sys"
+    save_plant(pfile, nom)
+    text = pfile.read_text()
+    ts = f"sample_time {nom.ss.sample_time!r}"
+    assert ts in text
+    pfile.write_text(text.replace(ts, f"sample_time {sample_time}"))
+    code = run(["synth", "--plant-file", pfile, "--tol-abs", "1e-2",
+                "--tol-rel", "1e-2", "--out", tmp_path / "o"])
+    assert code == 4
+    _one_line_error(capsys, "sample_time must be 'unit' or a finite positive number")
+
+
+@pytest.mark.parametrize("command", ["margins", "verify", "freqresp"])
+def test_non_finite_controller_exit_code(tmp_path, capsys, command):
+    ts = rs.build_example("siso").nominal().ss.sample_time
+    kfile = tmp_path / "K.sys"
+    save_controller(kfile, rs.StateSpace([[0.5]], [[1.0]], [[np.nan]], [[0.0]], ts))
+    extra = ["--gamma-d", "2", "--gamma-j", "1"] if command == "verify" else []
+    code = run([command, "--example", "siso", "--controller", kfile, *extra,
+                "--out", tmp_path / "o"])
+    assert code == 4
+    _one_line_error(capsys, "matrix C has a non-finite entry")

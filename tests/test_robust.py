@@ -523,50 +523,63 @@ def test_robust_perf_requires_stable_m():
 
 
 def test_robust_perf_small_gain_violation():
-    # M11 with norm above one fails regardless of scaling
+    # M11 with norm above one: a scalar D commutes with it, so no scaling
+    # brings the peak below that norm
     D = np.array([[1.2, 0.0], [0.0, 0.1]])
     M = rs.AugmentedOpenLoop(rs.static_gain(D, 1.0), 1, 1)
     rep = rs.robust_perf_test(M)
-    assert not rep.passed
-    assert rep.m11_norm > 1.0
+    assert rep.peak == 1.2
 
 
 def assert_matches_reference(M):
-    """robust_perf_test gives the reference's report bit for bit, except
-    that M11's norm may be NaN where the scaled peak alone fails the test;
-    a norm clearly below that peak must be decided, not bracketed."""
+    """robust_perf_test gives the reference's report bit for bit."""
     rep, ref = rs.robust_perf_test(M), robust_perf_test_reference(M)
-    assert rep.passed == ref.passed
-    assert np.float64(rep.margin).tobytes() == np.float64(ref.margin).tobytes()
+    assert np.float64(rep.peak).tobytes() == np.float64(ref.peak).tobytes()
     assert np.array(rep.pointwise).tobytes() == np.array(ref.pointwise).tobytes()
-    assert rep.worst_theta == ref.worst_theta
-    vmax = max(v for _, _, v in ref.pointwise)
-    if np.isnan(rep.m11_norm):
-        assert vmax >= 1.0 and ref.m11_norm < vmax
-    else:
-        assert rep.m11_norm == ref.m11_norm
-    if vmax >= 1.0 and ref.m11_norm * (1.0 + 1e-6) < vmax:
-        assert np.isnan(rep.m11_norm)
     return rep, ref
 
 
-@pytest.mark.parametrize("example", ["scalar", "quartercar"])
-def test_robust_perf_test_matches_reference_on_each_dk_step(example, monkeypatch):
+def _dk_success(example):
     if example == "scalar":
         unc, level = scalar_uncertain_plant(), rs.RegretLevel(1.2, 1.0)
     else:
         unc, level = rs.build_example("quartercar"), rs.RegretLevel.additive(0.8)
+    K0 = rs.build_noncausal(unc.nominal())
+    return unc, level, K0
+
+
+@pytest.mark.parametrize("example", ["scalar", "quartercar"])
+def test_robust_perf_test_matches_reference_on_each_dk_step(example, monkeypatch):
+    # the scaled test runs once per iteration that does not succeed, and
+    # the success entry, whose K-step met level 1, has no scaled peak
+    unc, level, K0 = _dk_success(example)
     tested = []
     test = robust.robust_perf_test
     monkeypatch.setattr(robust, "robust_perf_test",
                         lambda M: tested.append(M) or test(M))
-    res = rs.dk_iteration(unc, level, K0=rs.build_noncausal(unc.nominal()))
-    assert res.feasible and len(tested) >= 2
+    res = rs.dk_iteration(unc, level, K0=K0)
+    trace = res.metadata["dk_trace"]
+    assert res.feasible and tested
+    assert "scaled_peak" not in trace[-1]
+    assert all("scaled_peak" in t for t in trace[:-1])
     reports = [assert_matches_reference(M) for M in tested]
-    # the failed steps decide M11 against the scaled peak; the passing
-    # step brackets it, and the result reports that norm
-    assert any(np.isnan(rep.m11_norm) for rep, _ in reports)
-    assert res.metadata["m11_norm"] == reports[-1][1].m11_norm
+    assert [rep.peak for rep, _ in reports] == [t["scaled_peak"] for t in trace[:-1]]
+
+
+@pytest.mark.parametrize("example", ["scalar", "quartercar"])
+def test_dk_success_is_the_k_steps_bracketed_level(example):
+    # the success certificate is the bracket of the D-scaled closed loop
+    # of the last K-step, not a grid peak
+    unc, level, K0 = _dk_success(example)
+    res = rs.dk_iteration(unc, level, K0=K0)
+    assert res.feasible and res.metadata["final_D"] is not None
+    assert res.metadata["dk_trace"][-1]["hinf_value"] == 1.0
+    _, F = rs.regret.regret_weighted_plant(unc.nominal(), K0, level)
+    P_syn = robust.dk_scaled_plant(unc, F, res.metadata["final_D"])
+    br = rs.hinf_norm(rs.lft_lower(P_syn, res.controller), return_bracket=True)
+    assert res.achieved_norm == br.upper < 1.0
+    assert res.metadata["norm_bracket"] == (br.lower, br.upper)
+    assert not {"scaled_peak", "m11_norm"} & set(res.metadata)
 
 
 def _resonance(theta0, radius, peak):
@@ -578,30 +591,28 @@ def _resonance(theta0, radius, peak):
 
 def test_robust_perf_test_matches_reference_on_constructed_inputs():
     # the static M of test_robust_perf_small_gain_violation: M11's norm
-    # is the scaled peak, so only the bracket can tell
+    # is the scaled peak
     static = rs.AugmentedOpenLoop(rs.static_gain(np.diag([1.2, 0.1]), 1.0), 1, 1)
     rep, _ = assert_matches_reference(static)
-    assert rep.m11_norm == 1.2
+    assert rep.peak == 1.2
     # M11's resonance lies between two grid angles, far above the scaled
-    # grid peak 1.05 of M22: the decision answers False, and the bracket runs
+    # grid peak 1.05 of M22: the grid misses it, which is why the peak
+    # only feeds the D-fit and DK success rests on the K-step's bracket
     thetas = robust._RP_GRID.thetas
     i = int(np.searchsorted(thetas, 1.5))
     theta0 = 0.5 * (thetas[i - 1] + thetas[i])
     peaked = rs.AugmentedOpenLoop(
         rs.append(_resonance(theta0, 1.0 - 1e-4, 2.0), rs.static_gain([[1.05]], 1.0)),
         1, 1)
-    rep, ref = assert_matches_reference(peaked)
-    assert max(v for _, _, v in ref.pointwise) < 1.06 < 1.9 < rep.m11_norm
-    assert rep.margin == 1.0 - rep.m11_norm
-    # M11's norm 1.2 fails the small-gain test, but lies below the scaled
-    # peak 1.5, so the peak decides the margin and M11 is not bracketed
+    rep, _ = assert_matches_reference(peaked)
+    assert rep.peak < 1.06 < 1.9 < rs.hinf_norm(peaked.M.subsystem([0], [0]))
+    # M11's norm 1.2 lies below the scaled peak 1.5 of M22
     between = rs.AugmentedOpenLoop(
         rs.append(rs.StateSpace([[0.5]], [[1.0]], [[0.6]], [[0.0]], 1.0),
                   rs.static_gain([[1.5]], 1.0)),
         1, 1)
-    rep, ref = assert_matches_reference(between)
-    assert np.isnan(rep.m11_norm) and abs(ref.m11_norm - 1.2) < 1e-6
-    assert not rep.passed and rep.margin == 1.0 - 1.5
+    rep, _ = assert_matches_reference(between)
+    assert rep.peak == 1.5
 
 
 def test_dk_k_steps_keep_a_bracket_below_their_level(monkeypatch):
@@ -639,13 +650,11 @@ def test_robust_perf_no_uncertainty_reduces_to_norm():
     g = rs.StateSpace(0.5 * np.eye(1), [[1.0]], [[0.3]], [[0.0]], 1.0)
     M = rs.AugmentedOpenLoop(g, 0, 0)
     rep = rs.robust_perf_test(M)
-    assert rep.passed
-    assert abs((1 - rep.margin) - rs.hinf_norm(g)) < 1e-6
+    assert abs(rep.peak - rs.hinf_norm(g)) < 1e-6
     big = rs.AugmentedOpenLoop(
         rs.StateSpace(0.5 * np.eye(1), [[1.0]], [[0.8]], [[0.0]], 1.0), 0, 0)
     rep2 = rs.robust_perf_test(big)
-    assert not rep2.passed
-    assert abs((1 - rep2.margin) - 1.6) < 1e-6
+    assert abs(rep2.peak - 1.6) < 1e-6
 
 
 def test_dk_iteration_scalar_uncertain():
@@ -865,7 +874,7 @@ def test_nominal_check_with_an_initial_d_decides_without_a_bracket(fitted,
     def digest(res):
         meta = res.metadata
         return _digest((res.controller, res.feasible, res.achieved_norm,
-                        meta.get("reason"), meta["iterations"], meta.get("m11_norm"),
+                        meta.get("reason"), meta["iterations"], meta.get("norm_bracket"),
                         meta["dk_trace"]))
 
     assert decided.metadata["dk_trace"][0]["k_levels"]

@@ -23,10 +23,11 @@ def test_impulse_markov_parameters():
     rng = np.random.default_rng(1)
     g = random_stable_ss(rng, 3, 2, 2, rho=0.6)
     y = rs.simulate(g, impulse(2, channel=1))
-    assert np.allclose(y.at(0), g.D[:, 1])
+    assert y.t0 == 0
+    assert np.allclose(y.samples[0], g.D[:, 1])
     for t in range(1, 21):
         expect = (g.C @ np.linalg.matrix_power(g.A, t - 1) @ g.B)[:, 1]
-        assert np.allclose(y.at(t), expect), t
+        assert np.allclose(y.samples[t], expect), t
 
 
 def test_window_truncation_energy():
@@ -80,8 +81,8 @@ def test_window_never_exceeds_the_spectral_radius_bound(monkeypatch):
     g = rs.StateSpace([[0.9]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     monkeypatch.setattr(rs.signals, "decay_extension", lambda rho, tol, n_x: 3)
     y = rs.simulate(g, impulse(1))
-    assert len(y) == 1 + 7 * 3
-    assert y.at(21)[0] == pytest.approx(0.9**20)
+    assert y.t0 == 0 and len(y) == 1 + 7 * 3
+    assert y.samples[21, 0] == pytest.approx(0.9**20)
 
 
 def test_inner_window_alignment():
