@@ -10,7 +10,12 @@ class DimensionError(RegretSynthError):
 
 
 class SampleTimeError(RegretSynthError):
-    """Two systems with incompatible sample times were combined."""
+    """A sample time is not 'unit' or a finite positive number, or two
+    systems with incompatible sample times were combined."""
+
+
+class NonFiniteSystem(RegretSynthError):
+    """A system matrix has a NaN or infinite entry."""
 
 
 class UnstableSystem(RegretSynthError):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PlantFileError
+from .errors import NonFiniteSystem, PlantFileError, SampleTimeError
 from .plants import GeneralizedPlant, UncertainPlant
 from .statespace import UNIT, StateSpace
 
@@ -103,14 +103,10 @@ def load_system(path):
     missing = {"A", "B", "C", "D"} - set(mats)
     if missing or ts is None:
         raise PlantFileError(f"system file {path} missing {missing or 'sample_time'}")
-    if ts != UNIT and not 0.0 < ts < np.inf:
-        raise PlantFileError(f"system file {path}: sample_time must be 'unit' or "
-                             f"a finite positive number, got {ts!r}")
-    for key in ("A", "B", "C", "D"):
-        if not np.all(np.isfinite(mats[key])):
-            raise PlantFileError(f"system file {path}: matrix {key} has a "
-                                 f"non-finite entry")
-    ss = StateSpace(mats["A"], mats["B"], mats["C"], mats["D"], ts)
+    try:
+        ss = StateSpace(mats["A"], mats["B"], mats["C"], mats["D"], ts)
+    except (NonFiniteSystem, SampleTimeError) as exc:
+        raise PlantFileError(f"system file {path}: {exc}") from None
     return ss, parts_in, parts_out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import RegretSynthError
 from .plants import GeneralizedPlant
 from .riccati import DareProblem, solve_dare
-from .signals import Signal, lock_step_view, trial_blocks
+from .signals import Signal, lock_step_run, trial_blocks
 from .statespace import stein
 
 # largest gap between the simulated cost and the completion-of-squares
@@ -99,24 +99,22 @@ def build_noncausal(P: GeneralizedPlant) -> NoncausalController:
 
 
 def _backward_v(K0: NoncausalController, din: np.ndarray) -> np.ndarray:
-    """v on windows of padded inputs din, shape (N, T, n_d), with v = 0
-    after the last sample: returns (N, T + 1, n_x), v[:, T] = 0.
+    """v on windows of padded inputs din, time-major (T, N, n_d, 1),
+    with v = 0 after the last sample: returns (T + 1, N, n_x, 1), v[T] = 0.
 
     The recursions run in lock step, each step one stacked product
     that rounds like the per-window ``A11' @ v`` (see
-    ``signals.response_energy``).  A window's zero padding after its
+    ``signals.lock_step_run``).  A window's zero padding after its
     support leaves its v exactly zero there, so each window's recursion
     starts at its own end.
     """
-    N, T = din.shape[:2]
-    drive = lock_step_view(
-        np.matmul(K0.X @ K0.plant.B_d, din[:, :, :, None])[:, :, :, 0])
-    v = np.zeros((N, T + 1, K0.A11.shape[0]))
-    V = lock_step_view(v)
-    A11T = K0.A11.T
-    vk = V[T]
+    T, N = din.shape[:2]
+    drive = np.matmul(K0.X @ K0.plant.B_d, din)
+    v = np.zeros((T + 1, N, K0.A11.shape[0], 1))
+    A11T, acc = K0.A11.T, np.empty(v.shape[1:])
     for k in range(T - 1, -1, -1):
-        vk = V[k] = np.matmul(A11T, vk + drive[k])
+        np.add(v[k + 1], drive[k], out=acc)
+        np.matmul(A11T, acc, out=v[k])
     return v
 
 
@@ -140,8 +138,10 @@ def eval_noncausal_cost(K0: NoncausalController, d):
     The backward and forward recursions of a sequence run in lock step
     over zero-padded inputs, in blocks of ``signals.trial_blocks``, each
     step one stacked matrix-vector product that rounds like the
-    per-signal one; everything else is evaluated on each signal's own
-    rows, so a cost does not depend on the sequence it is in.
+    per-signal one.  The window products run on each signal's own rows,
+    and the forms of v before the window and of x at its end are
+    stacked one-row products, so a cost does not depend on the sequence
+    it is in.
     """
     if isinstance(d, Signal):
         return float(_costs(K0, [d])[0])
@@ -153,58 +153,76 @@ def _costs(K0: NoncausalController, ds) -> np.ndarray:
     out = np.zeros(len(ds))
     live = [i for i, d in enumerate(ds) if d.norm_sq() != 0.0]
     # per padded sample: the input, two state rows, their two drives
-    # and the terms w and B_d d kept for the sums
+    # and the term w kept for ||e||^2
     for block in trial_blocks([len(ds[i]) for i in live],
-                              P.n_d + P.n_u + 5 * K0.A11.shape[0]):
+                              P.n_d + P.n_u + 4 * K0.A11.shape[0]):
         idx = [live[j] for j in block]
         out[idx] = _lock_step_costs(K0, [ds[i] for i in idx])
     return out
 
 
 def _lock_step_costs(K0: NoncausalController, ds) -> np.ndarray:
-    """Costs of :func:`eval_noncausal_cost` for one block of nonzero signals."""
+    """Costs of :func:`eval_noncausal_cost` for one block of nonzero signals.
+
+    The window products of a signal run on its own rows, with the
+    gains that multiply the same rows side by side in one product; the
+    forms of the states before and after the window run for the whole
+    block as stacked one-row products.
+    """
     P = K0.plant
-    A11, n = K0.A11, K0.A11.shape[0]
+    A11, n, n_u = K0.A11, K0.A11.shape[0], P.n_u
     T = max(len(d) for d in ds)
-    din = np.zeros((len(ds), T, P.n_d))
+    din = np.zeros((T, len(ds), P.n_d, 1))
     for b, d in enumerate(ds):
-        din[b, : len(d)] = d.samples
+        din[: len(d), b, :, 0] = d.samples
     v = _backward_v(K0, din)
     # u[t] = -K_x x[t] - w[t]: the part of the input fixed by d and v
-    drive = np.zeros((len(ds), T, n))
-    terms = []
+    drive = np.zeros((T, len(ds), n, 1))
+    in_gains = np.hstack([K0.K_d.T, P.B_d.T, P.B_d.T @ K0.X @ P.B_d])
+    # per signal: the four terms of the completion-of-squares sum (the
+    # window's three, then its own pre-tail) and ||e||^2
+    terms, e_sq = np.empty((len(ds), 4)), np.empty(len(ds))
+    ws = []
     for b, d in enumerate(ds):
-        w = d.samples @ K0.K_d.T + v[b, 1 : len(d) + 1] @ K0.K_v.T
-        Bd_d = d.samples @ P.B_d.T
-        drive[b, : len(d)] = Bd_d - w @ P.B_u.T
-        terms.append((w, Bd_d))
+        L, v_next = len(d), v[1 : len(d) + 1, b, :, 0]
+        prod = d.samples @ in_gains  # d K_d', d B_d', d B_d' X B_d
+        w = prod[:, :n_u] + v_next @ K0.K_v.T
+        Bd_d = prod[:, n_u : n_u + n]
+        drive[:L, b, :, 0] = Bd_d - w @ P.B_u.T
+        terms[b, :3] = (np.vdot(prod[:, n_u + n :], d.samples),
+                        2.0 * np.vdot(v_next, Bd_d), -np.vdot(w @ K0.H, w))
+        ws.append(w)
     # pre-window: x rides the backward variable, x[t] = M v[t]
-    xs = np.empty((len(ds), T + 1, n))
-    X, drive = lock_step_view(xs), lock_step_view(drive)
-    x = X[0] = np.matmul(K0.M, lock_step_view(v)[0])
-    for k in range(T):
-        x = X[k + 1] = np.matmul(A11, x) + drive[k]
-    BdX = P.B_d.T @ K0.X @ P.B_d
-    out = np.empty(len(ds))
-    for b, (d, (w, Bd_d)) in enumerate(zip(ds, terms)):
-        L, din_b, v0 = len(d), d.samples, v[b, 0]
-        v_next, x_end = v[b, 1 : L + 1], xs[b, L]
-        u = -(xs[b, :L] @ K0.K_x.T) - w
-        e = xs[b, :L] @ P.C_e.T + u @ P.D_eu.T
-        # settle tail: v = 0 past the support, cost-to-go x' X x
-        j_sim = float(v0 @ K0.G_pre @ v0) + float(np.vdot(e, e)) \
-            + float(x_end @ K0.X @ x_end)
-        # completion-of-squares sum (window terms plus its own pre-tail)
-        terms = (float(np.vdot(din_b @ BdX, din_b)), 2.0 * float(np.vdot(v_next, Bd_d)),
-                 -float(np.vdot(w @ K0.H, w)), -float(v0 @ K0.G_cf @ v0))
-        j_cf = sum(terms)
-        if abs(j_sim - j_cf) > _CROSS_CHECK_REL * sum(map(abs, terms)):
-            raise RegretSynthError(
-                f"noncausal cost cross-check failed: simulated {j_sim:.12g} "
-                f"vs closed form {j_cf:.12g}"
-            )
-        out[b] = j_sim
-    return out
+    xs = np.empty((T + 1, len(ds), n, 1))
+    np.matmul(K0.M, v[0], out=xs[0])
+    lock_step_run(A11, xs, drive)
+    state_gains = np.hstack([K0.K_x.T, P.C_e.T])
+    for b, (d, w) in enumerate(zip(ds, ws)):
+        prod = xs[: len(d), b, :, 0] @ state_gains
+        # e = C_e x + D_eu u with u = -(K_x x + w)
+        e = prod[:, n_u:] - (prod[:, :n_u] + w) @ P.D_eu.T
+        e_sq[b] = np.vdot(e, e)
+    # the forms of v before the window and of x at its end, one row each
+    v0 = v[0]
+    x_end = xs[[len(d) for d in ds], np.arange(len(ds))]
+    # settle tail: v = 0 past the support, cost-to-go x' X x
+    j_sim = _forms(K0.G_pre, v0) + e_sq + _forms(K0.X, x_end)
+    terms[:, 3] = -_forms(K0.G_cf, v0)
+    j_cf = terms.sum(axis=1)
+    bad = np.abs(j_sim - j_cf) > _CROSS_CHECK_REL * np.abs(terms).sum(axis=1)
+    if bad.any():
+        b = bad.nonzero()[0][0]
+        raise RegretSynthError(
+            f"noncausal cost cross-check failed: simulated {j_sim[b]:.12g} "
+            f"vs closed form {j_cf[b]:.12g}"
+        )
+    return j_sim
+
+
+def _forms(G: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x' G x for a stack of column vectors x, shape (k, n, 1), one
+    stacked product that rounds like the per-vector ``G @ x``."""
+    return (np.matmul(G, x) * x)[:, :, 0].sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ energy is certifiably negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +23,6 @@ TRUNC_TOL = 1e-12
 # Gramian form once the free response has been simulated further.
 TAIL_FRACTION = 1e-3
 
-# free-response steps whose tail forms response_energy evaluates at once
-TAIL_CHUNK = 16
-
 # float64 entries (8 bytes each: 512 kB) of the padded arrays that one
 # block of a lock-step trial kernel holds
 TRIAL_BLOCK = 65536
@@ -32,7 +30,11 @@ TRIAL_BLOCK = 65536
 
 @dataclass(frozen=True)
 class Signal:
-    """Vector-valued sequence supported on [t0, t0 + len - 1]."""
+    """Vector-valued sequence supported on [t0, t0 + len - 1].
+
+    The samples are read-only, so the energy ``norm_sq`` is computed
+    once per instance.
+    """
 
     t0: int
     samples: np.ndarray  # shape (T, dim)
@@ -60,6 +62,11 @@ class Signal:
         return self.samples.shape[0]
 
     def norm_sq(self) -> float:
+        return self._norm_sq
+
+    @cached_property
+    def _norm_sq(self) -> float:
+        # computed once: the samples are read-only
         return float(np.sum(self.samples * self.samples))
 
     def norm(self) -> float:
@@ -171,16 +178,21 @@ def trial_blocks(lengths, row_size: int) -> list[np.ndarray]:
     return blocks
 
 
-def lock_step_view(stack: np.ndarray) -> np.ndarray:
-    """Time-major view of a (trials, time, n) stack for a lock-step
-    recursion: step k is ``view[k]``, the trials as (trials, n, 1)
-    column vectors, so that a step is one stacked ``np.matmul`` that
-    rounds like the per-trial ``A @ x``.  One trial gives plain (n,)
-    vectors, the same product with about a fifth less overhead.  Writes
-    to the view land in the stack."""
-    if stack.shape[0] == 1:
-        return stack[0]
-    return stack.transpose(1, 0, 2)[:, :, :, None]
+def lock_step_run(A: np.ndarray, states: np.ndarray, drive) -> None:
+    """states[k + 1] = A states[k] + drive[k], in place; past the last
+    drive, states[k + 1] = A states[k].
+
+    ``states`` is a time-major stack of column vectors, shape (steps,
+    trials, n, 1), and ``drive`` one of at most steps - 1 such steps.
+    A step is one stacked ``np.matmul`` written into the next state: it
+    rounds like the per-trial ``A @ x`` (``X @ A.T`` rounds otherwise),
+    so a trial's states do not depend on the others.
+    """
+    for prev, cur, dk in zip(states[:-1], states[1:], drive):
+        np.matmul(A, prev, out=cur)
+        cur += dk
+    for prev, cur in zip(states[len(drive) : -1], states[len(drive) + 1 :]):
+        np.matmul(A, prev, out=cur)
 
 
 def response_energy(G: StateSpace, d):
@@ -191,14 +203,13 @@ def response_energy(G: StateSpace, d):
 
     The output energy up to step k plus x[k]' Go x[k], with Go the
     observability Gramian, is the whole energy, so no window extension
-    is needed even for slowly decaying systems.  The tail is evaluated
-    in the orthogonal Schur coordinates of A, where the quadratic form
-    is unchanged but the Gramian comes from a triangular recursion: a
-    Kronecker solve of I - A (x) A in the caller's coordinates loses
-    the tail when the realization is far from normal.  The Schur form
-    still inherits a backward error of order eps ||A||, large next to
-    the tail when ||A|| far exceeds the spectral radius, so the free
-    response is simulated for up to len(d) steps past the support: the
+    is needed even for slowly decaying systems.  Go is solved by a
+    triangular recursion in the Schur coordinates of A: a Kronecker
+    solve of I - A (x) A in the caller's coordinates loses the tail
+    when the realization is far from normal.  The Schur form still
+    inherits a backward error of order eps ||A||, large next to the
+    tail when ||A|| far exceeds the spectral radius, so the free
+    response is followed for up to len(d) steps past the support: the
     sum is taken at the first free state whose form is at most
     TAIL_FRACTION of the energy before it, or at the last.
 
@@ -206,12 +217,14 @@ def response_energy(G: StateSpace, d):
     :func:`trial_blocks`.  The inputs of a block are zero-padded to its
     longest, so each state runs on as its free response past its own
     support, and a time step is one stacked product (see
-    :func:`lock_step_view`): it rounds like the per-signal ``A @ x``,
+    :func:`lock_step_run`): it rounds like the per-signal ``A @ x``,
     which matters because in far-from-normal coordinates the recursion
     amplifies a one-ulp change (``X @ A.T`` rounds otherwise).  Outputs
-    and tail forms are evaluated on each signal's own rows, so an
-    energy does not depend on the sequence it is in.  The Gramian is
-    solved once per system (``G.schur_gramian``).
+    and tail forms are evaluated on each signal's own rows, in products
+    whose shapes the signal alone sets, and the energies are summed in
+    time order, so an energy does not depend on the sequence it is in.
+    The Gramian is solved once per system
+    (``G.observability_gramian``).
     """
     if isinstance(d, Signal):
         return float(_energies(G, [d])[0])
@@ -238,56 +251,33 @@ def _energies(G: StateSpace, ds) -> np.ndarray:
 def _lock_step_energies(G: StateSpace, ds) -> np.ndarray:
     """Energies of :func:`response_energy` for one block of signals.
 
-    A signal of length L reads its free response from the states
-    L..2L, TAIL_CHUNK at a time.  The block's recursion is extended
-    only as far as a chunk asks, so it ends at the chunk that decides
-    the last signal, not at state 2T of the block's longest length T.
+    The block's recursion runs once, to state 2T of its longest length
+    T.  Then each signal, of length L, takes one pass over its own rows:
+    the outputs of its states 0..2L, the tail forms of its free states
+    L..2L, and the TAIL_FRACTION rule over all of them at once.
     """
-    A = G.A
-    Z, Go_s = G.schur_gramian
-    Zc = Z.conj()
+    C, D, Go = G.C, G.D, G.observability_gramian
     T = max(len(d) for d in ds)
-    u = np.zeros((len(ds), T, G.n_u))
+    u = np.zeros((T, len(ds), G.n_u, 1))
     for b, d in enumerate(ds):
-        u[b, : len(d)] = d.samples
+        u[: len(d), b, :, 0] = d.samples
+    xs = np.zeros((2 * T + 1, len(ds), G.n_x, 1))
     # B d[k] as stacked matrix-vector products, like the recursion
-    drive = lock_step_view(np.matmul(G.B, u[:, :, :, None])[:, :, :, 0])
-    xs = np.zeros((len(ds), 2 * T + 1, G.n_x))
-    X = lock_step_view(xs)
-    x, done = X[0], 1  # xs[:, :done] is simulated
-
-    def simulate_to(end):
-        nonlocal x, done
-        for k in range(done, min(end, T + 1)):
-            x = X[k] = np.matmul(A, x) + drive[k - 1]
-        for k in range(max(done, T + 1), end):
-            x = X[k] = np.matmul(A, x)
-        done = max(done, end)
-
+    lock_step_run(G.A, xs, np.matmul(G.B, u))
     out = np.empty(len(ds))
     for b, d in enumerate(ds):
         L = len(d)
-        simulate_to(L)
-        y = xs[b, :L] @ G.C.T + d.samples @ G.D.T
-        total = float(np.vdot(y, y))
-        # free-response states L + i, i = 0..L: stop at the first i
-        # whose tail form is at most TAIL_FRACTION of the energy
-        # before it, or at i = L
-        for start in range(L, 2 * L + 1, TAIL_CHUNK):
-            end = min(start + TAIL_CHUNK, 2 * L + 1)
-            simulate_to(end)
-            free = xs[b, start:end]
-            free_s = free @ Zc  # rows x' conj(Z) = (Z^H x)'
-            tails = (free_s.conj() * (free_s @ Go_s.T)).sum(axis=1).real
-            y = free @ G.C.T
-            steps = (y * y).sum(axis=1)
-            before = total + np.concatenate(([0.0], steps[:-1].cumsum()))
-            stop = (tails <= TAIL_FRACTION * before).nonzero()[0]
-            if stop.size or end > 2 * L:
-                i = stop[0] if stop.size else -1
-                out[b] = before[i] + tails[i]
-                break
-            total = float(before[-1] + steps[-1])
+        states, free = xs[: 2 * L, b, :, 0], xs[L : 2 * L + 1, b, :, 0]
+        y = states @ C.T
+        y[:L] += d.samples @ D.T
+        # the energy before free state L + i, i = 0..L, summed in time
+        # order; stop at the first i whose tail form is at most
+        # TAIL_FRACTION of it, or at i = L
+        before = np.cumsum(np.concatenate(([0.0], (y * y).sum(axis=1))))[L:]
+        tails = ((free @ Go) * free).sum(axis=1)
+        stop = (tails <= TAIL_FRACTION * before).nonzero()[0]
+        i = stop[0] if stop.size else L
+        out[b] = before[i] + tails[i]
     return out
 
 

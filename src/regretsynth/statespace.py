@@ -2,8 +2,9 @@
 
 The :class:`StateSpace` type is the universal carrier for plants,
 controllers, weights and spectral factors.  All systems are discrete
-time; ``sample_time`` is either a positive number of seconds or the
-token ``"unit"`` for normalized-time models.
+time; ``sample_time`` is either a finite positive number of seconds or
+the token ``"unit"`` for normalized-time models, and the matrices are
+finite.
 
 A system is the recursion::
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrtrs
 
-from .errors import DimensionError, SampleTimeError
+from .errors import DimensionError, NonFiniteSystem, SampleTimeError
 
 # Schur margin: stable means spectral radius < 1 - TOL_STAB.
 TOL_STAB = 1e-9
@@ -124,9 +125,11 @@ def balance_states(A: np.ndarray, B: np.ndarray, C: np.ndarray):
 class StateSpace:
     """Immutable discrete-time LTI system (A, B, C, D, sample_time).
 
-    The matrices are read-only, so quantities derived from them alone
-    (the poles, the observability Gramian) are computed once per
-    instance and kept.
+    A matrix with a NaN or infinite entry raises NonFiniteSystem, and a
+    ``sample_time`` that is neither ``"unit"`` nor a finite positive
+    number raises SampleTimeError.  The matrices are read-only, so
+    quantities derived from them alone (the poles, the observability
+    Gramian) are computed once per instance and kept.
     """
 
     A: np.ndarray
@@ -158,10 +161,16 @@ class StateSpace:
             )
         if self.sample_time != UNIT:
             ts = float(self.sample_time)
-            if not ts > 0:
-                raise SampleTimeError(f"sample_time must be positive, got {ts}")
+            if not 0.0 < ts < np.inf:
+                raise SampleTimeError(f"sample_time must be 'unit' or a finite "
+                                      f"positive number, got {ts!r}")
             object.__setattr__(self, "sample_time", ts)
-        for name, arr in (("A", A), ("B", B), ("C", C), ("D", D)):
+        mats = (("A", A), ("B", B), ("C", C), ("D", D))
+        # one test over all entries; the matrix is named only on failure
+        if not np.isfinite(np.concatenate((A, B, C, D), axis=None)).all():
+            name = next(name for name, arr in mats if not np.isfinite(arr).all())
+            raise NonFiniteSystem(f"matrix {name} has a non-finite entry")
+        for name, arr in mats:
             # a private copy: no caller's array can alias the matrices
             # that the cached properties are derived from
             arr = np.array(arr, order="C")
@@ -202,13 +211,12 @@ class StateSpace:
         return self.spectral_radius() < 1.0 - TOL_STAB
 
     @cached_property
-    def schur_gramian(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Z, Go_s): the observability Gramian Go = A' Go A + C' C of a
-        stable system as Go = Z Go_s Z^H, with Z the unitary complex-Schur
-        basis of A (see :func:`_schur_stein`).  Both are read-only."""
-        Z, Go_s = _schur_stein(self.A, self.C.T @ self.C)
-        Z.flags.writeable = Go_s.flags.writeable = False
-        return Z, Go_s
+    def observability_gramian(self) -> np.ndarray:
+        """Go = A' Go A + C' C of a stable system (read-only), solved by
+        the triangular recursion of :func:`stein` in Schur coordinates."""
+        Go = stein(self.A.T, self.C.T @ self.C)
+        Go.flags.writeable = False
+        return Go
 
     # -- evaluation ------------------------------------------------------
     def freqresp(self, thetas) -> np.ndarray:

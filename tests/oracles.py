@@ -387,33 +387,26 @@ def response_energy_per_trial(G, d) -> float:
     the kernel must give the same bits."""
     if G.n_x == 0:
         return float(np.sum((d.samples @ G.D.T) ** 2))
-    A, n_d = G.A, len(d)
+    A, L = G.A, len(d)
     drive = np.matmul(G.B, d.samples[:, :, None])[:, :, 0]
-    xs = np.zeros((n_d + 1, G.n_x))
+    xs = np.zeros((2 * L + 1, G.n_x))
     x = xs[0]
-    for k in range(n_d):
+    for k in range(L):
         x = xs[k + 1] = A @ x + drive[k]
-    y = xs[:-1] @ G.C.T + d.samples @ G.D.T
-    total = float(np.vdot(y, y))
-    Z, Go_s = G.schur_gramian
-    chunk = rs.signals.TAIL_CHUNK
-    start = 0
-    while True:
-        free = np.empty((min(chunk, n_d + 1 - start), G.n_x))
-        for j in range(free.shape[0]):
-            free[j] = x
-            x = A @ x
-        free_s = free @ Z.conj()
-        tails = np.real(np.sum(free_s.conj() * (free_s @ Go_s.T), axis=1))
-        y = free @ G.C.T
-        steps = np.sum(y * y, axis=1)
-        before = total + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-        stop = np.flatnonzero(tails <= rs.signals.TAIL_FRACTION * before)
-        start += free.shape[0]
-        if stop.size or start > n_d:
-            i = stop[0] if stop.size else -1
-            return float(before[i] + tails[i])
-        total = float(before[-1] + steps[-1])
+    for k in range(L, 2 * L):
+        x = xs[k + 1] = A @ x
+    y = xs[: 2 * L] @ G.C.T
+    y[:L] += d.samples @ G.D.T
+    steps = np.sum(y * y, axis=1)
+    free = xs[L:]
+    tails = np.sum((free @ G.observability_gramian) * free, axis=1)
+    before = 0.0
+    for k in range(L):
+        before += steps[k]
+    for i in range(L + 1):
+        if tails[i] <= rs.signals.TAIL_FRACTION * before or i == L:
+            return float(before + tails[i])
+        before += steps[L + i]
 
 
 def noncausal_cost_per_trial(K0, d) -> float:
@@ -423,22 +416,25 @@ def noncausal_cost_per_trial(K0, d) -> float:
     if d.norm_sq() == 0.0:
         return 0.0
     P = K0.plant
+    n, n_u = K0.A11.shape[0], P.n_u
     din = d.samples
     drive = np.matmul(K0.X @ P.B_d, din[:, :, None])[:, :, 0]
-    v = np.zeros((len(d) + 1, K0.A11.shape[0]))
+    v = np.zeros((len(d) + 1, n))
     vk = v[-1]
     for k in range(len(d) - 1, -1, -1):
         vk = v[k] = K0.A11.T @ (vk + drive[k])
     v0, v_next = v[0], v[1:]
-    w = din @ K0.K_d.T + v_next @ K0.K_v.T
-    drive = din @ P.B_d.T - w @ P.B_u.T
-    xs = np.empty((len(d) + 1, K0.A11.shape[0]))
+    prod = din @ np.hstack([K0.K_d.T, P.B_d.T, P.B_d.T @ K0.X @ P.B_d])
+    w = prod[:, :n_u] + v_next @ K0.K_v.T
+    drive = prod[:, n_u : n_u + n] - w @ P.B_u.T
+    xs = np.empty((len(d) + 1, n))
     x = xs[0] = K0.M @ v0
     for k in range(len(d)):
         x = xs[k + 1] = K0.A11 @ x + drive[k]
-    u = -(xs[:-1] @ K0.K_x.T) - w
-    e = xs[:-1] @ P.C_e.T + u @ P.D_eu.T
-    return float(v0 @ K0.G_pre @ v0) + float(np.vdot(e, e)) + float(x @ K0.X @ x)
+    prod = xs[:-1] @ np.hstack([K0.K_x.T, P.C_e.T])
+    e = prod[:, n_u:] - (prod[:, :n_u] + w) @ P.D_eu.T
+    return float(np.sum((K0.G_pre @ v0) * v0)) + float(np.vdot(e, e)) \
+        + float(np.sum((K0.X @ x) * x))
 
 
 def dscale_logmag_loop(ejt, gain_log, zeros, poles):
@@ -781,7 +777,8 @@ def noncausal_response(K0: rs.NoncausalController, d: rs.Signal,
     P = K0.plant
     n = K0.A11.shape[0]
     cap = 7 * decay_extension(decay_rate(K0), tol, n)
-    v_sup = _backward_v(K0, d.samples[None])[0]  # v[d.t0 .. d.t1 + 1]
+    # v[d.t0 .. d.t1 + 1], time-major with one window
+    v_sup = _backward_v(K0, d.samples[:, None, :, None])[:, 0, :, 0]
     pre, _, v_start = free_response(K0.A11.T, K0.A11.T @ v_sup[0],
                                     lambda vs: vs, float(np.vdot(v_sup, v_sup)),
                                     cap, tol)
@@ -1107,25 +1104,47 @@ def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
     raise NotAFailurePoint("no rank-one witness found at this frequency")
 
 
-def robust_perf_test_reference(M):
-    """Reference for ``robust.robust_perf_test``: the scaled grid test,
-    base grid then the refined angles, and its peak."""
+# scaled_value_scan: the first grid of log10 D spans +-_RP_SCAN_SPAN
+# decades; each next grid of _RP_SCAN_POINTS points spans one step of the
+# last on each side of its best point, until the step is at most
+# _RP_SCAN_STEP decades
+_RP_SCAN_SPAN = 12.0
+_RP_SCAN_POINTS = 41
+_RP_SCAN_STEP = 1e-8
+
+
+def scaled_value_scan(M0, n_v, n_w):
+    """min over d > 0 of sigma_max(diag(d I_nv, I) M0 diag(I_nw / d, I))
+    by a dense scan of t = log10 d on ever finer grids.  The value is
+    convex in t, so the minimizer lies within a step of the best point
+    of every grid."""
+    def values(ts):
+        d = 10.0 ** ts[:, None, None]
+        S = np.broadcast_to(M0, (ts.size,) + M0.shape).copy()
+        S[:, :n_v, :] *= d
+        S[:, :, :n_w] /= d
+        return np.linalg.svd(S, compute_uv=False)[:, 0]
+
+    ts = np.linspace(-_RP_SCAN_SPAN, _RP_SCAN_SPAN, _RP_SCAN_POINTS)
+    best = np.inf
+    while True:
+        vals = values(ts)
+        i = int(np.argmin(vals))
+        best = min(best, float(vals[i]))
+        step = ts[1] - ts[0]
+        if step <= _RP_SCAN_STEP:
+            return best
+        ts = np.linspace(ts[i] - step, ts[i] + step, _RP_SCAN_POINTS)
+
+
+def robust_perf_test_reference(M, thetas) -> np.ndarray:
+    """Independent reference for the values of ``robust.robust_perf_test``
+    at the given angles: M evaluated angle by angle (one ``freqresp``
+    per angle) and each angle's scaled value by :func:`scaled_value_scan`."""
     if not M.M.is_schur():
         raise rs.errors.UnstableSystem("robust performance test requires stable M")
-    grid = rs.robust._RP_GRID
-
-    def run(thetas):
-        _, d_opt, val = rs.matrix_rp_test(M.M.freqresp(thetas), M.n_v, M.n_w)
-        return [(float(th), float(d), float(v))
-                for th, d, v in zip(thetas, d_opt, val)]
-
-    pts = run(grid.thetas)
-    worst = sorted(pts, key=lambda t: -t[2])[:rs.robust._RP_N_REFINE]
-    fine = grid.refined_near([t[0] for t in worst])
-    extra_thetas = np.setdiff1d(fine.thetas, grid.thetas)
-    pts += run(extra_thetas)
-    pts.sort(key=lambda t: t[0])
-    return rs.robust.RobustPerfReport(max(t[2] for t in pts), tuple(pts))
+    return np.array([scaled_value_scan(M.M.freqresp(th)[0], M.n_v, M.n_w)
+                     for th in thetas])
 
 
 # -- references for the state-space kernels ------------------------------

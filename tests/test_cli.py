@@ -237,17 +237,25 @@ def _one_line_error(capsys, words):
     assert err.startswith("error: ") and words in err and "\n" not in err
 
 
+def _put_nan(path, name, row):
+    """Write NaN over the first entry of row ``row`` of matrix ``name`` in
+    a saved system file (a StateSpace cannot hold it)."""
+    lines = path.read_text().splitlines()
+    head = next(i for i, ln in enumerate(lines) if ln.split()[:1] == [name])
+    if row < 0:
+        row += int(lines[head].split()[1])
+    entries = lines[head + 1 + row].split()
+    lines[head + 1 + row] = " ".join(["nan"] + entries[1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("where", ["A", "D"])
 def test_non_finite_plant_entry_exit_code(tmp_path, capsys, where):
     # a NaN in the first state of A (the uncertainty weight's, which the
     # nominal plant drops), or in the y row of D, of the siso plant
-    unc = rs.build_example("siso")
-    mats = {name: np.array(getattr(unc.ss, name)) for name in "ABCD"}
-    mats[where][0 if where == "A" else -1, 0] = np.nan
     pfile = tmp_path / "plant.sys"
-    save_plant(pfile, rs.UncertainPlant(
-        rs.StateSpace(*(mats[name] for name in "ABCD"), unc.ss.sample_time),
-        n_w=unc.n_w, n_d=unc.n_d, n_u=unc.n_u, n_v=unc.n_v, n_e=unc.n_e, n_y=unc.n_y))
+    save_plant(pfile, rs.build_example("siso"))
+    _put_nan(pfile, where, 0 if where == "A" else -1)
     code = run(["synth", "--plant-file", pfile, "--tol-abs", "1e-2",
                 "--tol-rel", "1e-2", "--out", tmp_path / "o"])
     assert code == 4
@@ -273,7 +281,8 @@ def test_bad_sample_time_exit_code(tmp_path, capsys, sample_time):
 def test_non_finite_controller_exit_code(tmp_path, capsys, command):
     ts = rs.build_example("siso").nominal().ss.sample_time
     kfile = tmp_path / "K.sys"
-    save_controller(kfile, rs.StateSpace([[0.5]], [[1.0]], [[np.nan]], [[0.0]], ts))
+    save_controller(kfile, rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], ts))
+    _put_nan(kfile, "C", 0)
     extra = ["--gamma-d", "2", "--gamma-j", "1"] if command == "verify" else []
     code = run([command, "--example", "siso", "--controller", kfile, *extra,
                 "--out", tmp_path / "o"])

@@ -270,6 +270,29 @@ def test_costs_match_per_step_reference_in_mixed_batches():
         assert type(single) is float and single == cost
 
 
+@pytest.mark.parametrize("plant", ["quartercar", "random40"])
+def test_costs_of_a_robust_check_sequence(store, plant):
+    # benchmark size: the quarter-car benchmark, and a 40-state plant on
+    # which one product over a block's rows rounds otherwise than the
+    # signal's own, with 200 disturbances drawn as in
+    # verify_robust_regret, which span several blocks
+    K0 = store.k0("quartercar") if plant == "quartercar" else \
+        rs.build_noncausal(random_generalized_plant(12, n=40, rho=0.9))
+    P = K0.plant
+    rng = np.random.default_rng(12)
+    ds = [rs.Signal(0, rng.standard_normal((int(rng.integers(8, 50)), P.n_d)))
+          for _ in range(200)]
+    row_size = P.n_d + P.n_u + 4 * K0.A11.shape[0]
+    assert len(rs.signals.trial_blocks([len(d) for d in ds], row_size)) >= 4
+    costs = rs.eval_noncausal_cost(K0, ds)
+    for i, (d, cost) in enumerate(zip(ds, costs)):
+        assert cost == noncausal_cost_per_trial(K0, d)
+        assert cost == rs.eval_noncausal_cost(K0, d)
+        if i % 10 == 0:
+            ref = noncausal_cost_loop(K0, d)
+            assert abs(cost - ref) <= 1e-12 * ref
+
+
 def test_cross_check_raises_from_inside_a_batch(monkeypatch):
     P = random_generalized_plant(39, n=3)
     K0 = rs.build_noncausal(P)

@@ -415,8 +415,10 @@ def test_fit_dscale_skips_starts_with_non_finite_residuals(monkeypatch):
     mags[7] = np.inf
     with np.errstate(invalid="ignore"):
         D = rs.fit_dscale(list(zip(thetas, mags)))
-    # the fit error is NaN, which is not within the tolerance
+    # the fit error is infinite, which is not within the tolerance, and
+    # the constant is fitted to the finite samples
     assert not D.fit_error <= robust._D_FIT_TOL
+    assert D.fit_error == np.inf and D.order == 0 and D.system.D[0, 0] == 1.0
     # one residual at each of the 4 starts of orders 1-4, none solved
     assert len(calls) == 16
 
@@ -531,11 +533,33 @@ def test_robust_perf_small_gain_violation():
     assert rep.peak == 1.2
 
 
+# relative gap allowed between robust_perf_test and its reference, on each
+# angle and on the peak: the slope search stops within 1e-7 decades of
+# log10 D, and the reference's scan within 1e-8, which at a kink of the
+# scaled value costs ln(10) times that (relative)
+RP_REFERENCE_TOL = 1e-6
+
+
 def assert_matches_reference(M):
-    """robust_perf_test gives the reference's report bit for bit."""
-    rep, ref = rs.robust_perf_test(M), robust_perf_test_reference(M)
-    assert np.float64(rep.peak).tobytes() == np.float64(ref.peak).tobytes()
-    assert np.array(rep.pointwise).tobytes() == np.array(ref.pointwise).tobytes()
+    """Each value of robust_perf_test and its peak agree with the
+    reference's scan of log10 D, and it refines the grid near angles
+    that are among the worst of the base grid by the reference."""
+    rep = rs.robust_perf_test(M)
+    thetas = np.array([th for th, _, _ in rep.pointwise])
+    values = np.array([v for _, _, v in rep.pointwise])
+    ref = robust_perf_test_reference(M, thetas)
+    assert np.all(np.abs(values - ref) <= RP_REFERENCE_TOL * ref)
+    assert abs(rep.peak - ref.max()) <= RP_REFERENCE_TOL * ref.max()
+    grid, n_refine = robust._RP_GRID, robust._RP_N_REFINE
+    on_grid = np.isin(thetas, grid.thetas)
+    assert np.array_equal(thetas[on_grid], grid.thetas)
+    # the worst angles by the test's own values, ties in angle order
+    worst = np.argsort(-values[on_grid], kind="stable")[:n_refine]
+    extra = np.setdiff1d(grid.refined_near(grid.thetas[worst]).thetas, grid.thetas)
+    assert np.array_equal(thetas[~on_grid], extra)
+    # ... are among the worst by the reference, up to the tolerance
+    base = ref[on_grid]
+    assert base[worst].min() >= np.sort(base)[-n_refine] * (1.0 - RP_REFERENCE_TOL)
     return rep, ref
 
 
@@ -738,6 +762,21 @@ def test_verify_robust_regret_matches_per_trial_loop():
     assert rep == verify_robust_regret_loop(K, unc, level, n_delta=12, n_dist=4,
                                             seed=1, K0=K0)
     assert (rep.n_unstable, rep.trials) == (6, 24)
+
+
+def test_verify_robust_regret_costs_its_trials_in_one_sequence(monkeypatch):
+    # the benchmark is the same for every Delta: one call, all trials
+    unc = scalar_uncertain_plant()
+    K0 = rs.build_noncausal(unc.nominal())
+    K = rs.static_gain([[-1.4]], 1.0)
+    level = rs.RegretLevel(2.0, 1.0)
+    sequences = []
+    cost = robust.eval_noncausal_cost
+    monkeypatch.setattr(robust, "eval_noncausal_cost",
+                        lambda K0, ds: sequences.append(len(ds)) or cost(K0, ds))
+    rep = rs.verify_robust_regret(K, unc, level, n_delta=12, n_dist=4, seed=1,
+                                  K0=K0)
+    assert sequences == [rep.trials] == [24]
 
 
 @pytest.mark.parametrize("n_delta, n_dist", [(0, 4), (12, 0), (-1, 4)])

@@ -189,6 +189,30 @@ def test_response_energy_of_a_sequence_matches_per_step_reference():
         assert energies[BATCH_LENGTHS.index(5)] == 0.0
 
 
+def test_response_energy_of_a_robust_check_sequence(store):
+    # benchmark size: the robust quarter-car loop closed through a sampled
+    # DELTA_ORDER-state Delta (39 states), and 200 disturbances drawn as
+    # in verify_robust_regret, which span several blocks
+    unc = store.uncertain("quartercar")
+    _, res = store.robust_special("quartercar", "additive-regret")
+    delta = rs.sample_uncertainty(unc.n_v, unc.n_w, rs.robust.DELTA_ORDER, seed=3,
+                                  sample_time=unc.sample_time).Delta
+    cl = rs.lft_upper(rs.lft_lower(unc.as_generalized(), res.controller), delta,
+                      unc.n_w, unc.n_v)
+    assert cl.is_schur() and cl.n_x >= 35
+    rng = np.random.default_rng(11)
+    ds = [rs.Signal(0, rng.standard_normal((int(rng.integers(8, 50)), unc.n_d)))
+          for _ in range(200)]
+    assert len(rs.signals.trial_blocks([len(d) for d in ds], cl.n_u + 3 * cl.n_x)) >= 10
+    energies = rs.signals.response_energy(cl, ds)
+    for i, (d, energy) in enumerate(zip(ds, energies)):
+        assert energy == response_energy_per_trial(cl, d)
+        assert energy == rs.signals.response_energy(cl, d)
+        if i % 10 == 0:
+            ref = response_energy_loop(cl, d)
+            assert abs(energy - ref) <= 1e-12 * ref
+
+
 def test_response_energy_of_small_sequences():
     rng = np.random.default_rng(9)
     g = random_stable_ss(rng, 4, 2, 2, rho=0.8)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import regretsynth as rs
-from regretsynth.errors import DimensionError, SampleTimeError
+from regretsynth.errors import (DimensionError, NonFiniteSystem, RegretSynthError,
+                               SampleTimeError)
 from regretsynth.hinf import tustin_c2d, tustin_d2c
 
 from conftest import random_stable_ss, same_bits, with_signed_zeros
@@ -20,6 +21,23 @@ def test_dimension_checks():
         rs.StateSpace([[1]], [[1]], [[1]], [[1, 2]])
     with pytest.raises(SampleTimeError):
         rs.StateSpace([[0.5]], [[1]], [[1]], [[0]], sample_time=-1.0)
+
+
+@pytest.mark.parametrize("where", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(where, value):
+    mats = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
+    mats[where] = [[value]]
+    with pytest.raises(NonFiniteSystem, match=f"matrix {where} has a non-finite entry"):
+        rs.StateSpace(*(mats[name] for name in "ABCD"), 1.0)
+    assert issubclass(NonFiniteSystem, RegretSynthError)
+
+
+@pytest.mark.parametrize("ts", [np.inf, np.nan, 0.0, -1.0])
+def test_sample_time_must_be_finite_and_positive(ts):
+    with pytest.raises(SampleTimeError, match="finite positive number"):
+        rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], ts)
+    assert rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], "unit").sample_time == "unit"
 
 
 def test_immutability():
