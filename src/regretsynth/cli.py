@@ -24,8 +24,8 @@ from .noncausal import build_noncausal
 from .norms import FrequencyGrid, hinf_norm, loop_margins
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import RegretLevel, optimize_special, pareto_front, synth_regret, verify_regret
-from .robust import (DELTA_ORDER, dk_feasibility_oracle, robust_pareto_front,
-                     sample_uncertainty, verify_robust_regret)
+from .robust import (dk_feasibility_oracle, robust_pareto_front, sample_uncertainty,
+                     verify_robust_regret)
 from .signals import simulate
 from .statespace import series
 
@@ -113,10 +113,16 @@ def _clean_meta(meta: dict) -> dict:
 
 def cmd_synth(args) -> int:
     t0 = time.time()
-    out = _outdir(args)
     level = None
     if args.gamma_d is not None or args.gamma_j is not None:
         level = _level(args)
+    # the sampled check tests a given level on the nominal plant
+    if args.trials > 0 and args.mode == "robust":
+        raise RegretSynthError("--trials checks a nominal level, not --mode robust")
+    if args.trials > 0 and level is None:
+        raise RegretSynthError("--trials needs a level to check (--gamma-d / --gamma-j)")
+    out = _outdir(args)
+    check = {}
     if args.mode == "nominal":
         P = _load_nominal(args)
         K0 = build_noncausal(P)
@@ -124,9 +130,12 @@ def cmd_synth(args) -> int:
             gamma, res = optimize_special(P, args.kind, args.tol_abs,
                                           args.tol_rel, K0=K0)
         else:
-            res = synth_regret(P, level, K0=K0, verify_trials=args.trials,
-                               seed=args.seed)
+            res = synth_regret(P, level, K0=K0)
             gamma = None
+            if res.feasible and args.trials > 0:
+                rep = verify_regret(res.controller, P, level, n_trials=args.trials,
+                                    seed=args.seed, K0=K0)
+                check = {"verify_margin": rep.worst_margin, "verified": rep.passed}
     else:
         unc = _load_uncertain(args)
         K0 = build_noncausal(unc.nominal())
@@ -145,7 +154,7 @@ def cmd_synth(args) -> int:
         "level": None if level is None else [level.gamma_d, level.gamma_J],
         "achieved_norm": float(res.achieved_norm) if np.isfinite(res.achieved_norm) else None,
         "controller_order": res.controller.n_x if res.controller else None,
-        "metadata": _clean_meta(res.metadata),
+        "metadata": _clean_meta({**res.metadata, **check}),
     }
     rio.write_json(out / "summary.json", summary)
     rio.write_json(out / "metadata.json", _metadata(args, t0))
@@ -168,7 +177,7 @@ def cmd_pareto(args) -> int:
     if args.mode == "nominal":
         P = _load_nominal(args)
         front = pareto_front(P, n_points=args.points, tol_abs=args.tol_abs,
-                             tol_rel=args.tol_rel)
+                             tol_rel=args.tol_rel, K0=build_noncausal(P))
     else:
         unc = _load_uncertain(args)
         front = robust_pareto_front(unc, n_points=args.points,
@@ -209,8 +218,7 @@ def cmd_sim(args) -> int:
         cols_ab, cols_sd = [], []
         ptp = []
         for i in range(args.samples):
-            ds = sample_uncertainty(resp.n_v, resp.n_w, DELTA_ORDER,
-                                    seed=int(rng.integers(0, 2**31)),
+            ds = sample_uncertainty(resp.n_v, resp.n_w, seed=int(rng.integers(0, 2**31)),
                                     sample_time=resp.sample_time)
             cl = lft_upper(cl_open, ds.Delta, resp.n_w, resp.n_v)
             y = simulate(cl, pulse)
@@ -293,14 +301,15 @@ def cmd_verify(args) -> int:
     level = _level(args)
     if args.mode == "nominal":
         P = _load_nominal(args)
-        rep = verify_regret(K, P, level, n_trials=args.trials, seed=args.seed)
+        rep = verify_regret(K, P, level, n_trials=args.trials, seed=args.seed,
+                            K0=build_noncausal(P))
         payload = {"passed": bool(rep.passed), "worst_margin": rep.worst_margin,
                    "trials": rep.n_trials, "worst_kind": rep.worst_kind}
     else:
         unc = _load_uncertain(args)
         rep = verify_robust_regret(K, unc, level, n_delta=args.samples,
                                    n_dist=max(args.trials // args.samples, 1),
-                                   seed=args.seed)
+                                   seed=args.seed, K0=build_noncausal(unc.nominal()))
         payload = {"passed": bool(rep.passed), "worst_margin": rep.worst_margin,
                    "n_unstable": rep.n_unstable, "trials": rep.trials}
     rio.write_json(out / "verify.json", payload)
@@ -331,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_level=True)
     p.add_argument("--kind", choices=SPECIAL_KINDS, default="hinf")
     p.add_argument("--trials", type=int, default=0,
-                   help="post-synthesis sampled verification trials")
+                   help="sampled check of the synthesized controller at the "
+                        "given nominal level (as verify)")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("pareto", help="trade-off front over gamma_d")

@@ -242,14 +242,6 @@ class NoncausalClosedLoop:
     gamma_J: float
     K0: NoncausalController
 
-    @property
-    def n_x(self) -> int:
-        return self.K0.A11.shape[0]
-
-    @property
-    def n_d(self) -> int:
-        return self.K0.plant.n_d
-
 
 def build_phat(K0: NoncausalController, gammas) -> NoncausalClosedLoop:
     """Assemble the Eq.-of-motion matrices of the benchmark closed loop."""

@@ -112,9 +112,6 @@ class FrequencyGrid:
             extra.append(np.linspace(lo, hi, 4 * _REFINE_FACTOR + 2))
         return FrequencyGrid(np.concatenate([th] + extra))
 
-    def __len__(self):
-        return self.thetas.size
-
 
 def _pole_angle_seeds(sys: StateSpace) -> np.ndarray:
     """Angles of poles with modulus near 1: resonant peak locations."""
@@ -356,22 +353,17 @@ def norm_below(sys: StateSpace, level: float) -> bool | None:
     return None
 
 
-def hinf_norm(sys: StateSpace, return_theta: bool = False,
-              return_bracket: bool = False):
+def hinf_norm(sys: StateSpace, return_bracket: bool = False):
     """Certified upper bound on the peak of sigma_max(G(e^{j theta})).
 
     Requires a Schur-stable system; the norm is the induced l2 -> l2
     gain.  The value is the upper end of :func:`_norm_bracket`, at most
     ``1 + 2 _NORM_TOL`` (1 + 2e-9) times a value sigma_max attains.
-    ``return_theta`` adds the angle of that attained value;
-    ``return_bracket`` returns the :class:`NormBracket` itself.
+    ``return_bracket`` returns the :class:`NormBracket` itself, which
+    also holds the angle of that attained value.
     """
     br = _norm_bracket(sys)
-    if return_bracket:
-        return br
-    if return_theta:
-        return br.upper, br.theta
-    return br.upper
+    return br if return_bracket else br.upper
 
 
 @dataclass(frozen=True)

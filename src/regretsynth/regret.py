@@ -23,7 +23,7 @@ import numpy as np
 from .errors import RegretSynthError
 from .hinf import (SynthesisResult, bisect_level, certify_returned, family_search,
                    hinf_optimize, hinf_search, synth_hinf)
-from .noncausal import NoncausalController, build_noncausal, build_phat, eval_noncausal_cost
+from .noncausal import NoncausalController, build_phat, eval_noncausal_cost
 from .norms import hinf_norm
 from .plants import GeneralizedPlant, lft_lower, weight_disturbance
 from .signals import random_signal, response_energy, sinusoid_signal
@@ -91,16 +91,14 @@ def regret_weighted_plant(P: GeneralizedPlant, K0: NoncausalController,
     return weight_disturbance(P, factor.F_inv), factor
 
 
-def synth_regret(P: GeneralizedPlant, level: RegretLevel,
-                 K0: NoncausalController | None = None,
-                 verify_trials: int = 0, seed: int = 0) -> SynthesisResult:
+def synth_regret(P: GeneralizedPlant, level: RegretLevel, *,
+                 K0: NoncausalController) -> SynthesisResult:
     """Feasibility of a regret level: synthesize K or report infeasible.
 
     The pipeline is benchmark -> closed-loop -> spectral factor ->
     disturbance-weighted plant -> H-infinity synthesis at level 1.
+    ``K0`` is the benchmark of ``P`` (:func:`noncausal.build_noncausal`).
     """
-    if K0 is None:
-        K0 = build_noncausal(P)
     Pw, factor = regret_weighted_plant(P, K0, level)
     res = synth_hinf(Pw, 1.0)
     meta = dict(res.metadata)
@@ -108,14 +106,8 @@ def synth_regret(P: GeneralizedPlant, level: RegretLevel,
     meta["kind"] = level.kind
     if factor.gamma_d != level.gamma_d:
         meta["gamma_d_regularized"] = factor.gamma_d
-    out = SynthesisResult(res.controller, res.gamma, res.feasible,
-                          res.achieved_norm, res.closed_loop, meta)
-    if out.feasible and verify_trials > 0:
-        rep = verify_regret(out.controller, P, level, n_trials=verify_trials,
-                            seed=seed, K0=K0)
-        meta["verify_margin"] = rep.worst_margin
-        meta["verified"] = rep.passed
-    return out
+    return SynthesisResult(res.controller, res.gamma, res.feasible,
+                           res.achieved_norm, res.closed_loop, meta)
 
 
 def _level_for(kind: str, gamma: float) -> RegretLevel:
@@ -151,14 +143,16 @@ def _traced_bisection(feasible_at, tol_abs: float, tol_rel: float):
 
 
 def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
-                     tol_rel: float = 1e-4, K0: NoncausalController | None = None,
+                     tol_rel: float = 1e-4, *, K0: NoncausalController,
                      feasibility=None):
     """Bisect the scalar gamma of a special regret kind.
 
     Returns (gamma_upper, result_at_upper); the result's metadata holds
-    the ``search_levels`` of the search.  ``feasibility`` is a per-level
-    oracle (used by the robust designs to swap in DK-iteration), called
-    at every level tried (:func:`_traced_bisection`).
+    the ``search_levels`` of the search.  ``K0`` is the benchmark of
+    ``P``, which the H-infinity kind does not read.  ``feasibility`` is
+    a per-level oracle (used by the robust designs to swap in
+    DK-iteration), called at every level tried
+    (:func:`_traced_bisection`).
 
     Without an oracle, every kind runs the rule of
     :func:`hinf.hinf_search`.  The H-infinity kind is
@@ -185,8 +179,6 @@ def optimize_special(P: GeneralizedPlant, kind: str, tol_abs: float = 1e-4,
         return hi, replace(best, metadata={**best.metadata, "search_levels": levels})
     if kind == KIND_HINF:
         return hinf_optimize(P, tol_abs, tol_rel)
-    if K0 is None:
-        K0 = build_noncausal(P)
     if kind == KIND_COMPETITIVE:
         Pw, _ = regret_weighted_plant(P, K0, RegretLevel.competitive_ratio(1.0))
         gamma, res = hinf_optimize(Pw, tol_abs, tol_rel)
@@ -293,7 +285,7 @@ def _ray_point(P: GeneralizedPlant, K0: NoncausalController, ray: float,
 
 
 def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
-                 tol_rel: float = 1e-4, K0: NoncausalController | None = None,
+                 tol_rel: float = 1e-4, *, K0: NoncausalController,
                  gamma_inf: float | None = None, oracle_factory=None) -> ParetoFront:
     """Trade-off front: minimal gamma_J along gamma_d.
 
@@ -311,12 +303,12 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     gamma_J at its fixed gamma_d with its own oracle from
     ``oracle_factory()`` (:func:`_bisect_gamma_j`), so the points do not
     depend on one another.  Every point is certified at its own
-    (gamma_d, gamma_J upper).  ``n_points < 1`` raises ValueError.
+    (gamma_d, gamma_J upper).  ``K0`` is the benchmark of ``P``, and
+    ``gamma_inf``, when given, its optimal H-infinity level.
+    ``n_points < 1`` raises ValueError.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    if K0 is None:
-        K0 = build_noncausal(P)
     if gamma_inf is None:
         _, gamma_inf, _, _ = hinf_search(P, tol_abs, tol_rel)
     Pc, _ = regret_weighted_plant(P, K0, RegretLevel.competitive_ratio(1.0))
@@ -346,26 +338,26 @@ class RegretVerification:
 
 
 def verify_regret(K: StateSpace, P: GeneralizedPlant, level: RegretLevel,
-                  n_trials: int = 200, seed: int = 0,
-                  K0: NoncausalController | None = None) -> RegretVerification:
+                  n_trials: int = 200, seed: int = 0, *,
+                  K0: NoncausalController) -> RegretVerification:
     """Empirical check of the regret bound over sampled disturbances.
 
     Mixes white noise, low-pass noise, and windowed sinusoids in random
     real directions at angles within 20% of the peak angle of the
-    unweighted closed loop ``lft_lower(P, K)``.  d = 0 is excluded by
-    construction.  The trials are costed as one sequence by
-    ``response_energy`` and ``eval_noncausal_cost``, whose state
-    recursions run in lock step.  ``n_trials < 1`` raises ValueError: a
-    check with no trials would pass whatever the controller.
+    unweighted closed loop ``lft_lower(P, K)``, the angle of its
+    :func:`norms.hinf_norm` bracket.  J(K0, d) is the cost of ``K0``,
+    the benchmark of ``P``.  d = 0 is excluded by construction.  The
+    trials are costed as one sequence by ``response_energy`` and
+    ``eval_noncausal_cost``, whose state recursions run in lock step.
+    ``n_trials < 1`` raises ValueError: a check with no trials would
+    pass whatever the controller.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if K0 is None:
-        K0 = build_noncausal(P)
     cl = lft_lower(P, K)
     if not cl.is_schur():
         return RegretVerification(False, np.inf, 0, "unstable")
-    _, theta_peak = hinf_norm(cl, return_theta=True)
+    theta_peak = hinf_norm(cl, return_bracket=True).theta
     rng = np.random.default_rng(seed)
     worst = -np.inf
     worst_kind = ""

@@ -114,12 +114,6 @@ class DareAssumptionReport:
     conditions: tuple
     passed: bool
 
-    def __getitem__(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def failure_summary(self) -> str:
         bad = [c for c in self.conditions if not c.passed]
         return "; ".join(f"{c.name} (margin {c.margin:.3g})" for c in bad)
@@ -214,11 +208,6 @@ class DareSolution:
     residual: float
     iterations: int
     method: str
-
-    def spectral_radius(self) -> float:
-        if self.closed_loop_A.size == 0:
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvals(self.closed_loop_A))))
 
 
 def dare_residual(p: DareProblem, X: np.ndarray) -> float:

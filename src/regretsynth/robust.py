@@ -64,8 +64,8 @@ _DK_STALL_TOL = 1e-3
 _DK_STALL_ITERS = 3
 # sample_uncertainty shrinks each sample by a factor uniform on this range
 _DELTA_SCALE_RANGE = (0.2, 1.0)
-# state order of the uncertainties that verify_robust_regret (and the
-# command line's sampled time responses) draw
+# state order of the uncertainties that sample_uncertainty draws for
+# verify_robust_regret and the command line's sampled time responses
 DELTA_ORDER = 5
 
 
@@ -125,10 +125,10 @@ def _sigma_and_slope(M0: np.ndarray, n_v: int, n_w: int, t: np.ndarray):
 def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int):
     """Minimize the scaled maximum singular value over scalar D > 0.
 
-    ``M0`` is one matrix (m, n) or a stack (k, m, n).  Returns
-    (passed, d_opt, value): scalars for one matrix, arrays of length k
-    for a stack.  ``value`` is the smallest scaled value evaluated, so
-    the scaling d_opt attains it and ``passed`` (value < 1) is sound.
+    ``M0`` is a stack (k, m, n) of matrices.  Returns (passed, d_opt,
+    value), arrays of length k.  ``value`` is the smallest scaled value
+    evaluated, so the scaling d_opt attains it and ``passed`` (value <
+    1) is sound.
 
     The scaled value is convex in t = log10 D (Sezginer and Overton
     1990), and the top singular triplet that gives it gives its slope
@@ -149,10 +149,7 @@ def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int):
     one off-diagonal block vanishes, or when the value one decade to
     each side of the optimum is within 1e-9 (relative) of it.
     """
-    M = np.atleast_2d(M0)
-    single = M.ndim == 2
-    if single:
-        M = M[None]
+    M = np.asarray(M0)
     k = M.shape[0]
     has_up = np.any(M[:, :n_v, n_w:], axis=(1, 2))    # scaled by d
     has_down = np.any(M[:, n_v:, :n_w], axis=(1, 2))  # scaled by 1/d
@@ -200,8 +197,6 @@ def matrix_rp_test(M0: np.ndarray, n_v: int, n_w: int):
         near &= np.abs(probe - best) <= _RP_FLAT_TOL * best
     d_opt[lanes] = np.where(flat | near, np.nan, 10.0 ** best_t)
     val[lanes] = best
-    if single:
-        return bool(val[0] < 1.0), float(d_opt[0]), float(val[0])
     return val < 1.0, d_opt, val
 
 
@@ -248,9 +243,8 @@ def robust_perf_test(M: AugmentedOpenLoop) -> RobustPerfReport:
 
 @dataclass(frozen=True)
 class DScaling:
-    """Pointwise optimal scalings and their rational min-phase fit."""
+    """The rational min-phase fit of pointwise optimal scalings."""
 
-    pointwise: tuple
     system: StateSpace
     order: int
     fit_error: float  # max |log10| deviation on the grid
@@ -366,8 +360,7 @@ def fit_dscale(pointwise, sample_time=1.0) -> DScaling:
     g0 = float(np.mean(finite)) if finite.size else 0.0
     empty = np.zeros(0)
     sys0 = _first_order_cascade(g0, empty, empty, sample_time)
-    best = DScaling(tuple(pts), sys0, 0,
-                    float(np.max(np.abs(g0 - target), initial=0.0)))
+    best = DScaling(sys0, 0, float(np.max(np.abs(g0 - target), initial=0.0)))
     if best.fit_error <= _D_FIT_TOL:
         return best
     th_pos = thetas[thetas > 0]
@@ -401,7 +394,7 @@ def fit_dscale(pointwise, sample_time=1.0) -> DScaling:
             if err < best.fit_error:
                 zs = _dscale_roots(x[1 : 1 + k])
                 ps = _dscale_roots(x[1 + k :])
-                best = DScaling(tuple(pts), _first_order_cascade(
+                best = DScaling(_first_order_cascade(
                     x[0], zs, ps, sample_time), k, err)
         if best.fit_error <= _D_FIT_TOL:
             return best
@@ -416,19 +409,17 @@ def _diag_copies(sys: StateSpace, n: int) -> StateSpace:
 
 
 def dk_scaled_plant(P: UncertainPlant, F: SpectralFactor,
-                    D: DScaling | None) -> GeneralizedPlant:
-    """Open-loop plant for the K-step: inputs (w~, d^, u) -> (v~, e, y)."""
+                    D: DScaling) -> GeneralizedPlant:
+    """Open-loop plant for the K-step: inputs (w~, d^, u) -> (v~, e, y),
+    the uncertainty channels scaled by ``D`` and the disturbance
+    weighted by ``F``'s inverse."""
     ss = P.ss
     n_w, n_d, n_u = P.n_w, P.n_d, P.n_u
     n_v, n_e, n_y = P.n_v, P.n_e, P.n_y
     eye_u = static_gain(np.eye(n_u), ss.sample_time)
     eye_ey = static_gain(np.eye(n_e + n_y), ss.sample_time)
-    if D is None or D.system.n_x == 0 and float(D.system.D[0, 0]) == 1.0:
-        d_in = static_gain(np.eye(n_w), ss.sample_time)
-        d_out = static_gain(np.eye(n_v), ss.sample_time)
-    else:
-        d_in = _diag_copies(invert(D.system), n_w)
-        d_out = _diag_copies(D.system, n_v)
+    d_in = _diag_copies(invert(D.system), n_w)
+    d_out = _diag_copies(D.system, n_v)
     W_in = append(append(d_in, F.F_inv), eye_u)
     W_out = append(d_out, eye_ey)
     scaled = series(series(W_in, ss), W_out)
@@ -436,17 +427,19 @@ def dk_scaled_plant(P: UncertainPlant, F: SpectralFactor,
                             n_e=n_v + n_e, n_y=n_y)
 
 
-def dk_iteration(P: UncertainPlant, level: RegretLevel,
-                 K0: NoncausalController | None = None,
+def dk_iteration(P: UncertainPlant, level: RegretLevel, *,
+                 K0: NoncausalController,
                  initial_D: DScaling | None = None) -> SynthesisResult:
     """Alternate H-infinity synthesis (K-step) and D-scale fitting.
 
-    A K-step whose search returns level 1 ends the run with success: the
-    plant scaled by a stable minimum-phase D then has a closed loop of
-    certified norm below 1, which certifies the robust level (sufficient
-    only).  :func:`hinf.certify_returned` brackets that norm; its upper
-    end is ``achieved_norm``, and the metadata holds the bracket as
-    ``norm_bracket`` and that D as ``final_D``.  Every other iteration
+    ``K0`` is the benchmark of the nominal plant, which sets the regret
+    weight of the level.  A K-step whose search returns level 1 ends the
+    run with success: the plant scaled by a stable minimum-phase D then
+    has a closed loop of certified norm below 1, which certifies the
+    robust level (sufficient only).  :func:`hinf.certify_returned`
+    brackets that norm; its upper end is ``achieved_norm``, and the
+    metadata holds the bracket as ``norm_bracket`` and that D as
+    ``final_D``.  Every other iteration
     runs :func:`robust_perf_test`, whose pointwise scalings give the next
     D.  Stalls or the iteration cap end with an infeasible result whose
     reason is ``dk_did_not_converge``, holding the controller of lowest
@@ -478,8 +471,6 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     test that seeds the first D-fit; it cannot succeed.  With one,
     iteration 0 runs a K-step.
     """
-    if K0 is None:
-        K0 = build_noncausal(P.nominal())
     nominal_plant, F = regret_weighted_plant(P.nominal(), K0, level)
     # nominal feasibility is necessary (Delta = 0 belongs to the set)
     _, nom_res = decide_level(nominal_plant, 1.0)
@@ -552,11 +543,9 @@ def dk_iteration(P: UncertainPlant, level: RegretLevel,
     return SynthesisResult(best, 1.0, False, best_val, None, meta)
 
 
-def dk_feasibility_oracle(P: UncertainPlant,
-                          K0: NoncausalController | None = None):
-    """Feasibility closure for bisections, warm-starting D across levels."""
-    if K0 is None:
-        K0 = build_noncausal(P.nominal())
+def dk_feasibility_oracle(P: UncertainPlant, *, K0: NoncausalController):
+    """Feasibility closure for bisections, warm-starting D across levels;
+    ``K0`` is the benchmark of the nominal plant."""
     state = {"D": None}
 
     def feasibility(level: RegretLevel) -> SynthesisResult:
@@ -597,9 +586,10 @@ class UncertaintySample:
     norm: float
 
 
-def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
+def sample_uncertainty(n_v: int, n_w: int, seed: int,
                        sample_time=1.0) -> UncertaintySample:
-    """Random stable Delta (n_w x n_v) with ||Delta||_inf <= 1.
+    """Random stable Delta (n_w x n_v) of ``DELTA_ORDER`` states with
+    ||Delta||_inf <= 1.
 
     Poles are uniform in radius on [0, 0.95] with random angles (complex
     pairs), input/output maps Gaussian; the system is divided by the
@@ -608,14 +598,8 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
     ``norm`` is the factor times the upper bound of the raw system.
     """
     rng = np.random.default_rng(seed)
-    if order == 0:
-        D = rng.standard_normal((n_w, n_v))
-        sv = np.linalg.svd(D, compute_uv=False)[0] if D.size else 1.0
-        D = D / max(sv, 1e-12) * rng.uniform(*_DELTA_SCALE_RANGE)
-        return UncertaintySample(static_gain(D, sample_time), seed,
-                                 float(np.linalg.svd(D, compute_uv=False)[0]))
     blocks = []
-    left = order
+    left = DELTA_ORDER
     while left >= 2:
         r = rng.uniform(0.0, 0.95)
         th = rng.uniform(0.05, np.pi - 0.05)
@@ -624,14 +608,14 @@ def sample_uncertainty(n_v: int, n_w: int, order: int, seed: int,
         left -= 2
     if left == 1:
         blocks.append(np.array([[rng.uniform(-0.95, 0.95)]]))
-    A = np.zeros((order, order))
+    A = np.zeros((DELTA_ORDER, DELTA_ORDER))
     o = 0
     for blk in blocks:
         k = blk.shape[0]
         A[o : o + k, o : o + k] = blk
         o += k
-    B = rng.standard_normal((order, n_v))
-    C = rng.standard_normal((n_w, order))
+    B = rng.standard_normal((DELTA_ORDER, n_v))
+    C = rng.standard_normal((n_w, DELTA_ORDER))
     D = 0.1 * rng.standard_normal((n_w, n_v))
     raw = StateSpace(A, B, C, D, sample_time)
     nrm = hinf_norm(raw)
@@ -649,13 +633,13 @@ class RobustVerification:
 
 
 def verify_robust_regret(K: StateSpace, P: UncertainPlant, level: RegretLevel,
-                         n_delta: int = 50, n_dist: int = 20, seed: int = 0,
-                         K0: NoncausalController | None = None) -> RobustVerification:
+                         n_delta: int = 50, n_dist: int = 20, seed: int = 0, *,
+                         K0: NoncausalController) -> RobustVerification:
     """Sampled soundness check of the robust regret definition.
 
     For each sampled Delta the closed loop must be stable and every
     sampled disturbance must respect J(K, d, Delta) < gamma_d^2 ||d||^2
-    + gamma_J^2 J(K0, d) with the benchmark evaluated on the nominal
+    + gamma_J^2 J(K0, d), with ``K0`` the benchmark of the nominal
     model.  Each Delta has ``DELTA_ORDER`` states.  The disturbances of
     a sampled Delta are drawn only when its loop is stable, and
     ``response_energy`` takes them as one sequence per loop; the
@@ -669,15 +653,12 @@ def verify_robust_regret(K: StateSpace, P: UncertainPlant, level: RegretLevel,
     if n_delta < 1 or n_dist < 1:
         raise ValueError(f"n_delta and n_dist must be at least 1, "
                          f"got {n_delta} and {n_dist}")
-    if K0 is None:
-        K0 = build_noncausal(P.nominal())
     cl_open = lft_lower(P.as_generalized(), K)  # (w, d) -> (v, e)
     rng = np.random.default_rng(seed)
     n_unstable = 0
     dists, energies = [], []  # of the stable loops, in draw order
     for i in range(n_delta):
-        ds = sample_uncertainty(P.n_v, P.n_w, DELTA_ORDER,
-                                seed=int(rng.integers(0, 2**31)),
+        ds = sample_uncertainty(P.n_v, P.n_w, seed=int(rng.integers(0, 2**31)),
                                 sample_time=P.sample_time)
         cl = lft_upper(cl_open, ds.Delta, P.n_w, P.n_v)
         if not cl.is_schur():

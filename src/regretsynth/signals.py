@@ -299,12 +299,10 @@ def random_signal(rng, dim: int, length: int, kind: str = "white") -> Signal:
 
 
 def sinusoid_signal(dim: int, theta: float, length: int,
-                    direction: np.ndarray | None = None) -> Signal:
+                    direction: np.ndarray) -> Signal:
     """Windowed unit-norm sinusoid at a given angle (near-worst-case
-    probe), starting at time 0."""
+    probe) along ``direction`` in R^dim, starting at time 0."""
     t = np.arange(length)
-    if direction is None:
-        direction = np.ones(dim)
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     window = 0.5 * (1 - np.cos(2 * np.pi * (t + 0.5) / length))

@@ -21,7 +21,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import regretsynth as rs
-from regretsynth.noncausal import _backward_v
 from regretsynth.signals import (TRUNC_TOL, decay_extension, free_response,
                                  response_energy)
 
@@ -271,7 +270,7 @@ def para_hermitian_apply(system, ebar, tol: float = 1e-12):
     """
     if isinstance(system, rs.NoncausalClosedLoop):
         A, B, C, D = system.A_hat, system.B_hat, system.C_hat, system.D_hat
-        n = system.n_x
+        n = system.K0.A11.shape[0]
         K0 = system.K0
         n_pad = rs.signals.decay_extension(decay_rate(K0), tol, n)
         t0, t1 = ebar.t0 - n_pad, ebar.t1 + n_pad
@@ -641,7 +640,7 @@ def spectral_factorize_general(system, *, check: bool = True):
     if isinstance(system, rs.NoncausalClosedLoop):
         basis = sp._w_basis(system)
         C = np.vstack([system.gamma_J * basis.C_e,
-                       np.zeros((system.n_d, basis.A.shape[0]))])
+                       np.zeros((system.K0.plant.n_d, basis.A.shape[0]))])
         mats = (basis.A, basis.B, C, system.D_hat)
         ts = system.K0.plant.sample_time
         gamma_d, gamma_J = system.gamma_d, system.gamma_J
@@ -691,7 +690,8 @@ def verify_factor(factor: rs.SpectralFactor, phat: rs.NoncausalClosedLoop,
     """Sampled check of ||F d||^2 = gamma_d^2 ||d||^2 + gamma_J^2 J(K0, d)
     on ``trials`` random disturbances of 5 to 39 steps."""
     rng = np.random.default_rng(seed)
-    ds = [rs.Signal(0, rng.standard_normal((int(rng.integers(5, 40)), phat.n_d)))
+    ds = [rs.Signal(0, rng.standard_normal((int(rng.integers(5, 40)),
+                                            phat.K0.plant.n_d)))
           for _ in range(trials)]
     worst = 0.0
     for d, lhs, cost in zip(ds, response_energy(factor.F, ds).tolist(),
@@ -777,8 +777,12 @@ def noncausal_response(K0: rs.NoncausalController, d: rs.Signal,
     P = K0.plant
     n = K0.A11.shape[0]
     cap = 7 * decay_extension(decay_rate(K0), tol, n)
-    # v[d.t0 .. d.t1 + 1], time-major with one window
-    v_sup = _backward_v(K0, d.samples[:, None, :, None])[:, 0, :, 0]
+    # v[d.t0 .. d.t1 + 1] on the support, one step at a time from v = 0
+    # after it: v[t] = A11' (v[t+1] + X B_d d[t])
+    XB_d = K0.X @ P.B_d
+    v_sup = np.zeros((len(d) + 1, n))
+    for k in range(len(d) - 1, -1, -1):
+        v_sup[k] = K0.A11.T @ (v_sup[k + 1] + XB_d @ d.samples[k])
     pre, _, v_start = free_response(K0.A11.T, K0.A11.T @ v_sup[0],
                                     lambda vs: vs, float(np.vdot(v_sup, v_sup)),
                                     cap, tol)
@@ -983,17 +987,14 @@ def rank_margin_reference(p) -> float:
     return worst
 
 
-def verify_regret_loop(K, P, level, n_trials: int = 200, seed: int = 0,
-                       K0=None):
+def verify_regret_loop(K, P, level, n_trials: int = 200, seed: int = 0, *, K0):
     """Per-trial reference for ``regret.verify_regret``: the same draws,
     and one ``response_energy`` and one ``eval_noncausal_cost`` call per
     disturbance, in draw order."""
-    if K0 is None:
-        K0 = rs.build_noncausal(P)
     cl = rs.lft_lower(P, K)
     if not cl.is_schur():
         return rs.regret.RegretVerification(False, np.inf, 0, "unstable")
-    _, theta_peak = rs.hinf_norm(cl, return_theta=True)
+    theta_peak = rs.hinf_norm(cl, return_bracket=True).theta
     rng = np.random.default_rng(seed)
     n_sin = rs.regret._N_SINUSOIDS
     trials = []
@@ -1020,18 +1021,15 @@ def verify_regret_loop(K, P, level, n_trials: int = 200, seed: int = 0,
 
 
 def verify_robust_regret_loop(K, P, level, n_delta: int = 50, n_dist: int = 20,
-                              seed: int = 0, delta_order: int = 5, K0=None):
+                              seed: int = 0, *, K0):
     """Per-trial reference for ``robust.verify_robust_regret``: the
     disturbances of a sampled Delta are drawn only when its loop is
     stable, and each is evaluated on its own."""
-    if K0 is None:
-        K0 = rs.build_noncausal(P.nominal())
     cl_open = rs.lft_lower(P.as_generalized(), K)
     rng = np.random.default_rng(seed)
     n_unstable, worst, trials = 0, -np.inf, 0
     for _ in range(n_delta):
-        ds = rs.sample_uncertainty(P.n_v, P.n_w, delta_order,
-                                   seed=int(rng.integers(0, 2**31)),
+        ds = rs.sample_uncertainty(P.n_v, P.n_w, seed=int(rng.integers(0, 2**31)),
                                    sample_time=P.sample_time)
         cl = rs.lft_upper(cl_open, ds.Delta, P.n_w, P.n_v)
         if not cl.is_schur():
@@ -1059,7 +1057,7 @@ def worst_case_const_delta(M0: np.ndarray, n_v: int, n_w: int) -> np.ndarray:
     if np.iscomplexobj(M0):
         raise NotAFailurePoint("constant witness requires a real matrix "
                                "(theta must be 0 or pi)")
-    passed, d_opt, val = rs.matrix_rp_test(M0, n_v, n_w)
+    _, (d_opt,), (val,) = rs.matrix_rp_test(M0[None], n_v, n_w)
     if val < 1.0 - 1e-6:
         raise NotAFailurePoint(f"scaled test passes here (value {val:.4f})")
     S = M0.copy()

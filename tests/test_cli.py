@@ -197,6 +197,93 @@ def test_synth_without_trials_skips_verification(tmp_path):
     assert summary["feasible"] and "verified" not in summary["metadata"]
 
 
+def test_synth_trials_check_the_level(tmp_path, store):
+    # the sampled check of the synthesized controller is verify_regret's,
+    # at the level, the seed and the trials of the command line
+    out = tmp_path / "s"
+    assert run(["synth", "--example", "siso", "--gamma-d", "5", "--trials", "50",
+                "--out", out]) == 0
+    meta = json.loads((out / "summary.json").read_text())["metadata"]
+    P, K0 = store.nominal("siso"), store.k0("siso")
+    level = rs.RegretLevel(5.0, 0.0)
+    K = rs.synth_regret(P, level, K0=K0).controller
+    rep = rs.verify_regret(K, P, level, n_trials=50, seed=0, K0=K0)
+    assert rep.passed
+    assert (meta["verified"], meta["verify_margin"]) == (True, rep.worst_margin)
+
+
+@pytest.mark.parametrize("extra, words", [
+    (["--mode", "robust", "--gamma-d", "5", "--gamma-j", "1"],
+     "checks a nominal level, not --mode robust"),
+    (["--kind", "additive-regret"], "needs a level to check"),
+    ([], "needs a level to check")])
+def test_synth_trials_without_a_nominal_level_exit_code(tmp_path, capsys, extra, words):
+    # a robust level, or a kind to optimize, has no level the check could test
+    code = run(["synth", "--example", "siso", *extra, "--trials", "10",
+                "--out", tmp_path / "o"])
+    assert code == 4
+    _one_line_error(capsys, f"--trials {words}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_and_verify_robust_quartercar(tmp_path, store):
+    out = tmp_path / "s"
+    assert run(["synth", "--mode", "robust", "--example", "quartercar",
+                "--gamma-d", "0.8", "--gamma-j", "1", "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["feasible"] and summary["achieved_norm"] < 1.0
+    trace = (out / "dk_trace.csv").read_text().strip().splitlines()
+    assert trace[0] == "iter,hinf_value,d_order,d_fit_error,scaled_peak,k_levels"
+    assert len(trace) == 1 + summary["metadata"]["iterations"]
+    # the sampled robust check of that controller: --trials split over
+    # --samples Deltas
+    v = tmp_path / "v"
+    assert run(["verify", "--mode", "robust", "--example", "quartercar",
+                "--controller", out / "controller.sys", "--gamma-d", "0.8",
+                "--gamma-j", "1", "--trials", "12", "--samples", "3",
+                "--seed", "4", "--out", v]) == 0
+    got = json.loads((v / "verify.json").read_text())
+    rep = rs.verify_robust_regret(rs.io.load_controller(out / "controller.sys"),
+                                  store.uncertain("quartercar"), rs.RegretLevel(0.8, 1.0),
+                                  n_delta=3, n_dist=4, seed=4, K0=store.k0("quartercar"))
+    assert got == {"passed": True, "worst_margin": rep.worst_margin,
+                   "n_unstable": 0, "trials": 12}
+
+
+def test_synth_robust_dk_failure_exit_code(tmp_path):
+    out = tmp_path / "s"
+    assert run(["synth", "--mode", "robust", "--example", "quartercar",
+                "--gamma-d", "0.5", "--gamma-j", "1", "--out", out]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert not summary["feasible"]
+    assert summary["metadata"]["reason"] == "dk_did_not_converge"
+
+
+def test_pareto_robust_one_point(tmp_path):
+    out = tmp_path / "p"
+    assert run(["pareto", "--mode", "robust", "--example", "siso", "--points", "1",
+                "--tol-abs", "1e-1", "--tol-rel", "1e-2", "--out", out]) == 0
+    lines = (out / "pareto_robust.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    gd, lo, hi, norm, order = (float(x) for x in lines[1].split(","))
+    assert lo <= hi and norm < 1.0 and order >= 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mode"] == "robust" and summary["gamma_j_at_smallest_gd"] == hi
+
+
+def test_freqresp_open_loop(tmp_path):
+    out = tmp_path / "fr"
+    assert run(["freqresp", "--example", "boeing747", "--points", "32",
+                "--out", out]) == 0
+    lines = (out / "open_loop_freqresp.csv").read_text().strip().splitlines()
+    assert lines[0] == "theta_rad_per_sample,omega_rad_per_s,sigma_max"
+    thetas, sigma = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 2)).T
+    P = rs.build_example("boeing747").nominal()
+    assert np.array_equal(thetas, rs.FrequencyGrid.default(32).thetas)
+    assert np.array_equal(sigma, rs.norms.sigma_max_on_grid(P.ed_subsystem(), thetas))
+    assert not (out / "closed_loop_freqresp.csv").exists()
+
+
 def test_plant_file_input(tmp_path, store):
     pfile = tmp_path / "plant.sys"
     save_plant(pfile, rs.build_example("boeing747"))

@@ -280,10 +280,11 @@ import regretsynth as rs
 HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
 unc = rs.build_example("siso")
 P = unc.nominal()
-gamma, res = rs.optimize_special(P, "hinf", 1e-1, 1e-1)
+K0 = rs.build_noncausal(P)
+gamma, res = rs.optimize_special(P, "hinf", 1e-1, 1e-1, K0=K0)
 level = rs.RegretLevel.hinf(2.0 * gamma)
-rs.verify_regret(res.controller, P, level, n_trials=4)
-rs.verify_robust_regret(res.controller, unc, level, n_delta=2, n_dist=2)
+rs.verify_regret(res.controller, P, level, n_trials=4, K0=K0)
+rs.verify_robust_regret(res.controller, unc, level, n_delta=2, n_dist=2, K0=K0)
 print(sorted(name for name in HEAVY if name in sys.modules))
 rs.fit_dscale([(0.5, 1.0), (1.0, 2.0)])
 print("scipy.optimize" in sys.modules)

@@ -21,7 +21,8 @@ def test_static_norm_is_sigma_max():
 
 def test_first_order_peak():
     g = rs.StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0)
-    val, theta = rs.hinf_norm(g, return_theta=True)
+    br = rs.hinf_norm(g, return_bracket=True)
+    val, theta = br.upper, br.theta
     assert abs(val - 2.0) < 1e-6
     assert theta < 1e-4
     # confirm against a dense grid
@@ -98,7 +99,7 @@ def test_frequency_grid_invariants():
     assert th[0] == 0.0 and th[-1] == np.pi
     assert np.all(np.diff(th) > 0)
     fine = grid.refined_near([0.5])
-    assert len(fine) > len(grid)
+    assert fine.thetas.size > th.size
 
 
 def _sigma_at(g, th):
@@ -242,7 +243,6 @@ def test_bracket_holds_on_random_systems():
         assert br.lower <= ref * (1 + 1e-12) and br.upper >= ref
         assert sigma_max_on_grid(g, [br.theta])[0] == br.lower
         assert rs.hinf_norm(g) == br.upper
-        assert rs.hinf_norm(g, return_theta=True) == (br.upper, br.theta)
 
 
 def test_norm_of_zero_system_and_of_one_zero_at_every_seed_angle():
@@ -253,7 +253,8 @@ def test_norm_of_zero_system_and_of_one_zero_at_every_seed_angle():
     # 1 - z^-16 vanishes at every angle k pi / 8 and has no pole to seed
     # from; the Markov parameters start the iteration and it finds 2
     h = rs.StateSpace(np.eye(16, k=-1), np.eye(16, 1), -np.eye(1, 16, 15), [[1.0]], 1.0)
-    val, theta = rs.hinf_norm(h, return_theta=True)
+    br = rs.hinf_norm(h, return_bracket=True)
+    val, theta = br.upper, br.theta
     assert 2.0 <= val <= 2.0 * (1 + 3e-9)
     assert abs(abs(np.sin(8.0 * theta)) - 1.0) < 1e-8
 

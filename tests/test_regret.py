@@ -82,12 +82,12 @@ def test_verify_regret_rejects_no_trials(scalar_k0, monkeypatch, n_trials):
     # with no trials the check would pass a controller that misses the level
     P, K0 = scalar_k0
     res = rs.synth_regret(P, rs.RegretLevel(1.0, 1.0), K0=K0)
-    built = []
-    monkeypatch.setattr(rs.regret, "build_noncausal", built.append)
+    closed = []
+    monkeypatch.setattr(rs.regret, "lft_lower", closed.append)
     with pytest.raises(ValueError, match="n_trials"):
         rs.verify_regret(res.controller, P, rs.RegretLevel(0.5, 0.5),
-                         n_trials=n_trials)
-    assert built == []  # rejected before any work
+                         n_trials=n_trials, K0=K0)
+    assert closed == []  # rejected before any work
 
 
 def test_weighted_loop_stabilization_equivalence(scalar_k0):
@@ -370,14 +370,14 @@ def test_ray_front_builds_one_factor_per_point(store, monkeypatch):
 def test_fronts_reject_fewer_than_one_point(scalar_k0, monkeypatch, n_points):
     # an empty front has no point to report
     P, K0 = scalar_k0
-    built = []
-    monkeypatch.setattr(rs.regret, "build_noncausal", built.append)
-    monkeypatch.setattr(rs.robust, "build_noncausal", built.append)
+    work = []
+    monkeypatch.setattr(rs.regret, "hinf_search", work.append)
+    monkeypatch.setattr(rs.robust, "build_noncausal", work.append)
     with pytest.raises(ValueError, match="n_points"):
-        rs.pareto_front(P, n_points=n_points)
+        rs.pareto_front(P, n_points=n_points, K0=K0)
     with pytest.raises(ValueError, match="n_points"):
         rs.robust_pareto_front(rs.build_example("siso"), n_points=n_points)
-    assert built == []  # rejected before any work
+    assert work == []  # rejected before any work
 
 
 def test_pareto_csv_rows(scalar_k0):
@@ -402,6 +402,7 @@ def test_verify_regret_matches_per_trial_loop_two_disturbances():
     P = random_generalized_plant(5, n=4)
     K = rs.static_gain(np.zeros((P.n_u, P.n_y)), P.sample_time)
     level = rs.RegretLevel(3.0, 1.0)
-    rep = rs.verify_regret(K, P, level, n_trials=90, seed=6)
-    assert rep == verify_regret_loop(K, P, level, n_trials=90, seed=6)
+    K0 = rs.build_noncausal(P)
+    rep = rs.verify_regret(K, P, level, n_trials=90, seed=6, K0=K0)
+    assert rep == verify_regret_loop(K, P, level, n_trials=90, seed=6, K0=K0)
     assert rep.n_trials == 90

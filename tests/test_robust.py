@@ -34,7 +34,7 @@ def scalar_uncertain_plant():
 
 def test_matrix_rp_closed_form():
     M0 = np.array([[0.0, 2.0], [0.125, 0.0]])
-    passed, d_opt, val = rs.matrix_rp_test(M0, 1, 1)
+    passed, d_opt, val = rp_one(M0, 1, 1)
     assert passed
     assert abs(val - 0.5) < 1e-6
     # off-diagonal balance: |2 d| = |0.125 / d| at the optimum
@@ -43,7 +43,7 @@ def test_matrix_rp_closed_form():
 
 def test_matrix_rp_block_diagonal():
     M0 = np.diag([0.7, 0.4])
-    passed, _, val = rs.matrix_rp_test(M0, 1, 1)
+    passed, _, val = rp_one(M0, 1, 1)
     assert passed and abs(val - 0.7) < 1e-9
 
 
@@ -51,7 +51,7 @@ def test_matrix_rp_matches_dense_grid():
     rng = np.random.default_rng(5)
     for _ in range(6):
         M0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        _, _, val = rs.matrix_rp_test(M0, 2, 2)
+        _, _, val = rp_one(M0, 2, 2)
         dense = min(_scaled_sigma(M0, 2, 2, x)
                     for x in np.logspace(-6, 6, 10000))
         # golden must not be worse than the dense scan, and the scan's
@@ -87,6 +87,13 @@ def _golden_min_scalar(M0, n_v, n_w, log_span, tol=1e-7):
     return float(10.0 ** x), min(fc, fe)
 
 
+def rp_one(M0, n_v, n_w):
+    """:func:`matrix_rp_test` on one matrix, a stack of one: (passed,
+    d_opt, value) as scalars."""
+    passed, d_opt, val = rs.matrix_rp_test(np.asarray(M0)[None], n_v, n_w)
+    return bool(passed[0]), float(d_opt[0]), float(val[0])
+
+
 def _bits(x):
     """The bytes of a float, with every NaN equal."""
     x = np.float64(x)
@@ -109,7 +116,7 @@ def test_matrix_rp_stack_matches_single_calls_bitwise(monkeypatch):
         assert np.all(np.isnan(d_opt[one_block]))
         assert np.all(np.isfinite(d_opt[~one_block]))
         for k in range(M.shape[0]):
-            single = rs.matrix_rp_test(M[k], 2, 1)
+            single = rp_one(M[k], 2, 1)
             assert single[0] == passed[k]
             assert (_bits(single[1]), _bits(single[2])) == (_bits(d_opt[k]), _bits(val[k]))
             if uncoupled[k]:
@@ -143,7 +150,7 @@ def test_matrix_rp_flat_lane_leaves_d_undetermined():
     weak = flat.copy()
     weak[0, 1] = 1e-6
     for M0, free in ((flat, True), (weak, False)):
-        _, d_opt, val = rs.matrix_rp_test(M0, 1, 1)
+        _, d_opt, val = rp_one(M0, 1, 1)
         d_ref, val_ref = _golden_min_scalar(M0, 1, 1, 12.0)
         assert abs(val - val_ref) <= 1e-12 * val_ref
         assert np.isnan(d_opt) == free
@@ -176,7 +183,7 @@ def test_matrix_rp_kink_away_from_the_frobenius_start():
     rng = np.random.default_rng(3)
     for _ in range(4):
         M0 = _kink_matrix(rng)
-        _, d_opt, val = rs.matrix_rp_test(M0, 2, 2)
+        _, d_opt, val = rp_one(M0, 2, 2)
         _, val_ref = _golden_min_scalar(M0, 2, 2, 12.0)
         assert abs(val - val_ref) <= 1e-6 * val_ref
         assert abs(val - 1.0) <= 1e-6
@@ -201,7 +208,7 @@ def test_matrix_rp_evaluates_only_inside_the_bracket(monkeypatch):
               for _ in range(8)]
     for M0, n_v, n_w in cases:
         seen.clear()
-        rs.matrix_rp_test(M0, n_v, n_w)
+        rp_one(M0, n_v, n_w)
         assert 1 <= len(seen) <= 40
         for i, (t, _) in enumerate(seen):
             a = max([-12.0] + [tj for tj, g in seen[:i] if g < 0])
@@ -213,9 +220,9 @@ def test_matrix_rp_cold_restart_invariance(monkeypatch):
     rng = np.random.default_rng(6)
     M0 = rng.standard_normal((4, 4))
     monkeypatch.setattr(robust, "_RP_LOG_SPAN", 8.0)
-    _, d1, v1 = rs.matrix_rp_test(M0, 2, 2)
+    _, d1, v1 = rp_one(M0, 2, 2)
     monkeypatch.setattr(robust, "_RP_LOG_SPAN", 5.0)
-    _, d2, v2 = rs.matrix_rp_test(M0, 2, 2)
+    _, d2, v2 = rp_one(M0, 2, 2)
     assert abs(v1 - v2) < 1e-6 * max(1.0, v1)
 
 
@@ -247,7 +254,7 @@ def test_worst_case_delta_strictly_failing():
     found = 0
     for _ in range(20):
         M0 = 1.4 * rng.standard_normal((4, 4))
-        passed, _, val = rs.matrix_rp_test(M0, 2, 2)
+        passed, _, val = rp_one(M0, 2, 2)
         if passed:
             continue
         D0 = worst_case_const_delta(M0, 2, 2)
@@ -276,15 +283,14 @@ def test_sample_uncertainty_norm_audit():
         assert abs(nrm - s.norm) <= 1e-12 * nrm
 
     for seed in range(200):
-        order = seed % 6
-        s = rs.sample_uncertainty(2, 2, order, seed)
+        s = rs.sample_uncertainty(2, 2, seed)
         audit(s)
-        assert s.Delta.is_schur() or s.Delta.n_x == 0
-    # fifth order, as used for the closed-loop spread studies
+        assert s.Delta.is_schur() and s.Delta.n_x == robust.DELTA_ORDER
+    # one channel each way, as in the closed-loop spread studies
     for seed in range(20):
-        s = rs.sample_uncertainty(1, 1, 5, seed, sample_time=0.001)
+        s = rs.sample_uncertainty(1, 1, seed, sample_time=0.001)
         audit(s)
-        assert s.Delta.n_x == 5
+        assert s.Delta.n_x == robust.DELTA_ORDER
 
 
 def test_fit_dscale_constant():
@@ -323,12 +329,12 @@ def test_fit_dscale_drops_undetermined_samples(monkeypatch):
         patch.setattr(robust, "_D_FIT_TOL", 0.05)
         ref = rs.fit_dscale(pts)
         D = rs.fit_dscale(mixed)
-    assert (D.order, D.fit_error, D.pointwise) == (ref.order, ref.fit_error, ref.pointwise)
+    assert (D.order, D.fit_error) == (ref.order, ref.fit_error)
     for name in "ABCD":
         assert getattr(D.system, name).tobytes() == getattr(ref.system, name).tobytes()
     # no sample constrains D: the unit scaling
     D = rs.fit_dscale(free)
-    assert (D.order, D.fit_error, D.pointwise) == (0, 0.0, ())
+    assert (D.order, D.fit_error) == (0, 0.0)
     assert D.system.D[0, 0] == 1.0
 
 
@@ -506,7 +512,7 @@ def test_build_m_composition_oracle():
     phat = rs.build_phat(K0, (level.gamma_d, level.gamma_J))
     F = rs.spectral_factor_regret(phat)
     M = rs.build_M(unc, res.controller, F)
-    ds = rs.sample_uncertainty(1, 1, 3, seed=1)
+    ds = rs.sample_uncertainty(1, 1, seed=1)
     lhs = rs.lft_upper(M.M, ds.Delta, M.n_w, M.n_v)
     clK = rs.lft_lower(unc.as_generalized(), res.controller)
     rhs = rs.series(F.F_inv, rs.lft_upper(clK, ds.Delta, 1, 1))
@@ -719,14 +725,23 @@ def test_dk_infeasible_when_nominal_infeasible():
     assert res.metadata["reason"] == "nominal_infeasible"
 
 
-def test_dk_scaled_plant_identity_weight():
-    unc = scalar_uncertain_plant()
-    K0 = rs.build_noncausal(unc.nominal())
-    phat = rs.build_phat(K0, (1.5, 1.0))
-    F = rs.spectral_factor_regret(phat)
-    Pd = dk_scaled_plant(unc, F, None)
-    assert Pd.n_d == unc.n_w + unc.n_d
-    assert Pd.n_e == unc.n_v + unc.n_e
+def test_dk_scaled_plant_identity_weight(store):
+    # the unit D-scale leaves the uncertainty channels alone: the plant is
+    # the one weighted by F^{-1} on d alone, bit for bit
+    scalar = scalar_uncertain_plant()
+    cases = [(scalar, rs.build_noncausal(scalar.nominal()))]
+    cases += [(store.uncertain(name), store.k0(name)) for name in rs.EXAMPLE_NAMES]
+    for unc, K0 in cases:
+        F = rs.spectral_factor_regret(rs.build_phat(K0, (1.5, 1.0)))
+        Pd = dk_scaled_plant(unc, F, _unit_dscale(unc.sample_time))
+        assert (Pd.n_d, Pd.n_e) == (unc.n_w + unc.n_d, unc.n_v + unc.n_e)
+        ts = unc.sample_time
+        W_in = rs.append(rs.append(rs.static_gain(np.eye(unc.n_w), ts), F.F_inv),
+                         rs.static_gain(np.eye(unc.n_u), ts))
+        W_out = rs.static_gain(np.eye(unc.n_v + unc.n_e + unc.n_y), ts)
+        ref = rs.series(rs.series(W_in, unc.ss), W_out)
+        for name in "ABCD":
+            assert getattr(Pd.ss, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def test_robust_front_dominates_nominal_scalar(monkeypatch):
@@ -784,16 +799,17 @@ def test_verify_robust_regret_rejects_no_samples(monkeypatch, n_delta, n_dist):
     # the static gain -1.4 fails the check, which no samples would pass
     unc = scalar_uncertain_plant()
     K = rs.static_gain([[-1.4]], 1.0)
-    built = []
-    monkeypatch.setattr(robust, "build_noncausal", built.append)
+    K0 = rs.build_noncausal(unc.nominal())
+    closed = []
+    monkeypatch.setattr(robust, "lft_lower", closed.append)
     with pytest.raises(ValueError, match="n_delta and n_dist"):
         rs.verify_robust_regret(K, unc, rs.RegretLevel(2.0, 1.0),
-                                n_delta=n_delta, n_dist=n_dist)
-    assert built == []  # rejected before any work
+                                n_delta=n_delta, n_dist=n_dist, K0=K0)
+    assert closed == []  # rejected before any work
 
 
-def _unit_dscale():
-    return robust.DScaling(pointwise=(), system=rs.static_gain([[1.0]], 1.0),
+def _unit_dscale(sample_time=1.0):
+    return robust.DScaling(system=rs.static_gain([[1.0]], sample_time),
                            order=0, fit_error=0.0)
 
 

@@ -195,7 +195,7 @@ def test_response_energy_of_a_robust_check_sequence(store):
     # in verify_robust_regret, which span several blocks
     unc = store.uncertain("quartercar")
     _, res = store.robust_special("quartercar", "additive-regret")
-    delta = rs.sample_uncertainty(unc.n_v, unc.n_w, rs.robust.DELTA_ORDER, seed=3,
+    delta = rs.sample_uncertainty(unc.n_v, unc.n_w, seed=3,
                                   sample_time=unc.sample_time).Delta
     cl = rs.lft_upper(rs.lft_lower(unc.as_generalized(), res.controller), delta,
                       unc.n_w, unc.n_v)
