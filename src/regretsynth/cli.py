@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Verbs: synth, pareto, sim, freqresp, margins, verify.  Outputs are CSV
-for curves and JSON for scalar summaries; every run writes metadata
-(tolerances, seeds, versions, timings).  Exit codes: 0 success,
-2 infeasible level, 3 DK non-convergence, 4 input error.
+Verbs: synth, pareto, sim, freqresp, margins, verify, each with only the
+options it reads.  Outputs are CSV for curves and JSON for scalar summaries;
+every run writes metadata (tolerances, seeds, versions, timings).  Exit codes:
+0 success, 2 infeasible level, 3 DK non-convergence, 4 input or usage error.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ def _check_tolerances(args) -> None:
         raise RegretSynthError(f"bad tolerances: {exc}") from None
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    """A count below its least value, rejected before any output."""
+    if value < least:
+        raise RegretSynthError(f"{flag} must be at least {least}, got {value}")
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -112,6 +118,8 @@ def _clean_meta(meta: dict) -> dict:
 
 
 def cmd_synth(args) -> int:
+    _check_tolerances(args)
+    _at_least("--trials", args.trials, 0)
     t0 = time.time()
     level = None
     if args.gamma_d is not None or args.gamma_j is not None:
@@ -170,18 +178,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    if args.points < 1:
-        raise RegretSynthError(f"--points must be at least 1, got {args.points}")
+    _check_tolerances(args)
+    _at_least("--points", args.points, 1)
     t0 = time.time()
     out = _outdir(args)
     if args.mode == "nominal":
         P = _load_nominal(args)
-        front = pareto_front(P, n_points=args.points, tol_abs=args.tol_abs,
-                             tol_rel=args.tol_rel, K0=build_noncausal(P))
+        front = pareto_front(P, args.points, args.tol_abs, args.tol_rel,
+                             K0=build_noncausal(P))
     else:
         unc = _load_uncertain(args)
-        front = robust_pareto_front(unc, n_points=args.points,
-                                    tol_abs=args.tol_abs, tol_rel=args.tol_rel)
+        front = robust_pareto_front(unc, args.points, args.tol_abs, args.tol_rel,
+                                    K0=build_noncausal(unc.nominal()))
     rio.write_pareto_csv(out / f"pareto_{args.mode}.csv", front)
     rio.write_json(out / "summary.json", {
         "mode": args.mode,
@@ -194,11 +202,9 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    _at_least("--samples", args.samples, 0)
     t0 = time.time()
     out = _outdir(args)
-    if args.example != "quartercar":
-        print("sim currently supports --example quartercar", file=sys.stderr)
-        return EXIT_INPUT
     K = rio.load_controller(args.controller)
     resp = quartercar_response_plant()
     pulse = road_pulse(Ts=resp.sample_time)
@@ -242,8 +248,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_freqresp(args) -> int:
-    if args.points < 1:
-        raise RegretSynthError(f"--points must be at least 1, got {args.points}")
+    _at_least("--points", args.points, 1)
     t0 = time.time()
     out = _outdir(args)
     P = _load_nominal(args)
@@ -269,16 +274,10 @@ def cmd_margins(args) -> int:
     K = rio.load_controller(args.controller)
     if args.loop_file:
         L, _, _ = rio.load_system(args.loop_file)
-        loop = series(K, L)
     else:
         comp = example_components(args.example or "siso")
-        if "G" in comp:
-            loop = series(K, series(comp["A0"], comp["G"]))
-        else:
-            print("margins needs a SISO loop (siso example or --loop-file)",
-                  file=sys.stderr)
-            return EXIT_INPUT
-    m = loop_margins(loop)
+        L = series(comp["A0"], comp["G"])
+    m = loop_margins(series(K, L))
     rio.write_json(out / "margins.json", {
         "phase_margin_deg": m.phase_margin_deg,
         "crossover_rad_s": m.crossover_rad_s,
@@ -291,10 +290,9 @@ def cmd_margins(args) -> int:
 
 def cmd_verify(args) -> int:
     # a check with no trials or no samples would pass whatever the controller
-    if args.trials < 1:
-        raise RegretSynthError(f"--trials must be at least 1, got {args.trials}")
-    if args.mode == "robust" and args.samples < 1:
-        raise RegretSynthError(f"--samples must be at least 1, got {args.samples}")
+    _at_least("--trials", args.trials, 1)
+    if args.mode == "robust":
+        _at_least("--samples", args.samples, 1)
     t0 = time.time()
     out = _outdir(args)
     K = rio.load_controller(args.controller)
@@ -317,17 +315,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_INFEASIBLE
 
 
-def _add_common(p, with_level=False):
-    p.add_argument("--example", choices=EXAMPLE_NAMES)
-    p.add_argument("--plant-file")
-    p.add_argument("--mode", choices=("nominal", "robust"), default="nominal")
-    p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-abs", type=float, default=1e-4)
-    p.add_argument("--tol-rel", type=float, default=1e-4)
-    if with_level:
-        p.add_argument("--gamma-d", type=float)
-        p.add_argument("--gamma-j", type=float)
+def _add_plant_source(p) -> None:
+    """--example or --plant-file, exactly one."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--example", choices=EXAMPLE_NAMES)
+    source.add_argument("--plant-file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,56 +327,69 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="optimize a special regret kind or "
-                                     "test a specific level")
-    _add_common(p, with_level=True)
+    def verb(name, fn, doc):
+        # each verb declares only the options its cmd_* function reads
+        p = sub.add_parser(name, help=doc)
+        p.set_defaults(fn=fn)
+        p.add_argument("--out", default="out")
+        return p
+
+    p = verb("synth", cmd_synth, "optimize a special regret kind or test a specific level")
+    _add_plant_source(p)
+    p.add_argument("--mode", choices=("nominal", "robust"), default="nominal")
+    p.add_argument("--gamma-d", type=float)
+    p.add_argument("--gamma-j", type=float)
     p.add_argument("--kind", choices=SPECIAL_KINDS, default="hinf")
-    p.add_argument("--trials", type=int, default=0,
-                   help="sampled check of the synthesized controller at the "
-                        "given nominal level (as verify)")
-    p.set_defaults(fn=cmd_synth)
+    p.add_argument("--tol-abs", type=float, default=1e-4)
+    p.add_argument("--tol-rel", type=float, default=1e-4)
+    p.add_argument("--trials", type=int, default=0, help="sampled check of the "
+                   "synthesized controller at the given nominal level (as verify)")
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("pareto", help="trade-off front over gamma_d")
-    _add_common(p)
+    p = verb("pareto", cmd_pareto, "trade-off front over gamma_d")
+    _add_plant_source(p)
+    p.add_argument("--mode", choices=("nominal", "robust"), default="nominal")
     p.add_argument("--points", type=int, default=20)
-    p.set_defaults(fn=cmd_pareto)
+    p.add_argument("--tol-abs", type=float, default=1e-4)
+    p.add_argument("--tol-rel", type=float, default=1e-4)
 
-    p = sub.add_parser("sim", help="time-domain road-pulse study")
-    _add_common(p)
+    p = verb("sim", cmd_sim, "time-domain road-pulse study")
+    p.add_argument("--example", choices=("quartercar",), required=True)
     p.add_argument("--controller", required=True)
     p.add_argument("--samples", type=int, default=0)
-    p.set_defaults(fn=cmd_sim)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("freqresp", help="frequency-response CSV emission")
-    _add_common(p)
+    p = verb("freqresp", cmd_freqresp, "frequency-response CSV emission")
+    _add_plant_source(p)
     p.add_argument("--controller")
     p.add_argument("--points", type=int, default=256)
-    p.set_defaults(fn=cmd_freqresp)
 
-    p = sub.add_parser("margins", help="phase margin of a SISO loop")
-    _add_common(p)
+    p = verb("margins", cmd_margins, "phase margin of a SISO loop")
+    loop = p.add_mutually_exclusive_group()
+    loop.add_argument("--example", choices=("siso",))
+    loop.add_argument("--loop-file")
     p.add_argument("--controller", required=True)
-    p.add_argument("--loop-file")
-    p.set_defaults(fn=cmd_margins)
 
-    p = sub.add_parser("verify", help="sampled regret-bound verification")
-    _add_common(p, with_level=True)
+    p = verb("verify", cmd_verify, "sampled regret-bound verification")
+    _add_plant_source(p)
+    p.add_argument("--mode", choices=("nominal", "robust"), default="nominal")
+    p.add_argument("--gamma-d", type=float)
+    p.add_argument("--gamma-j", type=float)
     p.add_argument("--controller", required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--samples", type=int, default=20,
                    help="uncertainty samples (robust mode)")
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--seed", type=int, default=0)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if not args.example and not getattr(args, "plant_file", None) and \
-            args.command != "margins":
-        print("one of --example or --plant-file is required", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        _check_tolerances(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse's usage errors are input errors; --help exits 0
+        return EXIT_INPUT if exc.code else EXIT_OK
+    try:
         return args.fn(args)
     except (RegretSynthError, OSError) as exc:
         # bad levels, unreadable or malformed input files

@@ -371,7 +371,7 @@ def verify_regret(K: StateSpace, P: GeneralizedPlant, level: RegretLevel,
         theta = theta_peak * (0.8 + 0.4 * rng.random())
         direction = rng.standard_normal(P.n_d)
         trials.append(("sinusoid",
-                       sinusoid_signal(P.n_d, theta, int(rng.integers(32, 128)),
+                       sinusoid_signal(theta, int(rng.integers(32, 128)),
                                        direction=direction)))
     live = [(kind, d) for kind, d in trials if d.norm_sq() != 0.0]
     ds = [d for _, d in live]

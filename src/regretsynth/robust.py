@@ -25,7 +25,7 @@ import numpy as np
 from .errors import RegretSynthError, UnstableSystem
 from .hinf import (SynthesisResult, certify_returned, decide_level, fell_back,
                    hinf_search)
-from .noncausal import NoncausalController, build_noncausal, eval_noncausal_cost
+from .noncausal import NoncausalController, eval_noncausal_cost
 from .norms import FrequencyGrid, hinf_norm
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
 from .regret import ParetoFront, RegretLevel, pareto_front, regret_weighted_plant
@@ -557,8 +557,8 @@ def dk_feasibility_oracle(P: UncertainPlant, *, K0: NoncausalController):
     return feasibility
 
 
-def robust_pareto_front(P: UncertainPlant, n_points: int = 20,
-                        tol_abs: float = 1e-2, tol_rel: float = 1e-3) -> ParetoFront:
+def robust_pareto_front(P: UncertainPlant, n_points: int = 20, tol_abs: float = 1e-2,
+                        tol_rel: float = 1e-3, *, K0: NoncausalController) -> ParetoFront:
     """Pareto front with DK-iteration as the feasibility oracle.
 
     The uncertainty channel does not scale with gamma, so DK levels have
@@ -566,14 +566,10 @@ def robust_pareto_front(P: UncertainPlant, n_points: int = 20,
     taken from the points of the nominal ray front, so robust and
     nominal points sit at equal gamma_d (:func:`regret.pareto_front`).
     Each point is one cold search with its own warm-started oracle,
-    whose D follows the levels that search evaluates.
-    ``n_points < 1`` raises ValueError.
+    whose D follows the levels that search evaluates.  ``K0`` is the
+    benchmark of ``P.nominal()``.  ``n_points < 1`` raises ValueError.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
-    nominal = P.nominal()
-    K0 = build_noncausal(nominal)
-    return pareto_front(nominal, n_points, tol_abs, tol_rel, K0=K0,
+    return pareto_front(P.nominal(), n_points, tol_abs, tol_rel, K0=K0,
                         oracle_factory=lambda: dk_feasibility_oracle(P, K0=K0))
 
 

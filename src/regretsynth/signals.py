@@ -298,10 +298,9 @@ def random_signal(rng, dim: int, length: int, kind: str = "white") -> Signal:
     return Signal(0, s)
 
 
-def sinusoid_signal(dim: int, theta: float, length: int,
-                    direction: np.ndarray) -> Signal:
+def sinusoid_signal(theta: float, length: int, direction: np.ndarray) -> Signal:
     """Windowed unit-norm sinusoid at a given angle (near-worst-case
-    probe) along ``direction`` in R^dim, starting at time 0."""
+    probe) along ``direction``, starting at time 0."""
     t = np.arange(length)
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)

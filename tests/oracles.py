@@ -1006,7 +1006,7 @@ def verify_regret_loop(K, P, level, n_trials: int = 200, seed: int = 0, *, K0):
         theta = theta_peak * (0.8 + 0.4 * rng.random())
         direction = rng.standard_normal(P.n_d)
         trials.append(("sinusoid",
-                       rs.sinusoid_signal(P.n_d, theta, int(rng.integers(32, 128)),
+                       rs.sinusoid_signal(theta, int(rng.integers(32, 128)),
                                           direction=direction)))
     worst, worst_kind = -np.inf, ""
     for kind, d in trials:

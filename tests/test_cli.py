@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import argparse
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
 import regretsynth as rs
+from regretsynth import cli
 from regretsynth.cli import main
 from regretsynth.io import save_controller, save_plant, save_system
 
@@ -99,7 +103,7 @@ def test_level_rejects_non_finite_values():
 def test_pareto_csv_and_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     base = ["pareto", "--example", "boeing747", "--points", "3",
-            "--tol-abs", "5e-2", "--tol-rel", "5e-3", "--seed", "7"]
+            "--tol-abs", "5e-2", "--tol-rel", "5e-3"]
     assert run(base + ["--out", a]) == 0
     assert run(base + ["--out", b]) == 0
     csv_a = (a / "pareto_nominal.csv").read_text()
@@ -179,13 +183,27 @@ def test_verify_without_trials_exit_code(tmp_path, capsys, store, mode, trials,
 
 @pytest.mark.parametrize("command, mode, points", [
     ("pareto", "nominal", "0"), ("pareto", "nominal", "-3"), ("pareto", "robust", "0"),
-    ("freqresp", "nominal", "0"), ("freqresp", "nominal", "-3")])
+    ("freqresp", None, "0"), ("freqresp", None, "-3")])
 def test_points_below_one_exit_code(tmp_path, capsys, command, mode, points):
-    code = run([command, "--example", "siso", "--mode", mode, "--points", points,
+    # freqresp has no --mode
+    mode_args = ["--mode", mode] if mode else []
+    code = run([command, "--example", "siso", *mode_args, "--points", points,
                 "--out", tmp_path / "o"])
     assert code == 4
     err = capsys.readouterr().err.strip()
     assert err == f"error: --points must be at least 1, got {points}"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, extra, flag, count", [
+    ("synth", ["--example", "siso", "--gamma-d", "5"], "--trials", "-5"),
+    ("sim", ["--example", "quartercar", "--controller", "K.sys"], "--samples", "-3")])
+def test_negative_count_exit_code(tmp_path, capsys, command, extra, flag, count):
+    # 0 runs no sampled check; a negative count is an input error
+    code = run([command, *extra, flag, count, "--out", tmp_path / "o"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {flag} must be at least 0, got {count}"
     assert not (tmp_path / "o").exists()
 
 
@@ -316,7 +334,136 @@ def test_margins_needs_a_siso_loop(tmp_path, capsys, example):
     code = run(["margins", "--example", example, "--controller", kfile,
                 "--out", tmp_path / "m"])
     assert code == 4
-    assert "margins needs a SISO loop" in capsys.readouterr().err
+    assert "argument --example: invalid choice" in capsys.readouterr().err
+
+
+def test_margins_loop_file_matches_the_siso_example(tmp_path, store):
+    # the siso loop A0 G saved as a system file gives the example's margins
+    _, res = store.special("siso", "hinf")
+    kfile, lfile = tmp_path / "K.sys", tmp_path / "L.sys"
+    save_controller(kfile, res.controller)
+    comp = rs.example_components("siso")
+    save_system(lfile, rs.series(comp["A0"], comp["G"]))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["margins", "--loop-file", lfile, "--controller", kfile, "--out", a]) == 0
+    assert run(["margins", "--example", "siso", "--controller", kfile, "--out", b]) == 0
+    assert (a / "margins.json").read_bytes() == (b / "margins.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["synth", "--example", "siso", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["synth", "--example", "foo"], "argument --example: invalid choice: 'foo'"),
+    (["sim", "--example", "siso", "--controller", "K.sys"],
+     "argument --example: invalid choice: 'siso'"),
+    (["pareto"], "one of the arguments --example --plant-file is required"),
+    (["sim", "--controller", "K.sys"], "the following arguments are required: --example"),
+    (["verify", "--example", "siso", "--plant-file", "P.sys", "--controller", "K.sys"],
+     "argument --plant-file: not allowed with argument --example"),
+    (["margins", "--example", "siso", "--loop-file", "L.sys", "--controller", "K.sys"],
+     "argument --loop-file: not allowed with argument --example")])
+def test_usage_error_exit_code(tmp_path, capsys, argv, words):
+    # 2 is an infeasible level; a command line argparse rejects is an input error
+    assert run([*argv, "--out", tmp_path / "o"]) == 4
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exit_code(capsys):
+    assert run(["synth", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: regretsynth synth")
+
+
+# the options each verb no longer declares, and a value to pass each
+REMOVED = [(verb, opt) for verb, opts in (
+    ("pareto", "--seed"), ("sim", "--plant-file --mode --tol-abs --tol-rel"),
+    ("freqresp", "--mode --seed --tol-abs --tol-rel"),
+    ("margins", "--plant-file --mode --seed --tol-abs --tol-rel"),
+    ("verify", "--tol-abs --tol-rel")) for opt in opts.split()]
+VALUE = {"--seed": "1", "--plant-file": "P.sys", "--mode": "nominal",
+         "--tol-abs": "1e-4", "--tol-rel": "1e-4"}
+VALID = {"pareto": ["--example", "siso"],
+         "sim": ["--example", "quartercar", "--controller", "K.sys"],
+         "freqresp": ["--example", "siso"],
+         "margins": ["--controller", "K.sys"],
+         "verify": ["--example", "siso", "--controller", "K.sys"]}
+
+
+@pytest.mark.parametrize("command, option", REMOVED)
+def test_removed_option_exit_code(tmp_path, capsys, command, option):
+    code = run([command, *VALID[command], option, VALUE[option], "--out", tmp_path / "o"])
+    assert code == 4
+    assert f"unrecognized arguments: {option} {VALUE[option]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def declared_options(parser):
+    """Verb -> (name of its function, {dest: option string}) of a parser
+    built like ``cli.build_parser``'s."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {verb: (p.get_default("fn").__name__,
+                   {a.dest: a.option_strings[-1] for a in p._actions
+                    if a.option_strings and a.dest != "help"})
+            for verb, p in sub.choices.items()}
+
+
+def args_read(source, name):
+    """The ``args`` attributes that function ``name`` of ``source`` reads,
+    itself or through the module's functions it calls, except what
+    ``_metadata`` records."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+    read, todo, seen = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen or fn == "_metadata":
+            continue
+        seen.add(fn)
+        for node in ast.walk(funcs[fn]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "args":
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in funcs:
+                todo.append(node.func.id)
+    return read
+
+
+def unread_options(source, parser, kept=frozenset()):
+    """``verb --option`` for every option a verb declares that its
+    function never reads, except the ``kept`` ones."""
+    found = []
+    for verb, (fn, options) in declared_options(parser).items():
+        read = args_read(source, fn)
+        found += [f"{verb} {opt}" for dest, opt in options.items()
+                  if dest not in read and (verb, opt) not in kept]
+    return sorted(found)
+
+
+def test_detector_finds_unread_options():
+    source = ("def _metadata(args):\n    return args.b\n"
+              "def _load(args):\n    return args.a\n"
+              "def cmd_x(args):\n    return _load(args), _metadata(args)\n")
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("x")
+
+    def cmd_x(args):
+        pass
+
+    p.set_defaults(fn=cmd_x)
+    for opt in ("--a", "--b", "--c"):
+        p.add_argument(opt)
+    assert unread_options(source, parser) == ["x --b", "x --c"]
+    assert unread_options(source, parser, {("x", "--c")}) == ["x --b"]
+
+
+# sim runs the quarter-car study only: argparse's one choice checks its
+# --example, which the documented invocations pass
+KEPT = {("sim", "--example")}
+
+
+def test_every_declared_option_is_read():
+    source = Path(cli.__file__).read_text()
+    assert unread_options(source, cli.build_parser(), KEPT) == []
 
 
 def _one_line_error(capsys, words):

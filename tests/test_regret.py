@@ -372,11 +372,10 @@ def test_fronts_reject_fewer_than_one_point(scalar_k0, monkeypatch, n_points):
     P, K0 = scalar_k0
     work = []
     monkeypatch.setattr(rs.regret, "hinf_search", work.append)
-    monkeypatch.setattr(rs.robust, "build_noncausal", work.append)
     with pytest.raises(ValueError, match="n_points"):
         rs.pareto_front(P, n_points=n_points, K0=K0)
     with pytest.raises(ValueError, match="n_points"):
-        rs.robust_pareto_front(rs.build_example("siso"), n_points=n_points)
+        rs.robust_pareto_front(rs.build_example("siso"), n_points=n_points, K0=K0)
     assert work == []  # rejected before any work
 
 

@@ -750,7 +750,7 @@ def test_robust_front_dominates_nominal_scalar(monkeypatch):
     P = unc.nominal()
     K0 = rs.build_noncausal(P)
     nom = rs.pareto_front(P, n_points=3, tol_abs=5e-3, tol_rel=5e-3, K0=K0)
-    rob = rs.robust_pareto_front(unc, n_points=3, tol_abs=5e-3, tol_rel=5e-3)
+    rob = rs.robust_pareto_front(unc, n_points=3, tol_abs=5e-3, tol_rel=5e-3, K0=K0)
     # both fronts share one gamma_d grid, the nominal ray front's points
     assert rob.gamma_inf == nom.gamma_inf
     for pn, pr in zip(nom.points, rob.points):
