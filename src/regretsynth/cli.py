@@ -250,20 +250,21 @@ def cmd_sim(args) -> int:
 def cmd_freqresp(args) -> int:
     _at_least("--points", args.points, 1)
     t0 = time.time()
-    out = _outdir(args)
     P = _load_nominal(args)
     thetas = FrequencyGrid.default(args.points).thetas
     if args.controller:
         K = rio.load_controller(args.controller)
         cl = lft_lower(P, K)
+        # an unstable loop has no frequency response to write
         if not cl.is_schur():
-            print("closed loop unstable", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        rio.write_freqresp_csv(out / "closed_loop_freqresp.csv", cl, thetas)
-        rio.write_freqresp_csv(out / "controller_freqresp.csv", K, thetas)
+            raise RegretSynthError(f"closed loop unstable (spectral radius "
+                                   f"{cl.spectral_radius():.6g})")
+        curves = {"closed_loop_freqresp.csv": cl, "controller_freqresp.csv": K}
     else:
-        rio.write_freqresp_csv(out / "open_loop_freqresp.csv",
-                               P.ed_subsystem(), thetas)
+        curves = {"open_loop_freqresp.csv": P.ed_subsystem()}
+    out = _outdir(args)
+    for name, system in curves.items():
+        rio.write_freqresp_csv(out / name, system, thetas)
     rio.write_json(out / "metadata.json", _metadata(args, t0))
     return EXIT_OK
 
@@ -293,6 +294,10 @@ def cmd_verify(args) -> int:
     _at_least("--trials", args.trials, 1)
     if args.mode == "robust":
         _at_least("--samples", args.samples, 1)
+        # each sampled Delta gets the same number of disturbances
+        if args.trials % args.samples:
+            raise RegretSynthError(f"--trials must be a multiple of --samples in "
+                                   f"robust mode, got {args.trials} and {args.samples}")
     t0 = time.time()
     out = _outdir(args)
     K = rio.load_controller(args.controller)
@@ -306,7 +311,7 @@ def cmd_verify(args) -> int:
     else:
         unc = _load_uncertain(args)
         rep = verify_robust_regret(K, unc, level, n_delta=args.samples,
-                                   n_dist=max(args.trials // args.samples, 1),
+                                   n_dist=args.trials // args.samples,
                                    seed=args.seed, K0=build_noncausal(unc.nominal()))
         payload = {"passed": bool(rep.passed), "worst_margin": rep.worst_margin,
                    "n_unstable": rep.n_unstable, "trials": rep.trials}

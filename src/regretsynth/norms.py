@@ -41,6 +41,10 @@ The state coordinates are balanced by powers of two before the pencil
 is formed.  On loops with D-scale poles near z = 1, the unbalanced
 pencil put true crossings up to 1e-3 off the circle, and the balanced
 one puts them within 1e-7.
+
+At level 1 the pencil of a SISO loop L has e^{j theta} as an eigenvalue
+exactly where |L| = 1, so :func:`loop_margins` reads the gain crossovers
+off it, with no grid whose cells could hide two of them.
 """
 
 from __future__ import annotations
@@ -70,12 +74,10 @@ _SEARCH_MIN = 1e-8
 _SEARCH_ZOOMS = 4
 # smallest positive angle of FrequencyGrid.default's log-spaced part
 _THETA_MIN = 1e-5
-# extra points that FrequencyGrid.refined_near puts per grid cell; its
-# 4 _REFINE_FACTOR + 2 points also make each loop_margins sub-grid
+# extra points that FrequencyGrid.refined_near puts per grid cell
 _REFINE_FACTOR = 4
-# points of norm_grid's base grid; loop_margins adds half as many
-# linearly spaced ones
-_MARGIN_GRID = 4096
+# loop_margins probes |L| - 1 at this fraction of a candidate's gaps
+_PROBE_FRACTION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -113,26 +115,6 @@ class FrequencyGrid:
         return FrequencyGrid(np.concatenate([th] + extra))
 
 
-def _pole_angle_seeds(sys: StateSpace) -> np.ndarray:
-    """Angles of poles with modulus near 1: resonant peak locations."""
-    poles = sys.poles()
-    if poles.size == 0:
-        return np.zeros(0)
-    mask = np.abs(poles) > 0.5
-    seeds = np.abs(np.angle(poles[mask]))
-    return np.clip(seeds, 0.0, np.pi)
-
-
-def norm_grid(sys: StateSpace) -> np.ndarray:
-    """Evaluation grid for loop margins, seeded with pole angles."""
-    base = FrequencyGrid.default(_MARGIN_GRID).thetas
-    seeds = _pole_angle_seeds(sys)
-    if seeds.size:
-        jitter = np.concatenate([seeds, seeds * 0.999, np.minimum(seeds * 1.001, np.pi)])
-        base = np.union1d(base, jitter)
-    return base
-
-
 def sigma_max_on_grid(sys: StateSpace, thetas) -> np.ndarray:
     return np.linalg.svd(sys.freqresp(thetas), compute_uv=False)[:, 0]
 
@@ -155,8 +137,9 @@ class NormBracket:
 
 
 def _circle_eigenvalues(A, B, C, D, level: float):
-    """Angles in [0, pi] and distances from the circle of the eigenvalues
-    of the level-set pencil within ``_CIRCLE_TOL`` of the unit circle.
+    """Angles in [-pi, pi], one of each sign per complex pair, and
+    distances from the circle of the eigenvalues of the level-set pencil
+    within ``_CIRCLE_TOL`` of the unit circle.
 
     The pencil is formed for G / level at level 1: scaling p by level^2,
     y by level and the rows to match turns it into the pencil at
@@ -177,7 +160,7 @@ def _circle_eigenvalues(A, B, C, D, level: float):
     alpha, beta = scipy.linalg.eigvals(F, E, homogeneous_eigvals=True)
     near = (beta != 0) & (np.abs(np.abs(alpha) - np.abs(beta)) <= _CIRCLE_TOL * np.abs(beta))
     z = alpha[near] / beta[near]
-    return np.abs(np.angle(z)), np.abs(np.abs(z) - 1.0)
+    return np.angle(z), np.abs(np.abs(z) - 1.0)
 
 
 def _local_peaks(sys: StateSpace, thetas, dists):
@@ -244,7 +227,7 @@ def _level_step(sys: StateSpace, A, B, C, level: float, ends: bool = False):
     ``ends`` is false.
     """
     thetas, dists = _circle_eigenvalues(A, B, C, sys.D, level)
-    thetas, first = np.unique(thetas, return_index=True)
+    thetas, first = np.unique(np.abs(thetas), return_index=True)
     dists = dists[first]
     sv = np.linalg.svd(sys.freqresp(thetas), compute_uv=False)
     confirmed = np.min(np.abs(sv / level - 1.0), axis=1) <= _CONFIRM_TOL
@@ -286,7 +269,10 @@ def _norm_bracket(sys: StateSpace) -> NormBracket:
     val = _static_norm(sys)
     if val is not None:
         return NormBracket(val, val, 0.0, 0, "exact")
-    seeds = np.concatenate([np.linspace(0.0, np.pi, 9), _pole_angle_seeds(sys)])
+    # pole angles of modulus near 1 seed the resonant peaks
+    poles = sys.poles()
+    seeds = np.concatenate([np.linspace(0.0, np.pi, 9),
+                            np.abs(np.angle(poles[np.abs(poles) > 0.5]))])
     vals = sigma_max_on_grid(sys, seeds)
     k = int(np.argmax(vals))
     theta = float(seeds[k])
@@ -382,38 +368,27 @@ class LoopMargins:
 def loop_margins(L: StateSpace) -> LoopMargins:
     """Phase margin and gain-crossover frequency of a SISO loop.
 
-    The crossover is the lowest angle where |L| crosses 1; the phase
-    margin is 180 deg plus the loop phase there.  Reports no crossover
-    when |L| never reaches 1 on the grid.
+    The crossover is the lowest angle where |L| - 1 changes sign, and the
+    phase margin is 180 deg plus the loop phase there.  The candidates
+    are the level-1 pencil's eigenvalues at angles in (0, pi), one per
+    conjugate pair, and one is kept when |L| - 1 has opposite signs at
+    ``_PROBE_FRACTION`` of its gaps to its neighbours (0, pi and the
+    other candidates) below and above it.  A static loop with |D| = 1
+    has no crossover: |L| - 1 never changes sign.
     """
     if L.n_u != 1 or L.n_y != 1:
         raise DimensionError("loop_margins requires a SISO loop")
-    thetas = np.union1d(norm_grid(L), np.linspace(1e-7, np.pi, _MARGIN_GRID // 2))
-    resp = L.freqresp(thetas)[:, 0, 0]
-    mags = np.abs(resp)
-    crossings = np.nonzero((mags[:-1] - 1.0) * (mags[1:] - 1.0) < 0)[0]
-    exact = np.nonzero(mags == 1.0)[0]
-    if crossings.size == 0 and exact.size == 0:
+    A, B, C = balance_states(L.A, L.B, L.C)
+    thetas = np.unique(_circle_eigenvalues(A, B, C, L.D, 1.0)[0])
+    thetas = thetas[(thetas > 0.0) & (thetas < np.pi)]
+    gaps = np.diff(np.concatenate([[0.0], thetas, [np.pi]]))
+    step = _PROBE_FRACTION * np.minimum(gaps[:-1], gaps[1:])
+    sides = np.abs(L.freqresp(np.concatenate([thetas - step, thetas + step]))[:, 0, 0]) - 1.0
+    kept = thetas[sides[: thetas.size] * sides[thetas.size :] < 0]
+    if kept.size == 0:
         return LoopMargins(None, None, None)
-    if exact.size and (crossings.size == 0 or exact[0] <= crossings[0]):
-        theta_c = float(thetas[exact[0]])
-    else:
-        i = crossings[0]
-        lo, hi = thetas[i], thetas[i + 1]
-        # each pass keeps the cell of the first sign change on an evenly
-        # spaced sub-grid of the bracket, one freqresp call per pass
-        while hi - lo >= 1e-14 + 1e-10 * hi:
-            sub = np.linspace(lo, hi, 4 * _REFINE_FACTOR + 2)
-            changed = (np.abs(L.freqresp(sub[1:-1])[:, 0, 0]) - 1.0) * (mags[i] - 1.0) <= 0
-            k = int(np.argmax(changed)) + 1 if changed.any() else sub.size - 1
-            lo, hi = sub[k - 1], sub[k]
-        theta_c = 0.5 * (lo + hi)
-    phase = np.angle(L.freqresp([theta_c])[0, 0, 0])
-    pm = np.degrees(np.pi + phase)
-    # wrap into (-180, 180]
-    pm = (pm + 180.0) % 360.0 - 180.0
-    if L.sample_time == UNIT:
-        omega = theta_c
-    else:
-        omega = theta_c / L.sample_time
-    return LoopMargins(float(pm), float(omega), float(theta_c))
+    theta_c = float(kept[0])
+    # 180 deg plus the phase, wrapped into [-180, 180)
+    pm = (np.degrees(np.pi + np.angle(L.freqresp([theta_c])[0, 0, 0])) + 180.0) % 360.0 - 180.0
+    omega = theta_c if L.sample_time == UNIT else theta_c / L.sample_time
+    return LoopMargins(float(pm), float(omega), theta_c)

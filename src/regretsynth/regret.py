@@ -204,12 +204,10 @@ class ParetoPoint:
     says that (ray gamma_j_lower, gamma_j_lower) is not met, its
     candidate failing the Riccati tests or, after a fallback, its norm
     not certified below the level.  It does not say that gamma_j_lower
-    fails at gamma_d, which is larger.  On a front
-    searched by an oracle, ``ray`` is None and gamma_d is fixed: the
-    point is one cold search of gamma_J with its own oracle
-    (:func:`_bisect_gamma_j`), and gamma_j_lower is a level the oracle
-    found not met at gamma_d.  A lower end of 0 is a search that found
-    no infeasible level.
+    fails at gamma_d, which is larger.  A robust front's point
+    (:func:`bisect_gamma_j`) has ``ray`` None and a fixed gamma_d, and
+    its gamma_j_lower is a level its oracle found not met at gamma_d.  A
+    lower end of 0 is a search that found no infeasible level.
     """
 
     gamma_d: float
@@ -244,8 +242,8 @@ class ParetoFront:
                 for p in self.points]
 
 
-def _bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float,
-                    tol_rel: float) -> ParetoPoint:
+def bisect_gamma_j(feasibility, gamma_d: float, tol_abs: float,
+                   tol_rel: float) -> ParetoPoint:
     """Minimal gamma_J at fixed gamma_d by one cold search over the
     oracle ``feasibility``, with the ``search_levels`` of
     :func:`_traced_bisection` on the result."""
@@ -286,23 +284,15 @@ def _ray_point(P: GeneralizedPlant, K0: NoncausalController, ray: float,
 
 def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
                  tol_rel: float = 1e-4, *, K0: NoncausalController,
-                 gamma_inf: float | None = None, oracle_factory=None) -> ParetoFront:
+                 gamma_inf: float | None = None) -> ParetoFront:
     """Trade-off front: minimal gamma_J along gamma_d.
 
-    The nominal front (no ``oracle_factory``) is solved on rays
-    gamma_d = r gamma_J.  gamma_C comes from one search on the
-    competitive-ratio weighted plant, and the rays go through the
-    segment from (0, gamma_C) to (gamma_inf, 0) at ``n_points`` evenly
-    spaced fractions of ``_GRID_SPAN``, in increasing slope.  Each point
-    is one regret factor and one cold H-infinity search
-    (:func:`_ray_point`).
-
-    With an ``oracle_factory`` (DK-iteration levels, which have no ray
-    structure), the points keep the nominal ray front's gamma_d, so that
-    the two fronts sit at equal gamma_d.  Each is one cold search of
-    gamma_J at its fixed gamma_d with its own oracle from
-    ``oracle_factory()`` (:func:`_bisect_gamma_j`), so the points do not
-    depend on one another.  Every point is certified at its own
+    The front is solved on rays gamma_d = r gamma_J.  gamma_C comes from
+    one search on the competitive-ratio weighted plant, and the rays go
+    through the segment from (0, gamma_C) to (gamma_inf, 0) at
+    ``n_points`` evenly spaced fractions of ``_GRID_SPAN``, in
+    increasing slope.  Each point is one regret factor and one cold
+    H-infinity search (:func:`_ray_point`), certified at its own
     (gamma_d, gamma_J upper).  ``K0`` is the benchmark of ``P``, and
     ``gamma_inf``, when given, its optimal H-infinity level.
     ``n_points < 1`` raises ValueError.
@@ -321,9 +311,6 @@ def pareto_front(P: GeneralizedPlant, n_points: int = 20, tol_abs: float = 1e-4,
     fractions = np.linspace(_GRID_SPAN[0], _GRID_SPAN[1], n_points)
     rays = [float(f / (1.0 - f) * (gamma_inf / gamma_c)) for f in fractions]
     points = tuple(_ray_point(P, K0, r, tol_abs, tol_rel) for r in rays)
-    if oracle_factory is not None:
-        points = tuple(_bisect_gamma_j(oracle_factory(), p.gamma_d, tol_abs, tol_rel)
-                       for p in points)
     return ParetoFront(points, gamma_inf,
                        metadata={"tol_abs": tol_abs, "tol_rel": tol_rel,
                                  "grid_span": _GRID_SPAN, "gamma_c": gamma_c})

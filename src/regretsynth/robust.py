@@ -18,7 +18,7 @@ D-fit and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .hinf import (SynthesisResult, certify_returned, decide_level, fell_back,
 from .noncausal import NoncausalController, eval_noncausal_cost
 from .norms import FrequencyGrid, hinf_norm
 from .plants import GeneralizedPlant, UncertainPlant, lft_lower, lft_upper
-from .regret import ParetoFront, RegretLevel, pareto_front, regret_weighted_plant
+from .regret import (ParetoFront, RegretLevel, bisect_gamma_j, pareto_front,
+                     regret_weighted_plant)
 from .signals import Signal, response_energy
 from .spectral import SpectralFactor
 from .statespace import StateSpace, append, invert, series, static_gain
@@ -565,12 +566,15 @@ def robust_pareto_front(P: UncertainPlant, n_points: int = 20, tol_abs: float = 
     no ray structure: each point bisects gamma_J at a fixed gamma_d,
     taken from the points of the nominal ray front, so robust and
     nominal points sit at equal gamma_d (:func:`regret.pareto_front`).
-    Each point is one cold search with its own warm-started oracle,
-    whose D follows the levels that search evaluates.  ``K0`` is the
+    Each point is one cold search (:func:`regret.bisect_gamma_j`) with
+    its own warm-started oracle, whose D follows the levels that search
+    evaluates, so the points do not depend on one another.  ``K0`` is the
     benchmark of ``P.nominal()``.  ``n_points < 1`` raises ValueError.
     """
-    return pareto_front(P.nominal(), n_points, tol_abs, tol_rel, K0=K0,
-                        oracle_factory=lambda: dk_feasibility_oracle(P, K0=K0))
+    nominal = pareto_front(P.nominal(), n_points, tol_abs, tol_rel, K0=K0)
+    return replace(nominal, points=tuple(
+        bisect_gamma_j(dk_feasibility_oracle(P, K0=K0), p.gamma_d, tol_abs, tol_rel)
+        for p in nominal.points))
 
 
 @dataclass(frozen=True)

@@ -873,12 +873,37 @@ def bisect_loop(feasible_at, tol_abs: float, tol_rel: float,
     return lo, hi, best
 
 
+# base points of norm_grid; margin_grid adds half as many linearly
+# spaced ones
+_MARGIN_GRID = 4096
+
+
+def norm_grid(sys, n_base: int = _MARGIN_GRID) -> np.ndarray:
+    """``FrequencyGrid.default(n_base)`` seeded with the angles of the
+    poles of modulus above 0.5, and those angles times 0.999 and 1.001
+    (at most pi): the grid of the gridded norm and of the gridded
+    crossover search that the level-set pencil replaced."""
+    base = rs.FrequencyGrid.default(n_base).thetas
+    poles = sys.poles()
+    seeds = np.abs(np.angle(poles[np.abs(poles) > 0.5]))
+    if seeds.size:
+        jitter = np.concatenate([seeds, seeds * 0.999, np.minimum(seeds * 1.001, np.pi)])
+        base = np.union1d(base, jitter)
+    return base
+
+
+def margin_grid(L) -> np.ndarray:
+    """The angles on which ``loop_margins`` once scanned |L| - 1 for a
+    sign change, before it read the crossovers off the level-1 pencil."""
+    return np.union1d(norm_grid(L), np.linspace(1e-7, np.pi, _MARGIN_GRID // 2))
+
+
 def crossover_bisection_reference(L, lo: float, hi: float) -> float:
     """The gain crossover of a SISO loop in [lo, hi] by scalar bisection,
-    one angle per evaluation, as ``loop_margins`` refined it before its
-    batched sub-grids: bisect on the side of |L| - 1 at ``lo`` until the
-    bracket is narrower than ``1e-14 + 1e-10 hi``, and return its
-    midpoint."""
+    one angle per evaluation, as ``loop_margins`` refined a cell of
+    :func:`margin_grid` before it used batched sub-grids: bisect on the
+    side of |L| - 1 at ``lo`` until the bracket is narrower than
+    ``1e-14 + 1e-10 hi``, and return its midpoint."""
     def gap(theta):
         return abs(at_z(L, np.exp(1j * theta))[0, 0]) - 1.0
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import regretsynth as rs
-from regretsynth.regret import _bisect_gamma_j
+from regretsynth.regret import bisect_gamma_j
 
 from conftest import random_generalized_plant
 from oracles import (QPOracle, competitive_ratio_oracle, gamma_d_grid,
@@ -313,9 +313,9 @@ def boeing_fronts(store):
     unc = store.uncertain("boeing747")
     oracle_small = rs.dk_feasibility_oracle(unc, K0=K0)
     grid = gamma_d_grid(nominal)
-    small = _bisect_gamma_j(oracle_small, float(grid[0]), 1e-2, 1e-3)
+    small = bisect_gamma_j(oracle_small, float(grid[0]), 1e-2, 1e-3)
     oracle_mid = rs.dk_feasibility_oracle(unc, K0=K0)
-    mid = _bisect_gamma_j(oracle_mid, float(grid[4]), 1e-2, 1e-3)
+    mid = bisect_gamma_j(oracle_mid, float(grid[4]), 1e-2, 1e-3)
     return nominal, small, mid
 
 

@@ -181,6 +181,47 @@ def test_verify_without_trials_exit_code(tmp_path, capsys, store, mode, trials,
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("trials, samples", [("5", "20"), ("25", "20")])
+def test_verify_robust_trials_not_a_multiple_exit_code(tmp_path, capsys, store, trials,
+                                                       samples):
+    # each of the --samples Deltas gets --trials / --samples disturbances
+    _, res = store.special("siso", "hinf")
+    kfile = tmp_path / "K.sys"
+    save_controller(kfile, res.controller)
+    code = run(["verify", "--example", "siso", "--mode", "robust", "--controller", kfile,
+                "--gamma-d", "5", "--gamma-j", "1", "--trials", trials,
+                "--samples", samples, "--out", tmp_path / "v"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: --trials must be a multiple of --samples in robust mode, "
+                   f"got {trials} and {samples}")
+    assert not (tmp_path / "v").exists()
+
+
+def test_verify_robust_runs_the_given_trials(tmp_path, store):
+    _, res = store.special("siso", "hinf")
+    kfile = tmp_path / "K.sys"
+    save_controller(kfile, res.controller)
+    v = tmp_path / "v"
+    assert run(["verify", "--example", "siso", "--mode", "robust", "--controller", kfile,
+                "--gamma-d", "5", "--gamma-j", "1", "--trials", "40", "--samples", "20",
+                "--out", v]) in (0, 2)
+    assert json.loads((v / "verify.json").read_text())["trials"] == 40
+
+
+def test_freqresp_unstable_closed_loop_exit_code(tmp_path, capsys):
+    # the static gain -500 destabilizes the siso loop: an input error, not
+    # an infeasible level, and nothing is written
+    ts = rs.build_example("siso").nominal().ss.sample_time
+    kfile = tmp_path / "K.sys"
+    save_controller(kfile, rs.static_gain([[-500.0]], ts))
+    code = run(["freqresp", "--example", "siso", "--controller", kfile,
+                "--out", tmp_path / "fr"])
+    assert code == 4
+    _one_line_error(capsys, "closed loop unstable (spectral radius ")
+    assert not (tmp_path / "fr").exists()
+
+
 @pytest.mark.parametrize("command, mode, points", [
     ("pareto", "nominal", "0"), ("pareto", "nominal", "-3"), ("pareto", "robust", "0"),
     ("freqresp", None, "0"), ("freqresp", None, "-3")])

@@ -7,10 +7,11 @@ import scipy.linalg
 import regretsynth as rs
 from regretsynth.errors import UnstableSystem
 import regretsynth.norms as norms
-from regretsynth.norms import norm_grid, sigma_max_on_grid
+from regretsynth.norms import sigma_max_on_grid
 
 from conftest import random_plant_with_dscale_pole, random_stable_ss
-from oracles import at_z, crossover_bisection_reference, hinf_norm_dense
+from oracles import (at_z, crossover_bisection_reference, hinf_norm_dense, margin_grid,
+                     norm_grid)
 
 
 def test_static_norm_is_sigma_max():
@@ -61,6 +62,34 @@ def test_margins_no_crossover():
     assert not m.has_crossover
 
 
+@pytest.mark.parametrize("gain", [1.0, -1.0])
+def test_margins_unit_static_loop_has_no_crossover(gain):
+    # |L| = 1 at every angle, so |L| - 1 never changes sign: no angle is
+    # a crossover, although every angle has |L| = 1
+    assert not rs.loop_margins(rs.static_gain([[gain]], 1.0)).has_crossover
+
+
+def test_margins_find_crossings_inside_one_grid_cell():
+    # |L| = 1.5 but for a notch at 2: zeros at (1 - 1e-7) e^{+-2j}, poles at
+    # (1 - 1e-5) e^{+-j (2 + 3e-5)}.  |L| falls through 1 at 1.99993891 and
+    # rises through it at 2.00001309, both inside one cell of the grid that
+    # the crossover search once scanned for a sign change
+    q, p = (1 - 1e-7) * np.exp(2j), (1 - 1e-5) * np.exp(1j * (2 + 3e-5))
+    num, den = np.real(np.poly([q, np.conj(q)])), np.real(np.poly([p, np.conj(p)]))
+    num *= 1.5 * np.polyval(den, 1.0) / np.polyval(num, 1.0)
+    b = num[1:] - num[0] * den[1:]
+    L = rs.StateSpace([[-den[1], -den[2]], [1.0, 0.0]], [[1.0], [0.0]], b[None, :],
+                      [[num[0]]], 1.0)
+    assert abs(abs(L.freqresp([0.0])[0, 0, 0]) - 1.5) < 1e-12
+    grid = margin_grid(L)
+    gap = np.abs(L.freqresp(grid)[:, 0, 0]) - 1.0
+    assert np.all(gap > 0)
+    m = rs.loop_margins(L)
+    assert abs(m.crossover_theta - 1.99993891) < 1e-7
+    ref = crossover_bisection_reference(L, 1.9999, 2.0)
+    assert abs(m.crossover_theta - ref) <= 1e-14 + 1e-10 * ref
+
+
 def test_margins_integrator():
     # k/s with unity crossover at k: PM ~ 90 degrees for small Ts * wc
     k = 2.0
@@ -73,13 +102,14 @@ def test_margins_integrator():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_margins_crossover_matches_scalar_bisection(seed, monkeypatch):
-    # the batched sub-grid refinement lands within the scalar
-    # bisection's tolerance of it, in a few freqresp calls
+    # the level-1 pencil's crossover lands within the scalar bisection's
+    # tolerance of it, with one freqresp call to probe the candidates and
+    # one for the phase
     rng = np.random.default_rng(seed)
     L = random_stable_ss(rng, 1 + seed, 1, 1, rho=0.95, feedthrough=False)
     # a peak of 2 puts |L| = 1 on the way to and from it
     L = rs.StateSpace(L.A, L.B, 2.0 * L.C / rs.hinf_norm(L), L.D, 1.0)
-    thetas = np.union1d(norm_grid(L), np.linspace(1e-7, np.pi, norms._MARGIN_GRID // 2))
+    thetas = margin_grid(L)
     gap = np.abs(L.freqresp(thetas)[:, 0, 0]) - 1.0
     crossings = np.nonzero(gap[:-1] * gap[1:] < 0)[0]
     calls = []
@@ -90,7 +120,7 @@ def test_margins_crossover_matches_scalar_bisection(seed, monkeypatch):
     i = crossings[0]
     ref = crossover_bisection_reference(L, thetas[i], thetas[i + 1])
     assert abs(m.crossover_theta - ref) <= 1e-14 + 1e-10 * ref
-    assert len(calls) <= 10
+    assert len(calls) <= 2
 
 
 def test_frequency_grid_invariants():
@@ -132,10 +162,9 @@ def _golden_max(f, a, b, rel_tol, max_iter=80):
 
 def _hinf_norm_gridded(g, tol=1e-6):
     """The gridded norm that the level-set iteration replaced: sigma_max
-    on ``norm_grid`` and the 12 largest local maxima refined by golden
-    section.  A lower bound.  That norm used ``norm_grid`` on a base of
-    512 points: callers set ``norms._MARGIN_GRID`` to 512."""
-    thetas = norm_grid(g)
+    on ``norm_grid`` with a base of 512 points and the 12 largest local
+    maxima refined by golden section.  A lower bound."""
+    thetas = norm_grid(g, 512)
     vals = np.array([_sigma_at(g, th) for th in thetas])
     padded = np.concatenate([[-np.inf], vals, [-np.inf]])
     peaks = [i for i in range(thetas.size)
@@ -171,7 +200,7 @@ def _second_order(eps, th0, zero_th=None, gain=1.0):
             b[None, :], np.array([[num[0]]]))
 
 
-def test_norm_catches_peak_narrower_than_a_grid_cell(monkeypatch):
+def test_norm_catches_peak_narrower_than_a_grid_cell():
     # twelve resonances of peak 1 and, at 2.7, a pole/zero pair one pole
     # width apart: sigma_max there is 0.95 at the pole angle but peaks at
     # 0.95 * golden ratio / sqrt(2) = 1.0869 within 1e-6 rad of it.  The
@@ -183,9 +212,7 @@ def test_norm_catches_peak_narrower_than_a_grid_cell(monkeypatch):
                         for k in range(4)), 1.0)
     # the peak of the pair alone; the conjugate pair moves it by ~1e-6
     peak = 0.95 * (1.0 + np.sqrt(5.0)) / 2.0 / np.sqrt(2.0)
-    with monkeypatch.context() as patch:
-        patch.setattr(norms, "_MARGIN_GRID", 512)
-        assert _hinf_norm_gridded(g) < 1.0001
+    assert _hinf_norm_gridded(g) < 1.0001
     br = rs.hinf_norm(g, return_bracket=True)
     assert br.certified
     assert abs(br.upper / peak - 1.0) < 1e-5

@@ -5,7 +5,7 @@ import pytest
 
 import regretsynth as rs
 from regretsynth.regret import (KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, KIND_HINF,
-                                _bisect_gamma_j, regret_weighted_plant)
+                                bisect_gamma_j, regret_weighted_plant)
 
 from conftest import random_generalized_plant, scalar_plant
 from oracles import (additive_bisection_reference, cr_bisection_reference,
@@ -241,51 +241,10 @@ def test_pareto_front_scalar(scalar_k0):
         return rs.synth_regret(P, level, K0=K0)
 
     for p in front.points[:2]:
-        again = _bisect_gamma_j(feas, p.gamma_d, 1e-3, 1e-3)
+        again = bisect_gamma_j(feas, p.gamma_d, 1e-3, 1e-3)
         assert abs(again.gamma_j_upper - p.gamma_j_upper) <= 2 * (
             1e-3 + 1e-3 * p.gamma_j_upper
         )
-
-
-@pytest.mark.parametrize("name, n_points, tol", [("scalar", 5, (1e-3, 1e-3)),
-                                                 ("boeing747", 8, (1e-2, 1e-3))])
-def test_oracle_front_points_are_cold_searches(store, scalar_k0, name, n_points, tol):
-    # each point of an oracle front is _bisect_gamma_j with a fresh oracle
-    if name == "scalar":
-        (P, K0), g_inf = scalar_k0, None
-    else:
-        P, K0 = store.nominal(name), store.k0(name)
-        g_inf, _ = store.special(name, "hinf", *tol)
-    calls = []  # (gamma_d, gamma_J, result) of each call, one list per oracle
-
-    def factory():
-        calls.append([])
-
-        def oracle(level, mine=calls[-1]):
-            res = rs.synth_regret(P, level, K0=K0)
-            mine.append((level.gamma_d, level.gamma_J, res))
-            return res
-        return oracle
-
-    front = rs.pareto_front(P, n_points=n_points, tol_abs=tol[0], tol_rel=tol[1],
-                            K0=K0, gamma_inf=g_inf, oracle_factory=factory)
-    assert len(calls) == n_points
-    for p, called in zip(front.points, calls):
-        cold = _bisect_gamma_j(lambda level: rs.synth_regret(P, level, K0=K0),
-                               p.gamma_d, *tol)
-        assert (p.gamma_d, p.gamma_j_lower, p.gamma_j_upper, p.ray) == \
-            (cold.gamma_d, cold.gamma_j_lower, cold.gamma_j_upper, None)
-        assert p.result.feasible and p.result.achieved_norm == cold.result.achieved_norm
-        for m in "ABCD":
-            assert getattr(p.result.controller, m).tobytes() == \
-                getattr(cold.result.controller, m).tobytes()
-        levels = p.result.metadata["search_levels"]
-        assert levels == cold.result.metadata["search_levels"]
-        # the oracle was called once per recorded level, and only at gamma_d
-        assert [(gd, gj) for gd, gj, _ in called] == [(p.gamma_d, g) for g, _ in levels]
-        # the metadata is the oracle's at the upper end plus the record
-        at_upper = [res for _, gj, res in called if gj == p.gamma_j_upper]
-        assert p.result.metadata == {**at_upper[-1].metadata, "search_levels": levels}
 
 
 @pytest.mark.parametrize("name, n_points, tol", [("siso", 5, (1e-4, 1e-4)),

@@ -10,6 +10,7 @@ import pytest
 
 import regretsynth as rs
 from regretsynth.errors import UnstableSystem
+from regretsynth.regret import bisect_gamma_j
 import regretsynth.robust as robust
 from regretsynth.robust import (_SectionMemo, _logmag_jacobian, _logmag_residual,
                                 _scaled_sigma, dk_scaled_plant)
@@ -763,6 +764,44 @@ def test_robust_front_dominates_nominal_scalar(monkeypatch):
         at_upper = [lv for lv in levels if lv[0] == pr.gamma_j_upper]
         assert at_upper == [(pr.gamma_j_upper, "feasible",
                              pr.result.metadata["iterations"])]
+
+
+def test_robust_front_points_are_cold_searches(monkeypatch):
+    # each point of the robust front is bisect_gamma_j with a fresh DK oracle
+    unc = scalar_uncertain_plant()
+    K0 = rs.build_noncausal(unc.nominal())
+    tol = (1e-2, 1e-2)
+    calls = []  # (gamma_d, gamma_J, result) of each call, one list per oracle
+    make_oracle = robust.dk_feasibility_oracle
+
+    def recorded(P, *, K0):
+        calls.append([])
+        oracle = make_oracle(P, K0=K0)
+
+        def feasibility(level, mine=calls[-1]):
+            res = oracle(level)
+            mine.append((level.gamma_d, level.gamma_J, res))
+            return res
+        return feasibility
+
+    monkeypatch.setattr(robust, "dk_feasibility_oracle", recorded)
+    front = rs.robust_pareto_front(unc, n_points=3, tol_abs=tol[0], tol_rel=tol[1], K0=K0)
+    assert len(calls) == 3
+    for p, called in zip(front.points, calls):
+        cold = bisect_gamma_j(make_oracle(unc, K0=K0), p.gamma_d, *tol)
+        assert (p.gamma_d, p.gamma_j_lower, p.gamma_j_upper, p.ray) == \
+            (cold.gamma_d, cold.gamma_j_lower, cold.gamma_j_upper, None)
+        assert p.result.feasible and p.result.achieved_norm == cold.result.achieved_norm
+        for m in "ABCD":
+            assert getattr(p.result.controller, m).tobytes() == \
+                getattr(cold.result.controller, m).tobytes()
+        levels = p.result.metadata["search_levels"]
+        assert levels == cold.result.metadata["search_levels"]
+        # the oracle was called once per recorded level, and only at gamma_d
+        assert [(gd, gj) for gd, gj, _ in called] == [(p.gamma_d, g) for g, _, _ in levels]
+        # the metadata is the oracle's at the upper end plus the record
+        at_upper = [res for _, gj, res in called if gj == p.gamma_j_upper]
+        assert p.result.metadata == {**at_upper[-1].metadata, "search_levels": levels}
 
 
 def test_verify_robust_regret_matches_per_trial_loop():
