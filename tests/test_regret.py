@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import regretsynth as rs
+import regretsynth.robust as robust
 from regretsynth.regret import (KIND_ADDITIVE, KIND_COMPETITIVE, KIND_GENERAL, KIND_HINF,
                                 bisect_gamma_j, regret_weighted_plant)
 
@@ -245,6 +248,52 @@ def test_pareto_front_scalar(scalar_k0):
         assert abs(again.gamma_j_upper - p.gamma_j_upper) <= 2 * (
             1e-3 + 1e-3 * p.gamma_j_upper
         )
+
+
+@pytest.mark.parametrize("name, n_points, tol", [("scalar", 5, (1e-3, 1e-3)),
+                                                 ("boeing747", 8, (1e-2, 1e-3))])
+def test_oracle_front_points_are_cold_searches(store, scalar_k0, monkeypatch, name,
+                                               n_points, tol):
+    # each point of an oracle front (robust_pareto_front) is bisect_gamma_j
+    # with a fresh oracle, here a nominal synth_regret one in place of DK
+    if name == "scalar":
+        P, K0 = scalar_k0
+    else:
+        P, K0 = store.nominal(name), store.k0(name)
+    calls = []  # (gamma_d, gamma_J, result) of each call, one list per oracle
+
+    def factory(unc, *, K0):
+        calls.append([])
+
+        def oracle(level, mine=calls[-1]):
+            res = rs.synth_regret(unc.nominal(), level, K0=K0)
+            mine.append((level.gamma_d, level.gamma_J, res))
+            return res
+        return oracle
+
+    monkeypatch.setattr(robust, "dk_feasibility_oracle", factory)
+    unc = SimpleNamespace(nominal=lambda: P)
+    front = rs.robust_pareto_front(unc, n_points=n_points, tol_abs=tol[0],
+                                   tol_rel=tol[1], K0=K0)
+    nominal = rs.pareto_front(P, n_points=n_points, tol_abs=tol[0], tol_rel=tol[1], K0=K0)
+    assert [p.gamma_d for p in front.points] == [p.gamma_d for p in nominal.points]
+    assert len(calls) == n_points
+    for p, called in zip(front.points, calls):
+        cold = bisect_gamma_j(lambda level: rs.synth_regret(P, level, K0=K0),
+                              p.gamma_d, *tol)
+        assert (p.gamma_d, p.gamma_j_lower, p.gamma_j_upper, p.ray) == \
+            (cold.gamma_d, cold.gamma_j_lower, cold.gamma_j_upper, None)
+        assert p.result.feasible and p.result.achieved_norm == cold.result.achieved_norm
+        for m in "ABCD":
+            assert getattr(p.result.controller, m).tobytes() == \
+                getattr(cold.result.controller, m).tobytes()
+        levels = p.result.metadata["search_levels"]
+        assert levels == cold.result.metadata["search_levels"]
+        # the oracle was called once per recorded level, and only at gamma_d
+        assert [(gd, gj) for gd, gj, _ in called] == [(p.gamma_d, g) for g, *_ in levels]
+        # the metadata is the oracle's at the upper end plus the record
+        at_upper = [res for _, gj, res in called if gj == p.gamma_j_upper]
+        assert p.result.metadata == {**at_upper[-1].metadata, "search_levels": levels}
 
 
 @pytest.mark.parametrize("name, n_points, tol", [("siso", 5, (1e-4, 1e-4)),
